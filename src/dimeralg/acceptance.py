@@ -58,18 +58,24 @@ def derive_claims(name: str) -> dict:
 
     if "target_simple_matchings" in fx.expected:
         out["target_simple_matchings"] = len(c.catalog)
+    cyclic = None
+    if fx.expected.keys() & {
+        "cycle_algebra_pattern",
+        "cycle_algebras_agree",
+        "homotopy_center_is_k_plus_quadratic_ideal",
+        "target_cancellative_up_to_bounds",
+    }:
+        # one target search serves every claim that needs it
+        cyclic = is_cyclic(c, degree_bound=8)
     if "cycle_algebra_pattern" in fx.expected:
-        rep = is_cyclic(c, degree_bound=8)
-        ok = quadratic_pattern_indices(rep.source_generators) is not None
+        ok = quadratic_pattern_indices(cyclic.source_generators) is not None
         out["cycle_algebra_pattern"] = (
-            "two-vars-quadratic-plus-free" if ok and rep.semigroups_match else "mismatch"
+            "two-vars-quadratic-plus-free" if ok and cyclic.semigroups_match else "mismatch"
         )
     if "cycle_algebras_agree" in fx.expected:
-        rep = is_cyclic(c, degree_bound=8)
-        out["cycle_algebras_agree"] = rep.semigroups_match
+        out["cycle_algebras_agree"] = cyclic.semigroups_match
     if "homotopy_center_is_k_plus_quadratic_ideal" in fx.expected:
-        rep = is_cyclic(c, degree_bound=8)
-        idx = quadratic_pattern_indices(rep.source_generators)
+        idx = quadratic_pattern_indices(cyclic.source_generators)
         if idx is None:
             out["homotopy_center_is_k_plus_quadratic_ideal"] = False
         else:
@@ -80,7 +86,7 @@ def derive_claims(name: str) -> dict:
                 tuple(1 if k in (a, b) else 0 for k in range(3)),
             ]
             bound = 8
-            smons = semigroup_monomials(rep.source_generators, bound)
+            smons = semigroup_monomials(cyclic.source_generators, bound)
             ideal = set()
             for m in quad:
                 ideal.add(m)
@@ -95,8 +101,7 @@ def derive_claims(name: str) -> dict:
         rep = find_noncancellative_pair(q, c)
         out["source_noncancellative"] = rep.found
     if "target_cancellative_up_to_bounds" in fx.expected:
-        rep = find_noncancellative_pair(c.target)
-        out["target_cancellative_up_to_bounds"] = not rep.found
+        out["target_cancellative_up_to_bounds"] = not cyclic.target_pair_found
     if "minimal_sigma_power" in fx.expected:
         out["minimal_sigma_power"] = minimal_sigma_power(c).n
     if "normal" in fx.expected:

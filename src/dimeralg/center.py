@@ -28,6 +28,7 @@ from .rewriting import (
     EQUAL,
     NOT_EQUAL,
     UNKNOWN,
+    EqualityClasses,
     ResourceExhausted,
     RewriteSystem,
     SearchBounds,
@@ -77,44 +78,13 @@ def sigma_sum_candidate(q: DimerQuiver, power: int = 1) -> CentralCandidate:
     return CentralCandidate(comps)
 
 
-class _EqCache:
-    """Shared bounded-equality cache for one verification run."""
-
-    def __init__(self, rs: RewriteSystem, bounds: SearchBounds):
-        self.rs = rs
-        self.bounds = bounds
-        self.cache: dict = {}
-
-    def verdict(self, a: PathWord, b: PathWord) -> str:
-        key = (a.base, a.arrows, b.base, b.arrows)
-        rkey = (b.base, b.arrows, a.base, a.arrows)
-        if key in self.cache:
-            return self.cache[key]
-        if rkey in self.cache:
-            return self.cache[rkey]
-        res = paths_equal(self.rs, a, b, self.bounds)
-        self.cache[key] = res.verdict
-        return res.verdict
-
-
-def _group_terms(eq: _EqCache, terms) -> tuple[list[tuple[PathWord, Fraction]], bool]:
+def _group_terms(eq: EqualityClasses, terms) -> tuple[list[tuple[PathWord, Fraction]], bool]:
     """Bucket terms by equality of their words; returns (class sums,
     any-undecided-comparison)."""
-    classes: list[tuple[PathWord, Fraction]] = []
-    undecided = False
-    for coef, word in sorted(terms, key=lambda t: (t[1].base, t[1].arrows)):
-        placed = False
-        for k, (rep, total) in enumerate(classes):
-            v = eq.verdict(rep, word)
-            if v == EQUAL:
-                classes[k] = (rep, total + coef)
-                placed = True
-                break
-            if v == UNKNOWN:
-                undecided = True
-        if not placed:
-            classes.append((word, coef))
-    return classes, undecided
+    terms = sorted(terms, key=lambda t: (t[1].base, t[1].arrows))
+    split, unknown = eq.split([word for _, word in terms])
+    classes = [(terms[cls[0]][1], sum((terms[k][0] for k in cls), Fraction(0))) for cls in split]
+    return classes, unknown > 0
 
 
 @dataclass
@@ -153,8 +123,7 @@ def verify_central(
     """Commute z with every arrow; a certificate is valid only if every
     arrow verdict is an exact cancellation."""
     z.check(q)
-    rs = rs or RewriteSystem(q)
-    eq = _EqCache(rs, bounds)
+    eq = EqualityClasses(rs or RewriteSystem(q), bounds)
     verdicts = []
     for a in q.arrows:
         terms: list[Term] = []
@@ -173,7 +142,7 @@ def verify_central(
     return CentralityCertificate(verdicts)
 
 
-def _combination_is_zero(eq: _EqCache, terms) -> str:
+def _combination_is_zero(eq: EqualityClasses, terms) -> str:
     classes, undecided = _group_terms(eq, terms)
     if any(total != 0 for _, total in classes):
         return NOT_EQUAL if not undecided else UNKNOWN
@@ -203,11 +172,10 @@ def nilpotency_and_kernel_check(
     central element the latter two must agree (nilpotent central elements
     square to zero and are exactly the central kernel elements)."""
     q = c.source
-    cert = verify_central(q, z, bounds)
-    central = cert.verdict if cert.verdict != NOT_EQUAL else NOT_EQUAL
-
     rs = RewriteSystem(q)
-    eq = _EqCache(rs, bounds)
+    central = verify_central(q, z, bounds, rs).verdict
+
+    eq = EqualityClasses(rs, bounds)
     square_terms: list[Term] = []
     for v, terms in z.components.items():
         for c1, w1 in terms:
@@ -215,8 +183,7 @@ def nilpotency_and_kernel_check(
                 square_terms.append((c1 * c2, concat(q, w1, w2)))
     z2 = _combination_is_zero(eq, square_terms) if square_terms else EQUAL
 
-    rs_t = RewriteSystem(c.target)
-    eq_t = _EqCache(rs_t, bounds)
+    eq_t = EqualityClasses(RewriteSystem(c.target), bounds)
     image_terms: list[Term] = []
     for v, terms in z.components.items():
         for coef, w in terms:
@@ -315,11 +282,10 @@ def reduced_center_contains(
     outside this test's scope.
     """
     q = c.source
-    if homotopy_center_contains(c, g).verdict != YES:
-        res = homotopy_center_contains(c, g)
-        return ReducedCenterResult(NO, failing_vertex=res.vertex, reason="not_in_homotopy_center")
-    rs = RewriteSystem(q)
-    eq = _EqCache(rs, bounds)
+    hc = homotopy_center_contains(c, g)
+    if hc.verdict != YES:
+        return ReducedCenterResult(NO, failing_vertex=hc.vertex, reason="not_in_homotopy_center")
+    eq = EqualityClasses(RewriteSystem(q), bounds)
 
     class_reps: dict[int, list[PathWord]] = {}
     counts, ccounts = {}, {}
@@ -331,21 +297,11 @@ def reduced_center_contains(
             return ReducedCenterResult(UNKNOWN, reason="cycle_enumeration_budget")
         if not cycles:
             return ReducedCenterResult(NO, failing_vertex=v, reason="no_cycle_with_image")
-        reps: list[PathWord] = []
-        for w in cycles:
-            hit = False
-            for rep in reps:
-                verdict = eq.verdict(rep, w)
-                if verdict == EQUAL:
-                    hit = True
-                    break
-                if verdict == UNKNOWN:
-                    undecided = True
-            if not hit:
-                reps.append(w)
-        class_reps[v] = reps
+        split, unknown = eq.split(cycles)
+        undecided = undecided or unknown > 0
+        class_reps[v] = [cycles[cls[0]] for cls in split]
         counts[v] = len(cycles)
-        ccounts[v] = len(reps)
+        ccounts[v] = len(split)
 
     # unknowns x[v][k]; build the linear system over the classes of all
     # commutator words
@@ -369,22 +325,12 @@ def reduced_center_contains(
             products.append((PathWord(w.base, w.arrows + (a.id,)), index[(a.tail, k)], Fraction(1)))
         for k, w in enumerate(class_reps[a.head]):
             products.append((PathWord(a.tail, (a.id,) + w.arrows), index[(a.head, k)], Fraction(-1)))
-        buckets: list[tuple[PathWord, list[tuple[int, Fraction]]]] = []
-        for word, idx, sign in products:
-            placed = False
-            for rep, entries in buckets:
-                verdict = eq.verdict(rep, word)
-                if verdict == EQUAL:
-                    entries.append((idx, sign))
-                    placed = True
-                    break
-                if verdict == UNKNOWN:
-                    undecided = True
-            if not placed:
-                buckets.append((word, [(idx, sign)]))
-        for _, entries in buckets:
+        split, unknown = eq.split([word for word, _, _ in products])
+        undecided = undecided or unknown > 0
+        for cls in split:
             row = [Fraction(0)] * len(index)
-            for idx, sign in entries:
+            for k in cls:
+                _, idx, sign = products[k]
                 row[idx] += sign
             if any(x != 0 for x in row):
                 rows.append(row)

@@ -245,7 +245,7 @@ def target_cycle_algebra_generators(c: Contraction) -> list[Monomial]:
 
 @dataclass
 class CyclicReport:
-    cyclic_up_to_bound: bool
+    cyclic_up_to_bound: bool | None  # None: the target search was cut off
     source_generators: list[Monomial]
     target_generators: list[Monomial]
     semigroups_match: bool
@@ -267,15 +267,20 @@ def is_cyclic(
 ) -> CyclicReport:
     """Do source cycles and target cycles generate the same monomial
     algebra (up to the degree bound), with no cancellation failure found
-    in the target?"""
+    in the target?  Undecided (None) when the semigroups match but the
+    target search was cut off before finding a pair."""
     from .monomial_algebra import semigroup_monomials
 
     src = source_cycle_algebra_generators(c)
     tgt = target_cycle_algebra_generators(c)
     same = semigroup_monomials(src, degree_bound) == semigroup_monomials(tgt, degree_bound)
     rep = find_noncancellative_pair(c.target, bounds=bounds)
+    if not same or rep.found:
+        cyclic = False
+    else:
+        cyclic = None if rep.exhausted else True
     return CyclicReport(
-        cyclic_up_to_bound=same and not rep.found,
+        cyclic_up_to_bound=cyclic,
         source_generators=src,
         target_generators=tgt,
         semigroups_match=same,

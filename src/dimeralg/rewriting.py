@@ -22,6 +22,7 @@ NOT_EQUAL = "not_equal"
 UNKNOWN = "unknown"
 
 _PROFILE_CAP = 4096
+_FIELD_BITS = 16  # profiles are exact for words shorter than 2**16 arrows
 
 
 @dataclass(frozen=True)
@@ -86,43 +87,61 @@ class RewriteSystem:
             if len(arcs) != 2:
                 raise DomainError(f"arrow {a.id} lies on {len(arcs)} faces")
             self.rules[a.id] = (arcs[0], arcs[1])
-        # index: arc -> [(arrow, replacement)]
-        self._by_arc: dict[tuple[int, ...], list[tuple[int, tuple[int, ...]]]] = {}
+        # arc -> [(arrow, replacement)]
+        by_arc: dict[tuple[int, ...], list[tuple[int, tuple[int, ...]]]] = {}
         for aid, (left, right) in self.rules.items():
-            self._by_arc.setdefault(left, []).append((aid, right))
+            by_arc.setdefault(left, []).append((aid, right))
             if right != left:
-                self._by_arc.setdefault(right, []).append((aid, left))
-        self._arc_lengths = sorted({len(arc) for arc in self._by_arc})
+                by_arc.setdefault(right, []).append((aid, left))
+        # per arc length, ascending: first arrow -> [(arc, arrow, replacement)];
+        # every arrow starts one arc on each of its two faces
+        self._by_first: list[tuple[int, list[list]]] = []
+        for ln in sorted({len(arc) for arc in by_arc}):
+            table: list[list] = [[] for _ in q.arrows]
+            for arc, entries in by_arc.items():
+                if len(arc) == ln:
+                    table[arc[0]].extend((arc, aid, repl) for aid, repl in entries)
+            self._by_first.append((ln, table))
         try:
-            self._matchings = enumerate_perfect_matchings(q, _PROFILE_CAP)
+            matchings = enumerate_perfect_matchings(q, _PROFILE_CAP)
         except MatchingCapExceeded:
-            self._matchings = None
+            self._vectors = None
+        else:
+            # arrow -> its matching vector, one _FIELD_BITS-wide field per
+            # matching packed into an int, so a profile is a plain sum
+            width = _FIELD_BITS // 8
+            fields = [bytearray(width * len(matchings)) for _ in q.arrows]
+            for k, d in enumerate(matchings):
+                for aid in d:
+                    fields[aid][width * k] = 1
+            self._vectors = [int.from_bytes(f, "little") for f in fields]
 
     def profile(self, word: tuple[int, ...]):
         """Arrow counts of the word in every perfect matching (an invariant
-        of rewriting); None when enumeration was capped."""
-        if self._matchings is None:
+        of rewriting), packed into one int; None when enumeration was
+        capped."""
+        if self._vectors is None:
             return None
-        return tuple(sum(1 for aid in word if aid in d) for d in self._matchings)
+        if len(word) >> _FIELD_BITS:
+            raise DomainError(f"word of {len(word)} arrows overflows the matching profile")
+        return sum(map(self._vectors.__getitem__, word))
 
     def successors(self, word: tuple[int, ...], cap: int):
-        """All one-step rewrites of the word not exceeding cap; also say
-        whether anything was suppressed by the cap."""
+        """All one-step rewrites of the word not exceeding cap, as tuples
+        (new word, pos, arrow, old arc, new arc); also say whether anything
+        was suppressed by the cap."""
         out = []
         truncated = False
         n = len(word)
-        for ln in self._arc_lengths:
-            if ln > n:
-                continue
+        for ln, table in self._by_first:
             for pos in range(n - ln + 1):
-                arc = word[pos:pos + ln]
-                for aid, repl in self._by_arc.get(arc, ()):
-                    if len(word) - ln + len(repl) > cap:
+                for arc, aid, repl in table[word[pos]]:
+                    if word[pos:pos + ln] != arc:
+                        continue
+                    if n - ln + len(repl) > cap:
                         truncated = True
                         continue
-                    out.append(
-                        (word[:pos] + repl + word[pos + ln:], RewriteStep(pos, aid, arc, repl))
-                    )
+                    out.append((word[:pos] + repl + word[pos + ln:], pos, aid, arc, repl))
         return out, truncated
 
 
@@ -130,16 +149,16 @@ def build_relations(q: DimerQuiver) -> RewriteSystem:
     return RewriteSystem(q)
 
 
-def _invariant_mismatch(rs: RewriteSystem, p: PathWord, q_: PathWord):
+def _invariants(rs: RewriteSystem, w: PathWord) -> tuple:
+    """Endpoints, homology and matching profile: what rewriting preserves."""
     q = rs.quiver
-    if p.base != q_.base or path_head(q, p) != path_head(q, q_):
-        return "endpoints"
-    if path_homology(q, p) != path_homology(q, q_):
-        return "homology"
-    pp, pq = rs.profile(p.arrows), rs.profile(q_.arrows)
-    if pp is not None and pp != pq:
-        return "matching_profile"
-    return None
+    return (w.base, path_head(q, w)), path_homology(q, w), rs.profile(w.arrows)
+
+
+def _mismatch(a: tuple, b: tuple) -> str | None:
+    """The first invariant two words differ in, if any."""
+    names = ("endpoints", "homology", "matching_profile")
+    return next((name for name, x, y in zip(names, a, b) if x != y), None)
 
 
 def paths_equal(
@@ -157,7 +176,7 @@ def paths_equal(
     check_path(quiver, q_)
     if p == q_:
         return EqResult(EQUAL)
-    reason = _invariant_mismatch(rs, p, q_)
+    reason = _mismatch(_invariants(rs, p), _invariants(rs, q_))
     if reason is not None:
         return EqResult(NOT_EQUAL, reason=reason)
     if not p.arrows or not q_.arrows:
@@ -166,8 +185,8 @@ def paths_equal(
 
     cap = bounds.word_cap(quiver, p, q_)
     start_p, start_q = p.arrows, q_.arrows
-    # per-side parent pointers: word -> (parent word, step applied to parent)
-    parents_side = {"p": {start_p: (None, None)}, "q": {start_q: (None, None)}}
+    # per-side parent pointers: word -> successor tuple that reached it
+    parents_side = {"p": {start_p: None}, "q": {start_q: None}}
     frontier = {"p": [start_p], "q": [start_q]}
     truncated = False
     states = 2
@@ -175,25 +194,22 @@ def paths_equal(
     def witness(meet_word):
         # steps p -> ... -> meet, then the q-side chain inverted
         def chain(side):
+            # successor tuples (word, pos, arrow, old, new) from the start
             steps = []
-            word = meet_word
-            while True:
-                parent, step = parents_side[side][word]
-                if parent is None:
-                    break
+            step = parents_side[side][meet_word]
+            while step is not None:
                 steps.append(step)
-                word = parent
+                _, pos, _, old, new = step
+                parent = step[0][:pos] + old + step[0][pos + len(new):]
+                step = parents_side[side][parent]
             steps.reverse()
             return steps
 
-        fwd = chain("p")
-        inv = [
-            RewriteStep(s.pos, s.arrow, s.new, s.old) for s in reversed(chain("q"))
-        ]
+        fwd = [RewriteStep(pos, aid, old, new) for _, pos, aid, old, new in chain("p")]
+        inv = [RewriteStep(pos, aid, new, old) for _, pos, aid, old, new in reversed(chain("q"))]
         return tuple(fwd + inv)
 
     # Expand the smaller frontier until meeting, exhaustion, or the budget.
-    visited = {"p": {start_p}, "q": {start_q}}
     while frontier["p"] or frontier["q"]:
         side = "p" if (frontier["p"] and (len(frontier["p"]) <= len(frontier["q"]) or not frontier["q"])) else "q"
         other = "q" if side == "p" else "p"
@@ -201,15 +217,15 @@ def paths_equal(
         for word in frontier[side]:
             succs, trunc = rs.successors(word, cap)
             truncated = truncated or trunc
-            for nxt, step in succs:
-                if nxt in visited[side]:
+            for step in succs:
+                nxt = step[0]
+                if nxt in parents_side[side]:
                     continue
                 states += 1
                 if states > bounds.max_states:
                     return EqResult(UNKNOWN, reason="state_budget", states=states)
-                visited[side].add(nxt)
-                parents_side[side][nxt] = (word, step)
-                if nxt in visited[other]:
+                parents_side[side][nxt] = step
+                if nxt in parents_side[other]:
                     return EqResult(EQUAL, steps=witness(nxt), states=states)
                 new_frontier.append(nxt)
         frontier[side] = new_frontier
@@ -239,6 +255,140 @@ def replay_witness(rs: RewriteSystem, p: PathWord, steps) -> list[PathWord]:
             raise DomainError("witness step broke an invariant")
         trail.append(nxt)
     return trail
+
+
+# -- equality classes ---------------------------------------------------------
+
+
+class _Closure:
+    """Words reached from one start word, all under one word cap.
+
+    ``pending`` holds the reached words whose successors have not all been
+    generated; every other word has all its successors within the cap in
+    ``words``.  An empty ``pending`` makes the closure complete, and then
+    it is the start word's whole class unless ``truncated`` says the cap
+    suppressed a rewrite.
+    """
+
+    __slots__ = ("words", "pending", "truncated")
+
+    def __init__(self, word: tuple[int, ...]):
+        self.words = {word}
+        self.pending = [word]
+        self.truncated = False
+
+    def absorb(self, other: "_Closure") -> None:
+        """Join the closure of an equal word; its unexpanded words are
+        queued here, so completeness still means the whole class."""
+        self.pending += [w for w in other.pending if w not in self.words]
+        self.words |= other.words
+        self.truncated = self.truncated or other.truncated
+
+
+class EqualityClasses:
+    """Three-valued equality of words against class representatives.
+
+    Each representative keeps, per word cap, a rewrite closure grown only
+    as far as queries need.  A query checks endpoints, homology and
+    matching profile, then looks the word up in the closure; on a miss it
+    searches from the word and grows the closure, the smaller frontier
+    first, until they meet (the word's search then joins the closure), one
+    side is complete, or the state budget is spent.  A complete closure
+    that never hit the cap is the whole class, so NotEqual is certain;
+    cut-offs answer Unknown.  Verdicts carry no witness: ``paths_equal``
+    is the witness-producing path and the reference.
+    """
+
+    def __init__(self, rs: RewriteSystem, bounds: SearchBounds = DEFAULT_BOUNDS):
+        self.rs = rs
+        self.bounds = bounds
+        self.closures: dict[tuple[PathWord, int], _Closure] = {}
+        self._caps: dict[int, int] = {}  # longest word length -> word cap
+        self._rep_invariants: dict[PathWord, tuple] = {}
+        self._last: tuple = (None, None)  # the latest query word and its invariants
+
+    def invariants(self, w: PathWord) -> tuple:
+        """Endpoints, homology and matching profile of a word; the latest
+        query word's are kept."""
+        if self._last[0] is not w:
+            self._last = (w, _invariants(self.rs, w))
+        return self._last[1]
+
+    def compare(self, rep: PathWord, word: PathWord, max_states: int | None = None) -> EqResult:
+        """Is ``word`` in the class of ``rep``?  ``max_states`` overrides the
+        state budget of this one query."""
+        if rep == word:
+            return EqResult(EQUAL)
+        word_inv = self.invariants(word)
+        rep_inv = self._rep_invariants.get(rep)
+        if rep_inv is None:
+            rep_inv = self._rep_invariants[rep] = _invariants(self.rs, rep)
+        reason = _mismatch(rep_inv, word_inv)
+        if reason is not None:
+            return EqResult(NOT_EQUAL, reason=reason)
+        if not rep.arrows or not word.arrows:
+            return EqResult(NOT_EQUAL, reason="trivial_path")
+        longest = max(len(rep.arrows), len(word.arrows))
+        cap = self._caps.get(longest)
+        if cap is None:
+            cap = self._caps[longest] = self.bounds.word_cap(self.rs.quiver, rep, word)
+        closure = self.closures.get((rep, cap))
+        if closure is None:
+            closure = self.closures[(rep, cap)] = _Closure(rep.arrows)
+        limit = self.bounds.max_states if max_states is None else max_states
+        return self._search(closure, word.arrows, cap, limit)
+
+    def _search(self, closure: _Closure, start, cap: int, limit: int) -> EqResult:
+        if start in closure.words:
+            return EqResult(EQUAL)
+        successors = self.rs.successors
+        own = _Closure(start)
+        states = 0
+        while closure.pending and own.pending:
+            grow, other = closure, own
+            if len(own.pending) < len(closure.pending):
+                grow, other = own, closure
+            layer, grow.pending = grow.pending, []
+            for k, w in enumerate(layer):
+                succs, trunc = successors(w, cap)
+                grow.truncated = grow.truncated or trunc
+                for step in succs:
+                    nxt = step[0]
+                    if nxt in grow.words:
+                        continue
+                    states += 1
+                    if states > limit:
+                        grow.pending = layer[k:] + grow.pending
+                        return EqResult(UNKNOWN, reason="state_budget", states=states)
+                    grow.words.add(nxt)
+                    grow.pending.append(nxt)
+                    if nxt in other.words:
+                        # w is requeued: its later successors are not generated yet
+                        grow.pending = layer[k:] + grow.pending
+                        closure.absorb(own)
+                        return EqResult(EQUAL, states=states)
+        if any(not (c.pending or c.truncated) for c in (closure, own)):
+            return EqResult(NOT_EQUAL, reason="saturated", states=states)
+        return EqResult(UNKNOWN, reason="word_length", states=states)
+
+    def split(self, words) -> tuple[list[list[int]], int]:
+        """Partition words in order: each joins the first class whose
+        representative (its first word) it equals.  Returns the classes as
+        index lists and the number of undecided comparisons; an undecided
+        word goes on to the later classes."""
+        classes: list[list[int]] = []
+        unknown = 0
+        for k, w in enumerate(words):
+            for cls in classes:
+                verdict = self.compare(words[cls[0]], w).verdict
+                if verdict == EQUAL:
+                    cls.append(k)
+                    break
+                if verdict == UNKNOWN:
+                    unknown += 1
+            else:
+                classes.append([k])
+        return classes, unknown
 
 
 # -- cycle enumeration -------------------------------------------------------
@@ -363,24 +513,8 @@ def enumerate_cycles(
     cycles = sorted((c for c in results if passes(c)), key=lambda c: (len(c.arrows), c.arrows))
     enum = CycleEnumeration(cycles)
     if dedup_mod_relations:
-        if rs is None:
-            rs = RewriteSystem(q)
-        classes: list[list[PathWord]] = []
-        unknown = 0
-        for c in cycles:
-            placed = False
-            for cls in classes:
-                res = paths_equal(rs, cls[0], c, bounds)
-                if res.is_equal:
-                    cls.append(c)
-                    placed = True
-                    break
-                if res.verdict == UNKNOWN:
-                    unknown += 1
-            if not placed:
-                classes.append([c])
-        enum.classes = classes
-        enum.unknown_pairs = unknown
+        split, enum.unknown_pairs = EqualityClasses(rs or RewriteSystem(q), bounds).split(cycles)
+        enum.classes = [[cycles[k] for k in cls] for cls in split]
     return enum
 
 
@@ -450,9 +584,10 @@ def find_noncancellative_pair(
     contracted monomial image; within a bucket, equality classes are
     maintained and every certainly-distinct pair of class representatives
     is probed for a cancellation witness r.  All rewriting shares one
-    state budget drawn from ``bounds.max_states``; a successful pair is
-    returned with its witnesses, otherwise the report says whether the
-    search ran to completion or was cut off."""
+    state budget drawn from ``bounds.max_states``, and the search stops
+    as soon as it is spent; a successful pair is returned with its
+    witnesses, otherwise the report says whether the search ran to
+    completion or was cut off."""
     rs = RewriteSystem(q)
     if max_cycle_len is None:
         max_cycle_len = max(2 * q.max_face_length(), bounds.word_cap(q) // 2)
@@ -480,8 +615,7 @@ def find_noncancellative_pair(
     per_call = max(2000, bounds.max_states // 10)
 
     def eq(a: PathWord, b: PathWord) -> EqResult:
-        if budget[0] <= 0:
-            return EqResult(UNKNOWN, reason="search_budget")
+        # probes need a witness, so they go through paths_equal
         res = paths_equal(
             rs, a, b, SearchBounds(bounds.word_cap(q, a, b), min(per_call, budget[0]))
         )
@@ -530,38 +664,56 @@ def find_noncancellative_pair(
                 exhausted = True
         return None
 
+    # walks[n][u]: the number of walks of length n from u, i.e. what
+    # growing every walk length by length would spend from the budget
+    walks = [[1] * q.num_vertices]
+    for _ in range(max_cycle_len):
+        prev = walks[-1]
+        walks.append([sum(prev[q.arrow(aid).head] for aid in out) for out in out_by_vertex])
+
+    def cycles_at(v, length):
+        """The cycles at v of the given length, in the order of growing
+        every walk; depth first, descending only where v is still
+        reachable in exactly the steps left."""
+        back = [{v}]  # back[n]: vertices with a walk of length n to v
+        for _ in range(length - 1):
+            back.append({a.tail for a in q.arrows if a.head in back[-1]})
+        stack = [(v, ())]
+        while stack:
+            at, word = stack.pop()
+            if len(word) == length:
+                yield word
+                continue
+            reach = back[length - len(word) - 1]
+            for aid in reversed(out_by_vertex[at]):
+                if q.arrow(aid).head in reach:
+                    stack.append((q.arrow(aid).head, word + (aid,)))
+
     cycles_considered = 0
     pairs_tested = 0
     exhausted = False
     # buckets[v][key] = list of equality-class representatives
     buckets: list[dict[tuple, list[PathWord]]] = [dict() for _ in range(q.num_vertices)]
-    layers: list[list[tuple[int, tuple[int, ...]]]] = [
-        [(v, ())] for v in range(q.num_vertices)
-    ]
-    for _length in range(1, max_cycle_len + 1):
-        if budget[0] <= 0:
-            exhausted = True
-            break
+    for length in range(1, max_cycle_len + 1):
         for v in range(q.num_vertices):
-            grown = []
-            for at, word in layers[v]:
-                for aid in out_by_vertex[at]:
-                    grown.append((q.arrow(aid).head, word + (aid,)))
-                    budget[0] -= 1
-            layers[v] = grown
-            for at, word in grown:
-                if at != v:
-                    continue
+            budget[0] -= walks[length][v]
+            if budget[0] <= 0:
+                return NoncancellativeReport(None, True, cycles_considered, pairs_tested)
+            # every comparison of this round has the cap of this length, so
+            # no later round could reuse these closures
+            classes = EqualityClasses(rs, bounds)
+            for word in cycles_at(v, length):
                 cycles_considered += 1
                 c = PathWord(v, word)
-                key = (path_homology(q, c), rs.profile(word), image(word))
+                key = (classes.invariants(c), image(word))
                 reps = buckets[v].setdefault(key, [])
-                is_new = True
                 for rep in reps:
-                    res = eq(rep, c)
+                    if budget[0] <= 0:
+                        return NoncancellativeReport(None, True, cycles_considered, pairs_tested)
+                    res = classes.compare(rep, c, min(per_call, budget[0]))
+                    budget[0] -= max(res.states, 1)
                     pairs_tested += 1
                     if res.is_equal:
-                        is_new = False
                         break
                     if res.verdict == UNKNOWN:
                         exhausted = True
@@ -571,11 +723,6 @@ def find_noncancellative_pair(
                         return NoncancellativeReport(
                             pair, exhausted, cycles_considered, pairs_tested
                         )
-                if is_new:
+                else:
                     reps.append(c)
-            if budget[0] <= 0:
-                exhausted = True
-                break
-        if exhausted and budget[0] <= 0:
-            break
     return NoncancellativeReport(None, exhausted, cycles_considered, pairs_tested)
