@@ -27,7 +27,6 @@ from .rewriting import (
     CycleFilter,
     RewriteSystem,
     SearchBounds,
-    build_relations,
     enumerate_cycles,
     find_noncancellative_pair,
     paths_equal,

@@ -20,8 +20,8 @@ from .monomial_algebra import (
     mon_add,
     semigroup_monomials,
 )
-from .normality import minimal_sigma_power, normality_report
-from .quiver import concat, validate_dimer
+from .normality import normality_report
+from .quiver import concat, unit_cycle, validate_dimer
 from .rewriting import RewriteSystem, find_noncancellative_pair, paths_equal
 
 
@@ -102,10 +102,13 @@ def derive_claims(name: str) -> dict:
         out["source_noncancellative"] = rep.found
     if "target_cancellative_up_to_bounds" in fx.expected:
         out["target_cancellative_up_to_bounds"] = not cyclic.target_pair_found
-    if "minimal_sigma_power" in fx.expected:
-        out["minimal_sigma_power"] = minimal_sigma_power(c).n
-    if "normal" in fx.expected:
-        out["normal"] = normality_report(c, degree_bound=6).normal == "yes"
+    if fx.expected.keys() & {"minimal_sigma_power", "normal"}:
+        # the report already runs the minimal-power search
+        normality = normality_report(c, degree_bound=6)
+        if "minimal_sigma_power" in fx.expected:
+            out["minimal_sigma_power"] = normality.minimal_power
+        if "normal" in fx.expected:
+            out["normal"] = normality.normal == "yes"
     if "reduces_to_conifold" in fx.expected:
         red = bigon_reduce(c.target, to_fixpoint=True)
         rq = red.quiver
@@ -145,8 +148,6 @@ def derive_claims(name: str) -> dict:
         m = img[0] if len(set(img)) == 1 else None
         claim = None  # undecided stays distinguishable from both answers
         if m is not None:
-            from .quiver import unit_cycle
-
             u = unit_cycle(q, red_cycle.base)
             power = u
             for _ in range(m - 1):

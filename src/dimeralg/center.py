@@ -22,7 +22,7 @@ from .monomial_algebra import (
     homotopy_center_contains,
     mon_add,
 )
-from .quiver import DimerQuiver, DomainError, PathWord, check_path, concat, path_head
+from .quiver import DimerQuiver, DomainError, PathWord, check_path, concat, path_head, unit_cycle
 from .rewriting import (
     DEFAULT_BOUNDS,
     EQUAL,
@@ -66,8 +66,6 @@ class CentralCandidate:
 def sigma_sum_candidate(q: DimerQuiver, power: int = 1) -> CentralCandidate:
     """The sum over vertices of the (power-th) unit cycle, a standard
     central element."""
-    from .quiver import unit_cycle
-
     comps = {}
     for v in range(q.num_vertices):
         u = unit_cycle(q, v)

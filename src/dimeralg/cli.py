@@ -15,6 +15,7 @@ import sys
 from fractions import Fraction
 
 from . import fixtures as fixtures_mod
+from .acceptance import check_fixture, distinguished_candidate
 from .center import (
     CentralCandidate,
     nilpotency_and_kernel_check,
@@ -29,7 +30,7 @@ from .contraction import (
     source_cycle_algebra_generators,
     tau_psi,
 )
-from .matchings import enumerate_perfect_matchings, is_simple_matching
+from .matchings import MatchingCapExceeded, enumerate_perfect_matchings, is_simple_matching
 from .monomial_algebra import (
     homotopy_center_contains,
     homotopy_center_generators,
@@ -47,6 +48,7 @@ from .quiver import (
 from .rewriting import (
     UNKNOWN,
     CycleFilter,
+    ResourceExhausted,
     RewriteSystem,
     SearchBounds,
     enumerate_cycles,
@@ -131,7 +133,7 @@ def _render_text(payload, prefix=""):
     return lines
 
 
-def _report(command, inputs, bounds, results, provenance=()):
+def _report(command, inputs, bounds, results):
     return {
         "command": command,
         "inputs": inputs,
@@ -140,7 +142,6 @@ def _report(command, inputs, bounds, results, provenance=()):
             "max_states": bounds.max_states,
         },
         "results": results,
-        "provenance": list(provenance),
     }
 
 
@@ -298,7 +299,6 @@ def cmd_homotopy_center(args):
         "generators": [list(g) for g in gens.algebra.generators],
         "rendered": [render_monomial(g) for g in gens.algebra.generators],
         "monomial_count": len(gens.monomials),
-        "partial": gens.partial,
     }
     if args.contains:
         g = _parse_ints(args.contains, "monomial")
@@ -354,13 +354,7 @@ def cmd_nilradical(args):
     q, fx = _load_source(args.quiver)
     c = _contraction(q, fx, args)
     if args.candidate == "builtin" and fx is not None and "p" in fx.paths:
-        from .quiver import concat
-
-        p, r, a = fx.paths["p"], fx.paths["q"], fx.paths["a"]
-        z = CentralCandidate({
-            a.base: [(1, concat(q, a, p)), (-1, concat(q, a, r))],
-            p.base: [(1, concat(q, p, a)), (-1, concat(q, r, a))],
-        })
+        z = distinguished_candidate(fx)
     else:
         try:
             with open(args.candidate, "r", encoding="utf-8") as fh:
@@ -421,8 +415,6 @@ def cmd_fixtures(args):
         print(json.dumps(quiver_to_json(fx.quiver), indent=2, sort_keys=True))
         return EXIT_OK
     if args.check:
-        from .acceptance import check_fixture
-
         results, ok = check_fixture(args.check)
         payload = {"fixture": args.check, "claims": results, "ok": ok}
         _emit(args, _report("fixtures", {"check": args.check}, _bounds(args), payload))
@@ -431,8 +423,6 @@ def cmd_fixtures(args):
 
 
 def _global_options(parser, suppress=False):
-    d = argparse.SUPPRESS if suppress else None
-
     def default(value):
         return argparse.SUPPRESS if suppress else value
 
@@ -440,12 +430,8 @@ def _global_options(parser, suppress=False):
                         help="word-length cap for rewriting (0 = derive from inputs)")
     parser.add_argument("--max-states", type=int, default=default(200000))
     parser.add_argument("--degree-bound", type=int, default=default(8))
-    parser.add_argument("--json", action="store_true", default=default(False),
-                        help="JSON output (default)")
     parser.add_argument("--text", action="store_true", default=default(False),
-                        help="flat text output")
-    parser.add_argument("--seed", type=int, default=default(0),
-                        help="seed for randomized sweeps")
+                        help="flat text output instead of JSON")
 
 
 def build_parser():
@@ -548,6 +534,9 @@ def main(argv=None) -> int:
     except (StructuralError, DomainError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
+    except (ResourceExhausted, MatchingCapExceeded) as exc:
+        print(f"undecided: {exc}", file=sys.stderr)
+        return EXIT_UNKNOWN
 
 
 if __name__ == "__main__":

@@ -11,6 +11,7 @@ algebra generated by all such cycle monomials.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 from .matchings import MatchingCatalog, matching_catalog
 from .quiver import (
@@ -48,6 +49,18 @@ class Contraction:
     arrow_map: dict                      # surviving source arrow -> target arrow
     fiber_counts: tuple[int, ...]        # target vertex -> source fiber size
     catalog: MatchingCatalog
+    # per-arrow monomial images: per simple matching of the target, 1 if
+    # the (mapped) arrow lies in it; zero for a contracted source arrow
+    source_images: tuple[Monomial, ...]
+    target_images: tuple[Monomial, ...]
+
+    @cached_property
+    def _source_generators(self) -> tuple[Monomial, ...]:
+        return _cycle_algebra_generators(self.source, self.source_images)
+
+    @cached_property
+    def _target_generators(self) -> tuple[Monomial, ...]:
+        return _cycle_algebra_generators(self.target, self.target_images)
 
 
 def _contracted_components(q: DimerQuiver, arrows: frozenset[int]):
@@ -140,6 +153,11 @@ def contract(q: DimerQuiver, arrows) -> Contraction:
     for v in range(q.num_vertices):
         fibers[vertex_map[v]] += 1
 
+    catalog = matching_catalog(target)
+    target_images = tuple(
+        tuple(int(b.id in d) for d in catalog.simple) for b in target.arrows
+    )
+    zero = (0,) * len(catalog)
     c = Contraction(
         source=q,
         contracted=arrows,
@@ -147,7 +165,11 @@ def contract(q: DimerQuiver, arrows) -> Contraction:
         vertex_map=vertex_map,
         arrow_map=arrow_map,
         fiber_counts=tuple(fibers),
-        catalog=matching_catalog(target),
+        catalog=catalog,
+        source_images=tuple(
+            zero if a.id in arrows else target_images[arrow_map[a.id]] for a in q.arrows
+        ),
+        target_images=target_images,
     )
     _assert_relations_descend(c)
     return c
@@ -179,68 +201,44 @@ def identity_contraction(q: DimerQuiver) -> Contraction:
     return contract(q, frozenset())
 
 
+def _image(images: tuple[Monomial, ...], arrows) -> Monomial:
+    """Sum of the per-arrow images of a word."""
+    return tuple(map(sum, zip(*map(images.__getitem__, arrows))))
+
+
 def tau_psi(c: Contraction, p: PathWord) -> Monomial:
     """Monomial image of a source path: per simple matching of the target,
     how many arrows of the path land in it.  Contracted arrows contribute
     nothing; the map is additive under concatenation."""
     check_path(c.source, p)
-    counts = [0] * len(c.catalog)
-    for aid in p.arrows:
-        if aid in c.contracted:
-            continue
-        img = c.arrow_map[aid]
-        for k, d in enumerate(c.catalog.simple):
-            if img in d:
-                counts[k] += 1
-    return tuple(counts)
-
-
-def target_tau(c: Contraction, p: PathWord) -> Monomial:
-    """Monomial image of a target path over the same catalog."""
-    check_path(c.target, p)
-    counts = [0] * len(c.catalog)
-    for aid in p.arrows:
-        for k, d in enumerate(c.catalog.simple):
-            if aid in d:
-                counts[k] += 1
-    return tuple(counts)
+    return _image(c.source_images, p.arrows) if p.arrows else (0,) * len(c.catalog)
 
 
 def sigma(c: Contraction) -> Monomial:
     return (1,) * len(c.catalog)
 
 
-def source_cycle_algebra_generators(c: Contraction) -> list[Monomial]:
-    """Monomial generators of the cycle algebra from the source side.
+def _cycle_algebra_generators(q: DimerQuiver, images) -> tuple[Monomial, ...]:
+    """Minimal monomial generators of the algebra of cycle images in q.
 
     The exponent of a cycle depends only on its arrow multiset, and every
     closed walk decomposes into vertex-simple cycles, so images of
-    vertex-simple cycles generate the whole algebra; the list is reduced
-    to a minimal generating set.  Cached on the contraction.
-    """
-    cached = getattr(c, "_source_gens", None)
-    if cached is not None:
-        return list(cached)
+    vertex-simple cycles generate the whole algebra."""
     from .monomial_algebra import minimal_generators
 
-    images = {tau_psi(c, cyc) for cyc in vertex_simple_cycles(c.source)}
-    images.discard((0,) * len(c.catalog))
-    gens = minimal_generators(sorted(images))
-    object.__setattr__(c, "_source_gens", tuple(gens))
-    return gens
+    found = {_image(images, cyc.arrows) for cyc in vertex_simple_cycles(q)}
+    return tuple(minimal_generators(found))
+
+
+def source_cycle_algebra_generators(c: Contraction) -> list[Monomial]:
+    """Monomial generators of the cycle algebra from the source side;
+    cached on the contraction."""
+    return list(c._source_generators)
 
 
 def target_cycle_algebra_generators(c: Contraction) -> list[Monomial]:
-    cached = getattr(c, "_target_gens", None)
-    if cached is not None:
-        return list(cached)
-    from .monomial_algebra import minimal_generators
-
-    images = {target_tau(c, cyc) for cyc in vertex_simple_cycles(c.target)}
-    images.discard((0,) * len(c.catalog))
-    gens = minimal_generators(sorted(images))
-    object.__setattr__(c, "_target_gens", tuple(gens))
-    return gens
+    """The same from the target's own cycles; cached on the contraction."""
+    return list(c._target_generators)
 
 
 @dataclass
@@ -396,9 +394,3 @@ def reduce_matching(red: BigonReduction, matching: frozenset[int]) -> frozenset[
         d.discard(step.b)
         d = {step.relabel[x] for x in d}
     return frozenset(d)
-
-
-def contract_and_reduce(q: DimerQuiver, arrows) -> tuple[Contraction, BigonReduction]:
-    c = contract(q, arrows)
-    red = bigon_reduce(c.target, to_fixpoint=True)
-    return c, red

@@ -32,12 +32,6 @@ def mon_leq(a: Monomial, b: Monomial) -> bool:
     return all(x <= y for x, y in zip(a, b))
 
 
-def mon_sub(a: Monomial, b: Monomial) -> Monomial:
-    if not mon_leq(b, a):
-        raise DomainError("monomial difference would be negative")
-    return tuple(x - y for x, y in zip(a, b))
-
-
 def sigma_divides(g: Monomial) -> bool:
     return all(e >= 1 for e in g)
 
@@ -180,18 +174,6 @@ class Realizability:
     vertex: int | None = None
 
 
-def _arrow_images(c: Contraction) -> list[Monomial]:
-    dim = len(c.catalog)
-    images = []
-    for a in c.source.arrows:
-        if a.id in c.contracted:
-            images.append((0,) * dim)
-        else:
-            img = c.arrow_map[a.id]
-            images.append(tuple(1 if img in d else 0 for d in c.catalog.simple))
-    return images
-
-
 def realizable_at_vertex(
     c: Contraction, i: int, g: Monomial, max_states: int = 2_000_000
 ) -> Realizability:
@@ -206,7 +188,7 @@ def realizable_at_vertex(
         raise DomainError(f"vertex {i} out of range")
     if len(g) != len(c.catalog):
         raise DomainError("monomial indexed by a different catalog")
-    images = _arrow_images(c)
+    images = c.source_images
     box = 1
     for e in g:
         box *= e + 1
@@ -263,7 +245,7 @@ def cycles_with_image(
     steps are bounded by deg(g), and between them a zero-image step chain
     never needs to revisit a vertex."""
     q = c.source
-    images = _arrow_images(c)
+    images = c.source_images
     if max_walk_len is None:
         max_walk_len = (degree(g) + 1) * q.num_vertices
     out: list[PathWord] = []
@@ -308,7 +290,6 @@ class CenterGenerators:
     algebra: MonomialAlgebra
     monomials: frozenset[Monomial]
     degree_bound: int
-    partial: bool = False
 
 
 def _vectors_up_to_degree(dim: int, degree_bound: int):
@@ -343,9 +324,3 @@ def homotopy_center_generators(c: Contraction, degree_bound: int) -> CenterGener
     return CenterGenerators(
         MonomialAlgebra(tuple(gens), label="homotopy-center"), mons, degree_bound
     )
-
-
-def cycle_algebra_monomials(c: Contraction, degree_bound: int) -> frozenset[Monomial]:
-    from .contraction import source_cycle_algebra_generators
-
-    return semigroup_monomials(source_cycle_algebra_generators(c), degree_bound)

@@ -11,7 +11,6 @@ generate all of Z^2 for the embedding to be genuine.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from math import gcd
 
@@ -52,9 +51,6 @@ class DimerQuiver:
     def out_arrows(self, v: int) -> list[Arrow]:
         return [a for a in self.arrows if a.tail == v]
 
-    def in_arrows(self, v: int) -> list[Arrow]:
-        return [a for a in self.arrows if a.head == v]
-
     def faces_of_arrow(self, aid: int) -> list[Face]:
         return [f for f in self.faces if aid in f.boundary]
 
@@ -78,6 +74,11 @@ class PathWord:
         return len(self.arrows)
 
 
+def _is_int(x) -> bool:
+    """An int proper: JSON booleans are not integers here."""
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
 def make_quiver(num_vertices, arrows, faces) -> DimerQuiver:
     """Build a DimerQuiver from raw tuples, checking structure only.
 
@@ -86,20 +87,21 @@ def make_quiver(num_vertices, arrows, faces) -> DimerQuiver:
     checking is validate_dimer's job; this only rejects data that cannot
     be represented at all.
     """
-    if not isinstance(num_vertices, int) or num_vertices < 0:
+    if not _is_int(num_vertices) or num_vertices < 0:
         raise StructuralError("vertex count must be a nonnegative integer")
     arr = []
     for i, (tail, head, hom) in enumerate(arrows):
+        if len(hom) != 2 or not all(map(_is_int, (tail, head, *hom))):
+            raise StructuralError(f"arrow {i}: endpoints and homology must be integers")
         if not (0 <= tail < num_vertices and 0 <= head < num_vertices):
             raise StructuralError(f"arrow {i}: endpoint out of range")
-        h = (int(hom[0]), int(hom[1]))
-        arr.append(Arrow(i, tail, head, h))
+        arr.append(Arrow(i, tail, head, (hom[0], hom[1])))
     fcs = []
     for j, boundary in enumerate(faces):
-        b = tuple(int(a) for a in boundary)
+        b = tuple(boundary)
         for aid in b:
-            if not 0 <= aid < len(arr):
-                raise StructuralError(f"face {j}: unknown arrow id {aid}")
+            if not _is_int(aid) or not 0 <= aid < len(arr):
+                raise StructuralError(f"face {j}: unknown arrow id {aid!r}")
         fcs.append(Face(j, b))
     return DimerQuiver(num_vertices, tuple(arr), tuple(fcs))
 
@@ -256,10 +258,6 @@ def check_path(q: DimerQuiver, p: PathWord) -> None:
         at = a.head
 
 
-def path_tail(q: DimerQuiver, p: PathWord) -> int:
-    return p.base
-
-
 def path_head(q: DimerQuiver, p: PathWord) -> int:
     if not p.arrows:
         return p.base
@@ -341,10 +339,10 @@ def quiver_from_json(data: dict) -> DimerQuiver:
         if not isinstance(entry, dict) or set(entry) != _ARROW_KEYS:
             raise StructuralError("arrow entries need exactly id/tail/head/homology")
         aid = entry["id"]
-        if not isinstance(aid, int) or aid in by_id:
+        if not _is_int(aid) or aid in by_id:
             raise StructuralError(f"bad or duplicate arrow id {aid!r}")
         hom = entry["homology"]
-        if not (isinstance(hom, list) and len(hom) == 2 and all(isinstance(h, int) for h in hom)):
+        if not (isinstance(hom, list) and len(hom) == 2):
             raise StructuralError(f"arrow {aid}: homology must be a pair of integers")
         by_id[aid] = (entry["tail"], entry["head"], (hom[0], hom[1]))
     if set(by_id) != set(range(len(by_id))):
@@ -354,14 +352,3 @@ def quiver_from_json(data: dict) -> DimerQuiver:
     if not isinstance(faces, list) or not all(isinstance(f, list) for f in faces):
         raise StructuralError("faces must be an array of arrays")
     return make_quiver(data["vertices"], arrows, faces)
-
-
-def load_quiver(path: str) -> DimerQuiver:
-    with open(path, "r", encoding="utf-8") as fh:
-        return quiver_from_json(json.load(fh))
-
-
-def dump_quiver(q: DimerQuiver, path: str) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(quiver_to_json(q), fh, indent=2, sort_keys=True)
-        fh.write("\n")

@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .matchings import MatchingCapExceeded, enumerate_perfect_matchings
-from .quiver import DimerQuiver, DomainError, PathWord, check_path, path_head, path_homology
+from .quiver import Arrow, DimerQuiver, DomainError, PathWord, check_path, path_head, path_homology
 
 EQUAL = "equal"
 NOT_EQUAL = "not_equal"
@@ -143,10 +143,6 @@ class RewriteSystem:
                         continue
                     out.append((word[:pos] + repl + word[pos + ln:], pos, aid, arc, repl))
         return out, truncated
-
-
-def build_relations(q: DimerQuiver) -> RewriteSystem:
-    return RewriteSystem(q)
 
 
 def _invariants(rs: RewriteSystem, w: PathWord) -> tuple:
@@ -462,6 +458,8 @@ def enumerate_cycles(
     order.  With dedup_mod_relations, also group them into equality
     classes; undecided comparisons leave cycles in separate classes and
     are counted."""
+    if not 0 <= i < q.num_vertices:
+        raise DomainError(f"vertex {i} out of range")
     out_by_vertex: list[list[int]] = [[] for _ in range(q.num_vertices)]
     for a in q.arrows:
         out_by_vertex[a.tail].append(a.id)
@@ -491,17 +489,8 @@ def enumerate_cycles(
             stack.append((q.arrow(aid).head, word + (aid,), visited))
 
     def passes(c: PathWord) -> bool:
-        if filt.variant == FILTER_ALL:
-            return True
-        if filt.variant == FILTER_VERTEX_SIMPLE:
-            seen = set()
-            at = c.base
-            for aid in c.arrows[:-1]:
-                at = q.arrow(aid).head
-                if at in seen or at == c.base:
-                    return False
-                seen.add(at)
-            return True
+        if filt.variant in (FILTER_ALL, FILTER_VERTEX_SIMPLE):
+            return True  # the walk above already prunes revisits
         if filt.variant == FILTER_HOMOLOGY:
             return path_homology(q, c) == filt.hom_class
         if filt.variant == FILTER_LIFT_SIMPLE:
@@ -520,26 +509,34 @@ def enumerate_cycles(
 
 def vertex_simple_cycles(q: DimerQuiver) -> list[PathWord]:
     """Every directed cycle with no repeated vertex, one representative per
-    rotation class, sorted canonically."""
-    seen: set[tuple[int, ...]] = set()
+    rotation class (its least rotation as an arrow word), sorted
+    canonically.  Each cycle is found once, from its least vertex, by a
+    depth-first search that only steps to larger vertices."""
+    out_by_vertex: list[list[Arrow]] = [[] for _ in range(q.num_vertices)]
+    for a in q.arrows:
+        out_by_vertex[a.tail].append(a)
     out: list[PathWord] = []
-    for i in range(q.num_vertices):
-        enum = enumerate_cycles(q, i, q.num_vertices, CycleFilter.vertex_simple())
-        for c in enum.cycles:
-            rotations = [
-                c.arrows[k:] + c.arrows[:k] for k in range(len(c.arrows))
-            ]
-            canon = min(rotations)
-            if canon in seen:
-                continue
-            seen.add(canon)
-            out.append(c if c.arrows == canon else _rotate_to(q, c, canon))
+    for s in range(q.num_vertices):
+        word: list[int] = []
+        on_path = {s}
+        stack = [iter(out_by_vertex[s])]
+        while stack:
+            a = next(stack[-1], None)
+            if a is None:
+                stack.pop()
+                if word:
+                    on_path.discard(q.arrow(word.pop()).head)
+            elif a.head == s:
+                cycle = word + [a.id]
+                k = cycle.index(min(cycle))
+                canon = tuple(cycle[k:] + cycle[:k])
+                out.append(PathWord(q.arrow(canon[0]).tail, canon))
+            elif a.head > s and a.head not in on_path:
+                word.append(a.id)
+                on_path.add(a.head)
+                stack.append(iter(out_by_vertex[a.head]))
     out.sort(key=lambda c: (len(c.arrows), c.arrows))
     return out
-
-
-def _rotate_to(q: DimerQuiver, c: PathWord, canon: tuple[int, ...]) -> PathWord:
-    return PathWord(q.arrow(canon[0]).tail, canon)
 
 
 # -- non-cancellative pairs --------------------------------------------------

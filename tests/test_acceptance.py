@@ -408,7 +408,7 @@ def test_criterion_9_cli_determinism():
     commands = [
         ["matchings", "fixture:fig_deformation"],
         ["normality", "fixture:fig_nested(2)", "--degree-bound", "6"],
-        ["center", "fixture:fig_deformation", "--image", "2,0,0", "--seed", "7"],
+        ["center", "fixture:fig_deformation", "--image", "2,0,0"],
         ["cycles", "fixture:fig_iso_R", "--vertex", "2", "--max-len", "6"],
     ]
     for cmd in commands:

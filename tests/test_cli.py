@@ -2,7 +2,11 @@ import json
 import subprocess
 import sys
 
+import pytest
+
 from dimeralg.cli import main
+from dimeralg.fixtures import fixture
+from dimeralg.quiver import quiver_to_json
 
 RUN = [sys.executable, "-m", "dimeralg.cli"]
 
@@ -161,3 +165,32 @@ def test_bad_filter_and_bad_ints_are_exit_3():
     ]
     for cmd in bad:
         assert run_cli(cmd).returncode == 3, cmd
+
+
+def _bad_arrow_tail(doc, value):
+    doc["arrows"][0]["tail"] = value
+
+
+def _bad_face(doc, value):
+    doc["faces"][0] = value
+
+
+@pytest.mark.parametrize("mutate, args, code", [
+    (lambda d: _bad_arrow_tail(d, "a"), ["validate"], 3),
+    (lambda d: _bad_arrow_tail(d, True), ["validate"], 3),
+    (lambda d: _bad_face(d, ["x"]), ["validate"], 3),
+    (None, ["cycles", "fixture:fig_iso_R", "--vertex", "99", "--max-len", "3"], 3),
+    (None, ["cycles", "fixture:fig_iso_R", "--vertex", "0", "--max-len", "40"], 2),
+    (None, ["matchings", "fixture:fig_iso_R", "--cap", "3"], 2),
+], ids=["tail-string", "tail-bool", "face-string", "vertex-range", "cycle-budget",
+        "matching-cap"])
+def test_exit_code_contract(tmp_path, mutate, args, code):
+    if mutate is not None:
+        doc = quiver_to_json(fixture("fig_deformation").quiver)
+        mutate(doc)
+        path = tmp_path / "q.json"
+        path.write_text(json.dumps(doc))
+        args = args + [str(path)]
+    res = run_cli(args)
+    assert res.returncode == code, res.stderr
+    assert "Traceback" not in res.stderr

@@ -1,3 +1,5 @@
+import dataclasses
+
 import pytest
 
 from dimeralg import fixtures as fixtures_mod
@@ -11,6 +13,7 @@ from dimeralg.contraction import (
     reduce_matching,
     reduce_word,
     sigma,
+    source_cycle_algebra_generators,
     tau_psi,
 )
 from dimeralg.acceptance import quadratic_pattern_indices
@@ -59,6 +62,40 @@ def test_deformation_target_shape(deformation_contraction):
     # two winding loops survive
     loops = [a for a in t.arrows if a.tail == a.head]
     assert len(loops) == 2 and all(a.homology != (0, 0) for a in loops)
+
+
+def test_image_table_counts_simple_matchings(all_contractions):
+    for name, c in all_contractions.items():
+        assert len(c.source_images) == len(c.source.arrows), name
+        assert len(c.target_images) == len(c.target.arrows), name
+        for a in c.source.arrows:
+            entry = c.source_images[a.id]
+            if a.id in c.contracted:
+                assert entry == (0,) * len(c.catalog), (name, a.id)
+                continue
+            img = c.arrow_map[a.id]
+            assert entry == c.target_images[img], (name, a.id)
+            assert entry == tuple(int(img in d) for d in c.catalog.simple), (name, a.id)
+            assert sum(entry) == sum(1 for d in c.catalog.simple if img in d), (name, a.id)
+
+
+def test_tau_psi_sums_the_image_table(all_contractions):
+    for name, c in all_contractions.items():
+        for cyc in vertex_simple_cycles(c.source):
+            total = [0] * len(c.catalog)
+            for aid in cyc.arrows:
+                for k, e in enumerate(c.source_images[aid]):
+                    total[k] += e
+            assert tau_psi(c, cyc) == tuple(total), (name, cyc)
+
+
+def test_cycle_algebra_cache_not_copied(deformation_contraction):
+    c = deformation_contraction
+    gens = source_cycle_algebra_generators(c)
+    copy = dataclasses.replace(c)
+    assert "_source_generators" in c.__dict__
+    assert "_source_generators" not in copy.__dict__
+    assert source_cycle_algebra_generators(copy) == gens
 
 
 def test_trivial_path_maps_to_unit_monomial(deformation_contraction):

@@ -5,7 +5,6 @@ from dimeralg.rewriting import (
     CycleFilter,
     RewriteSystem,
     SearchBounds,
-    build_relations,
     enumerate_cycles,
     find_noncancellative_pair,
     lift_is_simple,
@@ -18,7 +17,7 @@ from dimeralg.rewriting import (
 def test_rule_shapes(all_fixtures):
     for fx in all_fixtures.values():
         q = fx.quiver
-        rs = build_relations(q)
+        rs = RewriteSystem(q)
         for a in q.arrows:
             sides = rs.rules[a.id]
             lengths = sorted(len(s) for s in sides)
@@ -34,7 +33,7 @@ def test_rule_shapes(all_fixtures):
 
 def test_bigon_rule_has_length_one_side():
     q = fixtures_mod.bigon_inserted_c3()
-    rs = build_relations(q)
+    rs = RewriteSystem(q)
     assert any(1 in {len(s) for s in sides} for sides in rs.rules.values())
 
 
@@ -163,6 +162,19 @@ def test_vertex_simple_cycles_canonical(all_fixtures):
             assert c.arrows == min(rots)
             assert not (rots & canon)
             canon |= rots
+
+
+def test_vertex_simple_cycles_match_rotation_classes(all_fixtures):
+    # reference: every vertex-simple cycle at every vertex, one per
+    # rotation class, rotated to its least arrow word
+    for name, fx in all_fixtures.items():
+        q = fx.quiver
+        canon = set()
+        for i in range(q.num_vertices):
+            for c in enumerate_cycles(q, i, q.num_vertices, CycleFilter.vertex_simple()).cycles:
+                canon.add(min(c.arrows[k:] + c.arrows[:k] for k in range(len(c.arrows))))
+        want = [PathWord(q.arrow(w[0]).tail, w) for w in sorted(canon, key=lambda w: (len(w), w))]
+        assert vertex_simple_cycles(q) == want, name
 
 
 def test_noncancellative_pair_on_deformation(deformation, deformation_contraction):
