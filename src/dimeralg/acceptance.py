@@ -17,8 +17,8 @@ from .monomial_algebra import (
     degree,
     homotopy_center_contains,
     homotopy_center_monomials,
+    ideal_monomials,
     mon_add,
-    semigroup_monomials,
 )
 from .normality import normality_report
 from .quiver import concat, unit_cycle, validate_dimer
@@ -85,17 +85,9 @@ def derive_claims(name: str) -> dict:
                 tuple(2 if k == b else 0 for k in range(3)),
                 tuple(1 if k in (a, b) else 0 for k in range(3)),
             ]
-            bound = 8
-            smons = semigroup_monomials(cyclic.source_generators, bound)
-            ideal = set()
-            for m in quad:
-                ideal.add(m)
-                for smon in smons:
-                    prod = mon_add(m, smon)
-                    if degree(prod) <= bound:
-                        ideal.add(prod)
             out["homotopy_center_is_k_plus_quadratic_ideal"] = (
-                ideal == set(homotopy_center_monomials(c, bound))
+                ideal_monomials(quad, cyclic.source_generators, 8)
+                == homotopy_center_monomials(c, 8)
             )
     if "source_noncancellative" in fx.expected:
         rep = find_noncancellative_pair(q, c)

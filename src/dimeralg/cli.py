@@ -373,8 +373,9 @@ def cmd_normality(args):
     q, fx = _load_source(args.quiver)
     c = _contraction(q, fx, args)
     rep = normality_report(c, args.degree_bound, args.n_max)
-    _emit(args, _report("normality", {"quiver": args.quiver}, _bounds(args), rep.as_dict()))
-    if rep.minimal_power is None:
+    results = rep.as_dict()
+    _emit(args, _report("normality", {"quiver": args.quiver}, _bounds(args), results))
+    if rep.minimal_power is None or UNKNOWN in results.values():
         return EXIT_UNKNOWN
     return EXIT_OK
 

@@ -11,6 +11,7 @@ the search-bound parameters only guard against oversized state spaces.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import prod
 
 from .contraction import Contraction, Monomial
 from .quiver import DomainError, PathWord
@@ -71,42 +72,6 @@ class MonomialAlgebra:
         object.__setattr__(self, "generators", gens)
 
 
-@dataclass(frozen=True)
-class MonomialIdealSpec:
-    """An ideal of monomials inside an ambient monomial algebra.
-
-    kind "m0" takes every nonconstant monomial of the ambient algebra as
-    a generator, "m0_tilde" only those that are not powers of the
-    all-ones vector, and "custom" uses the explicit list.
-    """
-
-    kind: str  # m0 | m0_tilde | custom
-    ambient: MonomialAlgebra
-    custom_generators: tuple[Monomial, ...] = ()
-
-    def generators(self, degree_bound: int) -> list[Monomial]:
-        if self.kind == "custom":
-            return sorted(set(self.custom_generators))
-        mons = semigroup_monomials(self.ambient.generators, degree_bound)
-        if self.kind == "m0":
-            return sorted(mons)
-        if self.kind == "m0_tilde":
-            return sorted(m for m in mons if not is_sigma_power(m))
-        raise DomainError(f"unknown ideal kind {self.kind!r}")
-
-    def monomials(self, multiplier_gens, degree_bound: int) -> frozenset[Monomial]:
-        """All products of an ideal generator with the semigroup spanned
-        by ``multiplier_gens``, up to the degree bound."""
-        mult = semigroup_monomials(multiplier_gens, degree_bound) | {None}
-        out = set()
-        for g in self.generators(degree_bound):
-            for s in mult:
-                prod = g if s is None else mon_add(g, s)
-                if degree(prod) <= degree_bound:
-                    out.add(prod)
-        return frozenset(out)
-
-
 def algebra_contains(a: MonomialAlgebra, g: Monomial, degree_bound: int | None = None) -> str:
     """YES iff g is a nonnegative integer combination of the generators.
 
@@ -153,6 +118,18 @@ def semigroup_monomials(gens, degree_bound: int) -> frozenset[Monomial]:
     return frozenset(reached)
 
 
+def ideal_monomials(generators, multiplier_gens, degree_bound: int) -> frozenset[Monomial]:
+    """The monomials of the ideal spanned by ``generators`` over the
+    semigroup spanned by ``multiplier_gens``, up to the degree bound."""
+    mult = semigroup_monomials(multiplier_gens, degree_bound)
+    out = set()
+    for g in generators:
+        if degree(g) <= degree_bound:
+            out.add(g)
+            out.update(p for p in (mon_add(g, s) for s in mult) if degree(p) <= degree_bound)
+    return frozenset(out)
+
+
 def minimal_generators(monomials) -> list[Monomial]:
     """Reduce a set of monomials to the subset that still generates it."""
     mons = sorted(set(m for m in monomials if degree(m) > 0), key=lambda m: (degree(m), m))
@@ -174,8 +151,50 @@ class Realizability:
     vertex: int | None = None
 
 
+MAX_STATES = 2_000_000  # search states one realizability question may spend
+
+
+def _reach(c: Contraction, i: int, fits, max_states: int = MAX_STATES, goal=None) -> dict:
+    """Breadth-first search over (vertex, exponents spent) states from
+    (i, 0), keeping each state whose exponents ``fits`` accepts.
+
+    Returns the first-reached parent map, state -> (previous state, arrow
+    id), None at the start.  With a goal state the search stops after the
+    layer that reaches it.  Past ``max_states`` states it raises
+    ResourceExhausted."""
+    q = c.source
+    images = c.source_images
+    start = (i, (0,) * len(c.catalog))
+    parent: dict[tuple, tuple | None] = {start: None}
+    frontier = [start]
+    while frontier and goal not in parent:
+        nxt_frontier = []
+        for node in frontier:
+            v, spent = node
+            for a in q.out_arrows(v):
+                ns = mon_add(spent, images[a.id])
+                state = (a.head, ns)
+                if state in parent or not fits(ns):
+                    continue
+                parent[state] = (node, a.id)
+                nxt_frontier.append(state)
+            if len(parent) > max_states:
+                raise ResourceExhausted(f"realizability search exceeds budget {max_states}")
+        frontier = nxt_frontier
+    return parent
+
+
+def _check_query(c: Contraction, i: int, g: Monomial) -> None:
+    if not 0 <= i < c.source.num_vertices:
+        raise DomainError(f"vertex {i} out of range")
+    if len(g) != len(c.catalog):
+        raise DomainError("monomial indexed by a different catalog")
+    if min(g, default=0) < 0:
+        raise DomainError("monomial with a negative exponent")
+
+
 def realizable_at_vertex(
-    c: Contraction, i: int, g: Monomial, max_states: int = 2_000_000
+    c: Contraction, i: int, g: Monomial, max_states: int = MAX_STATES
 ) -> Realizability:
     """Is there a cycle at i whose monomial image is exactly g?
 
@@ -184,54 +203,23 @@ def realizable_at_vertex(
     and reachability is exact.  A witness walk is reconstructed on success.
     """
     q = c.source
-    if not 0 <= i < q.num_vertices:
-        raise DomainError(f"vertex {i} out of range")
-    if len(g) != len(c.catalog):
-        raise DomainError("monomial indexed by a different catalog")
-    images = c.source_images
-    box = 1
-    for e in g:
-        box *= e + 1
+    _check_query(c, i, g)
+    box = prod(e + 1 for e in g)
     if box * q.num_vertices > max_states:
         raise ResourceExhausted(
             f"state space {box * q.num_vertices} exceeds budget {max_states}"
         )
-
-    zero = tuple(0 for _ in g)
-    start = (i, zero)
     goal = (i, g)
-    parent: dict[tuple, tuple] = {start: None}
-    frontier = [start]
-    states = 1
-    found = degree(g) == 0  # the trivial path realizes 1
-    while frontier and not found:
-        nxt_frontier = []
-        for (v, spent) in frontier:
-            for a in q.out_arrows(v):
-                ns = mon_add(spent, images[a.id])
-                if not mon_leq(ns, g):
-                    continue
-                node = (a.head, ns)
-                if node in parent:
-                    continue
-                parent[node] = ((v, spent), a.id)
-                states += 1
-                nxt_frontier.append(node)
-                if node == goal:
-                    found = True
-        frontier = nxt_frontier
-    if degree(g) == 0:
-        return Realizability(YES, PathWord(i, ()), states, i)
+    parent = _reach(c, i, lambda ns: mon_leq(ns, g), max_states, goal)
     if goal not in parent:
-        return Realizability(NO, None, states, i)
+        return Realizability(NO, None, len(parent), i)
     word: list[int] = []
     node = goal
     while parent[node] is not None:
-        prev, aid = parent[node]
+        node, aid = parent[node]
         word.append(aid)
-        node = prev
     word.reverse()
-    return Realizability(YES, PathWord(i, tuple(word)), states, i)
+    return Realizability(YES, PathWord(i, tuple(word)), len(parent), i)
 
 
 def cycles_with_image(
@@ -245,6 +233,7 @@ def cycles_with_image(
     steps are bounded by deg(g), and between them a zero-image step chain
     never needs to revisit a vertex."""
     q = c.source
+    _check_query(c, i, g)
     images = c.source_images
     if max_walk_len is None:
         max_walk_len = (degree(g) + 1) * q.num_vertices
@@ -258,7 +247,7 @@ def cycles_with_image(
                 raise ResourceExhausted("too many witness cycles")
         if len(word) >= max_walk_len:
             continue
-        for a in sorted(q.out_arrows(v), key=lambda a: -a.id):
+        for a in reversed(q.out_arrows(v)):
             ns = mon_add(spent, images[a.id])
             if not mon_leq(ns, g):
                 continue
@@ -275,7 +264,7 @@ def cycles_with_image(
     return out
 
 
-def homotopy_center_contains(c: Contraction, g: Monomial, max_states: int = 2_000_000):
+def homotopy_center_contains(c: Contraction, g: Monomial, max_states: int = MAX_STATES):
     """YES iff g is a cycle image at every vertex; otherwise the report
     names the first failing vertex."""
     for i in range(c.source.num_vertices):
@@ -292,28 +281,19 @@ class CenterGenerators:
     degree_bound: int
 
 
-def _vectors_up_to_degree(dim: int, degree_bound: int):
-    def rec(prefix, remaining, k):
-        if k == dim - 1:
-            for e in range(remaining + 1):
-                yield prefix + (e,)
-            return
-        for e in range(remaining + 1):
-            yield from rec(prefix + (e,), remaining - e, k + 1)
-
-    if dim == 0:
-        return
-    yield from rec((), degree_bound, 0)
-
-
 def homotopy_center_monomials(c: Contraction, degree_bound: int) -> frozenset[Monomial]:
-    out = set()
-    for g in _vectors_up_to_degree(len(c.catalog), degree_bound):
-        if degree(g) == 0:
-            continue
-        if homotopy_center_contains(c, g).verdict == YES:
-            out.add(g)
-    return frozenset(out)
+    """The nonzero monomials of degree <= degree_bound that are cycle
+    images at every vertex: one degree-bounded search per vertex, the
+    images back at the start intersected.  The searches share one
+    state budget."""
+    out: set[Monomial] | None = None
+    budget = MAX_STATES
+    for i in range(c.source.num_vertices):
+        parent = _reach(c, i, lambda ns: degree(ns) <= degree_bound, budget)
+        budget -= len(parent)
+        back = {spent for v, spent in parent if v == i and degree(spent) > 0}
+        out = back if out is None else out & back
+    return frozenset(out or ())
 
 
 def homotopy_center_generators(c: Contraction, degree_bound: int) -> CenterGenerators:

@@ -6,6 +6,8 @@ the ideal m0 of all nonconstant R-monomials; the report evaluates the
 conditions separately and insists they agree.  Products of an
 R-monomial that is not a sigma power with anything in S stay in R, so
 testing sigma^n * g over the S-generators certifies the whole ideal.
+The monomial conditions are set arithmetic over one table of R, built
+once by ``homotopy_center_monomials``.
 """
 
 from __future__ import annotations
@@ -16,11 +18,10 @@ from .contraction import Contraction, Monomial, sigma, source_cycle_algebra_gene
 from .monomial_algebra import (
     NO,
     YES,
-    MonomialAlgebra,
-    MonomialIdealSpec,
     degree,
     homotopy_center_contains,
     homotopy_center_monomials,
+    ideal_monomials,
     is_sigma_power,
     minimal_generators,
     mon_add,
@@ -39,12 +40,9 @@ class SigmaIdealResult:
 def sigma_power_times_S_in_R(c: Contraction, n: int) -> SigmaIdealResult:
     """Does sigma^n * S land in R?  Tested on the S-generators plus the
     pure power itself; the non-sigma-power products absorb the rest of S."""
-    s = sigma(c)
-    sn = s
-    for _ in range(n - 1):
-        sn = mon_add(sn, s)
+    sn = (n,) * len(c.catalog)
     if homotopy_center_contains(c, sn).verdict != YES:
-        return SigmaIdealResult(NO, witness=(0,) * len(s), power=n)
+        return SigmaIdealResult(NO, witness=(0,) * len(sn), power=n)
     for g in source_cycle_algebra_generators(c):
         if homotopy_center_contains(c, mon_add(sn, g)).verdict != YES:
             return SigmaIdealResult(NO, witness=g, power=n)
@@ -62,16 +60,27 @@ class MinimalSigmaPower:
     failing_witness: Monomial | None = None  # witness at n-1
 
 
+def _sigma_rounds(c: Contraction, n_max: int) -> list[SigmaIdealResult]:
+    """sigma^n * S in R for n = 1, 2, ... up to the first yes or n_max."""
+    rounds: list[SigmaIdealResult] = []
+    for n in range(1, n_max + 1):
+        rounds.append(sigma_power_times_S_in_R(c, n))
+        if rounds[-1].verdict == YES:
+            break
+    return rounds
+
+
+def _minimal_power(rounds: list[SigmaIdealResult]) -> MinimalSigmaPower:
+    if rounds and rounds[-1].verdict == YES:
+        prev = rounds[-2].witness if len(rounds) > 1 else None
+        return MinimalSigmaPower(rounds[-1].power, YES, prev)
+    return MinimalSigmaPower(None, UNKNOWN, rounds[-1].witness if rounds else None)
+
+
 def minimal_sigma_power(c: Contraction, n_max: int = 6) -> MinimalSigmaPower:
     """Least n with sigma^n * S inside R; below it there is a witness
     product outside R."""
-    prev_witness = None
-    for n in range(1, n_max + 1):
-        res = sigma_power_times_S_in_R(c, n)
-        if res.verdict == YES:
-            return MinimalSigmaPower(n, YES, prev_witness)
-        prev_witness = res.witness
-    return MinimalSigmaPower(None, UNKNOWN, prev_witness)
+    return _minimal_power(_sigma_rounds(c, n_max))
 
 
 @dataclass
@@ -111,66 +120,51 @@ class EquivalenceViolation(AssertionError):
 
 def normality_report(c: Contraction, degree_bound: int = 8, n_max: int = 6) -> NormalityReport:
     s = sigma(c)
-    res_sigma = sigma_S_in_R(c)
+    rounds = _sigma_rounds(c, max(n_max, 1))  # round 1 is the sigma*S condition
+    res_sigma = rounds[0]
+    msp = _minimal_power(rounds[:max(n_max, 0)])
 
-    r_mons = homotopy_center_monomials(c, degree_bound)
-    r_gens = minimal_generators(sorted(r_mons))
+    # one table of R up to the degree bound plus the largest S-generator
+    # degree answers every membership question below
     s_gens = source_cycle_algebra_generators(c)
-    r_algebra = MonomialAlgebra(tuple(r_gens), label="homotopy-center")
+    table = homotopy_center_monomials(c, degree_bound + max(map(degree, s_gens), default=0))
+    r_mons = frozenset(m for m in table if degree(m) <= degree_bound)
+    r_gens = minimal_generators(sorted(r_mons))
 
-    # R = k + m0*S as monomial sets up to the degree bound
-    m0 = MonomialIdealSpec("m0", r_algebra)
-    m0S = m0.monomials(s_gens, degree_bound)
-    cond_m0S = YES if m0S == r_mons else NO
-
-    # R = k + J for an ideal J of S: equivalent to the previous condition,
-    # reported as its consequence
-    cond_ideal = cond_m0S
-
-    if (res_sigma.verdict == YES) != (cond_m0S == YES):
+    # R = k + m0*S as monomial sets up to the degree bound; m0 is spanned
+    # by r_mons itself, since R is closed under products
+    cond_m0S = YES if ideal_monomials(r_mons, s_gens, degree_bound) == r_mons else NO
+    # the truncated test only refutes, so its yes means nothing while
+    # sigma * witness lies beyond the bound
+    if res_sigma.verdict == NO and cond_m0S == YES:
+        if degree_bound < degree(mon_add(s, res_sigma.witness)):
+            cond_m0S = UNKNOWN
+    if cond_m0S != UNKNOWN and res_sigma.verdict != cond_m0S:
         raise EquivalenceViolation(
             f"sigma*S test says {res_sigma.verdict} but k+m0S test says {cond_m0S}"
         )
-
-    msp = minimal_sigma_power(c, n_max)
 
     # decomposition: R = k[sigma] + (m0~, sigma^n) * S with m0~ the
     # non-sigma-power part
     decomposition = UNKNOWN
     if msp.n is not None:
-        sn = s
-        for _ in range(msp.n - 1):
-            sn = mon_add(sn, s)
-        decomp = set()
-        powers = s
-        while degree(powers) <= degree_bound:
-            decomp.add(powers)
-            powers = mon_add(powers, s)
-        m0_tilde = MonomialIdealSpec("m0_tilde", r_algebra)
-        extended = MonomialIdealSpec(
-            "custom", r_algebra,
-            tuple(m0_tilde.generators(degree_bound)) + (sn,),
-        )
-        decomp |= extended.monomials(s_gens, degree_bound)
+        sn = (msp.n,) * len(s)
+        powers = {(k,) * len(s) for k in range(1, degree_bound + 1)
+                  if 0 < k * len(s) <= degree_bound}
+        m0_tilde = [m for m in r_mons if not is_sigma_power(m)]
+        decomp = powers | ideal_monomials(m0_tilde + [sn], s_gens, degree_bound)
         decomposition = YES if decomp == r_mons else NO
 
     # the non-sigma-power part of R is an ideal of S already
-    ideal_prop = YES
-    for m in r_gens:
-        if is_sigma_power(m):
-            continue
-        for gen in s_gens:
-            prod = mon_add(m, gen)
-            if homotopy_center_contains(c, prod).verdict != YES:
-                ideal_prop = NO
-                break
-        if ideal_prop == NO:
-            break
+    outside = (mon_add(m, g) not in table for m in r_gens if not is_sigma_power(m) for g in s_gens)
+    ideal_prop = NO if any(outside) else YES
 
     return NormalityReport(
         cond_sigma_S=res_sigma.verdict,
+        # R = k + J for an ideal J of S: equivalent to the previous
+        # condition, reported as its consequence
         cond_k_plus_m0S=cond_m0S,
-        cond_k_plus_ideal=cond_ideal,
+        cond_k_plus_ideal=cond_m0S,
         consistent=True,
         normal=res_sigma.verdict,
         sigma_witness=res_sigma.witness,

@@ -12,6 +12,7 @@ generate all of Z^2 for the embedding to be genuine.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from math import gcd
 
 Hom = tuple[int, int]
@@ -48,8 +49,16 @@ class DimerQuiver:
     def arrow(self, aid: int) -> Arrow:
         return self.arrows[aid]
 
-    def out_arrows(self, v: int) -> list[Arrow]:
-        return [a for a in self.arrows if a.tail == v]
+    @cached_property
+    def _out_arrows(self) -> tuple[tuple[Arrow, ...], ...]:
+        out: list[list[Arrow]] = [[] for _ in range(self.num_vertices)]
+        for a in self.arrows:
+            out[a.tail].append(a)
+        return tuple(map(tuple, out))
+
+    def out_arrows(self, v: int) -> tuple[Arrow, ...]:
+        """The arrows with tail v, in id order."""
+        return self._out_arrows[v]
 
     def faces_of_arrow(self, aid: int) -> list[Face]:
         return [f for f in self.faces if aid in f.boundary]

@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .matchings import MatchingCapExceeded, enumerate_perfect_matchings
-from .quiver import Arrow, DimerQuiver, DomainError, PathWord, check_path, path_head, path_homology
+from .quiver import DimerQuiver, DomainError, PathWord, check_path, path_head, path_homology
 
 EQUAL = "equal"
 NOT_EQUAL = "not_equal"
@@ -460,12 +460,6 @@ def enumerate_cycles(
     are counted."""
     if not 0 <= i < q.num_vertices:
         raise DomainError(f"vertex {i} out of range")
-    out_by_vertex: list[list[int]] = [[] for _ in range(q.num_vertices)]
-    for a in q.arrows:
-        out_by_vertex[a.tail].append(a.id)
-    for lst in out_by_vertex:
-        lst.sort()
-
     prune_revisits = filt.variant == FILTER_VERTEX_SIMPLE
     results: list[PathWord] = []
     states = 0
@@ -485,8 +479,8 @@ def enumerate_cycles(
             if at in visited:
                 continue
             visited = visited | {at}
-        for aid in reversed(out_by_vertex[at]):
-            stack.append((q.arrow(aid).head, word + (aid,), visited))
+        for a in reversed(q.out_arrows(at)):
+            stack.append((a.head, word + (a.id,), visited))
 
     def passes(c: PathWord) -> bool:
         if filt.variant in (FILTER_ALL, FILTER_VERTEX_SIMPLE):
@@ -512,14 +506,11 @@ def vertex_simple_cycles(q: DimerQuiver) -> list[PathWord]:
     rotation class (its least rotation as an arrow word), sorted
     canonically.  Each cycle is found once, from its least vertex, by a
     depth-first search that only steps to larger vertices."""
-    out_by_vertex: list[list[Arrow]] = [[] for _ in range(q.num_vertices)]
-    for a in q.arrows:
-        out_by_vertex[a.tail].append(a)
     out: list[PathWord] = []
     for s in range(q.num_vertices):
         word: list[int] = []
         on_path = {s}
-        stack = [iter(out_by_vertex[s])]
+        stack = [iter(q.out_arrows(s))]
         while stack:
             a = next(stack[-1], None)
             if a is None:
@@ -534,7 +525,7 @@ def vertex_simple_cycles(q: DimerQuiver) -> list[PathWord]:
             elif a.head > s and a.head not in on_path:
                 word.append(a.id)
                 on_path.add(a.head)
-                stack.append(iter(out_by_vertex[a.head]))
+                stack.append(iter(q.out_arrows(a.head)))
     out.sort(key=lambda c: (len(c.arrows), c.arrows))
     return out
 
@@ -591,15 +582,9 @@ def find_noncancellative_pair(
     if max_r_len is None:
         max_r_len = q.max_face_length() + 2
 
-    out_by_vertex: list[list[int]] = [[] for _ in range(q.num_vertices)]
     in_by_vertex: list[list[int]] = [[] for _ in range(q.num_vertices)]
     for a in q.arrows:
-        out_by_vertex[a.tail].append(a.id)
         in_by_vertex[a.head].append(a.id)
-    for lst in out_by_vertex:
-        lst.sort()
-    for lst in in_by_vertex:
-        lst.sort()
 
     def image(word):
         if contraction is None:
@@ -624,12 +609,10 @@ def find_noncancellative_pair(
         for _ in range(max_r_len):
             nxt = []
             for at, word in layer:
-                pool = out_by_vertex[at] if forward else in_by_vertex[at]
-                for aid in pool:
-                    if forward:
-                        nxt.append((q.arrow(aid).head, word + (aid,)))
-                    else:
-                        nxt.append((q.arrow(aid).tail, (aid,) + word))
+                if forward:
+                    nxt.extend((a.head, word + (a.id,)) for a in q.out_arrows(at))
+                else:
+                    nxt.extend((q.arrow(aid).tail, (aid,) + word) for aid in in_by_vertex[at])
             yield from (w for _, w in nxt)
             layer = nxt
 
@@ -666,7 +649,7 @@ def find_noncancellative_pair(
     walks = [[1] * q.num_vertices]
     for _ in range(max_cycle_len):
         prev = walks[-1]
-        walks.append([sum(prev[q.arrow(aid).head] for aid in out) for out in out_by_vertex])
+        walks.append([sum(prev[a.head] for a in q.out_arrows(u)) for u in range(q.num_vertices)])
 
     def cycles_at(v, length):
         """The cycles at v of the given length, in the order of growing
@@ -682,9 +665,9 @@ def find_noncancellative_pair(
                 yield word
                 continue
             reach = back[length - len(word) - 1]
-            for aid in reversed(out_by_vertex[at]):
-                if q.arrow(aid).head in reach:
-                    stack.append((q.arrow(aid).head, word + (aid,)))
+            for a in reversed(q.out_arrows(at)):
+                if a.head in reach:
+                    stack.append((a.head, word + (a.id,)))
 
     cycles_considered = 0
     pairs_tested = 0

@@ -182,8 +182,9 @@ def _bad_face(doc, value):
     (None, ["cycles", "fixture:fig_iso_R", "--vertex", "99", "--max-len", "3"], 3),
     (None, ["cycles", "fixture:fig_iso_R", "--vertex", "0", "--max-len", "40"], 2),
     (None, ["matchings", "fixture:fig_iso_R", "--cap", "3"], 2),
+    (None, ["normality", "fixture:fig_nested(2)", "--degree-bound", "5"], 2),
 ], ids=["tail-string", "tail-bool", "face-string", "vertex-range", "cycle-budget",
-        "matching-cap"])
+        "matching-cap", "normality-below-witness"])
 def test_exit_code_contract(tmp_path, mutate, args, code):
     if mutate is not None:
         doc = quiver_to_json(fixture("fig_deformation").quiver)
@@ -194,3 +195,14 @@ def test_exit_code_contract(tmp_path, mutate, args, code):
     res = run_cli(args)
     assert res.returncode == code, res.stderr
     assert "Traceback" not in res.stderr
+
+
+def test_center_search_budget_is_exit_2(monkeypatch, capsys):
+    # a huge degree bound spends the realizability state budget; a small
+    # budget shows the same exit without the memory a full one takes
+    from dimeralg import monomial_algebra
+
+    monkeypatch.setattr(monomial_algebra, "MAX_STATES", 10_000)
+    for cmd in ("homotopy-center", "normality"):
+        assert main([cmd, "fixture:fig_deformation", "--degree-bound", "1000000"]) == 2
+        assert "budget" in capsys.readouterr().err

@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -14,6 +15,7 @@ from dimeralg.monomial_algebra import (
     homotopy_center_contains,
     homotopy_center_generators,
     homotopy_center_monomials,
+    ideal_monomials,
     minimal_generators,
     mon_add,
     realizable_at_vertex,
@@ -203,3 +205,40 @@ def test_center_equals_cycle_algebra_without_contraction():
     r = homotopy_center_monomials(c, bound)
     s = semigroup_monomials(source_cycle_algebra_generators(c), bound)
     assert r == s
+
+
+def _per_vector_center(c, bound):
+    """The homotopy center tested one exponent vector at a time: the
+    reference for the one-search-per-vertex table."""
+    return {
+        g for g in itertools.product(range(bound + 1), repeat=len(c.catalog))
+        if 0 < degree(g) <= bound and homotopy_center_contains(c, g).verdict == "yes"
+    }
+
+
+def test_center_table_matches_per_vector_filter(all_contractions):
+    contractions = dict(all_contractions)
+    contractions["c3"] = identity_contraction(fixtures_mod.c3_quiver())
+    contractions["conifold"] = identity_contraction(fixtures_mod.conifold_quiver())
+    for name, c in contractions.items():
+        # membership does not depend on the bound, so one reference at
+        # the top bound serves every lower one
+        ref = _per_vector_center(c, 6)
+        for bound in range(7):
+            want = {g for g in ref if degree(g) <= bound}
+            assert homotopy_center_monomials(c, bound) == want, (name, bound)
+
+
+def test_ideal_monomials_by_hand():
+    gens, mult = [(1, 1), (0, 4)], [(1, 0), (0, 2)]
+    assert ideal_monomials(gens, mult, 4) == {(1, 1), (2, 1), (3, 1), (1, 3), (0, 4)}
+    assert ideal_monomials(gens, mult, 3) == {(1, 1), (2, 1)}
+    assert ideal_monomials(gens, [], 4) == {(1, 1), (0, 4)}
+
+
+def test_negative_exponent_is_a_domain_error(deformation_contraction):
+    # (1, -1, 0) has degree 0 but is no monomial; it is not the trivial path
+    with pytest.raises(DomainError):
+        realizable_at_vertex(deformation_contraction, 0, (1, -1, 0))
+    with pytest.raises(DomainError):
+        cycles_with_image(deformation_contraction, 0, (1, -1, 0))

@@ -1,9 +1,11 @@
 import pytest
 
 from dimeralg import fixtures as fixtures_mod
+from dimeralg import monomial_algebra
 from dimeralg.center import power_in_reduced_center
 from dimeralg.contraction import contract, identity_contraction, sigma, source_cycle_algebra_generators
 from dimeralg.monomial_algebra import (
+    degree,
     homotopy_center_contains,
     homotopy_center_monomials,
     is_sigma_power,
@@ -95,3 +97,38 @@ def test_normalization_proxy_small_powers(deformation_contraction):
     for g in samples:
         n, verdict = power_in_reduced_center(c, g, n_max=6)
         assert verdict == "yes" and n is not None and n <= 6, g
+
+
+def test_bound_sweep_never_contradicts(all_contractions):
+    # the truncated k + m0*S test only refutes: below the degree of
+    # sigma * witness it cannot, and the report says unknown there
+    for name, c in all_contractions.items():
+        res = sigma_S_in_R(c)
+        for bound in range(11):
+            rep = normality_report(c, bound)
+            vacuous = res.verdict == "no" and bound < degree(mon_add(sigma(c), res.witness))
+            want = "unknown" if vacuous else res.verdict
+            assert rep.cond_k_plus_m0S == want, (name, bound)
+            assert rep.cond_k_plus_ideal == want, (name, bound)
+            assert rep.cond_sigma_S == rep.normal == res.verdict, (name, bound)
+
+
+def test_report_adds_no_realizability_calls(all_contractions, monkeypatch):
+    calls = [0]
+    realizable = monomial_algebra.realizable_at_vertex
+
+    def counted(*args, **kwargs):
+        calls[0] += 1
+        return realizable(*args, **kwargs)
+
+    monkeypatch.setattr(monomial_algebra, "realizable_at_vertex", counted)
+    for name, c in all_contractions.items():
+        calls[0] = 0
+        minimal_sigma_power(c)
+        alone = calls[0]
+        calls[0] = 0
+        normality_report(c)
+        assert calls[0] == alone, name
+        calls[0] = 0
+        homotopy_center_monomials(c, 6)
+        assert calls[0] == 0, name

@@ -2,7 +2,6 @@ import pytest
 
 from dimeralg import fixtures as fixtures_mod
 from dimeralg.matchings import MatchingCapExceeded, enumerate_perfect_matchings
-from dimeralg.monomial_algebra import MonomialIdealSpec, MonomialAlgebra
 from dimeralg.oracles import (
     OracleSizeExceeded,
     oracle_matchings,
@@ -49,19 +48,3 @@ def test_realizability_state_guard(deformation_contraction):
 
     with pytest.raises(ResourceExhausted):
         realizable_at_vertex(deformation_contraction, 0, (4, 4, 4), max_states=10)
-
-
-def test_ideal_spec_kinds():
-    alg = MonomialAlgebra(((1, 1), (0, 2)))
-    m0 = MonomialIdealSpec("m0", alg)
-    m0t = MonomialIdealSpec("m0_tilde", alg)
-    assert (1, 1) in m0.generators(4)
-    assert all(m != (1, 1) or True for m in m0t.generators(4))
-    # (1,1) is the all-ones vector here, so the tilde ideal drops it
-    assert (1, 1) not in m0t.generators(4)
-    assert (2, 2) not in m0t.generators(4)
-    assert (1, 3) in m0t.generators(4)
-    custom = MonomialIdealSpec("custom", alg, ((0, 2),))
-    assert custom.generators(4) == [(0, 2)]
-    with pytest.raises(DomainError):
-        MonomialIdealSpec("bogus", alg).generators(2)
