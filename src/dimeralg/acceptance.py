@@ -66,7 +66,7 @@ def derive_claims(name: str) -> dict:
         "target_cancellative_up_to_bounds",
     }:
         # one target search serves every claim that needs it
-        cyclic = is_cyclic(c, degree_bound=8)
+        cyclic = is_cyclic(c)
     if "cycle_algebra_pattern" in fx.expected:
         ok = quadratic_pattern_indices(cyclic.source_generators) is not None
         out["cycle_algebra_pattern"] = (
@@ -102,7 +102,7 @@ def derive_claims(name: str) -> dict:
         if "normal" in fx.expected:
             out["normal"] = normality.normal == "yes"
     if "reduces_to_conifold" in fx.expected:
-        red = bigon_reduce(c.target, to_fixpoint=True)
+        red = bigon_reduce(c.target)
         rq = red.quiver
         out["reduces_to_conifold"] = (
             rq.num_vertices == 2

@@ -266,10 +266,7 @@ class ReducedCenterResult:
 
 
 def reduced_center_contains(
-    c: Contraction,
-    g: Monomial,
-    bounds: SearchBounds = DEFAULT_BOUNDS,
-    max_cycles: int = 20000,
+    c: Contraction, g: Monomial, bounds: SearchBounds = DEFAULT_BOUNDS
 ) -> ReducedCenterResult:
     """Is the monomial g the image of a central element?
 
@@ -290,7 +287,7 @@ def reduced_center_contains(
     undecided = False
     for v in range(q.num_vertices):
         try:
-            cycles = cycles_with_image(c, v, g, max_cycles=max_cycles)
+            cycles = cycles_with_image(c, v, g)
         except ResourceExhausted:
             return ReducedCenterResult(UNKNOWN, reason="cycle_enumeration_budget")
         if not cycles:

@@ -262,7 +262,7 @@ def cmd_contract(args):
     }
     code = EXIT_OK
     if args.check_cyclic:
-        rep = is_cyclic(c, _bounds(args), args.degree_bound)
+        rep = is_cyclic(c, _bounds(args))
         results["cyclic_up_to_bound"] = rep.cyclic_up_to_bound
         results["cycle_algebra_generators"] = [list(g) for g in rep.source_generators]
         results["target_generators"] = [list(g) for g in rep.target_generators]
@@ -270,7 +270,7 @@ def cmd_contract(args):
         if rep.cancellative_target is None:
             code = EXIT_UNKNOWN
     if args.reduce:
-        red = bigon_reduce(c.target, to_fixpoint=True)
+        red = bigon_reduce(c.target)
         results["reduced_target"] = quiver_to_json(red.quiver)
         results["removed_2cycles"] = len(red.steps)
     _emit(args, _report("contract", {"quiver": args.quiver}, _bounds(args), results))
@@ -338,16 +338,24 @@ def _candidate_json(z: CentralCandidate):
     }
 
 
+def _candidate_term(q, v, term) -> tuple[Fraction, PathWord]:
+    """[numerator, nonzero denominator, [arrow ids]] as (coefficient,
+    cycle at v); JSON booleans are not integers here."""
+    shaped = isinstance(term, list) and len(term) == 3 and isinstance(term[2], list)
+    if not (shaped and all(type(x) is int for x in term[:2] + term[2]) and term[1] != 0
+            and all(0 <= a < len(q.arrows) for a in term[2])):
+        raise CliError(f"candidate: term {term!r} at vertex {v} is not "
+                       "[numerator, nonzero denominator, [arrow ids]]")
+    num, den, arrows = term
+    base = q.arrow(arrows[0]).tail if arrows else int(v)
+    return Fraction(num, den), PathWord(base, tuple(arrows))
+
+
 def _candidate_from_json(q, data) -> CentralCandidate:
-    comps = {}
-    for v, terms in data.items():
-        parsed = []
-        for num, den, arrows in terms:
-            arrows = tuple(int(a) for a in arrows)
-            base = q.arrow(arrows[0]).tail if arrows else int(v)
-            parsed.append((Fraction(int(num), int(den)), PathWord(base, arrows)))
-        comps[int(v)] = parsed
-    return CentralCandidate(comps)
+    if not (isinstance(data, dict) and all(isinstance(t, list) for t in data.values())):
+        raise CliError("candidate: expected an object mapping vertices to lists of terms")
+    return CentralCandidate({int(v): [_candidate_term(q, v, t) for t in terms]
+                             for v, terms in data.items()})
 
 
 def cmd_nilradical(args):

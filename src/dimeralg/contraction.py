@@ -182,7 +182,7 @@ def psi_word(c: Contraction, p: PathWord) -> PathWord:
     return PathWord(c.vertex_map[p.base], arrows)
 
 
-def _assert_relations_descend(c: Contraction, bounds: SearchBounds = DEFAULT_BOUNDS):
+def _assert_relations_descend(c: Contraction):
     """Every source relation must become an equality in the target."""
     rs_src = RewriteSystem(c.source)
     rs_tgt = RewriteSystem(c.target)
@@ -190,7 +190,7 @@ def _assert_relations_descend(c: Contraction, bounds: SearchBounds = DEFAULT_BOU
         a = c.source.arrow(aid)
         lp = psi_word(c, PathWord(a.head, left))
         rp = psi_word(c, PathWord(a.head, right))
-        res = paths_equal(rs_tgt, lp, rp, bounds)
+        res = paths_equal(rs_tgt, lp, rp)
         if not res.is_equal:
             raise ContractionError(
                 "relations", f"relation at arrow {aid} does not descend ({res.verdict})"
@@ -247,7 +247,6 @@ class CyclicReport:
     source_generators: list[Monomial]
     target_generators: list[Monomial]
     semigroups_match: bool
-    degree_bound: int
     target_pair_found: bool
     target_search_exhausted: bool
 
@@ -260,18 +259,16 @@ class CyclicReport:
         return None if self.target_search_exhausted else True
 
 
-def is_cyclic(
-    c: Contraction, bounds: SearchBounds = DEFAULT_BOUNDS, degree_bound: int = 12
-) -> CyclicReport:
+def is_cyclic(c: Contraction, bounds: SearchBounds = DEFAULT_BOUNDS) -> CyclicReport:
     """Do source cycles and target cycles generate the same monomial
-    algebra (up to the degree bound), with no cancellation failure found
-    in the target?  Undecided (None) when the semigroups match but the
-    target search was cut off before finding a pair."""
-    from .monomial_algebra import semigroup_monomials
-
+    algebra, with no cancellation failure found in the target?  The
+    algebras are compared exactly: a submonoid of N^k has one minimal
+    generating set, its irreducible elements, and both generator lists
+    are that set in canonical order.  Undecided (None) when the algebras
+    match but the target search was cut off before finding a pair."""
     src = source_cycle_algebra_generators(c)
     tgt = target_cycle_algebra_generators(c)
-    same = semigroup_monomials(src, degree_bound) == semigroup_monomials(tgt, degree_bound)
+    same = src == tgt
     rep = find_noncancellative_pair(c.target, bounds=bounds)
     if not same or rep.found:
         cyclic = False
@@ -282,7 +279,6 @@ def is_cyclic(
         source_generators=src,
         target_generators=tgt,
         semigroups_match=same,
-        degree_bound=degree_bound,
         target_pair_found=rep.found,
         target_search_exhausted=rep.exhausted,
     )
@@ -356,17 +352,12 @@ def _one_bigon_step(q: DimerQuiver) -> tuple[DimerQuiver, BigonStep] | None:
     return nq, step
 
 
-def bigon_reduce(q: DimerQuiver, to_fixpoint: bool = False) -> BigonReduction:
-    """Remove one 2-cycle (the lowest-id one), or all of them."""
+def bigon_reduce(q: DimerQuiver) -> BigonReduction:
+    """Remove every 2-cycle, the lowest-id one first."""
     red = BigonReduction(q)
-    while True:
-        out = _one_bigon_step(red.quiver)
-        if out is None:
-            break
+    while (out := _one_bigon_step(red.quiver)) is not None:
         red.quiver, step = out
         red.steps.append(step)
-        if not to_fixpoint:
-            break
     return red
 
 

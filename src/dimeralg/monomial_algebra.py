@@ -5,7 +5,8 @@ contraction target.  Because exponent vectors add under concatenation
 and every increment is nonnegative, "is this monomial the image of some
 cycle at vertex i" is plain reachability in the finite product graph of
 (vertex, partial exponent) states, so membership answers here are exact;
-the search-bound parameters only guard against oversized state spaces.
+the state budget ``rewriting.MAX_STATES`` only guards against oversized
+state spaces.
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import prod
 
+from . import rewriting
 from .contraction import Contraction, Monomial
 from .quiver import DomainError, PathWord
 from .rewriting import ResourceExhausted
@@ -72,14 +74,9 @@ class MonomialAlgebra:
         object.__setattr__(self, "generators", gens)
 
 
-def algebra_contains(a: MonomialAlgebra, g: Monomial, degree_bound: int | None = None) -> str:
+def algebra_contains(a: MonomialAlgebra, g: Monomial) -> str:
     """YES iff g is a nonnegative integer combination of the generators.
-
-    The lattice program below g is complete, so the verdict is exact; the
-    degree bound is only validated against deg(g) to honour the call
-    contract."""
-    if degree_bound is not None and degree_bound < degree(g):
-        raise DomainError(f"degree bound {degree_bound} below deg(g) = {degree(g)}")
+    The lattice program below g is complete, so the verdict is exact."""
     return YES if _reachable_vector(a.generators, g) else NO
 
 
@@ -131,7 +128,9 @@ def ideal_monomials(generators, multiplier_gens, degree_bound: int) -> frozenset
 
 
 def minimal_generators(monomials) -> list[Monomial]:
-    """Reduce a set of monomials to the subset that still generates it."""
+    """Reduce a set of monomials to the subset that still generates it:
+    the irreducible elements of the semigroup it generates, which are its
+    unique minimal generating set, sorted by degree."""
     mons = sorted(set(m for m in monomials if degree(m) > 0), key=lambda m: (degree(m), m))
     kept: list[Monomial] = []
     for m in mons:
@@ -151,10 +150,7 @@ class Realizability:
     vertex: int | None = None
 
 
-MAX_STATES = 2_000_000  # search states one realizability question may spend
-
-
-def _reach(c: Contraction, i: int, fits, max_states: int = MAX_STATES, goal=None) -> dict:
+def _reach(c: Contraction, i: int, fits, max_states: int, goal=None) -> dict:
     """Breadth-first search over (vertex, exponents spent) states from
     (i, 0), keeping each state whose exponents ``fits`` accepts.
 
@@ -193,9 +189,7 @@ def _check_query(c: Contraction, i: int, g: Monomial) -> None:
         raise DomainError("monomial with a negative exponent")
 
 
-def realizable_at_vertex(
-    c: Contraction, i: int, g: Monomial, max_states: int = MAX_STATES
-) -> Realizability:
+def realizable_at_vertex(c: Contraction, i: int, g: Monomial) -> Realizability:
     """Is there a cycle at i whose monomial image is exactly g?
 
     States are (vertex, exponents spent so far); every arrow step adds its
@@ -204,6 +198,7 @@ def realizable_at_vertex(
     """
     q = c.source
     _check_query(c, i, g)
+    max_states = rewriting.MAX_STATES
     box = prod(e + 1 for e in g)
     if box * q.num_vertices > max_states:
         raise ResourceExhausted(
@@ -222,30 +217,27 @@ def realizable_at_vertex(
     return Realizability(YES, PathWord(i, tuple(word)), len(parent), i)
 
 
-def cycles_with_image(
-    c: Contraction, i: int, g: Monomial, max_walk_len: int | None = None,
-    max_cycles: int = 20000,
-) -> list[PathWord]:
-    """All cycles at i with image exactly g, up to a walk-length cap.
+_MAX_CYCLES = 20000  # cycles one image may have before cycles_with_image gives up
 
-    The default cap covers every walk that never revisits a (vertex,
-    exponent) state more than the zero-image arrows allow: image-carrying
-    steps are bounded by deg(g), and between them a zero-image step chain
-    never needs to revisit a vertex."""
+
+def cycles_with_image(c: Contraction, i: int, g: Monomial) -> list[PathWord]:
+    """All cycles at i with image exactly g whose zero-image steps never
+    revisit a (vertex, exponent) state.  Image-carrying steps are bounded
+    by deg(g) and each zero-image chain between them by the vertex count,
+    so walks are cut at (deg(g) + 1) times the vertex count."""
     q = c.source
     _check_query(c, i, g)
     images = c.source_images
-    if max_walk_len is None:
-        max_walk_len = (degree(g) + 1) * q.num_vertices
+    walk_cap = (degree(g) + 1) * q.num_vertices
     out: list[PathWord] = []
     stack = [(i, tuple(0 for _ in g), (), frozenset({(i, tuple(0 for _ in g))}))]
     while stack:
         v, spent, word, zero_seen = stack.pop()
         if word and v == i and spent == g:
             out.append(PathWord(i, word))
-            if len(out) > max_cycles:
+            if len(out) > _MAX_CYCLES:
                 raise ResourceExhausted("too many witness cycles")
-        if len(word) >= max_walk_len:
+        if len(word) >= walk_cap:
             continue
         for a in reversed(q.out_arrows(v)):
             ns = mon_add(spent, images[a.id])
@@ -264,11 +256,11 @@ def cycles_with_image(
     return out
 
 
-def homotopy_center_contains(c: Contraction, g: Monomial, max_states: int = MAX_STATES):
+def homotopy_center_contains(c: Contraction, g: Monomial):
     """YES iff g is a cycle image at every vertex; otherwise the report
     names the first failing vertex."""
     for i in range(c.source.num_vertices):
-        res = realizable_at_vertex(c, i, g, max_states)
+        res = realizable_at_vertex(c, i, g)
         if res.verdict != YES:
             return Realizability(NO, None, res.states, i)
     return Realizability(YES, None, 0, None)
@@ -278,7 +270,6 @@ def homotopy_center_contains(c: Contraction, g: Monomial, max_states: int = MAX_
 class CenterGenerators:
     algebra: MonomialAlgebra
     monomials: frozenset[Monomial]
-    degree_bound: int
 
 
 def homotopy_center_monomials(c: Contraction, degree_bound: int) -> frozenset[Monomial]:
@@ -287,7 +278,7 @@ def homotopy_center_monomials(c: Contraction, degree_bound: int) -> frozenset[Mo
     images back at the start intersected.  The searches share one
     state budget."""
     out: set[Monomial] | None = None
-    budget = MAX_STATES
+    budget = rewriting.MAX_STATES
     for i in range(c.source.num_vertices):
         parent = _reach(c, i, lambda ns: degree(ns) <= degree_bound, budget)
         budget -= len(parent)
@@ -301,6 +292,4 @@ def homotopy_center_generators(c: Contraction, degree_bound: int) -> CenterGener
     minimal generating set of what is visible at that degree."""
     mons = homotopy_center_monomials(c, degree_bound)
     gens = minimal_generators(sorted(mons))
-    return CenterGenerators(
-        MonomialAlgebra(tuple(gens), label="homotopy-center"), mons, degree_bound
-    )
+    return CenterGenerators(MonomialAlgebra(tuple(gens), label="homotopy-center"), mons)

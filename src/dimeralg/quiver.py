@@ -60,6 +60,17 @@ class DimerQuiver:
         """The arrows with tail v, in id order."""
         return self._out_arrows[v]
 
+    @cached_property
+    def _in_arrows(self) -> tuple[tuple[Arrow, ...], ...]:
+        into: list[list[Arrow]] = [[] for _ in range(self.num_vertices)]
+        for a in self.arrows:
+            into[a.head].append(a)
+        return tuple(map(tuple, into))
+
+    def in_arrows(self, v: int) -> tuple[Arrow, ...]:
+        """The arrows with head v, in id order."""
+        return self._in_arrows[v]
+
     def faces_of_arrow(self, aid: int) -> list[Face]:
         return [f for f in self.faces if aid in f.boundary]
 

@@ -71,6 +71,9 @@ class ResourceExhausted(RuntimeError):
     pass
 
 
+MAX_STATES = 2_000_000  # states a cycle enumeration or a realizability search may spend
+
+
 class RewriteSystem:
     """Face relations of a quiver plus the invariants used to refute."""
 
@@ -452,7 +455,6 @@ def enumerate_cycles(
     rs: RewriteSystem | None = None,
     dedup_mod_relations: bool = False,
     bounds: SearchBounds = DEFAULT_BOUNDS,
-    max_states: int = 2_000_000,
 ) -> CycleEnumeration:
     """All cycles at i of length <= max_len passing the filter, in a fixed
     order.  With dedup_mod_relations, also group them into equality
@@ -467,7 +469,7 @@ def enumerate_cycles(
     while stack:
         at, word, visited = stack.pop()
         states += 1
-        if states > max_states:
+        if states > MAX_STATES:
             raise ResourceExhausted("cycle enumeration state budget exceeded")
         if word and at == i:
             results.append(PathWord(i, word))
@@ -556,153 +558,115 @@ class NoncancellativeReport:
         return self.pair is not None
 
 
+def _cycles_at(q: DimerQuiver, v: int, length: int):
+    """The cycles at v of the given length, in the order of growing every
+    walk; depth first, descending only where v is still reachable in
+    exactly the steps left."""
+    back = [{v}]  # back[n]: vertices with a walk of length n to v
+    for _ in range(length - 1):
+        back.append({a.tail for u in back[-1] for a in q.in_arrows(u)})
+    stack = [(v, ())]
+    while stack:
+        at, word = stack.pop()
+        if len(word) == length:
+            yield word
+            continue
+        reach = back[length - len(word) - 1]
+        for a in reversed(q.out_arrows(at)):
+            if a.head in reach:
+                stack.append((a.head, word + (a.id,)))
+
+
+def _probes(q: DimerQuiver, v: int, p: PathWord, q_: PathWord, r_cap: int):
+    """(side, r, p.r, q.r) for every path r of at most r_cap arrows,
+    shortest first: r walked after the cycles at v, then before them."""
+    layer = [(v, ())]
+    for _ in range(r_cap):
+        layer = [(a.head, w + (a.id,)) for at, w in layer for a in q.out_arrows(at)]
+        for _, w in layer:
+            yield "after", PathWord(v, w), PathWord(v, p.arrows + w), PathWord(v, q_.arrows + w)
+    layer = [(v, ())]
+    for _ in range(r_cap):
+        layer = [(a.tail, (a.id,) + w) for at, w in layer for a in q.in_arrows(at)]
+        for at, w in layer:
+            yield "before", PathWord(at, w), PathWord(at, w + p.arrows), PathWord(at, w + q_.arrows)
+
+
 def find_noncancellative_pair(
-    q: DimerQuiver,
-    contraction=None,
-    bounds: SearchBounds = DEFAULT_BOUNDS,
-    max_cycle_len: int | None = None,
-    max_r_len: int | None = None,
+    q: DimerQuiver, contraction=None, bounds: SearchBounds = DEFAULT_BOUNDS
 ) -> NoncancellativeReport:
     """Search for cycles p != q (certainly, modulo relations) with equal
     invariants and a path r such that appending or prepending r makes them
     equal.
 
-    Cycles are grown length by length across all vertices and bucketed by
-    homology, matching profile, and (when a contraction is supplied) the
-    contracted monomial image; within a bucket, equality classes are
-    maintained and every certainly-distinct pair of class representatives
-    is probed for a cancellation witness r.  All rewriting shares one
-    state budget drawn from ``bounds.max_states``, and the search stops
-    as soon as it is spent; a successful pair is returned with its
-    witnesses, otherwise the report says whether the search ran to
-    completion or was cut off."""
+    Cycles are grown length by length across all vertices, up to twice
+    the longest face or half the word cap, and bucketed by homology,
+    matching profile, and (when a contraction is supplied) the contracted
+    monomial image; within a bucket, equality classes are maintained and
+    every certainly-distinct pair of class representatives is probed for
+    a cancellation witness r of at most two arrows more than the longest
+    face.  All rewriting shares one state budget drawn from
+    ``bounds.max_states``, and the search stops as soon as it is spent; a
+    successful pair is returned with its witnesses, otherwise the report
+    says whether the search ran to completion or was cut off."""
     rs = RewriteSystem(q)
-    if max_cycle_len is None:
-        max_cycle_len = max(2 * q.max_face_length(), bounds.word_cap(q) // 2)
-    if max_r_len is None:
-        max_r_len = q.max_face_length() + 2
-
-    in_by_vertex: list[list[int]] = [[] for _ in range(q.num_vertices)]
-    for a in q.arrows:
-        in_by_vertex[a.head].append(a.id)
-
-    def image(word):
-        if contraction is None:
-            return None
-        from .contraction import tau_psi  # local import to stay acyclic
-
-        return tau_psi(contraction, PathWord(q.arrow(word[0]).tail, word))
-
-    budget = [bounds.max_states]
+    cycle_cap = max(2 * q.max_face_length(), bounds.word_cap(q) // 2)
+    r_cap = q.max_face_length() + 2
+    images = None if contraction is None else contraction.source_images
+    budget = bounds.max_states
     per_call = max(2000, bounds.max_states // 10)
-
-    def eq(a: PathWord, b: PathWord) -> EqResult:
-        # probes need a witness, so they go through paths_equal
-        res = paths_equal(
-            rs, a, b, SearchBounds(bounds.word_cap(q, a, b), min(per_call, budget[0]))
-        )
-        budget[0] -= max(res.states, 1)
-        return res
-
-    def r_words(v, forward):
-        layer = [(v, ())]
-        for _ in range(max_r_len):
-            nxt = []
-            for at, word in layer:
-                if forward:
-                    nxt.extend((a.head, word + (a.id,)) for a in q.out_arrows(at))
-                else:
-                    nxt.extend((q.arrow(aid).tail, (aid,) + word) for aid in in_by_vertex[at])
-            yield from (w for _, w in nxt)
-            layer = nxt
-
-    def probe(v, p: PathWord, q_: PathWord, reason) -> NoncancellativePair | None:
-        nonlocal exhausted
-        for r_word in r_words(v, forward=True):
-            if budget[0] <= 0:
-                exhausted = True
-                return None
-            res = eq(PathWord(v, p.arrows + r_word), PathWord(v, q_.arrows + r_word))
-            if res.is_equal:
-                return NoncancellativePair(
-                    v, p, q_, PathWord(q.arrow(r_word[0]).tail, r_word),
-                    "after", reason, res.steps,
-                )
-            if res.verdict == UNKNOWN:
-                exhausted = True
-        for r_word in r_words(v, forward=False):
-            if budget[0] <= 0:
-                exhausted = True
-                return None
-            base = q.arrow(r_word[0]).tail
-            res = eq(PathWord(base, r_word + p.arrows), PathWord(base, r_word + q_.arrows))
-            if res.is_equal:
-                return NoncancellativePair(
-                    v, p, q_, PathWord(base, r_word), "before", reason, res.steps,
-                )
-            if res.verdict == UNKNOWN:
-                exhausted = True
-        return None
+    report = NoncancellativeReport(None, False, 0, 0)
 
     # walks[n][u]: the number of walks of length n from u, i.e. what
     # growing every walk length by length would spend from the budget
     walks = [[1] * q.num_vertices]
-    for _ in range(max_cycle_len):
+    for _ in range(cycle_cap):
         prev = walks[-1]
         walks.append([sum(prev[a.head] for a in q.out_arrows(u)) for u in range(q.num_vertices)])
 
-    def cycles_at(v, length):
-        """The cycles at v of the given length, in the order of growing
-        every walk; depth first, descending only where v is still
-        reachable in exactly the steps left."""
-        back = [{v}]  # back[n]: vertices with a walk of length n to v
-        for _ in range(length - 1):
-            back.append({a.tail for a in q.arrows if a.head in back[-1]})
-        stack = [(v, ())]
-        while stack:
-            at, word = stack.pop()
-            if len(word) == length:
-                yield word
-                continue
-            reach = back[length - len(word) - 1]
-            for a in reversed(q.out_arrows(at)):
-                if a.head in reach:
-                    stack.append((a.head, word + (a.id,)))
-
-    cycles_considered = 0
-    pairs_tested = 0
-    exhausted = False
     # buckets[v][key] = list of equality-class representatives
     buckets: list[dict[tuple, list[PathWord]]] = [dict() for _ in range(q.num_vertices)]
-    for length in range(1, max_cycle_len + 1):
+    for length in range(1, cycle_cap + 1):
         for v in range(q.num_vertices):
-            budget[0] -= walks[length][v]
-            if budget[0] <= 0:
-                return NoncancellativeReport(None, True, cycles_considered, pairs_tested)
+            budget -= walks[length][v]
+            if budget <= 0:
+                report.exhausted = True
+                return report
             # every comparison of this round has the cap of this length, so
             # no later round could reuse these closures
             classes = EqualityClasses(rs, bounds)
-            for word in cycles_at(v, length):
-                cycles_considered += 1
+            for word in _cycles_at(q, v, length):
+                report.cycles_considered += 1
                 c = PathWord(v, word)
-                key = (classes.invariants(c), image(word))
-                reps = buckets[v].setdefault(key, [])
+                image = images and tuple(map(sum, zip(*map(images.__getitem__, word))))
+                reps = buckets[v].setdefault((classes.invariants(c), image), [])
                 for rep in reps:
-                    if budget[0] <= 0:
-                        return NoncancellativeReport(None, True, cycles_considered, pairs_tested)
-                    res = classes.compare(rep, c, min(per_call, budget[0]))
-                    budget[0] -= max(res.states, 1)
-                    pairs_tested += 1
+                    if budget <= 0:
+                        report.exhausted = True
+                        return report
+                    res = classes.compare(rep, c, min(per_call, budget))
+                    budget -= max(res.states, 1)
+                    report.pairs_tested += 1
                     if res.is_equal:
                         break
                     if res.verdict == UNKNOWN:
-                        exhausted = True
+                        report.exhausted = True
                         continue
-                    pair = probe(v, rep, c, res.reason)
-                    if pair is not None:
-                        return NoncancellativeReport(
-                            pair, exhausted, cycles_considered, pairs_tested
-                        )
+                    for side, r, pr, qr in _probes(q, v, rep, c, r_cap):
+                        if budget <= 0:
+                            report.exhausted = True
+                            break
+                        # a pair needs a witness, so probes go through paths_equal
+                        cap = bounds.word_cap(q, pr, qr)
+                        probe = paths_equal(rs, pr, qr, SearchBounds(cap, min(per_call, budget)))
+                        budget -= max(probe.states, 1)
+                        if probe.is_equal:
+                            report.pair = NoncancellativePair(
+                                v, rep, c, r, side, res.reason, probe.steps
+                            )
+                            return report
+                        if probe.verdict == UNKNOWN:
+                            report.exhausted = True
                 else:
                     reps.append(c)
-    return NoncancellativeReport(None, exhausted, cycles_considered, pairs_tested)
+    return report

@@ -167,6 +167,9 @@ def test_bad_filter_and_bad_ints_are_exit_3():
         assert run_cli(cmd).returncode == 3, cmd
 
 
+NILRADICAL_CANDIDATE = ["nilradical", "fixture:fig_deformation", "--candidate"]
+
+
 def _bad_arrow_tail(doc, value):
     doc["arrows"][0]["tail"] = value
 
@@ -183,12 +186,20 @@ def _bad_face(doc, value):
     (None, ["cycles", "fixture:fig_iso_R", "--vertex", "0", "--max-len", "40"], 2),
     (None, ["matchings", "fixture:fig_iso_R", "--cap", "3"], 2),
     (None, ["normality", "fixture:fig_nested(2)", "--degree-bound", "5"], 2),
+    # a document instead of a mutation is a nilradical candidate file
+    ({"0": [[1, 1, [99]]]}, NILRADICAL_CANDIDATE, 3),
+    ({"0": [[1, 0, [0]]]}, NILRADICAL_CANDIDATE, 3),
+    ([1, 2], NILRADICAL_CANDIDATE, 3),
 ], ids=["tail-string", "tail-bool", "face-string", "vertex-range", "cycle-budget",
-        "matching-cap", "normality-below-witness"])
+        "matching-cap", "normality-below-witness", "candidate-arrow-range",
+        "candidate-zero-denominator", "candidate-not-object"])
 def test_exit_code_contract(tmp_path, mutate, args, code):
     if mutate is not None:
-        doc = quiver_to_json(fixture("fig_deformation").quiver)
-        mutate(doc)
+        if callable(mutate):
+            doc = quiver_to_json(fixture("fig_deformation").quiver)
+            mutate(doc)
+        else:
+            doc = mutate
         path = tmp_path / "q.json"
         path.write_text(json.dumps(doc))
         args = args + [str(path)]
@@ -200,9 +211,9 @@ def test_exit_code_contract(tmp_path, mutate, args, code):
 def test_center_search_budget_is_exit_2(monkeypatch, capsys):
     # a huge degree bound spends the realizability state budget; a small
     # budget shows the same exit without the memory a full one takes
-    from dimeralg import monomial_algebra
+    from dimeralg import rewriting
 
-    monkeypatch.setattr(monomial_algebra, "MAX_STATES", 10_000)
+    monkeypatch.setattr(rewriting, "MAX_STATES", 10_000)
     for cmd in ("homotopy-center", "normality"):
         assert main([cmd, "fixture:fig_deformation", "--degree-bound", "1000000"]) == 2
         assert "budget" in capsys.readouterr().err

@@ -104,12 +104,19 @@ def test_trivial_path_maps_to_unit_monomial(deformation_contraction):
 
 
 def test_unit_cycles_map_to_all_ones(all_contractions):
-    for name, c in all_contractions.items():
+    # so sigma^n, the image of the n-th power of a unit cycle at every
+    # vertex, lies in the homotopy center; the sigma^n * S test relies on it
+    contractions = dict(all_contractions)
+    contractions["c3"] = identity_contraction(fixtures_mod.c3_quiver())
+    contractions["conifold"] = identity_contraction(fixtures_mod.conifold_quiver())
+    for name, c in contractions.items():
         q = c.source
         ones = sigma(c)
         for f in q.faces:
             base = q.arrow(f.boundary[0]).tail
             assert tau_psi(c, PathWord(base, f.boundary)) == ones, name
+        for v in range(q.num_vertices):
+            assert tau_psi(c, unit_cycle(q, v)) == ones, name
 
 
 def test_tau_additive_and_rotation_invariant(deformation_contraction):
@@ -148,7 +155,7 @@ def test_relations_descend_under_psi(deformation_contraction):
 
 
 def test_deformation_is_cyclic(deformation_contraction):
-    rep = is_cyclic(deformation_contraction, degree_bound=8)
+    rep = is_cyclic(deformation_contraction)
     assert rep.cyclic_up_to_bound
     assert rep.cancellative_target is True
     assert quadratic_pattern_indices(rep.source_generators) is not None
@@ -156,26 +163,26 @@ def test_deformation_is_cyclic(deformation_contraction):
 
 
 def test_iso_r_is_cyclic(iso_r_contraction):
-    rep = is_cyclic(iso_r_contraction, degree_bound=8)
+    rep = is_cyclic(iso_r_contraction)
     assert rep.semigroups_match
     assert quadratic_pattern_indices(rep.source_generators) is not None
 
 
 def test_identity_contraction_is_cyclic():
     q = fixtures_mod.conifold_quiver()
-    rep = is_cyclic(identity_contraction(q), degree_bound=6)
+    rep = is_cyclic(identity_contraction(q))
     assert rep.cyclic_up_to_bound
     assert rep.source_generators == rep.target_generators
 
 
 def test_bigon_reduce_no_op(deformation_contraction):
-    red = bigon_reduce(deformation_contraction.target, to_fixpoint=True)
+    red = bigon_reduce(deformation_contraction.target)
     assert not red.changed
     assert red.quiver == deformation_contraction.target
 
 
 def test_iso_r_target_reduces_to_two_loops(iso_r_contraction):
-    red = bigon_reduce(iso_r_contraction.target, to_fixpoint=True)
+    red = bigon_reduce(iso_r_contraction.target)
     assert len(red.steps) == 2
     t = red.quiver
     assert t.num_vertices == 2 and len(t.arrows) == 6
@@ -187,7 +194,7 @@ def test_iso_r_target_reduces_to_two_loops(iso_r_contraction):
 def test_nested_target_reduces_to_conifold():
     fx = fixtures_mod.fixture("fig_nested(1)")
     c = contract(fx.quiver, fx.contraction_arrows)
-    red = bigon_reduce(c.target, to_fixpoint=True)
+    red = bigon_reduce(c.target)
     t = red.quiver
     assert t.num_vertices == 2
     assert len(t.arrows) == 4
@@ -198,7 +205,7 @@ def test_nested_target_reduces_to_conifold():
 
 def test_matching_transport_through_reduction(iso_r_contraction):
     c = iso_r_contraction
-    red = bigon_reduce(c.target, to_fixpoint=True)
+    red = bigon_reduce(c.target)
     reduced_simple = set(matching_catalog(red.quiver).simple)
     transported = {reduce_matching(red, d) for d in c.catalog.simple}
     assert transported == reduced_simple
@@ -209,7 +216,7 @@ def test_cycle_algebra_survives_reduction(iso_r_contraction):
     # quiver or pushed through the 2-cycle removals, up to the canonical
     # matching correspondence
     c = iso_r_contraction
-    red = bigon_reduce(c.target, to_fixpoint=True)
+    red = bigon_reduce(c.target)
     reduced_catalog = matching_catalog(red.quiver)
     order = [reduced_catalog.index_of(reduce_matching(red, d)) for d in c.catalog.simple]
     for cyc in vertex_simple_cycles(c.source):
@@ -226,7 +233,7 @@ def test_cycle_algebra_survives_reduction(iso_r_contraction):
 def test_nested_outer_cycle_becomes_unit_cycle():
     fx = fixtures_mod.fixture("fig_nested(1)")
     c = contract(fx.quiver, fx.contraction_arrows)
-    red = bigon_reduce(c.target, to_fixpoint=True)
+    red = bigon_reduce(c.target)
     outer = PathWord(0, (0, 1, 2, 3))
     word = reduce_word(red, psi_word(c, outer).arrows)
     rotations = {word[k:] + word[:k] for k in range(len(word))}

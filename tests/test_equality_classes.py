@@ -158,14 +158,14 @@ def test_noncancellative_search_stops_when_budget_is_spent(iso_r_contraction, mo
 
 
 def test_iso_r_target_is_decided_cancellative(iso_r_contraction):
-    rep = is_cyclic(iso_r_contraction, degree_bound=8)
+    rep = is_cyclic(iso_r_contraction)
     assert rep.cancellative_target is True
     assert rep.cyclic_up_to_bound is True
     assert main(["contract", "fixture:fig_iso_R", "--check-cyclic"]) == 0
 
 
 def test_cut_off_target_search_is_undecided(iso_r_contraction, capsys):
-    rep = is_cyclic(iso_r_contraction, SearchBounds(0, 2000), degree_bound=8)
+    rep = is_cyclic(iso_r_contraction, SearchBounds(0, 2000))
     assert rep.semigroups_match
     assert rep.cancellative_target is None
     assert rep.cyclic_up_to_bound is None

@@ -41,11 +41,6 @@ def test_containment_examples():
     assert algebra_contains(QUAD, (0, 1, 3)) == "no"
 
 
-def test_degree_bound_guard():
-    with pytest.raises(DomainError):
-        algebra_contains(QUAD, (2, 2, 2), degree_bound=3)
-
-
 def test_membership_matches_oracle():
     rng = random.Random(4)
     for _ in range(100):

@@ -43,8 +43,10 @@ def test_matching_cap_is_named():
     assert "5" in str(err.value)
 
 
-def test_realizability_state_guard(deformation_contraction):
+def test_realizability_state_guard(deformation_contraction, monkeypatch):
+    from dimeralg import rewriting
     from dimeralg.monomial_algebra import realizable_at_vertex
 
+    monkeypatch.setattr(rewriting, "MAX_STATES", 10)
     with pytest.raises(ResourceExhausted):
-        realizable_at_vertex(deformation_contraction, 0, (4, 4, 4), max_states=10)
+        realizable_at_vertex(deformation_contraction, 0, (4, 4, 4))

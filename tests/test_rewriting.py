@@ -210,3 +210,75 @@ def test_no_pair_on_conifold():
     q = fixtures_mod.conifold_quiver()
     rep = find_noncancellative_pair(q, bounds=SearchBounds(20, 200000))
     assert not rep.found
+
+
+# (quiver, side, bounds) -> (found, exhausted, cycles considered, pairs
+# tested, (p, q, r, side) of the pair): the search order, the budget
+# charges and the cut-off points, pinned on every fixture's source and
+# target and on c3 and the conifold
+CUT = SearchBounds(0, 2000)
+DEFAULT = SearchBounds()
+NONCANCELLATIVE_REPORTS = {
+    ("fig_deformation", "source", DEFAULT):
+        (True, False, 90, 53, ((4, 6, 6, 1, 2), (5, 6, 6, 0, 2), (4,), "after")),
+    ("fig_deformation", "source", CUT):
+        (True, False, 90, 53, ((4, 6, 6, 1, 2), (5, 6, 6, 0, 2), (4,), "after")),
+    ("fig_deformation", "target", DEFAULT): (False, False, 1092, 1006, None),
+    ("fig_deformation", "target", CUT): (False, True, 414, 350, None),
+    ("fig_hsb_ii", "source", DEFAULT):
+        (True, False, 33, 11, ((0, 1, 2, 3), (2, 3, 0, 1), (0, 6), "after")),
+    ("fig_hsb_ii", "source", CUT):
+        (True, False, 33, 11, ((0, 1, 2, 3), (2, 3, 0, 1), (0, 6), "after")),
+    ("fig_hsb_ii", "target", DEFAULT): (False, False, 1092, 1000, None),
+    ("fig_hsb_ii", "target", CUT): (False, True, 360, 308, None),
+    ("fig_iso_R", "source", DEFAULT):
+        (True, False, 33, 11, ((2, 14, 12, 13), (6, 7, 8, 4, 5), (15, 16), "after")),
+    ("fig_iso_R", "source", CUT):
+        (True, False, 33, 11, ((2, 14, 12, 13), (6, 7, 8, 4, 5), (15, 16), "after")),
+    ("fig_iso_R", "target", DEFAULT): (False, False, 20076, 19922, None),
+    ("fig_iso_R", "target", CUT): (False, True, 407, 364, None),
+    ("fig_nested(1)", "source", DEFAULT):
+        (True, False, 47, 20, ((14, 10, 1), (0, 1, 2, 1), (0, 3), "after")),
+    ("fig_nested(1)", "source", CUT):
+        (True, False, 47, 20, ((14, 10, 1), (0, 1, 2, 1), (0, 3), "after")),
+    ("fig_nested(1)", "target", DEFAULT): (False, True, 1361, 1291, None),
+    ("fig_nested(1)", "target", CUT): (False, True, 79, 50, None),
+    ("fig_nested(2)", "source", DEFAULT):
+        (True, False, 71, 40, ((14, 10, 1), (0, 1, 2, 1), (0, 3, 13), "after")),
+    ("fig_nested(2)", "source", CUT):
+        (True, False, 71, 40, ((14, 10, 1), (0, 1, 2, 1), (0, 3, 13), "after")),
+    ("fig_nested(2)", "target", DEFAULT): (False, True, 795, 753, None),
+    ("fig_nested(2)", "target", CUT): (False, True, 200, 174, None),
+    ("fig_nested(3)", "source", DEFAULT):
+        (True, False, 95, 60, ((14, 10, 1), (0, 1, 2, 1), (0, 3, 13, 24), "after")),
+    ("fig_nested(3)", "source", CUT): (False, True, 96, 60, None),
+    ("fig_nested(3)", "target", DEFAULT): (False, True, 1253, 1212, None),
+    ("fig_nested(3)", "target", CUT): (False, True, 392, 366, None),
+    ("fig_noncancellative_central", "source", DEFAULT):
+        (True, False, 90, 53, ((4, 6, 6, 1, 2), (5, 6, 6, 0, 2), (4,), "after")),
+    ("fig_noncancellative_central", "source", CUT):
+        (True, False, 90, 53, ((4, 6, 6, 1, 2), (5, 6, 6, 0, 2), (4,), "after")),
+    ("fig_noncancellative_central", "target", DEFAULT): (False, False, 1092, 1006, None),
+    ("fig_noncancellative_central", "target", CUT): (False, True, 414, 350, None),
+    ("c3", "quiver", DEFAULT): (False, False, 1092, 1009, None),
+    ("c3", "quiver", CUT): (False, True, 716, 639, None),
+    ("conifold", "quiver", DEFAULT): (False, False, 680, 572, None),
+    ("conifold", "quiver", CUT): (False, False, 680, 572, None),
+}
+
+
+def test_noncancellative_reports_are_pinned(all_fixtures, all_contractions):
+    quivers = {("c3", "quiver"): (fixtures_mod.c3_quiver(), None),
+               ("conifold", "quiver"): (fixtures_mod.conifold_quiver(), None)}
+    for name, fx in all_fixtures.items():
+        c = all_contractions[name]
+        quivers[(name, "source")] = (fx.quiver, c)
+        quivers[(name, "target")] = (c.target, None)
+    assert {key[:2] for key in NONCANCELLATIVE_REPORTS} == set(quivers)
+    for (name, side, bounds), want in NONCANCELLATIVE_REPORTS.items():
+        q, c = quivers[(name, side)]
+        rep = find_noncancellative_pair(q, c, bounds)
+        pr = rep.pair
+        words = pr and (pr.p.arrows, pr.q.arrows, pr.r.arrows, pr.side)
+        got = (rep.found, rep.exhausted, rep.cycles_considered, rep.pairs_tested, words)
+        assert got == want, (name, side, bounds)
