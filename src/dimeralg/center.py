@@ -76,13 +76,17 @@ def sigma_sum_candidate(q: DimerQuiver, power: int = 1) -> CentralCandidate:
     return CentralCandidate(comps)
 
 
-def _group_terms(eq: EqualityClasses, terms) -> tuple[list[tuple[PathWord, Fraction]], bool]:
-    """Bucket terms by equality of their words; returns (class sums,
-    any-undecided-comparison)."""
+def _sum_verdict(eq: EqualityClasses, terms) -> tuple[str, list[tuple[PathWord, Fraction]]]:
+    """Do the terms sum to zero modulo the relations?  Buckets them by
+    equality of their words and returns the verdict with the nonzero class
+    sums; any undecided comparison makes the verdict unknown."""
     terms = sorted(terms, key=lambda t: (t[1].base, t[1].arrows))
     split, unknown = eq.split([word for _, word in terms])
     classes = [(terms[cls[0]][1], sum((terms[k][0] for k in cls), Fraction(0))) for cls in split]
-    return classes, unknown > 0
+    residue = [(rep, total) for rep, total in classes if total != 0]
+    if unknown:
+        return UNKNOWN, residue
+    return (NOT_EQUAL if residue else EQUAL), residue
 
 
 @dataclass
@@ -129,22 +133,8 @@ def verify_central(
             terms.append((coef, PathWord(w.base, w.arrows + (a.id,))))
         for coef, w in z.components.get(a.head, ()):
             terms.append((-coef, PathWord(a.tail, (a.id,) + w.arrows)))
-        classes, undecided = _group_terms(eq, terms)
-        residue = [(rep, total) for rep, total in classes if total != 0]
-        if residue:
-            verdicts.append(ArrowVerdict(a.id, UNKNOWN if undecided else NOT_EQUAL, residue))
-        elif undecided:
-            verdicts.append(ArrowVerdict(a.id, UNKNOWN))
-        else:
-            verdicts.append(ArrowVerdict(a.id, EQUAL))
+        verdicts.append(ArrowVerdict(a.id, *_sum_verdict(eq, terms)))
     return CentralityCertificate(verdicts)
-
-
-def _combination_is_zero(eq: EqualityClasses, terms) -> str:
-    classes, undecided = _group_terms(eq, terms)
-    if any(total != 0 for _, total in classes):
-        return NOT_EQUAL if not undecided else UNKNOWN
-    return EQUAL if not undecided else UNKNOWN
 
 
 @dataclass
@@ -179,14 +169,14 @@ def nilpotency_and_kernel_check(
         for c1, w1 in terms:
             for c2, w2 in terms:
                 square_terms.append((c1 * c2, concat(q, w1, w2)))
-    z2 = _combination_is_zero(eq, square_terms) if square_terms else EQUAL
+    z2 = _sum_verdict(eq, square_terms)[0]
 
     eq_t = EqualityClasses(RewriteSystem(c.target), bounds)
     image_terms: list[Term] = []
     for v, terms in z.components.items():
         for coef, w in terms:
             image_terms.append((coef, psi_word(c, w)))
-    psi_zero = _combination_is_zero(eq_t, image_terms) if image_terms else EQUAL
+    psi_zero = _sum_verdict(eq_t, image_terms)[0]
 
     if central == EQUAL and z2 in (EQUAL, NOT_EQUAL) and psi_zero in (EQUAL, NOT_EQUAL):
         consistent = EQUAL if (z2 == psi_zero) else NOT_EQUAL

@@ -46,7 +46,7 @@ def divide_by_sigma(g: Monomial) -> Monomial:
 
 
 def is_sigma_power(g: Monomial) -> bool:
-    return len(set(g)) == 1 and (not g or g[0] >= 0) and degree(g) > 0 and g[0] > 0
+    return len(set(g)) == 1 and g[0] > 0
 
 
 def render_monomial(g: Monomial) -> str:

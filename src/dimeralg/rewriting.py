@@ -2,12 +2,16 @@
 
 Every arrow sits on two faces; rotating each face to start at the arrow
 and dropping it leaves two complementary arcs between the same endpoints,
-and the relations identify exactly those arcs.  Equality of two words is
-explored by a bidirectional closure over subword replacements.  Rewrites
-preserve endpoints, homology, and the count of arrows in every perfect
-matching, so many inequalities are certain; when both closures saturate
-without meeting, inequality is certain too.  Only a genuinely truncated
-search answers Unknown.
+and the relations identify exactly those arcs.  Rewrites preserve
+endpoints, homology, and the count of arrows in every perfect matching,
+so many inequalities are certain without a search.  Otherwise
+``EqualityClasses`` is the one search: the rewrite closure of a class
+representative grows against the closure of the word asked about, the
+smaller frontier first, until they meet or one side is complete.  A
+complete closure that never hit the word cap is the whole class, so
+inequality is then certain; only a genuinely cut-off search answers
+Unknown.  ``paths_equal`` is one query on fresh classes, its witness read
+back along the word's parent chain.
 """
 
 from __future__ import annotations
@@ -163,74 +167,21 @@ def _mismatch(a: tuple, b: tuple) -> str | None:
 def paths_equal(
     rs: RewriteSystem, p: PathWord, q_: PathWord, bounds: SearchBounds = DEFAULT_BOUNDS
 ) -> EqResult:
-    """Three-valued equality of paths modulo the face relations.
+    """Three-valued equality of paths modulo the face relations: one query
+    on a fresh ``EqualityClasses``.
 
     Equal comes with a replayable rewrite witness from p to q.  NotEqual
-    is only reported when certain: invariant mismatch, or both closures
-    saturated without intersecting.  Unknown means the bounded search was
-    truncated before deciding.
+    is only reported when certain: invariant mismatch, or a closure that
+    saturated without meeting the other side.  Unknown means the bounded
+    search was cut off before deciding.
     """
-    quiver = rs.quiver
-    check_path(quiver, p)
-    check_path(quiver, q_)
-    if p == q_:
-        return EqResult(EQUAL)
-    reason = _mismatch(_invariants(rs, p), _invariants(rs, q_))
-    if reason is not None:
-        return EqResult(NOT_EQUAL, reason=reason)
-    if not p.arrows or not q_.arrows:
-        # relations never produce the empty word
-        return EqResult(NOT_EQUAL, reason="trivial_path")
-
-    cap = bounds.word_cap(quiver, p, q_)
-    start_p, start_q = p.arrows, q_.arrows
-    # per-side parent pointers: word -> successor tuple that reached it
-    parents_side = {"p": {start_p: None}, "q": {start_q: None}}
-    frontier = {"p": [start_p], "q": [start_q]}
-    truncated = False
-    states = 2
-
-    def witness(meet_word):
-        # steps p -> ... -> meet, then the q-side chain inverted
-        def chain(side):
-            # successor tuples (word, pos, arrow, old, new) from the start
-            steps = []
-            step = parents_side[side][meet_word]
-            while step is not None:
-                steps.append(step)
-                _, pos, _, old, new = step
-                parent = step[0][:pos] + old + step[0][pos + len(new):]
-                step = parents_side[side][parent]
-            steps.reverse()
-            return steps
-
-        fwd = [RewriteStep(pos, aid, old, new) for _, pos, aid, old, new in chain("p")]
-        inv = [RewriteStep(pos, aid, new, old) for _, pos, aid, old, new in reversed(chain("q"))]
-        return tuple(fwd + inv)
-
-    # Expand the smaller frontier until meeting, exhaustion, or the budget.
-    while frontier["p"] or frontier["q"]:
-        side = "p" if (frontier["p"] and (len(frontier["p"]) <= len(frontier["q"]) or not frontier["q"])) else "q"
-        other = "q" if side == "p" else "p"
-        new_frontier = []
-        for word in frontier[side]:
-            succs, trunc = rs.successors(word, cap)
-            truncated = truncated or trunc
-            for step in succs:
-                nxt = step[0]
-                if nxt in parents_side[side]:
-                    continue
-                states += 1
-                if states > bounds.max_states:
-                    return EqResult(UNKNOWN, reason="state_budget", states=states)
-                parents_side[side][nxt] = step
-                if nxt in parents_side[other]:
-                    return EqResult(EQUAL, steps=witness(nxt), states=states)
-                new_frontier.append(nxt)
-        frontier[side] = new_frontier
-    if truncated:
-        return EqResult(UNKNOWN, reason="word_length", states=states)
-    return EqResult(NOT_EQUAL, reason="saturated", states=states)
+    check_path(rs.quiver, p)
+    check_path(rs.quiver, q_)
+    classes = EqualityClasses(rs, bounds)
+    res = classes.compare(p, q_)
+    if res.is_equal:
+        res.steps = classes.witness(p, q_)
+    return res
 
 
 def replay_witness(rs: RewriteSystem, p: PathWord, steps) -> list[PathWord]:
@@ -262,30 +213,42 @@ def replay_witness(rs: RewriteSystem, p: PathWord, steps) -> list[PathWord]:
 class _Closure:
     """Words reached from one start word, all under one word cap.
 
-    ``pending`` holds the reached words whose successors have not all been
-    generated; every other word has all its successors within the cap in
-    ``words``.  An empty ``pending`` makes the closure complete, and then
-    it is the start word's whole class unless ``truncated`` says the cap
-    suppressed a rewrite.
+    ``words`` maps each reached word to the word it was reached from (the
+    start word to None), so every word's parent chain leads back to the
+    start.  ``pending`` holds the reached words whose successors have not
+    all been generated; every other word has all its successors within
+    the cap in ``words``.  An empty ``pending`` makes the closure
+    complete, and then it is the start word's whole class unless
+    ``truncated`` says the cap suppressed a rewrite.
     """
 
     __slots__ = ("words", "pending", "truncated")
 
     def __init__(self, word: tuple[int, ...]):
-        self.words = {word}
+        self.words: dict[tuple[int, ...], tuple[int, ...] | None] = {word: None}
         self.pending = [word]
         self.truncated = False
 
-    def absorb(self, other: "_Closure") -> None:
-        """Join the closure of an equal word; its unexpanded words are
-        queued here, so completeness still means the whole class."""
+    def absorb(self, other: "_Closure", meet: tuple[int, ...]) -> None:
+        """Join the closure of an equal word that reached ``meet``, the one
+        word the two closures share.  Its tree is re-rooted at ``meet`` and
+        hung from this closure's parent of ``meet``, so every chain still
+        leads back to this start; its unexpanded words are queued here, so
+        completeness still means the whole class."""
+        words = other.words
+        parent, w = self.words[meet], meet
+        while w is not None:
+            up = words[w]
+            words[w] = parent
+            parent, w = w, up
         self.pending += [w for w in other.pending if w not in self.words]
-        self.words |= other.words
+        self.words.update(words)
         self.truncated = self.truncated or other.truncated
 
 
 class EqualityClasses:
-    """Three-valued equality of words against class representatives.
+    """Three-valued equality of words against class representatives; the
+    one word-equality search of the package.
 
     Each representative keeps, per word cap, a rewrite closure grown only
     as far as queries need.  A query checks endpoints, homology and
@@ -294,8 +257,9 @@ class EqualityClasses:
     first, until they meet (the word's search then joins the closure), one
     side is complete, or the state budget is spent.  A complete closure
     that never hit the cap is the whole class, so NotEqual is certain;
-    cut-offs answer Unknown.  Verdicts carry no witness: ``paths_equal``
-    is the witness-producing path and the reference.
+    cut-offs answer Unknown.  Every closure word keeps the word it was
+    reached from, so ``witness`` reads a rewrite chain from the
+    representative to any word found equal to it.
     """
 
     def __init__(self, rs: RewriteSystem, bounds: SearchBounds = DEFAULT_BOUNDS):
@@ -359,16 +323,34 @@ class EqualityClasses:
                     if states > limit:
                         grow.pending = layer[k:] + grow.pending
                         return EqResult(UNKNOWN, reason="state_budget", states=states)
-                    grow.words.add(nxt)
+                    grow.words[nxt] = w
                     grow.pending.append(nxt)
                     if nxt in other.words:
                         # w is requeued: its later successors are not generated yet
                         grow.pending = layer[k:] + grow.pending
-                        closure.absorb(own)
+                        closure.absorb(own, nxt)
                         return EqResult(EQUAL, states=states)
         if any(not (c.pending or c.truncated) for c in (closure, own)):
             return EqResult(NOT_EQUAL, reason="saturated", states=states)
         return EqResult(UNKNOWN, reason="word_length", states=states)
+
+    def witness(self, rep: PathWord, word: PathWord) -> tuple[RewriteStep, ...]:
+        """Rewrite steps from ``rep`` to ``word``, which ``compare`` found
+        equal to it: the word's parent chain, each link read back as the
+        first rewrite of ``RewriteSystem.successors`` that makes it."""
+        if rep == word:
+            return ()
+        cap = self._caps[max(len(rep.arrows), len(word.arrows))]
+        words = self.closures[(rep, cap)].words
+        chain = [word.arrows]
+        while words[chain[-1]] is not None:
+            chain.append(words[chain[-1]])
+        chain.reverse()
+        steps = []
+        for w, nxt in zip(chain, chain[1:]):
+            _, pos, aid, old, new = next(s for s in self.rs.successors(w, cap)[0] if s[0] == nxt)
+            steps.append(RewriteStep(pos, aid, old, new))
+        return tuple(steps)
 
     def split(self, words) -> tuple[list[list[int]], int]:
         """Partition words in order: each joins the first class whose

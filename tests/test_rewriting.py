@@ -1,4 +1,7 @@
+import json
+
 from dimeralg import fixtures as fixtures_mod
+from dimeralg.cli import main
 from dimeralg.quiver import PathWord, concat, path_homology, unit_cycle
 from dimeralg.rewriting import (
     NOT_EQUAL,
@@ -65,6 +68,21 @@ def test_distinguished_paths_differ(all_fixtures):
     assert res.verdict == NOT_EQUAL
     # same endpoints and homology, so the refutation is the closure itself
     assert res.reason == "saturated"
+
+
+def test_one_complete_side_decides_not_equal(all_fixtures, capsys):
+    # At word cap 5 the closure of p is complete and never hits the cap,
+    # while the search from q does; p's complete closure alone proves the
+    # two distinct, so the cap on q's side must not make the answer Unknown.
+    q = all_fixtures["fig_hsb_ii"].quiver
+    rs = RewriteSystem(q)
+    p, r = PathWord(q.arrow(0).tail, (0, 1, 2, 3)), PathWord(q.arrow(2).tail, (2, 3, 0, 1))
+    res = paths_equal(rs, p, r, SearchBounds(5, 200000))
+    assert (res.verdict, res.reason) == (NOT_EQUAL, "saturated")
+    args = ["eq", "fixture:fig_hsb_ii", "--p", "0,1,2,3", "--q", "2,3,0,1", "--max-word-length", "5"]
+    assert main(args) == 0
+    results = json.loads(capsys.readouterr().out)["results"]
+    assert (results["verdict"], results["reason"]) == (NOT_EQUAL, "saturated")
 
 
 def test_witness_replay_preserves_invariants(all_fixtures):
