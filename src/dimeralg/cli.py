@@ -397,6 +397,7 @@ def cmd_noncancellative(args):
         "search_exhausted": rep.exhausted,
         "cycles_considered": rep.cycles_considered,
         "pairs_tested": rep.pairs_tested,
+        "removed_2cycles": rep.removed_2cycles,
     }
     if rep.found:
         pr = rep.pair

@@ -10,16 +10,19 @@ algebra generated by all such cycle monomials.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 from .matchings import MatchingCatalog, matching_catalog
-from .quiver import (
+from .quiver import (  # the 2-cycle removal is re-exported from here
+    BigonReduction,
     DimerQuiver,
-    DomainError,
     PathWord,
+    bigon_reduce,
     check_path,
     make_quiver,
+    reduce_matching,
+    reduce_word,
     validate_dimer,
 )
 from .rewriting import (
@@ -282,106 +285,3 @@ def is_cyclic(c: Contraction, bounds: SearchBounds = DEFAULT_BOUNDS) -> CyclicRe
         target_pair_found=rep.found,
         target_search_exhausted=rep.exhausted,
     )
-
-
-# -- removal of 2-cycles ------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class BigonStep:
-    """One 2-cycle removal: arrows a and b are deleted and each is replaced,
-    in any word, by the complementary arc of the other's second face.  The
-    substitutions are recorded in the arrow ids of the quiver *before* the
-    step; ``relabel`` maps surviving old ids to new dense ids."""
-
-    face: int
-    a: int
-    b: int
-    sub_a: tuple[int, ...]
-    sub_b: tuple[int, ...]
-    relabel: dict
-
-
-@dataclass
-class BigonReduction:
-    quiver: DimerQuiver
-    steps: list[BigonStep] = field(default_factory=list)
-
-    @property
-    def changed(self):
-        return bool(self.steps)
-
-
-def _one_bigon_step(q: DimerQuiver) -> tuple[DimerQuiver, BigonStep] | None:
-    bigon = next((f for f in q.faces if len(f.boundary) == 2), None)
-    if bigon is None:
-        return None
-    a_id, b_id = bigon.boundary
-    fa = next(f for f in q.faces if f.id != bigon.id and a_id in f.boundary)
-    fb = next(f for f in q.faces if f.id != bigon.id and b_id in f.boundary)
-    if fa.id == fb.id:
-        raise DomainError(
-            f"2-cycle {bigon.id}: both arrows share their second face {fa.id}; not removable"
-        )
-
-    def arc(face, aid):
-        k = face.boundary.index(aid)
-        rot = face.boundary[k:] + face.boundary[:k]
-        return rot[1:]
-
-    arc_a = arc(fa, a_id)  # complementary to a; replaces b
-    arc_b = arc(fb, b_id)  # complementary to b; replaces a
-    merged = arc_a + arc_b
-
-    keep = [x for x in q.arrows if x.id not in (a_id, b_id)]
-    relabel = {x.id: k for k, x in enumerate(keep)}
-    new_arrows = [(x.tail, x.head, x.homology) for x in keep]
-    new_faces = []
-    for f in q.faces:
-        if f.id == bigon.id or f.id in (fa.id, fb.id):
-            continue
-        new_faces.append(tuple(relabel[x] for x in f.boundary))
-    new_faces.append(tuple(relabel[x] for x in merged))
-    nq = make_quiver(q.num_vertices, new_arrows, new_faces)
-    rep = validate_dimer(nq)
-    if not rep.ok:
-        raise DomainError(
-            f"2-cycle {bigon.id}: merged face is invalid ({', '.join(sorted(rep.codes()))})"
-        )
-    step = BigonStep(bigon.id, a_id, b_id, arc_b, arc_a, relabel)
-    return nq, step
-
-
-def bigon_reduce(q: DimerQuiver) -> BigonReduction:
-    """Remove every 2-cycle, the lowest-id one first."""
-    red = BigonReduction(q)
-    while (out := _one_bigon_step(red.quiver)) is not None:
-        red.quiver, step = out
-        red.steps.append(step)
-    return red
-
-
-def reduce_word(red: BigonReduction, word: tuple[int, ...]) -> tuple[int, ...]:
-    """Push an arrow word of the original quiver through every removal."""
-    for step in red.steps:
-        out: list[int] = []
-        for aid in word:
-            if aid == step.a:
-                out.extend(step.sub_a)
-            elif aid == step.b:
-                out.extend(step.sub_b)
-            else:
-                out.append(aid)
-        word = tuple(step.relabel[aid] for aid in out)
-    return word
-
-
-def reduce_matching(red: BigonReduction, matching: frozenset[int]) -> frozenset[int]:
-    """Transport a perfect matching of the original quiver: each removal
-    drops whichever of its two arrows the matching contains."""
-    d = set(matching)
-    for step in red.steps:
-        d.discard(step.a)
-        d.discard(step.b)
-        d = {step.relabel[x] for x in d}
-    return frozenset(d)

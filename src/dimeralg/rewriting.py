@@ -12,6 +12,10 @@ complete closure that never hit the word cap is the whole class, so
 inequality is then certain; only a genuinely cut-off search answers
 Unknown.  ``paths_equal`` is one query on fresh classes, its witness read
 back along the word's parent chain.
+
+``find_noncancellative_pair`` searches the 2-cycle-free quiver of
+``bigon_reduce``, which has the same algebra, and lifts any pair it finds
+back to the quiver asked about, with a witness that replays there.
 """
 
 from __future__ import annotations
@@ -19,7 +23,16 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .matchings import MatchingCapExceeded, enumerate_perfect_matchings
-from .quiver import DimerQuiver, DomainError, PathWord, check_path, path_head, path_homology
+from .quiver import (
+    BigonReduction,
+    DimerQuiver,
+    DomainError,
+    PathWord,
+    bigon_reduce,
+    check_path,
+    path_head,
+    path_homology,
+)
 
 EQUAL = "equal"
 NOT_EQUAL = "not_equal"
@@ -150,6 +163,23 @@ class RewriteSystem:
                         continue
                     out.append((word[:pos] + repl + word[pos + ln:], pos, aid, arc, repl))
         return out, truncated
+
+    def step_between(self, word: tuple[int, ...], nxt: tuple[int, ...]) -> RewriteStep:
+        """The first rewrite in ``successors`` order that turns ``word``
+        into ``nxt``.  Only windows covering the span between the first and
+        the last position where the two words differ are tried."""
+        n, m = len(word), len(nxt)
+        lo = hi = 0
+        while lo < min(n, m) and word[lo] == nxt[lo]:
+            lo += 1
+        while hi < min(n, m) and word[n - 1 - hi] == nxt[m - 1 - hi]:
+            hi += 1
+        for ln, table in self._by_first:
+            for pos in range(max(0, n - hi - ln), min(lo, n - ln) + 1):
+                for arc, aid, repl in table[word[pos]]:
+                    if word[pos:pos + ln] == arc and word[:pos] + repl + word[pos + ln:] == nxt:
+                        return RewriteStep(pos, aid, arc, repl)
+        raise DomainError("no single rewrite joins the two words")
 
 
 def _invariants(rs: RewriteSystem, w: PathWord) -> tuple:
@@ -337,7 +367,7 @@ class EqualityClasses:
     def witness(self, rep: PathWord, word: PathWord) -> tuple[RewriteStep, ...]:
         """Rewrite steps from ``rep`` to ``word``, which ``compare`` found
         equal to it: the word's parent chain, each link read back as the
-        first rewrite of ``RewriteSystem.successors`` that makes it."""
+        first rewrite in ``RewriteSystem.successors`` order that makes it."""
         if rep == word:
             return ()
         cap = self._caps[max(len(rep.arrows), len(word.arrows))]
@@ -346,11 +376,7 @@ class EqualityClasses:
         while words[chain[-1]] is not None:
             chain.append(words[chain[-1]])
         chain.reverse()
-        steps = []
-        for w, nxt in zip(chain, chain[1:]):
-            _, pos, aid, old, new = next(s for s in self.rs.successors(w, cap)[0] if s[0] == nxt)
-            steps.append(RewriteStep(pos, aid, old, new))
-        return tuple(steps)
+        return tuple(map(self.rs.step_between, chain, chain[1:]))
 
     def split(self, words) -> tuple[list[list[int]], int]:
         """Partition words in order: each joins the first class whose
@@ -534,6 +560,7 @@ class NoncancellativeReport:
     exhausted: bool
     cycles_considered: int
     pairs_tested: int
+    removed_2cycles: int = 0  # 2-cycles removed from the quiver before the search
 
     @property
     def found(self):
@@ -581,6 +608,16 @@ def find_noncancellative_pair(
     invariants and a path r such that appending or prepending r makes them
     equal.
 
+    A quiver with 2-cycles is searched after ``bigon_reduce``: each arrow
+    of a 2-cycle equals a path, so the reduced quiver has the same algebra
+    and far smaller rewrite closures.  Its arrows are arrows of q, so the
+    contraction's per-arrow images carry over, and a pair found there is
+    lifted back to q: each link of the reduced witness (one merged-face
+    relation) is rejoined by ``paths_equal`` on q, and the pair is
+    reported only if the whole lifted witness replays on q; otherwise the
+    report has no pair and is ``exhausted``.  A 2-cycle that cannot be
+    removed leaves q searched as given.
+
     Cycles are grown length by length across all vertices, up to twice
     the longest face or half the word cap, and bucketed by homology,
     matching profile, and (when a contraction is supplied) the contracted
@@ -590,11 +627,70 @@ def find_noncancellative_pair(
     face.  All rewriting shares one state budget drawn from
     ``bounds.max_states``, and the search stops as soon as it is spent; a
     successful pair is returned with its witnesses, otherwise the report
-    says whether the search ran to completion or was cut off."""
-    rs = RewriteSystem(q)
+    says whether the search ran to completion or was cut off.
+    ``cycles_considered`` and ``pairs_tested`` count the quiver searched,
+    which lacks ``removed_2cycles`` of q's 2-cycles."""
+    images = None if contraction is None else contraction.source_images
+    try:
+        red = bigon_reduce(q)
+    except DomainError:
+        red = BigonReduction(q)  # q is searched as given
+    rs = RewriteSystem(red.quiver)
+    if not red.changed:
+        return _search_pairs(rs, images, bounds)
+    ids = red.original_ids
+    if images is not None:
+        images = tuple(images[a] for a in ids)
+    report = _search_pairs(rs, images, bounds)
+    report.removed_2cycles = len(red.steps)
+    if report.found:
+        report.pair = _lift_pair(rs, RewriteSystem(q), ids, report.pair, bounds)
+        report.exhausted = report.pair is None
+    return report
+
+
+def _completed(pair: NoncancellativePair, cycle: PathWord) -> PathWord:
+    """The cycle with the pair's r walked after or before it."""
+    if pair.side == "after":
+        return PathWord(cycle.base, cycle.arrows + pair.r.arrows)
+    return PathWord(pair.r.base, pair.r.arrows + cycle.arrows)
+
+
+def _lift_pair(
+    reduced: RewriteSystem, rs: RewriteSystem, ids, pair: NoncancellativePair, bounds
+) -> NoncancellativePair | None:
+    """A pair of the reduced quiver as a pair of ``rs.quiver``, whose arrow
+    ``ids[a]`` is the reduced arrow a; None if a link of the witness is
+    not rejoined or the lifted witness does not replay."""
+
+    def lift(w: PathWord) -> PathWord:
+        return PathWord(w.base, tuple(ids[a] for a in w.arrows))
+
+    trail = replay_witness(reduced, _completed(pair, pair.p), pair.equality_witness)
+    chain = [lift(w) for w in trail]
+    steps: list[RewriteStep] = []
+    for w, nxt in zip(chain, chain[1:]):
+        link = paths_equal(rs, w, nxt, bounds)
+        if not link.is_equal:
+            return None
+        steps += link.steps
+    lifted = NoncancellativePair(
+        pair.vertex, lift(pair.p), lift(pair.q), lift(pair.r), pair.side,
+        pair.inequality_reason, tuple(steps),
+    )
+    try:
+        trail = replay_witness(rs, _completed(lifted, lifted.p), lifted.equality_witness)
+    except DomainError:
+        return None
+    return lifted if trail[-1] == _completed(lifted, lifted.q) else None
+
+
+def _search_pairs(rs: RewriteSystem, images, bounds: SearchBounds) -> NoncancellativeReport:
+    """The pair search of ``find_noncancellative_pair`` on ``rs.quiver``
+    as given; ``images`` are the per-arrow monomial images or None."""
+    q = rs.quiver
     cycle_cap = max(2 * q.max_face_length(), bounds.word_cap(q) // 2)
     r_cap = q.max_face_length() + 2
-    images = None if contraction is None else contraction.source_images
     budget = bounds.max_states
     per_call = max(2000, bounds.max_states // 10)
     report = NoncancellativeReport(None, False, 0, 0)

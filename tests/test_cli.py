@@ -5,7 +5,8 @@ import sys
 import pytest
 
 from dimeralg.cli import main
-from dimeralg.fixtures import fixture
+from dimeralg.contraction import contract
+from dimeralg.fixtures import bigon_inserted_c3, fixture
 from dimeralg.quiver import quiver_to_json
 
 RUN = [sys.executable, "-m", "dimeralg.cli"]
@@ -190,9 +191,11 @@ def _bad_face(doc, value):
     ({"0": [[1, 1, [99]]]}, NILRADICAL_CANDIDATE, 3),
     ({"0": [[1, 0, [0]]]}, NILRADICAL_CANDIDATE, 3),
     ([1, 2], NILRADICAL_CANDIDATE, 3),
+    # a 2-cycle bigon_reduce cannot remove: the quiver is searched as given
+    (quiver_to_json(bigon_inserted_c3()), ["noncancellative", "--max-states", "2000"], 2),
 ], ids=["tail-string", "tail-bool", "face-string", "vertex-range", "cycle-budget",
         "matching-cap", "normality-below-witness", "candidate-arrow-range",
-        "candidate-zero-denominator", "candidate-not-object"])
+        "candidate-zero-denominator", "candidate-not-object", "irremovable-2cycle"])
 def test_exit_code_contract(tmp_path, mutate, args, code):
     if mutate is not None:
         if callable(mutate):
@@ -217,3 +220,24 @@ def test_center_search_budget_is_exit_2(monkeypatch, capsys):
     for cmd in ("homotopy-center", "normality"):
         assert main([cmd, "fixture:fig_deformation", "--degree-bound", "1000000"]) == 2
         assert "budget" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_nested_check_cyclic_is_decided(n, capsys):
+    # the target search runs on the 2-cycle-free quiver and completes
+    assert main(["contract", f"fixture:fig_nested({n})", "--check-cyclic"]) == 0
+    results = json.loads(capsys.readouterr().out)["results"]
+    assert results["cyclic_up_to_bound"] is True
+    assert results["cancellative_target"] is True
+
+
+def test_noncancellative_reports_removed_2cycles(tmp_path, capsys):
+    fx = fixture("fig_iso_R")
+    path = tmp_path / "target.json"
+    path.write_text(json.dumps(quiver_to_json(contract(fx.quiver, fx.contraction_arrows).target)))
+    assert main(["noncancellative", str(path)]) == 0
+    results = json.loads(capsys.readouterr().out)["results"]
+    # the counts are read against the quiver searched: two 2-cycles fewer
+    assert results["removed_2cycles"] == 2
+    assert (results["found"], results["search_exhausted"]) == (False, False)
+    assert (results["cycles_considered"], results["pairs_tested"]) == (1092, 1006)

@@ -11,11 +11,16 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from dimeralg.cli import main
-from dimeralg.fixtures import fixture
+from dimeralg.contraction import contract
+from dimeralg.fixtures import bigon_inserted_c3, fixture
 from dimeralg.quiver import quiver_to_json
 
 SMALL = ("fig_deformation", "fig_noncancellative_central", "fig_nested(2)")
 DOCS = {name: quiver_to_json(fixture(name).quiver) for name in SMALL}
+# quivers with 2-cycles: one that bigon_reduce removes, one it cannot
+_iso_r = fixture("fig_iso_R")
+DOCS["fig_iso_R target"] = quiver_to_json(contract(_iso_r.quiver, _iso_r.contraction_arrows).target)
+DOCS["bigon_inserted_c3"] = quiver_to_json(bigon_inserted_c3())
 
 FUZZ = settings(
     derandomize=True,
@@ -51,7 +56,7 @@ def _locations(doc):
 
 @st.composite
 def mutated_documents(draw):
-    name = draw(st.sampled_from(SMALL))
+    name = draw(st.sampled_from(sorted(DOCS)))
     doc = json.loads(json.dumps(DOCS[name]))
     node, key = draw(st.sampled_from(_locations(doc)))
     action = draw(st.sampled_from(["drop", "string", "bool", "out_of_range"]))

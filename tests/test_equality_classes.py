@@ -16,6 +16,7 @@ from dimeralg.rewriting import (
     NOT_EQUAL,
     UNKNOWN,
     EqualityClasses,
+    RewriteStep,
     RewriteSystem,
     SearchBounds,
     enumerate_cycles,
@@ -187,3 +188,22 @@ def test_cut_off_target_search_is_undecided(iso_r_contraction, capsys):
     code = main(["contract", "fixture:fig_iso_R", "--check-cyclic", "--max-states", "2000"])
     assert code == 2
     assert '"cyclic_up_to_bound": null' in capsys.readouterr().out
+
+
+def test_read_back_link_is_first_successor(all_fixtures, iso_r_contraction):
+    # the windowed read-back of each parent link picks the same rewrite as
+    # a scan of every successor of the parent word, in successors order
+    quivers = [all_fixtures["fig_hsb_ii"].quiver, iso_r_contraction.target]
+    links = 0
+    for q in quivers:
+        rs = RewriteSystem(q)
+        ec = EqualityClasses(rs)
+        for v in range(q.num_vertices):
+            ec.split(enumerate_cycles(q, v, 5).cycles)
+        for (_, cap), closure in ec.closures.items():
+            for w, parent in closure.words.items():
+                if parent is not None:
+                    first = next(s for s in rs.successors(parent, cap)[0] if s[0] == w)
+                    assert rs.step_between(parent, w) == RewriteStep(*first[1:])
+                    links += 1
+    assert links > 1000

@@ -8,6 +8,7 @@ from dimeralg.quiver import (
     DomainError,
     PathWord,
     StructuralError,
+    bigon_reduce,
     concat,
     make_quiver,
     path_homology,
@@ -161,3 +162,16 @@ def test_json_roundtrip(all_fixtures):
         data = quiver_to_json(fx.quiver)
         again = quiver_from_json(json.loads(json.dumps(data)))
         assert again == fx.quiver
+
+
+@pytest.mark.parametrize("q", [
+    fixtures_mod.bigon_inserted_c3(),  # both arrows share their second face
+    make_quiver(2, [(0, 1, (0, 0)), (1, 0, (1, 0))], [(0, 1)]),  # on no other face
+    make_quiver(2, [(0, 1, (0, 0)), (1, 0, (0, 0)), (1, 0, (1, 0)), (0, 1, (0, 1))],
+                [(0, 1), (0, 2), (1, 3), (0, 2)]),  # an arrow on a third face
+    make_quiver(2, [(0, 1, (0, 0)), (1, 0, (1, 0)), (1, 0, (0, 0)), (0, 1, (-1, 0))],
+                [(0, 1), (0, 2), (1, 3)]),  # the merged quiver fails validation
+], ids=["shared-second-face", "no-second-face", "third-face", "invalid-merge"])
+def test_irremovable_2cycle_is_domain_error(q):
+    with pytest.raises(DomainError):
+        bigon_reduce(q)
