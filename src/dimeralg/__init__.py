@@ -53,14 +53,12 @@ from .monomial_algebra import (
     MonomialAlgebra,
     algebra_contains,
     cycles_with_image,
-    divide_by_sigma,
     homotopy_center_contains,
     homotopy_center_generators,
     homotopy_center_monomials,
     ideal_monomials,
     realizable_at_vertex,
     render_monomial,
-    sigma_divides,
 )
 from .center import (
     CentralCandidate,

@@ -65,6 +65,11 @@ class Contraction:
     def _target_generators(self) -> tuple[Monomial, ...]:
         return _cycle_algebra_generators(self.target, self.target_images)
 
+    @cached_property
+    def _packings(self) -> dict:
+        # realizability search layouts by field width (monomial_algebra._packing)
+        return {}
+
 
 def _contracted_components(q: DimerQuiver, arrows: frozenset[int]):
     """Union-find the contracted forest; reject undirected cycles."""

@@ -6,7 +6,9 @@ and every increment is nonnegative, "is this monomial the image of some
 cycle at vertex i" is plain reachability in the finite product graph of
 (vertex, partial exponent) states, so membership answers here are exact;
 the state budget ``rewriting.MAX_STATES`` only guards against oversized
-state spaces.
+state spaces.  The search packs each state into one int (see
+``_Packing``) and caps it by per-exponent caps and a degree cap: g and
+deg g for one monomial, D everywhere for the degree-D center table.
 """
 
 from __future__ import annotations
@@ -33,16 +35,6 @@ def mon_add(a: Monomial, b: Monomial) -> Monomial:
 
 def mon_leq(a: Monomial, b: Monomial) -> bool:
     return all(x <= y for x, y in zip(a, b))
-
-
-def sigma_divides(g: Monomial) -> bool:
-    return all(e >= 1 for e in g)
-
-
-def divide_by_sigma(g: Monomial) -> Monomial:
-    if not sigma_divides(g):
-        raise DomainError("some exponent is zero; the all-ones vector does not divide")
-    return tuple(e - 1 for e in g)
 
 
 def is_sigma_power(g: Monomial) -> bool:
@@ -150,34 +142,91 @@ class Realizability:
     vertex: int | None = None
 
 
-def _reach(c: Contraction, i: int, fits, max_states: int, goal=None) -> dict:
-    """Breadth-first search over (vertex, exponents spent) states from
-    (i, 0), keeping each state whose exponents ``fits`` accepts.
+class _Packing:
+    """The bit layout of packed (vertex, exponents spent) states for one
+    field width.
 
-    Returns the first-reached parent map, state -> (previous state, arrow
-    id), None at the start.  With a goal state the search stops after the
-    layer that reaches it.  Past ``max_states`` states it raises
-    ResourceExhausted."""
-    q = c.source
-    images = c.source_images
-    start = (i, (0,) * len(c.catalog))
-    parent: dict[tuple, tuple | None] = {start: None}
-    frontier = [start]
-    while frontier and goal not in parent:
+    The vertex sits in the low bits, under ``vmask``.  Above it each
+    exponent, then the degree, has a ``width``-bit field with one guard
+    bit on top.
+    An arrow image is a 0/1 vector over the n simple matchings, so one
+    arrow adds at most 1 to an exponent and at most n to the degree: a
+    width that holds the degree cap plus n holds every cap plus one
+    arrow's largest increment.  An arrow step is one addition of the
+    arrow's delta (its packed image, plus head minus tail).  With
+    ``limit`` the caps, the guard bits and all-ones vertex bits, a state
+    s is within the caps exactly when ``(limit - s) & guards == guards``:
+    no field borrows from the next, and a field's guard bit survives the
+    subtraction iff its value is at most its cap."""
+
+    def __init__(self, c: Contraction, width: int):
+        q = c.source
+        vbits = (q.num_vertices - 1).bit_length()
+        self.vmask = (1 << vbits) - 1
+        self.mask = (1 << width) - 1
+        # one field per exponent, then the degree
+        self.shifts = tuple(vbits + k * (width + 1) for k in range(len(c.catalog) + 1))
+        self.guards = sum(1 << (shift + width) for shift in self.shifts)
+        images = c.source_images
+        self.deltas = tuple(
+            self.pack(a.head, images[a.id], degree(images[a.id])) - a.tail for a in q.arrows
+        )
+        # per vertex, (arrow id, delta) in out_arrows order
+        self.steps = tuple(
+            tuple((a.id, self.deltas[a.id]) for a in q.out_arrows(v))
+            for v in range(q.num_vertices)
+        )
+
+    def pack(self, v: int, g: Monomial, deg: int) -> int:
+        return v + sum(e << shift for e, shift in zip((*g, deg), self.shifts))
+
+    def exponents(self, s: int) -> Monomial:
+        return tuple((s >> shift) & self.mask for shift in self.shifts[:-1])
+
+
+def _packing(c: Contraction, deg_cap: int) -> _Packing:
+    """The packing for a degree cap, built once per field width and kept
+    on the contraction."""
+    width = (deg_cap + len(c.catalog)).bit_length()
+    packing = c._packings.get(width)
+    if packing is None:
+        packing = c._packings[width] = _Packing(c, width)
+    return packing
+
+
+def _reach(
+    c: Contraction, i: int, caps: Monomial, deg_cap: int, max_states: int,
+    goal: Monomial | None = None,
+) -> tuple[_Packing, dict[int, int | None]]:
+    """Breadth-first search over packed (vertex, exponents spent) states
+    from (i, 0), keeping each state whose exponents are at most ``caps``
+    and whose degree is at most ``deg_cap`` (caps nonnegative and at most
+    the degree cap).
+
+    Returns the packing and the map from each reached state to the arrow
+    id that first entered it (None at the start); the previous state is
+    the state minus that arrow's delta.  With a goal the search stops
+    after the layer that reaches (i, goal).  Past ``max_states`` states it
+    raises ResourceExhausted."""
+    packing = _packing(c, deg_cap)
+    vmask, guards, steps = packing.vmask, packing.guards, packing.steps
+    limit = packing.pack(vmask, caps, deg_cap) | guards
+    target = None if goal is None else packing.pack(i, goal, degree(goal))
+    parent: dict[int, int | None] = {i: None}
+    frontier = [i]
+    while frontier and target not in parent:
         nxt_frontier = []
         for node in frontier:
-            v, spent = node
-            for a in q.out_arrows(v):
-                ns = mon_add(spent, images[a.id])
-                state = (a.head, ns)
-                if state in parent or not fits(ns):
+            for aid, step in steps[node & vmask]:
+                state = node + step
+                if state in parent or (limit - state) & guards != guards:
                     continue
-                parent[state] = (node, a.id)
+                parent[state] = aid
                 nxt_frontier.append(state)
             if len(parent) > max_states:
                 raise ResourceExhausted(f"realizability search exceeds budget {max_states}")
         frontier = nxt_frontier
-    return parent
+    return packing, parent
 
 
 def _check_query(c: Contraction, i: int, g: Monomial) -> None:
@@ -192,9 +241,11 @@ def _check_query(c: Contraction, i: int, g: Monomial) -> None:
 def realizable_at_vertex(c: Contraction, i: int, g: Monomial) -> Realizability:
     """Is there a cycle at i whose monomial image is exactly g?
 
-    States are (vertex, exponents spent so far); every arrow step adds its
-    own image, so any witness walk stays inside the lattice box under g
-    and reachability is exact.  A witness walk is reconstructed on success.
+    The search runs over packed (vertex, exponents spent) states capped by
+    g and deg g; every arrow step adds its own image, so any witness walk
+    stays inside the lattice box under g and reachability is exact.  On
+    success the witness walk is rebuilt backwards from the arrow that
+    entered each state.
     """
     q = c.source
     _check_query(c, i, g)
@@ -204,15 +255,14 @@ def realizable_at_vertex(c: Contraction, i: int, g: Monomial) -> Realizability:
         raise ResourceExhausted(
             f"state space {box * q.num_vertices} exceeds budget {max_states}"
         )
-    goal = (i, g)
-    parent = _reach(c, i, lambda ns: mon_leq(ns, g), max_states, goal)
-    if goal not in parent:
+    packing, parent = _reach(c, i, g, degree(g), max_states, g)
+    node = packing.pack(i, g, degree(g))
+    if node not in parent:
         return Realizability(NO, None, len(parent), i)
     word: list[int] = []
-    node = goal
-    while parent[node] is not None:
-        node, aid = parent[node]
+    while (aid := parent[node]) is not None:
         word.append(aid)
+        node -= packing.deltas[aid]
     word.reverse()
     return Realizability(YES, PathWord(i, tuple(word)), len(parent), i)
 
@@ -277,14 +327,19 @@ def homotopy_center_monomials(c: Contraction, degree_bound: int) -> frozenset[Mo
     images at every vertex: one degree-bounded search per vertex, the
     images back at the start intersected.  The searches share one
     state budget."""
-    out: set[Monomial] | None = None
+    if degree_bound < 1:
+        return frozenset()  # no nonzero image has degree below 1; packed caps are nonnegative
+    out: set[int] | None = None
     budget = rewriting.MAX_STATES
+    caps = (degree_bound,) * len(c.catalog)
     for i in range(c.source.num_vertices):
-        parent = _reach(c, i, lambda ns: degree(ns) <= degree_bound, budget)
-        budget -= len(parent)
-        back = {spent for v, spent in parent if v == i and degree(spent) > 0}
+        packing, reached = _reach(c, i, caps, degree_bound, budget)
+        budget -= len(reached)
+        # back at i with a nonzero image; the vertex bits are cleared so the
+        # packed exponents intersect across vertices
+        back = {s - i for s in reached if s & packing.vmask == i and s != i}
         out = back if out is None else out & back
-    return frozenset(out or ())
+    return frozenset(packing.exponents(s) for s in out or ())
 
 
 def homotopy_center_generators(c: Contraction, degree_bound: int) -> CenterGenerators:

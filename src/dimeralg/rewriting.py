@@ -126,7 +126,9 @@ class RewriteSystem:
             matchings = enumerate_perfect_matchings(q, _PROFILE_CAP)
         except MatchingCapExceeded:
             self._vectors = None
+            self.has_matching = True
         else:
+            self.has_matching = bool(matchings)
             # arrow -> its matching vector, one _FIELD_BITS-wide field per
             # matching packed into an int, so a profile is a plain sum
             width = _FIELD_BITS // 8
@@ -616,7 +618,9 @@ def find_noncancellative_pair(
     relation) is rejoined by ``paths_equal`` on q, and the pair is
     reported only if the whole lifted witness replays on q; otherwise the
     report has no pair and is ``exhausted``.  A 2-cycle that cannot be
-    removed leaves q searched as given.
+    removed leaves q searched as given.  A quiver with no perfect matching
+    is outside the theorems: it is reported ``exhausted`` with no pair and
+    zero counts, before any search.
 
     Cycles are grown length by length across all vertices, up to twice
     the longest face or half the word cap, and bucketed by homology,
@@ -636,6 +640,9 @@ def find_noncancellative_pair(
     except DomainError:
         red = BigonReduction(q)  # q is searched as given
     rs = RewriteSystem(red.quiver)
+    if not rs.has_matching:
+        # outside the theorems, and every word has the same matching profile
+        return NoncancellativeReport(None, True, 0, 0, len(red.steps))
     if not red.changed:
         return _search_pairs(rs, images, bounds)
     ids = red.original_ids

@@ -4,6 +4,7 @@ import random
 import pytest
 
 from dimeralg import fixtures as fixtures_mod
+from dimeralg import rewriting
 from dimeralg.acceptance import quadratic_pattern_indices
 from dimeralg.contraction import identity_contraction, sigma, source_cycle_algebra_generators
 from dimeralg.monomial_algebra import (
@@ -11,20 +12,20 @@ from dimeralg.monomial_algebra import (
     algebra_contains,
     cycles_with_image,
     degree,
-    divide_by_sigma,
     homotopy_center_contains,
     homotopy_center_generators,
     homotopy_center_monomials,
     ideal_monomials,
     minimal_generators,
     mon_add,
+    mon_leq,
     realizable_at_vertex,
     render_monomial,
     semigroup_monomials,
-    sigma_divides,
 )
 from dimeralg.oracles import oracle_membership, oracle_realizable
-from dimeralg.quiver import DomainError, path_head
+from dimeralg.quiver import DomainError, PathWord, path_head
+from dimeralg.rewriting import ResourceExhausted
 
 
 QUAD = MonomialAlgebra(((2, 0, 0), (0, 2, 0), (1, 1, 0), (0, 0, 1)))
@@ -56,15 +57,6 @@ def test_membership_matches_oracle():
         fast = algebra_contains(alg, g) == "yes"
         slow = oracle_membership(gens, g)
         assert fast == slow, (gens, g)
-
-
-def test_sigma_division():
-    assert sigma_divides((2, 2, 2))
-    assert divide_by_sigma((2, 2, 2)) == (1, 1, 1)
-    assert divide_by_sigma((1, 1, 2)) == (0, 0, 1)
-    assert not sigma_divides((2, 1, 0))
-    with pytest.raises(DomainError):
-        divide_by_sigma((2, 1, 0))
 
 
 def test_render():
@@ -237,3 +229,105 @@ def test_negative_exponent_is_a_domain_error(deformation_contraction):
         realizable_at_vertex(deformation_contraction, 0, (1, -1, 0))
     with pytest.raises(DomainError):
         cycles_with_image(deformation_contraction, 0, (1, -1, 0))
+
+
+# -- the packed realizability search against a tuple-state reference ----------
+
+
+def naive_reach(c, i, fits, goal=None):
+    """Breadth-first search over (vertex, exponents spent) tuples from
+    (i, 0), in out_arrows order, keeping each state whose exponents
+    ``fits`` accepts and stopping after the layer that reaches ``goal``:
+    the first-reached parent map, state -> (previous state, arrow id)."""
+    start = (i, (0,) * len(c.catalog))
+    parent = {start: None}
+    frontier = [start]
+    while frontier and goal not in parent:
+        nxt = []
+        for node in frontier:
+            v, spent = node
+            for a in c.source.out_arrows(v):
+                state = (a.head, mon_add(spent, c.source_images[a.id]))
+                if state not in parent and fits(state[1]):
+                    parent[state] = (node, a.id)
+                    nxt.append(state)
+        frontier = nxt
+    return parent
+
+
+def naive_realizable(c, i, g):
+    """(verdict, states, witness arrows) of the tuple-state reference."""
+    goal = (i, g)
+    parent = naive_reach(c, i, lambda spent: mon_leq(spent, g), goal)
+    if goal not in parent:
+        return "no", len(parent), None
+    word, node = [], goal
+    while parent[node] is not None:
+        node, aid = parent[node]
+        word.append(aid)
+    return "yes", len(parent), tuple(reversed(word))
+
+
+def packed_realizable(c, i, g):
+    res = realizable_at_vertex(c, i, g)
+    return res.verdict, res.states, None if res.witness is None else res.witness.arrows
+
+
+DIFFERENTIAL = ("fig_deformation", "fig_iso_R", "fig_nested(2)")
+
+
+def test_packed_search_matches_tuple_reference(all_contractions):
+    for name in DIFFERENTIAL:
+        c = all_contractions[name]
+        for g in itertools.product(range(5), repeat=len(c.catalog)):
+            if degree(g) > 4:
+                continue
+            for i in range(c.source.num_vertices):
+                assert packed_realizable(c, i, g) == naive_realizable(c, i, g), (name, i, g)
+
+
+def test_packed_search_across_field_widths():
+    # exponents and degrees on both sides of 2**k, where a packed field
+    # needs one more bit
+    c = identity_contraction(fixtures_mod.c3_quiver())
+    for k in (3, 7):
+        for e in range(2 ** k - 3, 2 ** k + 2):
+            for g in [(e, 0, 0), (0, e, 1), (e, e, 0), (1, e, e - 1)]:
+                assert packed_realizable(c, 0, g) == naive_realizable(c, 0, g), g
+
+
+def test_zero_monomial_is_the_empty_walk(all_contractions):
+    for name, c in all_contractions.items():
+        for i in range(c.source.num_vertices):
+            res = realizable_at_vertex(c, i, (0,) * len(c.catalog))
+            assert res.verdict == "yes" and res.witness == PathWord(i, ()), (name, i)
+            assert res.states == 1
+
+
+def test_center_table_is_realizable_at_every_vertex(all_contractions):
+    for name in DIFFERENTIAL:
+        c = all_contractions[name]
+        ref = {
+            g for g in itertools.product(range(5), repeat=len(c.catalog))
+            if 0 < degree(g) <= 4
+            and all(naive_realizable(c, i, g)[0] == "yes" for i in range(c.source.num_vertices))
+        }
+        for bound in (-1, 0, 1, 4):
+            want = {g for g in ref if degree(g) <= bound}
+            assert homotopy_center_monomials(c, bound) == want, (name, bound)
+
+
+def test_center_table_searches_share_one_budget(deformation_contraction, monkeypatch):
+    c = deformation_contraction
+    bound = 6
+    sizes = [
+        len(naive_reach(c, i, lambda spent: degree(spent) <= bound))
+        for i in range(c.source.num_vertices)
+    ]
+    # each search fits alone, but the first two together do not
+    monkeypatch.setattr(rewriting, "MAX_STATES", sizes[0] + sizes[1] - 1)
+    assert max(sizes) <= rewriting.MAX_STATES
+    with pytest.raises(ResourceExhausted):
+        homotopy_center_monomials(c, bound)
+    monkeypatch.setattr(rewriting, "MAX_STATES", sum(sizes))
+    assert homotopy_center_monomials(c, bound)

@@ -3,6 +3,7 @@ import json
 import pytest
 
 from dimeralg import fixtures as fixtures_mod
+from dimeralg import rewriting
 from dimeralg.cli import main
 from dimeralg.contraction import contract, identity_contraction
 from dimeralg.quiver import (
@@ -241,6 +242,17 @@ def test_no_pair_on_conifold():
     q = fixtures_mod.conifold_quiver()
     rep = find_noncancellative_pair(q, bounds=SearchBounds(20, 200000))
     assert not rep.found
+
+
+def test_no_perfect_matching_is_undecided_before_any_search(monkeypatch):
+    # outside the theorems: no pair, cut off, and nothing searched
+    def no_closures(*args, **kwargs):
+        raise AssertionError("a closure was built")
+
+    monkeypatch.setattr(rewriting.EqualityClasses, "__init__", no_closures)
+    rep = find_noncancellative_pair(fixtures_mod.bigon_inserted_c3())
+    assert (rep.found, rep.exhausted, rep.cycles_considered, rep.pairs_tested) == (
+        False, True, 0, 0)
 
 
 # (quiver, side, bounds) -> (found, exhausted, cycles considered, pairs
