@@ -5,14 +5,16 @@ A candidate central element is a rational combination of cycles, one
 bundle per base vertex.  Since the algebra is generated by arrows and
 vertex idempotents, centrality is exactly commutation with every arrow,
 and each commutator is decided by grouping the product words modulo the
-face relations and summing coefficients.  Everything is exact rational
-arithmetic; bounded rewriting is the only source of Unknown verdicts.
+face relations and summing coefficients.  Everything is exact: rational
+coefficients, and a span solve eliminated over the integers; bounded
+rewriting is the only source of Unknown verdicts.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import gcd
 
 from .contraction import Contraction, Monomial, psi_word
 from .monomial_algebra import (
@@ -213,9 +215,16 @@ def commutation_property_check(
 # -- monomial membership in the image of the center ---------------------------
 
 
-def _solve_rational(rows: list[list[Fraction]], rhs: list[Fraction]):
-    """Gaussian elimination over the rationals; returns one solution or
-    None when the system is infeasible."""
+def _solve_rational(rows: list[list[int]], rhs: list[int]):
+    """Gauss-Jordan elimination of an integer system; returns one rational
+    solution or None when the system is infeasible.
+
+    Elimination is fraction-free: a row is cleared by cross-multiplying
+    with the pivot row and then divided by the gcd of its entries, so
+    every row stays a nonzero integer multiple of the row that rational
+    elimination with the same pivots would give.  The zero pattern, the
+    pivots and the solution are therefore the same; only the final
+    quotients are Fractions."""
     m = [row[:] + [b] for row, b in zip(rows, rhs)]
     n_rows = len(m)
     n_cols = len(rows[0]) if rows else 0
@@ -226,12 +235,14 @@ def _solve_rational(rows: list[list[Fraction]], rhs: list[Fraction]):
         if piv is None:
             continue
         m[r], m[piv] = m[piv], m[r]
-        inv = m[r][col]
-        m[r] = [x / inv for x in m[r]]
+        prow = m[r]
+        p = prow[col]
         for k in range(n_rows):
             if k != r and m[k][col] != 0:
                 f = m[k][col]
-                m[k] = [a - f * b for a, b in zip(m[k], m[r])]
+                row = [p * a - f * b for a, b in zip(m[k], prow)]
+                d = gcd(*row)
+                m[k] = [x // d for x in row] if d > 1 else row
         pivots.append(col)
         r += 1
         if r == n_rows:
@@ -241,7 +252,7 @@ def _solve_rational(rows: list[list[Fraction]], rhs: list[Fraction]):
             return None
     sol = [Fraction(0)] * n_cols
     for row_idx, col in enumerate(pivots):
-        sol[col] = m[row_idx][n_cols]
+        sol[col] = Fraction(m[row_idx][n_cols], m[row_idx][col])
     return sol
 
 
@@ -294,32 +305,32 @@ def reduced_center_contains(
     for v, reps in class_reps.items():
         for k in range(len(reps)):
             index[(v, k)] = len(index)
-    rows: list[list[Fraction]] = []
-    rhs: list[Fraction] = []
+    rows: list[list[int]] = []
+    rhs: list[int] = []
     for v, reps in class_reps.items():
-        row = [Fraction(0)] * len(index)
+        row = [0] * len(index)
         for k in range(len(reps)):
-            row[index[(v, k)]] = Fraction(1)
+            row[index[(v, k)]] = 1
         rows.append(row)
-        rhs.append(Fraction(1))
+        rhs.append(1)
 
     for a in q.arrows:
         # words cycle+a (from the tail component) and a+cycle (head side)
-        products: list[tuple[PathWord, int, Fraction]] = []
+        products: list[tuple[PathWord, int, int]] = []
         for k, w in enumerate(class_reps[a.tail]):
-            products.append((PathWord(w.base, w.arrows + (a.id,)), index[(a.tail, k)], Fraction(1)))
+            products.append((PathWord(w.base, w.arrows + (a.id,)), index[(a.tail, k)], 1))
         for k, w in enumerate(class_reps[a.head]):
-            products.append((PathWord(a.tail, (a.id,) + w.arrows), index[(a.head, k)], Fraction(-1)))
+            products.append((PathWord(a.tail, (a.id,) + w.arrows), index[(a.head, k)], -1))
         split, unknown = eq.split([word for word, _, _ in products])
         undecided = undecided or unknown > 0
         for cls in split:
-            row = [Fraction(0)] * len(index)
+            row = [0] * len(index)
             for k in cls:
                 _, idx, sign = products[k]
                 row[idx] += sign
             if any(x != 0 for x in row):
                 rows.append(row)
-                rhs.append(Fraction(0))
+                rhs.append(0)
 
     sol = _solve_rational(rows, rhs)
     if sol is None:

@@ -432,14 +432,25 @@ def cmd_fixtures(args):
     raise CliError("fixtures requires --list, --dump NAME, or --check NAME")
 
 
+def _count(text: str) -> int:
+    """An integer option that may not be negative."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be at least 0, got {value}")
+    return value
+
+
 def _global_options(parser, suppress=False):
     def default(value):
         return argparse.SUPPRESS if suppress else value
 
-    parser.add_argument("--max-word-length", type=int, default=default(0),
+    parser.add_argument("--max-word-length", type=_count, default=default(0),
                         help="word-length cap for rewriting (0 = derive from inputs)")
-    parser.add_argument("--max-states", type=int, default=default(200000))
-    parser.add_argument("--degree-bound", type=int, default=default(8))
+    parser.add_argument("--max-states", type=_count, default=default(200000))
+    parser.add_argument("--degree-bound", type=_count, default=default(8))
     parser.add_argument("--text", action="store_true", default=default(False),
                         help="flat text output instead of JSON")
 
@@ -467,7 +478,7 @@ def build_parser():
     p = add("matchings", cmd_matchings)
     p.add_argument("quiver")
     p.add_argument("--simple-only", action="store_true")
-    p.add_argument("--cap", type=int, default=100000)
+    p.add_argument("--cap", type=_count, default=100000)
 
     p = add("eq", cmd_eq)
     p.add_argument("quiver")
@@ -477,7 +488,7 @@ def build_parser():
     p = add("cycles", cmd_cycles)
     p.add_argument("quiver")
     p.add_argument("--vertex", type=int, required=True)
-    p.add_argument("--max-len", type=int, required=True)
+    p.add_argument("--max-len", type=_count, required=True)
     p.add_argument("--filter", default="all",
                    help="all | vertex-simple | lift-simple | homology:a,b")
     p.add_argument("--dedup", action="store_true")
@@ -516,7 +527,7 @@ def build_parser():
     p = add("normality", cmd_normality)
     p.add_argument("quiver")
     p.add_argument("--arrows")
-    p.add_argument("--n-max", type=int, default=6)
+    p.add_argument("--n-max", type=_count, default=6)
 
     p = add("noncancellative", cmd_noncancellative)
     p.add_argument("quiver")

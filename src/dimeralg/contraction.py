@@ -29,6 +29,7 @@ from .rewriting import (
     DEFAULT_BOUNDS,
     RewriteSystem,
     SearchBounds,
+    face_rules,
     find_noncancellative_pair,
     paths_equal,
     vertex_simple_cycles,
@@ -192,9 +193,9 @@ def psi_word(c: Contraction, p: PathWord) -> PathWord:
 
 def _assert_relations_descend(c: Contraction):
     """Every source relation must become an equality in the target."""
-    rs_src = RewriteSystem(c.source)
+    rules = face_rules(c.source)
     rs_tgt = RewriteSystem(c.target)
-    for aid, (left, right) in sorted(rs_src.rules.items()):
+    for aid, (left, right) in sorted(rules.items()):
         a = c.source.arrow(aid)
         lp = psi_word(c, PathWord(a.head, left))
         rp = psi_word(c, PathWord(a.head, right))

@@ -274,34 +274,42 @@ def cycles_with_image(c: Contraction, i: int, g: Monomial) -> list[PathWord]:
     """All cycles at i with image exactly g whose zero-image steps never
     revisit a (vertex, exponent) state.  Image-carrying steps are bounded
     by deg(g) and each zero-image chain between them by the vertex count,
-    so walks are cut at (deg(g) + 1) times the vertex count."""
+    so walks are cut at (deg(g) + 1) times the vertex count.
+
+    The depth-first search runs on the packed states of ``_Packing``
+    capped by g and deg g, as in ``_reach``: a step adds the arrow's
+    delta, and a zero-image step leaves every field above the vertex bits
+    unchanged."""
     q = c.source
     _check_query(c, i, g)
-    images = c.source_images
-    walk_cap = (degree(g) + 1) * q.num_vertices
+    deg = degree(g)
+    packing = _packing(c, deg)
+    vmask, guards, steps = packing.vmask, packing.guards, packing.steps
+    limit = packing.pack(vmask, g, deg) | guards
+    goal = packing.pack(i, g, deg)
+    walk_cap = (deg + 1) * q.num_vertices
     out: list[PathWord] = []
-    stack = [(i, tuple(0 for _ in g), (), frozenset({(i, tuple(0 for _ in g))}))]
+    stack = [(i, (), frozenset({i}))]
     while stack:
-        v, spent, word, zero_seen = stack.pop()
-        if word and v == i and spent == g:
+        s, word, zero_seen = stack.pop()
+        if word and s == goal:
             out.append(PathWord(i, word))
             if len(out) > _MAX_CYCLES:
                 raise ResourceExhausted("too many witness cycles")
         if len(word) >= walk_cap:
             continue
-        for a in reversed(q.out_arrows(v)):
-            ns = mon_add(spent, images[a.id])
-            if not mon_leq(ns, g):
+        for aid, step in reversed(steps[s & vmask]):
+            state = s + step
+            if (limit - state) & guards != guards:
                 continue
-            node = (a.head, ns)
-            if ns == spent:
+            if (state ^ s) <= vmask:
                 # zero-image step: forbid revisiting a state without
                 # spending, which would loop forever
-                if node in zero_seen:
+                if state in zero_seen:
                     continue
-                stack.append((a.head, ns, word + (a.id,), zero_seen | {node}))
+                stack.append((state, word + (aid,), zero_seen | {state}))
             else:
-                stack.append((a.head, ns, word + (a.id,), frozenset({node})))
+                stack.append((state, word + (aid,), frozenset({state})))
     out.sort(key=lambda p: (len(p.arrows), p.arrows))
     return out
 

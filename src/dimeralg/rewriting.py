@@ -91,22 +91,30 @@ class ResourceExhausted(RuntimeError):
 MAX_STATES = 2_000_000  # states a cycle enumeration or a realizability search may spend
 
 
+def face_rules(q: DimerQuiver) -> dict[int, tuple[tuple[int, ...], tuple[int, ...]]]:
+    """Arrow id -> the two arcs its faces leave when each is rotated to
+    start at the arrow and the arrow is dropped; the relations identify
+    the two arcs."""
+    rules = {}
+    for a in q.arrows:
+        arcs = []
+        for f in q.faces:
+            positions = [k for k, aid in enumerate(f.boundary) if aid == a.id]
+            for k in positions:
+                rot = f.boundary[k:] + f.boundary[:k]
+                arcs.append(tuple(rot[1:]))
+        if len(arcs) != 2:
+            raise DomainError(f"arrow {a.id} lies on {len(arcs)} faces")
+        rules[a.id] = (arcs[0], arcs[1])
+    return rules
+
+
 class RewriteSystem:
     """Face relations of a quiver plus the invariants used to refute."""
 
     def __init__(self, q: DimerQuiver):
         self.quiver = q
-        self.rules: dict[int, tuple[tuple[int, ...], tuple[int, ...]]] = {}
-        for a in q.arrows:
-            arcs = []
-            for f in q.faces:
-                positions = [k for k, aid in enumerate(f.boundary) if aid == a.id]
-                for k in positions:
-                    rot = f.boundary[k:] + f.boundary[:k]
-                    arcs.append(tuple(rot[1:]))
-            if len(arcs) != 2:
-                raise DomainError(f"arrow {a.id} lies on {len(arcs)} faces")
-            self.rules[a.id] = (arcs[0], arcs[1])
+        self.rules = face_rules(q)
         # arc -> [(arrow, replacement)]
         by_arc: dict[tuple[int, ...], list[tuple[int, tuple[int, ...]]]] = {}
         for aid, (left, right) in self.rules.items():
@@ -384,11 +392,19 @@ class EqualityClasses:
         """Partition words in order: each joins the first class whose
         representative (its first word) it equals.  Returns the classes as
         index lists and the number of undecided comparisons; an undecided
-        word goes on to the later classes."""
+        word goes on to the later classes.
+
+        A word is compared only with the representatives that share its
+        invariants, in class order: any other comparison is a certain
+        NotEqual, so the classes and the undecided count are those of
+        comparing with every representative."""
         classes: list[list[int]] = []
+        buckets: dict[tuple, list[list[int]]] = {}
         unknown = 0
         for k, w in enumerate(words):
-            for cls in classes:
+            key = self.invariants(w)
+            bucket = buckets.setdefault(key, [])
+            for cls in bucket:
                 verdict = self.compare(words[cls[0]], w).verdict
                 if verdict == EQUAL:
                     cls.append(k)
@@ -396,7 +412,9 @@ class EqualityClasses:
                 if verdict == UNKNOWN:
                     unknown += 1
             else:
-                classes.append([k])
+                self._rep_invariants[w] = key
+                bucket.append([k])
+                classes.append(bucket[-1])
         return classes, unknown
 
 

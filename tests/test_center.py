@@ -1,10 +1,13 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from dimeralg.acceptance import distinguished_candidate, quadratic_pattern_indices
 from dimeralg.center import (
     CentralCandidate,
+    _solve_rational,
     commutation_property_check,
     nilpotency_and_kernel_check,
     power_in_reduced_center,
@@ -164,3 +167,61 @@ def test_loop_sigma_square_also_refused(iso_r_contraction):
     g2 = mon_add(zsigma, zsigma)
     res = reduced_center_contains(c, g2, bounds=SearchBounds(0, 20000))
     assert res.verdict == "no"
+
+
+# -- the integer span solve against rational Gauss-Jordan ---------------------
+
+
+def rational_solve(rows, rhs):
+    """Gauss-Jordan over Fractions, pivoting on the first nonzero entry at
+    or below the current row: one solution, or None if infeasible."""
+    m = [[Fraction(x) for x in row] + [Fraction(b)] for row, b in zip(rows, rhs)]
+    n_cols = len(rows[0]) if rows else 0
+    pivots, r = [], 0
+    for col in range(n_cols):
+        piv = next((k for k in range(r, len(m)) if m[k][col] != 0), None)
+        if piv is None:
+            continue
+        m[r], m[piv] = m[piv], m[r]
+        m[r] = [x / m[r][col] for x in m[r]]
+        for k in range(len(m)):
+            if k != r and m[k][col] != 0:
+                f = m[k][col]
+                m[k] = [a - f * b for a, b in zip(m[k], m[r])]
+        pivots.append(col)
+        r += 1
+        if r == len(m):
+            break
+    if any(m[k][n_cols] != 0 for k in range(r, len(m))):
+        return None
+    sol = [Fraction(0)] * n_cols
+    for k, col in enumerate(pivots):
+        sol[col] = m[k][n_cols]
+    return sol
+
+
+@st.composite
+def integer_systems(draw):
+    n_rows = draw(st.integers(0, 6))
+    n_cols = draw(st.integers(1, 6))
+    entry = st.integers(-4, 4)
+    rows = [draw(st.lists(entry, min_size=n_cols, max_size=n_cols)) for _ in range(n_rows)]
+    rhs = draw(st.lists(entry, min_size=n_rows, max_size=n_rows))
+    return rows, rhs
+
+
+@settings(max_examples=400, deadline=None)
+@given(integer_systems())
+@example(([[1, 1], [1, 1]], [1, 2]))  # infeasible
+@example(([[2, 4, 6], [1, 2, 3], [3, 6, 9]], [2, 1, 3]))  # rank one
+@example(([[0, 0], [0, 0]], [0, 0]))  # all zero
+@example(([[0, 0], [0, 0]], [0, 1]))  # all-zero rows, nonzero right-hand side
+@example(([[6, -4], [9, 3]], [2, -5]))  # a solution with denominators
+def test_integer_solve_matches_rational_gauss_jordan(system):
+    rows, rhs = system
+    got = _solve_rational([row[:] for row in rows], rhs[:])
+    assert got == rational_solve(rows, rhs)
+    if got is not None:
+        assert all(isinstance(x, Fraction) for x in got)
+        for row, b in zip(rows, rhs):
+            assert sum(a * x for a, x in zip(row, got)) == b

@@ -168,6 +168,22 @@ def test_bad_filter_and_bad_ints_are_exit_3():
         assert run_cli(cmd).returncode == 3, cmd
 
 
+@pytest.mark.parametrize("args, option", [
+    (["homotopy-center", "fixture:fig_nested(2)"], "--degree-bound"),
+    (["normality", "fixture:fig_nested(2)"], "--n-max"),
+    (["cycles", "fixture:fig_deformation", "--vertex", "0"], "--max-len"),
+    (["eq", "fixture:fig_deformation", "--p", "4,6,6,1", "--q", "5,6,6,0"], "--max-states"),
+    (["eq", "fixture:fig_deformation", "--p", "4,6,6,1", "--q", "5,6,6,0"],
+     "--max-word-length"),
+    (["matchings", "fixture:fig_deformation"], "--cap"),
+], ids=["degree-bound", "n-max", "max-len", "max-states", "max-word-length", "cap"])
+def test_negative_count_option_is_exit_3(args, option, capsys):
+    assert main(args + [option, "-1"]) == 3
+    assert f"argument {option}: must be at least 0, got -1" in capsys.readouterr().err
+    # zero stays legal (for --max-word-length it means "derive")
+    assert main(args + [option, "0"]) != 3
+
+
 NILRADICAL_CANDIDATE = ["nilradical", "fixture:fig_deformation", "--candidate"]
 
 

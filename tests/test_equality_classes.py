@@ -207,3 +207,58 @@ def test_read_back_link_is_first_successor(all_fixtures, iso_r_contraction):
                     assert rs.step_between(parent, w) == RewriteStep(*first[1:])
                     links += 1
     assert links > 1000
+
+
+# -- split compares a word only with representatives sharing its invariants ---
+
+
+def unbucketed_split(classes, words):
+    """Each word against every class representative in class order."""
+    split, unknown = [], 0
+    for k, w in enumerate(words):
+        for cls in split:
+            verdict = classes.compare(words[cls[0]], w).verdict
+            if verdict == EQUAL:
+                cls.append(k)
+                break
+            if verdict == UNKNOWN:
+                unknown += 1
+        else:
+            split.append([k])
+    return split, unknown
+
+
+def test_split_compares_only_within_invariants(all_fixtures, iso_r_contraction, monkeypatch):
+    pairs = []
+    compare = EqualityClasses.compare
+
+    def counted(self, rep, word, max_states=None):
+        pairs.append((self.rs, rep, word))
+        return compare(self, rep, word, max_states)
+
+    monkeypatch.setattr(rewriting.EqualityClasses, "compare", counted)
+    c = iso_r_contraction
+    free = next(g for g in source_cycle_algebra_generators(c) if sum(g) == 1)
+    for g in (sigma(c), mon_add(sigma(c), free)):
+        reduced_center_contains(c, g)
+    q = all_fixtures["fig_hsb_ii"].quiver
+    enumerate_cycles(q, 0, 6, rs=RewriteSystem(q), dedup_mod_relations=True)
+    assert len(pairs) > 100
+    for rs, rep, word in pairs:
+        assert rewriting._invariants(rs, rep) == rewriting._invariants(rs, word), (rep, word)
+
+
+def test_budgeted_split_is_the_unbucketed_loop(all_fixtures):
+    q = all_fixtures["fig_iso_R"].quiver
+    rs = RewriteSystem(q)
+    bounds = SearchBounds(max_states=3)
+    words = enumerate_cycles(q, 0, 6).cycles
+    split, unknown = EqualityClasses(rs, bounds).split(words)
+    assert unknown > 0
+    assert (split, unknown) == unbucketed_split(EqualityClasses(rs, bounds), words)
+    # against the unbudgeted reference: decided verdicts agree, and every
+    # budgeted class lies inside one true class
+    ref, ref_unknown = pairwise_split(rs, words, bounds, classes=EqualityClasses(rs, bounds))
+    assert ref_unknown == 0 and len(ref) < len(split)
+    owner = {k: n for n, cls in enumerate(ref) for k in cls}
+    assert all(len({owner[k] for k in cls}) == 1 for cls in split)

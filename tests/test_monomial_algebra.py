@@ -4,7 +4,7 @@ import random
 import pytest
 
 from dimeralg import fixtures as fixtures_mod
-from dimeralg import rewriting
+from dimeralg import monomial_algebra, rewriting
 from dimeralg.acceptance import quadratic_pattern_indices
 from dimeralg.contraction import identity_contraction, sigma, source_cycle_algebra_generators
 from dimeralg.monomial_algebra import (
@@ -331,3 +331,69 @@ def test_center_table_searches_share_one_budget(deformation_contraction, monkeyp
         homotopy_center_monomials(c, bound)
     monkeypatch.setattr(rewriting, "MAX_STATES", sum(sizes))
     assert homotopy_center_monomials(c, bound)
+
+
+# -- the packed cycle-image search against a tuple-state reference ------------
+
+
+def naive_cycles_with_image(c, i, g):
+    """Depth-first search over (vertex, exponents spent) tuples, reversed
+    out_arrows order on the stack, with the same walk cap and the same
+    rule for zero-image steps as ``cycles_with_image``."""
+    q = c.source
+    images = c.source_images
+    walk_cap = (degree(g) + 1) * q.num_vertices
+    out = []
+    zero = (0,) * len(g)
+    stack = [(i, zero, (), frozenset({(i, zero)}))]
+    while stack:
+        v, spent, word, zero_seen = stack.pop()
+        if word and v == i and spent == g:
+            out.append(PathWord(i, word))
+            if len(out) > monomial_algebra._MAX_CYCLES:
+                raise ResourceExhausted("too many witness cycles")
+        if len(word) >= walk_cap:
+            continue
+        for a in reversed(q.out_arrows(v)):
+            ns = mon_add(spent, images[a.id])
+            if not mon_leq(ns, g):
+                continue
+            node = (a.head, ns)
+            if ns == spent:
+                if node in zero_seen:
+                    continue
+                stack.append((a.head, ns, word + (a.id,), zero_seen | {node}))
+            else:
+                stack.append((a.head, ns, word + (a.id,), frozenset({node})))
+    out.sort(key=lambda p: (len(p.arrows), p.arrows))
+    return out
+
+
+CYCLE_DIFFERENTIAL = (
+    "fig_deformation", "fig_iso_R", "fig_hsb_ii", "fig_noncancellative_central",
+    "fig_nested(1)", "fig_nested(2)",
+)
+
+
+def test_packed_cycles_match_tuple_reference(all_contractions):
+    for name in CYCLE_DIFFERENTIAL:
+        c = all_contractions[name]
+        for g in itertools.product(range(3), repeat=len(c.catalog)):
+            if degree(g) > 4:
+                continue
+            for i in range(c.source.num_vertices):
+                assert cycles_with_image(c, i, g) == naive_cycles_with_image(c, i, g), (name, i, g)
+
+
+def test_cycle_count_cap_still_raises(iso_r_contraction, monkeypatch):
+    c = iso_r_contraction
+    g = tuple(2 * e for e in sigma(c))
+    found = len(cycles_with_image(c, 0, g))
+    assert found > 1
+    monkeypatch.setattr(monomial_algebra, "_MAX_CYCLES", found - 1)
+    with pytest.raises(ResourceExhausted):
+        cycles_with_image(c, 0, g)
+    with pytest.raises(ResourceExhausted):
+        naive_cycles_with_image(c, 0, g)
+    monkeypatch.setattr(monomial_algebra, "_MAX_CYCLES", found)
+    assert len(cycles_with_image(c, 0, g)) == found
