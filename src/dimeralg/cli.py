@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from fractions import Fraction
 
@@ -107,11 +108,18 @@ def _contraction(q, fx, args) -> Contraction:
 
 
 def _emit(args, payload: dict) -> None:
-    if args.text:
-        for line in _render_text(payload):
+    lines = _render_text(payload) if args.text else [json.dumps(payload, indent=2, sort_keys=True)]
+    try:
+        for line in lines:
             print(line)
-    else:
-        print(json.dumps(payload, indent=2, sort_keys=True))
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader is gone (``| head``): the rest goes to the null device,
+        # so that the flush at exit does not fail again, and the command
+        # keeps its own exit code
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
 
 
 def _render_text(payload, prefix=""):

@@ -13,6 +13,12 @@ inequality is then certain; only a genuinely cut-off search answers
 Unknown.  ``paths_equal`` is one query on fresh classes, its witness read
 back along the word's parent chain.
 
+Inside the search a word is text, one character per arrow
+(``chr(arrow id)``): a str caches its hash and slices cheaply.  One rule
+table, keyed by arc text, finds the rewrite sites with one lookup per
+window, in order of arc length, then position, then rule.  Every word
+that leaves the search (``PathWord``, ``RewriteStep``) is a tuple again.
+
 ``find_noncancellative_pair`` searches the 2-cycle-free quiver of
 ``bigon_reduce``, which has the same algebra, and lifts any pair it finds
 back to the quiver asked about, with a witness that replays there.
@@ -40,6 +46,7 @@ UNKNOWN = "unknown"
 
 _PROFILE_CAP = 4096
 _FIELD_BITS = 16  # profiles are exact for words shorter than 2**16 arrows
+_TEXT_ARROWS = 0x110000  # arrow ids are characters inside the search
 
 
 @dataclass(frozen=True)
@@ -109,27 +116,37 @@ def face_rules(q: DimerQuiver) -> dict[int, tuple[tuple[int, ...], tuple[int, ..
     return rules
 
 
+def _encode(arrows: tuple[int, ...]) -> str:
+    """A word as the search holds it: one character per arrow."""
+    return "".join(map(chr, arrows))
+
+
+def _decode(text: str) -> tuple[int, ...]:
+    return tuple(map(ord, text))
+
+
 class RewriteSystem:
-    """Face relations of a quiver plus the invariants used to refute."""
+    """Face relations of a quiver plus the invariants used to refute.
+
+    The relations are one rule table per arc length, ascending: each maps
+    an arc's text to [(arrow, replacement text)], in the order of the
+    arrows.  ``successors`` and ``step_between`` both read it."""
 
     def __init__(self, q: DimerQuiver):
+        n = len(q.arrows)
+        if n > _TEXT_ARROWS:
+            raise DomainError(f"{n} arrows: words are text, so at most {_TEXT_ARROWS:#x}")
         self.quiver = q
         self.rules = face_rules(q)
-        # arc -> [(arrow, replacement)]
-        by_arc: dict[tuple[int, ...], list[tuple[int, tuple[int, ...]]]] = {}
+        arcs: dict[int, dict[str, list[tuple[int, str]]]] = {}
         for aid, (left, right) in self.rules.items():
-            by_arc.setdefault(left, []).append((aid, right))
-            if right != left:
-                by_arc.setdefault(right, []).append((aid, left))
-        # per arc length, ascending: first arrow -> [(arc, arrow, replacement)];
-        # every arrow starts one arc on each of its two faces
-        self._by_first: list[tuple[int, list[list]]] = []
-        for ln in sorted({len(arc) for arc in by_arc}):
-            table: list[list] = [[] for _ in q.arrows]
-            for arc, entries in by_arc.items():
-                if len(arc) == ln:
-                    table[arc[0]].extend((arc, aid, repl) for aid, repl in entries)
-            self._by_first.append((ln, table))
+            # both ways round, once if the two arcs are the same
+            for arc, repl in dict.fromkeys(((left, right), (right, left))):
+                table = arcs.setdefault(len(arc), {})
+                table.setdefault(_encode(arc), []).append((aid, _encode(repl)))
+        self._arcs = dict(sorted(arcs.items()))
+        self._hx = [a.homology[0] for a in q.arrows]
+        self._hy = [a.homology[1] for a in q.arrows]
         try:
             matchings = enumerate_perfect_matchings(q, _PROFILE_CAP)
         except MatchingCapExceeded:
@@ -156,22 +173,23 @@ class RewriteSystem:
             raise DomainError(f"word of {len(word)} arrows overflows the matching profile")
         return sum(map(self._vectors.__getitem__, word))
 
-    def successors(self, word: tuple[int, ...], cap: int):
-        """All one-step rewrites of the word not exceeding cap, as tuples
-        (new word, pos, arrow, old arc, new arc); also say whether anything
-        was suppressed by the cap."""
+    def successors(self, word: str, cap: int):
+        """All one-step rewrites of the text word not exceeding cap, as text
+        words in order of arc length, then position, then rule; also say
+        whether anything was suppressed by the cap."""
         out = []
         truncated = False
         n = len(word)
-        for ln, table in self._by_first:
+        for ln, table in self._arcs.items():
+            room = cap - n + ln  # the longest replacement within the cap
             for pos in range(n - ln + 1):
-                for arc, aid, repl in table[word[pos]]:
-                    if word[pos:pos + ln] != arc:
-                        continue
-                    if n - ln + len(repl) > cap:
-                        truncated = True
-                        continue
-                    out.append((word[:pos] + repl + word[pos + ln:], pos, aid, arc, repl))
+                entries = table.get(word[pos:pos + ln])
+                if entries:
+                    for _, repl in entries:
+                        if len(repl) > room:
+                            truncated = True
+                        else:
+                            out.append(word[:pos] + repl + word[pos + ln:])
         return out, truncated
 
     def step_between(self, word: tuple[int, ...], nxt: tuple[int, ...]) -> RewriteStep:
@@ -184,18 +202,22 @@ class RewriteSystem:
             lo += 1
         while hi < min(n, m) and word[n - 1 - hi] == nxt[m - 1 - hi]:
             hi += 1
-        for ln, table in self._by_first:
+        text, target = _encode(word), _encode(nxt)
+        for ln, table in self._arcs.items():
             for pos in range(max(0, n - hi - ln), min(lo, n - ln) + 1):
-                for arc, aid, repl in table[word[pos]]:
-                    if word[pos:pos + ln] == arc and word[:pos] + repl + word[pos + ln:] == nxt:
-                        return RewriteStep(pos, aid, arc, repl)
+                arc = text[pos:pos + ln]
+                for aid, repl in table.get(arc, ()):
+                    if text[:pos] + repl + text[pos + ln:] == target:
+                        return RewriteStep(pos, aid, _decode(arc), _decode(repl))
         raise DomainError("no single rewrite joins the two words")
 
 
 def _invariants(rs: RewriteSystem, w: PathWord) -> tuple:
-    """Endpoints, homology and matching profile: what rewriting preserves."""
-    q = rs.quiver
-    return (w.base, path_head(q, w)), path_homology(q, w), rs.profile(w.arrows)
+    """Endpoints, homology and matching profile: what rewriting preserves.
+    The word is not checked (``paths_equal`` checks outside words)."""
+    arrows = w.arrows
+    hom = (sum(map(rs._hx.__getitem__, arrows)), sum(map(rs._hy.__getitem__, arrows)))
+    return (w.base, path_head(rs.quiver, w)), hom, rs.profile(arrows)
 
 
 def _mismatch(a: tuple, b: tuple) -> str | None:
@@ -251,7 +273,8 @@ def replay_witness(rs: RewriteSystem, p: PathWord, steps) -> list[PathWord]:
 
 
 class _Closure:
-    """Words reached from one start word, all under one word cap.
+    """Words reached from one start word, all under one word cap; every
+    word is text, as ``RewriteSystem.successors`` takes and returns it.
 
     ``words`` maps each reached word to the word it was reached from (the
     start word to None), so every word's parent chain leads back to the
@@ -264,12 +287,12 @@ class _Closure:
 
     __slots__ = ("words", "pending", "truncated")
 
-    def __init__(self, word: tuple[int, ...]):
-        self.words: dict[tuple[int, ...], tuple[int, ...] | None] = {word: None}
+    def __init__(self, word: str):
+        self.words: dict[str, str | None] = {word: None}
         self.pending = [word]
         self.truncated = False
 
-    def absorb(self, other: "_Closure", meet: tuple[int, ...]) -> None:
+    def absorb(self, other: "_Closure", meet: str) -> None:
         """Join the closure of an equal word that reached ``meet``, the one
         word the two closures share.  Its tree is re-rooted at ``meet`` and
         hung from this closure's parent of ``meet``, so every chain still
@@ -308,13 +331,13 @@ class EqualityClasses:
         self.closures: dict[tuple[PathWord, int], _Closure] = {}
         self._caps: dict[int, int] = {}  # longest word length -> word cap
         self._rep_invariants: dict[PathWord, tuple] = {}
-        self._last: tuple = (None, None)  # the latest query word and its invariants
+        self._last: tuple = (None, None, None)  # the latest query word, its invariants and text
 
     def invariants(self, w: PathWord) -> tuple:
         """Endpoints, homology and matching profile of a word; the latest
-        query word's are kept."""
+        query word's are kept, with its text."""
         if self._last[0] is not w:
-            self._last = (w, _invariants(self.rs, w))
+            self._last = (w, _invariants(self.rs, w), _encode(w.arrows))
         return self._last[1]
 
     def compare(self, rep: PathWord, word: PathWord, max_states: int | None = None) -> EqResult:
@@ -337,11 +360,12 @@ class EqualityClasses:
             cap = self._caps[longest] = self.bounds.word_cap(self.rs.quiver, rep, word)
         closure = self.closures.get((rep, cap))
         if closure is None:
-            closure = self.closures[(rep, cap)] = _Closure(rep.arrows)
+            closure = self.closures[(rep, cap)] = _Closure(_encode(rep.arrows))
         limit = self.bounds.max_states if max_states is None else max_states
-        return self._search(closure, word.arrows, cap, limit)
+        text = self._last[2]  # the word's, kept by invariants(word) above
+        return self._search(closure, text, cap, limit)
 
-    def _search(self, closure: _Closure, start, cap: int, limit: int) -> EqResult:
+    def _search(self, closure: _Closure, start: str, cap: int, limit: int) -> EqResult:
         if start in closure.words:
             return EqResult(EQUAL)
         successors = self.rs.successors
@@ -355,8 +379,7 @@ class EqualityClasses:
             for k, w in enumerate(layer):
                 succs, trunc = successors(w, cap)
                 grow.truncated = grow.truncated or trunc
-                for step in succs:
-                    nxt = step[0]
+                for nxt in succs:
                     if nxt in grow.words:
                         continue
                     states += 1
@@ -382,10 +405,10 @@ class EqualityClasses:
             return ()
         cap = self._caps[max(len(rep.arrows), len(word.arrows))]
         words = self.closures[(rep, cap)].words
-        chain = [word.arrows]
+        chain = [_encode(word.arrows)]
         while words[chain[-1]] is not None:
             chain.append(words[chain[-1]])
-        chain.reverse()
+        chain = [_decode(w) for w in reversed(chain)]
         return tuple(map(self.rs.step_between, chain, chain[1:]))
 
     def split(self, words) -> tuple[list[list[int]], int]:

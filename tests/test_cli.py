@@ -1,4 +1,5 @@
 import json
+import os
 import subprocess
 import sys
 
@@ -93,6 +94,40 @@ def test_in_process_entry_point(capsys):
     assert code == 0
     out = capsys.readouterr().out
     assert "fig_deformation" in out
+
+
+def test_closed_stdout_ends_quietly(tmp_path, monkeypatch, capsys):
+    # a reader that stops early (``dimeralg ... | head -3``) closes the pipe
+    with open(tmp_path / "sink", "w") as sink:
+
+        class ClosedPipe:
+            def write(self, text):
+                raise BrokenPipeError(32, "Broken pipe")
+
+            def flush(self):
+                pass
+
+            def fileno(self):
+                return sink.fileno()
+
+        monkeypatch.setattr(sys, "stdout", ClosedPipe())
+        code = main(["--max-states", "0", "validate", "fixture:fig_deformation"])
+    assert code == 0
+    assert "Traceback" not in capsys.readouterr().err
+
+
+def test_closed_pipe_keeps_exit_code():
+    read, write = os.pipe()
+    os.close(read)  # nobody reads: the first write fails with EPIPE
+    # stdout buffered, as by default, so the output is written by a flush
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    try:
+        res = subprocess.run(RUN + ["validate", "fixture:fig_deformation"],
+                             stdout=write, stderr=subprocess.PIPE, text=True, env=env)
+    finally:
+        os.close(write)
+    assert res.returncode == 0
+    assert res.stderr == ""
 
 
 def test_tau_renders_monomial():

@@ -1,6 +1,10 @@
 """EqualityClasses against a naive one-sided closure of each class
 representative, and the invariant that keeps its closures exact."""
 
+import importlib.util
+import random
+from pathlib import Path
+
 import pytest
 
 from dimeralg import fixtures as fixtures_mod
@@ -22,9 +26,13 @@ from dimeralg.rewriting import (
     enumerate_cycles,
     find_noncancellative_pair,
     replay_witness,
+    _decode,
+    _encode,
 )
 
 from conftest import FIXTURES
+
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
 
 def pairwise_split(rs, words, bounds=DEFAULT_BOUNDS, classes=None):
@@ -42,9 +50,9 @@ def pairwise_split(rs, words, bounds=DEFAULT_BOUNDS, classes=None):
             rep = words[cls[0]]
             cap = bounds.word_cap(rs.quiver, rep, w)
             if (rep, cap) not in closures:
-                closures[(rep, cap)] = bfs_closure(rs, (), [rep.arrows], cap)
+                closures[(rep, cap)] = bfs_closure(rs, (), [_encode(rep.arrows)], cap)
             closure, truncated = closures[(rep, cap)]
-            ref = EQUAL if w.arrows in closure else UNKNOWN if truncated else NOT_EQUAL
+            ref = EQUAL if _encode(w.arrows) in closure else UNKNOWN if truncated else NOT_EQUAL
             if classes is not None:
                 verdict = classes.compare(rep, w).verdict
                 if UNKNOWN not in (verdict, ref):
@@ -99,19 +107,74 @@ def test_reduced_center_counts_match_pairwise_loop(all_contractions):
 
 
 def bfs_closure(rs, words, pending, cap):
-    """Grow ``words`` breadth first from the ``pending`` ones only."""
+    """Grow the text words ``words`` breadth first from the ``pending``
+    ones only."""
     words, layer, truncated = set(words), list(pending), False
     while layer:
         nxt = []
         for w in layer:
             succs, trunc = rs.successors(w, cap)
             truncated = truncated or trunc
-            for step in succs:
-                if step[0] not in words:
-                    words.add(step[0])
-                    nxt.append(step[0])
+            for succ in succs:
+                if succ not in words:
+                    words.add(succ)
+                    nxt.append(succ)
         layer = nxt
     return words, truncated
+
+
+def naive_successors(rs, word, cap):
+    """The reference scan on tuple words: every rule, both ways, at every
+    position, in order of arc length, then position, then rule; each
+    rewrite as (new word, pos, arrow, old arc, new arc)."""
+    out, truncated = [], False
+    lengths = sorted({len(arc) for sides in rs.rules.values() for arc in sides})
+    for ln in lengths:
+        for pos in range(len(word) - ln + 1):
+            for aid, (left, right) in rs.rules.items():
+                for old, new in dict.fromkeys(((left, right), (right, left))):
+                    if len(old) != ln or word[pos:pos + ln] != old:
+                        continue
+                    if len(word) - ln + len(new) > cap:
+                        truncated = True
+                    else:
+                        out.append((word[:pos] + new + word[pos + ln:], pos, aid, old, new))
+    return out, truncated
+
+
+def _covers():
+    spec = importlib.util.spec_from_file_location("perfbench_covers", PERFBENCH / "covers.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    deformation = fixtures_mod.fixture("fig_deformation").quiver
+    return {
+        "c3_3x3": module.torus_cover(fixtures_mod.c3_quiver(), 3, 3),
+        "fig_deformation_2x2": module.torus_cover(deformation, 2, 2),
+    }
+
+
+@pytest.mark.parametrize("name", sorted(differential_quivers()) + ["covers"])
+def test_successors_match_naive_scan(name):
+    quivers = _covers() if name == "covers" else {name: differential_quivers()[name]}
+    rng = random.Random(name)
+    for q in quivers.values():
+        rs = RewriteSystem(q)
+        checked = 0
+        for _ in range(40):
+            at = rng.randrange(q.num_vertices)
+            word = []
+            for _ in range(rng.randint(1, 20)):
+                a = rng.choice(q.out_arrows(at))
+                word.append(a.id)
+                at = a.head
+            word = tuple(word)
+            for cap in (len(word) - 2, len(word), len(word) + 1, len(word) + q.max_face_length()):
+                succs, truncated = rs.successors(_encode(word), cap)
+                ref, ref_truncated = naive_successors(rs, word, cap)
+                assert [_decode(w) for w in succs] == [step[0] for step in ref], (word, cap)
+                assert truncated == ref_truncated, (word, cap)
+                checked += bool(ref) + truncated
+        assert checked > 40  # the walks do meet rewrite sites and the cap
 
 
 def test_grown_closure_is_the_breadth_first_closure(all_fixtures):
@@ -123,18 +186,18 @@ def test_grown_closure_is_the_breadth_first_closure(all_fixtures):
     u = unit_cycle(q, 0)
     rep = concat(q, concat(q, u, u), u)
     cap = DEFAULT_BOUNDS.word_cap(q, rep)
-    class_words, class_truncated = bfs_closure(rs, (), [rep.arrows], cap)
+    class_words, class_truncated = bfs_closure(rs, (), [_encode(rep.arrows)], cap)
     members = sorted(w for w in class_words if len(w) == len(rep.arrows))[::-8]
     others = [
         c for c in enumerate_cycles(q, 0, len(rep.arrows)).cycles
-        if len(c.arrows) == len(rep.arrows) and c.arrows not in class_words
+        if len(c.arrows) == len(rep.arrows) and _encode(c.arrows) not in class_words
     ]
 
     ec = EqualityClasses(rs)
     met, cut = 0, 0
     for k, w in enumerate(members):
         # a small budget now and then cuts a search off mid-layer
-        res = ec.compare(rep, PathWord(0, w), max_states=5 if k % 2 else None)
+        res = ec.compare(rep, PathWord(0, _decode(w)), max_states=5 if k % 2 else None)
         closure = ec.closures[(rep, cap)]
         met += res.is_equal and res.states > 0 and bool(closure.pending)
         cut += res.reason == "state_budget"
@@ -192,7 +255,7 @@ def test_cut_off_target_search_is_undecided(iso_r_contraction, capsys):
 
 def test_read_back_link_is_first_successor(all_fixtures, iso_r_contraction):
     # the windowed read-back of each parent link picks the same rewrite as
-    # a scan of every successor of the parent word, in successors order
+    # the naive scan of every rule at every position, in successors order
     quivers = [all_fixtures["fig_hsb_ii"].quiver, iso_r_contraction.target]
     links = 0
     for q in quivers:
@@ -203,7 +266,8 @@ def test_read_back_link_is_first_successor(all_fixtures, iso_r_contraction):
         for (_, cap), closure in ec.closures.items():
             for w, parent in closure.words.items():
                 if parent is not None:
-                    first = next(s for s in rs.successors(parent, cap)[0] if s[0] == w)
+                    w, parent = _decode(w), _decode(parent)
+                    first = next(s for s in naive_successors(rs, parent, cap)[0] if s[0] == w)
                     assert rs.step_between(parent, w) == RewriteStep(*first[1:])
                     links += 1
     assert links > 1000

@@ -1,4 +1,5 @@
 import json
+from types import SimpleNamespace
 
 import pytest
 
@@ -7,6 +8,7 @@ from dimeralg import rewriting
 from dimeralg.cli import main
 from dimeralg.contraction import contract, identity_contraction
 from dimeralg.quiver import (
+    DomainError,
     PathWord,
     bigon_reduce,
     concat,
@@ -46,6 +48,24 @@ def test_rule_shapes(all_fixtures):
                 assert path_homology(q, w) == (-a.homology[0], -a.homology[1])
                 assert q.arrow(side[0]).tail == a.head
                 assert q.arrow(side[-1]).head == a.tail
+
+
+def test_summed_homology_is_path_homology(all_fixtures):
+    for fx in all_fixtures.values():
+        q = fx.quiver
+        rs = RewriteSystem(q)
+        for v in range(q.num_vertices):
+            cycles = enumerate_cycles(q, v, 6).cycles
+            assert cycles
+            for c in cycles:
+                assert rewriting._invariants(rs, c)[1] == path_homology(q, c), c
+
+
+def test_too_many_arrows_for_text_words():
+    # only the arrow count is read before the refusal
+    q = SimpleNamespace(arrows=range(0x110001))
+    with pytest.raises(DomainError, match="so at most 0x110000"):
+        RewriteSystem(q)
 
 
 def test_bigon_rule_has_length_one_side():
