@@ -1,10 +1,14 @@
 """Command-line interface.
 
-Every subcommand reads a quiver either from a JSON file or from a
-built-in fixture given as ``fixture:NAME``.  Reports are JSON (default)
-or a flat text rendering of the same fields.  Exit codes: 0 success,
+Every subcommand but ``fixtures`` reads a quiver from a JSON file or a
+built-in fixture given as ``fixture:NAME``.  One path in ``main`` serves
+them all: it loads the quiver once, the command returns its results and
+exit code, and ``main`` wraps the results in the report ``{command,
+inputs, bounds, results}`` and emits it once, as JSON (default) or a
+flat text rendering of the same fields; the raw text of ``fixtures
+--list`` and ``--dump`` is emitted as it is.  Exit codes: 0 success,
 1 a checked claim failed, 2 a bounded procedure could not decide,
-3 bad input.
+3 bad input (an unknown fixture name included).
 """
 
 from __future__ import annotations
@@ -64,18 +68,19 @@ EXIT_INPUT = 3
 
 
 class CliError(Exception):
-    def __init__(self, message, code=EXIT_INPUT):
-        super().__init__(message)
-        self.code = code
+    """Bad command-line input (exit 3)."""
+
+
+def _fixture(name: str):
+    try:
+        return fixtures_mod.fixture(name)
+    except KeyError as exc:
+        raise CliError(str(exc)) from exc
 
 
 def _load_source(source: str):
     if source.startswith("fixture:"):
-        name = source[len("fixture:"):]
-        try:
-            fx = fixtures_mod.fixture(name)
-        except KeyError as exc:
-            raise CliError(str(exc)) from exc
+        fx = _fixture(source[len("fixture:"):])
         return fx.quiver, fx
     try:
         with open(source, "r", encoding="utf-8") as fh:
@@ -96,22 +101,22 @@ def _bounds(args) -> SearchBounds:
 
 def _contraction(q, fx, args) -> Contraction:
     if args.arrows is not None:
-        ids = list(_parse_ints(args.arrows, "contracted arrows")) if args.arrows else []
-    elif fx is not None:
-        ids = sorted(fx.contraction_arrows)
+        ids = _parse_ints(args.arrows, "contracted arrows")
     else:
-        ids = []
+        ids = sorted(fx.contraction_arrows) if fx is not None else []
     try:
         return contract(q, frozenset(ids))
     except ContractionError as exc:
         raise CliError(f"contraction failed ({exc.kind}): {exc}") from exc
 
 
-def _emit(args, payload: dict) -> None:
-    lines = _render_text(payload) if args.text else [json.dumps(payload, indent=2, sort_keys=True)]
+def _emit(args, payload) -> None:
+    """Print a report, or raw text as it is."""
+    if not isinstance(payload, str):
+        payload = ("\n".join(_render_text(payload)) if args.text
+                   else json.dumps(payload, indent=2, sort_keys=True))
     try:
-        for line in lines:
-            print(line)
+        print(payload)
         sys.stdout.flush()
     except BrokenPipeError:
         # the reader is gone (``| head``): the rest goes to the null device,
@@ -141,18 +146,6 @@ def _render_text(payload, prefix=""):
     return lines
 
 
-def _report(command, inputs, bounds, results):
-    return {
-        "command": command,
-        "inputs": inputs,
-        "bounds": {
-            "max_word_length": bounds.max_word_length,
-            "max_states": bounds.max_states,
-        },
-        "results": results,
-    }
-
-
 def _parse_ints(text: str, what: str) -> tuple[int, ...]:
     try:
         return tuple(int(x) for x in text.split(",") if x != "")
@@ -171,35 +164,26 @@ def _parse_word(q, text: str) -> PathWord:
     return PathWord(base, ids)
 
 
-def cmd_validate(args):
-    q, _ = _load_source(args.quiver)
+def cmd_validate(args, q, fx):
     rep = validate_dimer(q)
-    results = {
+    return {
         "ok": rep.ok,
         "violations": [
             {"code": v.code, "message": v.message, "where": v.where} for v in rep.violations
         ],
-    }
-    _emit(args, _report("validate", {"quiver": args.quiver}, _bounds(args), results))
-    return EXIT_OK if rep.ok else EXIT_CLAIM_FAILED
+    }, EXIT_OK if rep.ok else EXIT_CLAIM_FAILED
 
 
-def cmd_matchings(args):
-    q, _ = _load_source(args.quiver)
+def cmd_matchings(args, q, fx):
     matchings = enumerate_perfect_matchings(q, args.cap)
     if args.simple_only:
         matchings = [d for d in matchings if is_simple_matching(q, d)]
-    results = {"matchings": [sorted(d) for d in matchings], "count": len(matchings)}
-    _emit(args, _report("matchings", {"quiver": args.quiver}, _bounds(args), results))
-    return EXIT_OK
+    return {"matchings": [sorted(d) for d in matchings], "count": len(matchings)}, EXIT_OK
 
 
-def cmd_eq(args):
-    q, _ = _load_source(args.quiver)
+def cmd_eq(args, q, fx):
     rs = RewriteSystem(q)
-    p = _parse_word(q, args.p)
-    r = _parse_word(q, args.q)
-    res = paths_equal(rs, p, r, _bounds(args))
+    res = paths_equal(rs, _parse_word(q, args.p), _parse_word(q, args.q), _bounds(args))
     results = {
         "verdict": res.verdict,
         "reason": res.reason,
@@ -208,19 +192,14 @@ def cmd_eq(args):
             for s in res.steps
         ],
     }
-    _emit(args, _report("eq", {"quiver": args.quiver, "p": args.p, "q": args.q},
-                        _bounds(args), results))
-    return EXIT_UNKNOWN if res.verdict == UNKNOWN else EXIT_OK
+    return results, EXIT_UNKNOWN if res.verdict == UNKNOWN else EXIT_OK
 
 
-def cmd_cycles(args):
-    q, _ = _load_source(args.quiver)
-    if args.filter == "all":
-        filt = CycleFilter.all()
-    elif args.filter == "vertex-simple":
-        filt = CycleFilter.vertex_simple()
-    elif args.filter == "lift-simple":
-        filt = CycleFilter.lift_simple()
+def cmd_cycles(args, q, fx):
+    named = {"all": CycleFilter.all, "vertex-simple": CycleFilter.vertex_simple,
+             "lift-simple": CycleFilter.lift_simple}
+    if args.filter in named:
+        filt = named[args.filter]()
     elif args.filter.startswith("homology:"):
         pair = _parse_ints(args.filter[len("homology:"):], "homology class")
         if len(pair) != 2:
@@ -228,39 +207,27 @@ def cmd_cycles(args):
         filt = CycleFilter.homology_class(pair)
     else:
         raise CliError(f"unknown filter {args.filter!r}")
-    enum = enumerate_cycles(
-        q, args.vertex, args.max_len, filt,
-        dedup_mod_relations=args.dedup, bounds=_bounds(args),
-    )
+    enum = enumerate_cycles(q, args.vertex, args.max_len, filt,
+                            dedup_mod_relations=args.dedup, bounds=_bounds(args))
     results = {"cycles": [list(c.arrows) for c in enum.cycles], "count": len(enum.cycles)}
     if enum.classes is not None:
         results["classes"] = [[list(c.arrows) for c in cls] for cls in enum.classes]
         results["class_count"] = len(enum.classes)
         results["undecided_comparisons"] = enum.unknown_pairs
-    _emit(args, _report("cycles", {"quiver": args.quiver, "vertex": args.vertex},
-                        _bounds(args), results))
-    if enum.classes is not None and enum.unknown_pairs:
-        return EXIT_UNKNOWN
-    return EXIT_OK
+    return results, EXIT_UNKNOWN if enum.classes is not None and enum.unknown_pairs else EXIT_OK
 
 
-def cmd_tau(args):
-    q, fx = _load_source(args.quiver)
+def cmd_tau(args, q, fx):
     c = _contraction(q, fx, args)
-    p = _parse_word(q, args.path)
-    img = tau_psi(c, p)
-    results = {
+    img = tau_psi(c, _parse_word(q, args.path))
+    return {
         "monomial": list(img),
         "rendered": render_monomial(img),
         "catalog": [sorted(d) for d in c.catalog.simple],
-    }
-    _emit(args, _report("tau", {"quiver": args.quiver, "path": args.path},
-                        _bounds(args), results))
-    return EXIT_OK
+    }, EXIT_OK
 
 
-def cmd_contract(args):
-    q, fx = _load_source(args.quiver)
+def cmd_contract(args, q, fx):
     c = _contraction(q, fx, args)
     results = {
         "target": quiver_to_json(c.target),
@@ -275,31 +242,25 @@ def cmd_contract(args):
         results["cycle_algebra_generators"] = [list(g) for g in rep.source_generators]
         results["target_generators"] = [list(g) for g in rep.target_generators]
         results["cancellative_target"] = rep.cancellative_target
-        if rep.cancellative_target is None:
-            code = EXIT_UNKNOWN
+        code = EXIT_UNKNOWN if rep.cancellative_target is None else EXIT_OK
     if args.reduce:
         red = bigon_reduce(c.target)
         results["reduced_target"] = quiver_to_json(red.quiver)
         results["removed_2cycles"] = len(red.steps)
-    _emit(args, _report("contract", {"quiver": args.quiver}, _bounds(args), results))
-    return code
+    return results, code
 
 
-def cmd_cycle_algebra(args):
-    q, fx = _load_source(args.quiver)
+def cmd_cycle_algebra(args, q, fx):
     c = _contraction(q, fx, args)
     gens = source_cycle_algebra_generators(c)
-    results = {
+    return {
         "generators": [list(g) for g in gens],
         "rendered": [render_monomial(g) for g in gens],
         "catalog": [sorted(d) for d in c.catalog.simple],
-    }
-    _emit(args, _report("cycle-algebra", {"quiver": args.quiver}, _bounds(args), results))
-    return EXIT_OK
+    }, EXIT_OK
 
 
-def cmd_homotopy_center(args):
-    q, fx = _load_source(args.quiver)
+def cmd_homotopy_center(args, q, fx):
     c = _contraction(q, fx, args)
     gens = homotopy_center_generators(c, args.degree_bound)
     results = {
@@ -316,12 +277,10 @@ def cmd_homotopy_center(args):
             "verdict": res.verdict,
             "failing_vertex": res.vertex if res.verdict != "yes" else None,
         }
-    _emit(args, _report("homotopy-center", {"quiver": args.quiver}, _bounds(args), results))
-    return EXIT_OK
+    return results, EXIT_OK
 
 
-def cmd_center(args):
-    q, fx = _load_source(args.quiver)
+def cmd_center(args, q, fx):
     c = _contraction(q, fx, args)
     g = _parse_ints(args.image, "monomial")
     res = reduced_center_contains(c, g, _bounds(args))
@@ -334,9 +293,7 @@ def cmd_center(args):
     }
     if res.witness is not None:
         results["witness"] = _candidate_json(res.witness)
-    _emit(args, _report("center", {"quiver": args.quiver, "image": args.image},
-                        _bounds(args), results))
-    return EXIT_UNKNOWN if res.verdict == UNKNOWN else EXIT_OK
+    return results, EXIT_UNKNOWN if res.verdict == UNKNOWN else EXIT_OK
 
 
 def _candidate_json(z: CentralCandidate):
@@ -366,8 +323,7 @@ def _candidate_from_json(q, data) -> CentralCandidate:
                              for v, terms in data.items()})
 
 
-def cmd_nilradical(args):
-    q, fx = _load_source(args.quiver)
+def cmd_nilradical(args, q, fx):
     c = _contraction(q, fx, args)
     if args.candidate == "builtin" and fx is not None and "p" in fx.paths:
         z = distinguished_candidate(fx)
@@ -379,25 +335,19 @@ def cmd_nilradical(args):
             raise CliError(f"cannot read candidate: {exc}") from exc
     rep = nilpotency_and_kernel_check(c, z, _bounds(args))
     results = rep.as_dict()
-    _emit(args, _report("nilradical", {"quiver": args.quiver}, _bounds(args), results))
-    if UNKNOWN in results.values():
-        return EXIT_UNKNOWN
-    return EXIT_OK if rep.consistent == "equal" else EXIT_CLAIM_FAILED
+    code = EXIT_OK if rep.consistent == "equal" else EXIT_CLAIM_FAILED
+    return results, EXIT_UNKNOWN if UNKNOWN in results.values() else code
 
 
-def cmd_normality(args):
-    q, fx = _load_source(args.quiver)
+def cmd_normality(args, q, fx):
     c = _contraction(q, fx, args)
     rep = normality_report(c, args.degree_bound, args.n_max)
     results = rep.as_dict()
-    _emit(args, _report("normality", {"quiver": args.quiver}, _bounds(args), results))
-    if rep.minimal_power is None or UNKNOWN in results.values():
-        return EXIT_UNKNOWN
-    return EXIT_OK
+    undecided = rep.minimal_power is None or UNKNOWN in results.values()
+    return results, EXIT_UNKNOWN if undecided else EXIT_OK
 
 
-def cmd_noncancellative(args):
-    q, fx = _load_source(args.quiver)
+def cmd_noncancellative(args, q, fx):
     c = _contraction(q, fx, args) if (args.arrows is not None or fx is not None) else None
     rep = find_noncancellative_pair(q, c, _bounds(args))
     results = {
@@ -417,26 +367,20 @@ def cmd_noncancellative(args):
             "side": pr.side,
             "inequality_reason": pr.inequality_reason,
         }
-    _emit(args, _report("noncancellative", {"quiver": args.quiver}, _bounds(args), results))
-    if not rep.found and rep.exhausted:
-        return EXIT_UNKNOWN
-    return EXIT_OK
+    return results, EXIT_UNKNOWN if not rep.found and rep.exhausted else EXIT_OK
 
 
-def cmd_fixtures(args):
+def cmd_fixtures(args, q, fx):
     if args.list:
-        for name in fixtures_mod.FIXTURE_NAMES:
-            print(name)
-        return EXIT_OK
+        return "\n".join(fixtures_mod.FIXTURE_NAMES), EXIT_OK
     if args.dump:
-        fx = fixtures_mod.fixture(args.dump)
-        print(json.dumps(quiver_to_json(fx.quiver), indent=2, sort_keys=True))
-        return EXIT_OK
+        dumped = quiver_to_json(_fixture(args.dump).quiver)
+        return json.dumps(dumped, indent=2, sort_keys=True), EXIT_OK
     if args.check:
-        results, ok = check_fixture(args.check)
-        payload = {"fixture": args.check, "claims": results, "ok": ok}
-        _emit(args, _report("fixtures", {"check": args.check}, _bounds(args), payload))
-        return EXIT_OK if ok else EXIT_CLAIM_FAILED
+        _fixture(args.check)  # an unknown name is bad input, not a failed claim
+        claims, ok = check_fixture(args.check)
+        results = {"fixture": args.check, "claims": claims, "ok": ok}
+        return results, EXIT_OK if ok else EXIT_CLAIM_FAILED
     raise CliError("fixtures requires --list, --dump NAME, or --check NAME")
 
 
@@ -475,73 +419,60 @@ def build_parser():
     _global_options(common, suppress=True)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name, fn, **kwargs):
-        p = sub.add_parser(name, parents=[common], **kwargs)
-        p.set_defaults(fn=fn)
+    def add(name, fn, *inputs, contracts=False):
+        """A subcommand whose report echoes ``inputs``; one that echoes
+        ``quiver`` reads it, one that ``contracts`` takes ``--arrows``."""
+        p = sub.add_parser(name, parents=[common])
+        p.set_defaults(fn=fn, inputs=inputs)
+        if "quiver" in inputs:
+            p.add_argument("quiver")
+        if contracts:
+            p.add_argument("--arrows",
+                           help="comma-separated arrow ids to contract (default: the fixture's)")
         return p
 
-    p = add("validate", cmd_validate)
-    p.add_argument("quiver")
+    add("validate", cmd_validate, "quiver")
 
-    p = add("matchings", cmd_matchings)
-    p.add_argument("quiver")
+    p = add("matchings", cmd_matchings, "quiver")
     p.add_argument("--simple-only", action="store_true")
     p.add_argument("--cap", type=_count, default=100000)
 
-    p = add("eq", cmd_eq)
-    p.add_argument("quiver")
+    p = add("eq", cmd_eq, "quiver", "p", "q")
     p.add_argument("--p", required=True, help="comma-separated arrow ids")
     p.add_argument("--q", required=True)
 
-    p = add("cycles", cmd_cycles)
-    p.add_argument("quiver")
+    p = add("cycles", cmd_cycles, "quiver", "vertex")
     p.add_argument("--vertex", type=int, required=True)
     p.add_argument("--max-len", type=_count, required=True)
     p.add_argument("--filter", default="all",
                    help="all | vertex-simple | lift-simple | homology:a,b")
     p.add_argument("--dedup", action="store_true")
 
-    p = add("tau", cmd_tau)
-    p.add_argument("quiver")
-    p.add_argument("--arrows", help="contracted arrow ids (default: fixture's)")
+    p = add("tau", cmd_tau, "quiver", "path", contracts=True)
     p.add_argument("--path", required=True)
 
-    p = add("contract", cmd_contract)
-    p.add_argument("quiver")
-    p.add_argument("--arrows", help="comma-separated arrow ids to contract")
+    p = add("contract", cmd_contract, "quiver", contracts=True)
     p.add_argument("--check-cyclic", action="store_true")
     p.add_argument("--reduce", action="store_true", help="also remove 2-cycles")
 
-    p = add("cycle-algebra", cmd_cycle_algebra)
-    p.add_argument("quiver")
-    p.add_argument("--arrows")
+    add("cycle-algebra", cmd_cycle_algebra, "quiver", contracts=True)
 
-    p = add("homotopy-center", cmd_homotopy_center)
-    p.add_argument("quiver")
-    p.add_argument("--arrows")
+    p = add("homotopy-center", cmd_homotopy_center, "quiver", contracts=True)
     p.add_argument("--contains", help="exponent vector, comma-separated")
 
-    p = add("center", cmd_center)
-    p.add_argument("quiver")
-    p.add_argument("--arrows")
+    p = add("center", cmd_center, "quiver", "image", contracts=True)
     p.add_argument("--image", required=True, help="exponent vector, comma-separated")
 
-    p = add("nilradical", cmd_nilradical)
-    p.add_argument("quiver")
-    p.add_argument("--arrows")
+    p = add("nilradical", cmd_nilradical, "quiver", contracts=True)
     p.add_argument("--candidate", default="builtin",
                    help="candidate JSON file, or 'builtin' for the fixture's")
 
-    p = add("normality", cmd_normality)
-    p.add_argument("quiver")
-    p.add_argument("--arrows")
+    p = add("normality", cmd_normality, "quiver", contracts=True)
     p.add_argument("--n-max", type=_count, default=6)
 
-    p = add("noncancellative", cmd_noncancellative)
-    p.add_argument("quiver")
-    p.add_argument("--arrows")
+    add("noncancellative", cmd_noncancellative, "quiver", contracts=True)
 
-    p = add("fixtures", cmd_fixtures)
+    p = add("fixtures", cmd_fixtures, "check")
     p.add_argument("--list", action="store_true")
     p.add_argument("--dump")
     p.add_argument("--check")
@@ -556,16 +487,23 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return EXIT_INPUT if exc.code not in (0, None) else EXIT_OK
     try:
-        return args.fn(args)
-    except CliError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return exc.code
-    except (StructuralError, DomainError) as exc:
+        q, fx = _load_source(args.quiver) if "quiver" in args.inputs else (None, None)
+        results, code = args.fn(args, q, fx)
+    except (CliError, StructuralError, DomainError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except (ResourceExhausted, MatchingCapExceeded) as exc:
         print(f"undecided: {exc}", file=sys.stderr)
         return EXIT_UNKNOWN
+    if not isinstance(results, str):
+        results = {
+            "command": args.command,
+            "inputs": {name: getattr(args, name) for name in args.inputs},
+            "bounds": {"max_word_length": args.max_word_length, "max_states": args.max_states},
+            "results": results,
+        }
+    _emit(args, results)
+    return code
 
 
 if __name__ == "__main__":

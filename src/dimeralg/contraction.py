@@ -23,6 +23,7 @@ from .quiver import (  # the 2-cycle removal is re-exported from here
     make_quiver,
     reduce_matching,
     reduce_word,
+    tree_potentials,
     validate_dimer,
 )
 from .rewriting import (
@@ -104,26 +105,10 @@ def contract(q: DimerQuiver, arrows) -> Contraction:
     new_id = {root: k for k, root in enumerate(classes)}
     vertex_map = tuple(new_id[r] for r in roots)
 
-    # Gauge the homology data so contracted arrows carry zero: pick a shift
-    # per vertex, constant on each merge class, absorbing the old vectors.
-    shift: list[tuple[int, int] | None] = [None] * q.num_vertices
-    for root in classes:
-        members = [v for v in range(q.num_vertices) if roots[v] == root]
-        shift[members[0]] = (0, 0)
-        pending = True
-        while pending:
-            pending = False
-            for aid in sorted(arrows):
-                a = q.arrow(aid)
-                if roots[a.tail] != root:
-                    continue
-                st, sh = shift[a.tail], shift[a.head]
-                if st is not None and sh is None:
-                    shift[a.head] = (st[0] + a.homology[0], st[1] + a.homology[1])
-                    pending = True
-                elif sh is not None and st is None:
-                    shift[a.tail] = (sh[0] - a.homology[0], sh[1] - a.homology[1])
-                    pending = True
+    # Gauge the homology data so contracted arrows carry zero: each vertex
+    # is shifted by its potential along the contracted forest, zero at the
+    # root of its merge class, which absorbs the old vectors.
+    shift = tree_potentials(q, sorted(arrows), classes)
 
     surviving = [a for a in q.arrows if a.id not in arrows]
     arrow_map = {a.id: k for k, a in enumerate(surviving)}

@@ -163,6 +163,33 @@ def _spans_z2(vectors) -> bool:
     return False
 
 
+def tree_potentials(q: DimerQuiver, arrows, roots) -> list[Hom | None]:
+    """Walk the given arrow ids in both directions from the roots, each at
+    potential (0, 0): a vertex reached along an arrow gets the potential of
+    the other end plus the arrow's homology (minus it against the arrow).
+    A vertex the walk does not reach stays None.  Over a forest of arrows
+    every potential is the homology along the one path from its root."""
+    pot: list[Hom | None] = [None] * q.num_vertices
+    arrows_at: list[list[Arrow]] = [[] for _ in range(q.num_vertices)]
+    for aid in arrows:
+        a = q.arrow(aid)
+        arrows_at[a.tail].append(a)
+        arrows_at[a.head].append(a)
+    for root in roots:
+        pot[root] = (0, 0)
+    frontier = list(roots)
+    while frontier:
+        v = frontier.pop()
+        for a in arrows_at[v]:
+            if a.tail == v and pot[a.head] is None:
+                pot[a.head] = _hom_add(pot[v], a.homology)
+                frontier.append(a.head)
+            elif a.head == v and pot[a.tail] is None:
+                pot[a.tail] = _hom_sub(pot[v], a.homology)
+                frontier.append(a.tail)
+    return pot
+
+
 def validate_dimer(q: DimerQuiver) -> ValidationReport:
     """Check every dimer-quiver invariant; report all failures found."""
     bad: list[Violation] = []
@@ -214,48 +241,17 @@ def validate_dimer(q: DimerQuiver) -> ValidationReport:
         if a.tail == a.head and a.homology == (0, 0):
             report("loops", f"arrow {a.id} is a null-homologous loop", f"arrow {a.id}")
 
-    # Connectivity of the underlying graph.
-    adj: list[list[int]] = [[] for _ in range(nv)]
-    for a in q.arrows:
-        adj[a.tail].append(a.head)
-        adj[a.head].append(a.tail)
-    seen = {0}
-    stack = [0]
-    while stack:
-        v = stack.pop()
-        for w in adj[v]:
-            if w not in seen:
-                seen.add(w)
-                stack.append(w)
-    if len(seen) != nv:
-        missing = sorted(set(range(nv)) - seen)
-        report("connectivity", f"vertices {missing} unreachable", "quiver")
-        return ValidationReport(False, tuple(bad))
-
-    # Directed-cycle classes must generate Z^2.  Assign each vertex a
-    # potential by walking a spanning tree; every arrow then contributes
+    # Connectivity of the underlying graph, then the directed-cycle classes,
+    # which must generate Z^2.  The walk from vertex 0 gives each vertex a
+    # potential along a spanning tree; every arrow then contributes
     # hom(a) + pot(tail) - pot(head), which vanishes on tree arrows and
     # equals the fundamental-cycle class on the rest.
-    pot: list[Hom | None] = [None] * nv
-    pot[0] = (0, 0)
-    frontier = [0]
-    arrows_at: list[list[Arrow]] = [[] for _ in range(nv)]
-    for a in q.arrows:
-        arrows_at[a.tail].append(a)
-        arrows_at[a.head].append(a)
-    while frontier:
-        v = frontier.pop()
-        for a in arrows_at[v]:
-            if a.tail == v and pot[a.head] is None:
-                pot[a.head] = _hom_add(pot[v], a.homology)
-                frontier.append(a.head)
-            elif a.head == v and pot[a.tail] is None:
-                pot[a.tail] = _hom_sub(pot[v], a.homology)
-                frontier.append(a.tail)
-    classes = []
-    for a in q.arrows:
-        cls = _hom_sub(_hom_add(a.homology, pot[a.tail]), pot[a.head])
-        classes.append(cls)
+    pot = tree_potentials(q, range(na), [0])
+    missing = [v for v in range(nv) if pot[v] is None]
+    if missing:
+        report("connectivity", f"vertices {missing} unreachable", "quiver")
+        return ValidationReport(False, tuple(bad))
+    classes = [_hom_sub(_hom_add(a.homology, pot[a.tail]), pot[a.head]) for a in q.arrows]
     if not _spans_z2(classes):
         report("homology_span", "directed cycle classes do not span Z^2", "quiver")
 

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -97,7 +98,8 @@ def test_in_process_entry_point(capsys):
 
 
 def test_closed_stdout_ends_quietly(tmp_path, monkeypatch, capsys):
-    # a reader that stops early (``dimeralg ... | head -3``) closes the pipe
+    # a reader that stops early (``dimeralg ... | head -3``) closes the pipe;
+    # raw text goes through the same output path as a report
     with open(tmp_path / "sink", "w") as sink:
 
         class ClosedPipe:
@@ -111,23 +113,29 @@ def test_closed_stdout_ends_quietly(tmp_path, monkeypatch, capsys):
                 return sink.fileno()
 
         monkeypatch.setattr(sys, "stdout", ClosedPipe())
-        code = main(["--max-states", "0", "validate", "fixture:fig_deformation"])
-    assert code == 0
-    assert "Traceback" not in capsys.readouterr().err
+        for argv in (["--max-states", "0", "validate", "fixture:fig_deformation"],
+                     ["fixtures", "--dump", "fig_nested(200)"],
+                     ["fixtures", "--list"]):
+            assert main(argv) == 0, argv
+            assert "Traceback" not in capsys.readouterr().err
 
 
 def test_closed_pipe_keeps_exit_code():
-    read, write = os.pipe()
-    os.close(read)  # nobody reads: the first write fails with EPIPE
-    # stdout buffered, as by default, so the output is written by a flush
-    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
-    try:
-        res = subprocess.run(RUN + ["validate", "fixture:fig_deformation"],
-                             stdout=write, stderr=subprocess.PIPE, text=True, env=env)
-    finally:
-        os.close(write)
-    assert res.returncode == 0
-    assert res.stderr == ""
+    # the dump is larger than the pipe buffer, so its write fails inside
+    # the print rather than in the flush
+    for argv in (["validate", "fixture:fig_deformation"],
+                 ["fixtures", "--dump", "fig_nested(200)"]):
+        read, write = os.pipe()
+        os.close(read)  # nobody reads: the first write fails with EPIPE
+        # stdout buffered, as by default, so the output is written by a flush
+        env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+        try:
+            res = subprocess.run(RUN + argv,
+                                 stdout=write, stderr=subprocess.PIPE, text=True, env=env)
+        finally:
+            os.close(write)
+        assert res.returncode == 0, argv
+        assert res.stderr == "", argv
 
 
 def test_tau_renders_monomial():
@@ -244,9 +252,14 @@ def _bad_face(doc, value):
     ([1, 2], NILRADICAL_CANDIDATE, 3),
     # a 2-cycle bigon_reduce cannot remove: the quiver is searched as given
     (quiver_to_json(bigon_inserted_c3()), ["noncancellative", "--max-states", "2000"], 2),
+    # fixtures --check and --dump look a name up as fixture:NAME does
+    (None, ["fixtures", "--check", "bogus"], 3),
+    (None, ["fixtures", "--check", "fig_nested(0)"], 3),
+    (None, ["fixtures", "--dump", "bogus"], 3),
 ], ids=["tail-string", "tail-bool", "face-string", "vertex-range", "cycle-budget",
         "matching-cap", "normality-below-witness", "candidate-arrow-range",
-        "candidate-zero-denominator", "candidate-not-object", "irremovable-2cycle"])
+        "candidate-zero-denominator", "candidate-not-object", "irremovable-2cycle",
+        "check-unknown-name", "check-depth-zero", "dump-unknown-name"])
 def test_exit_code_contract(tmp_path, mutate, args, code):
     if mutate is not None:
         if callable(mutate):
@@ -260,6 +273,8 @@ def test_exit_code_contract(tmp_path, mutate, args, code):
     res = run_cli(args)
     assert res.returncode == code, res.stderr
     assert "Traceback" not in res.stderr
+    if code == 3:
+        assert res.stderr.startswith("error: ") and res.stderr.count("\n") == 1, res.stderr
 
 
 def test_center_search_budget_is_exit_2(monkeypatch, capsys):
@@ -292,3 +307,117 @@ def test_noncancellative_reports_removed_2cycles(tmp_path, capsys):
     assert results["removed_2cycles"] == 2
     assert (results["found"], results["search_exhausted"]) == (False, False)
     assert (results["cycles_considered"], results["pairs_tested"]) == (1092, 1006)
+
+
+# Exit code and SHA-1 of stdout and of stderr, in process, for the README's
+# commands and more paths through the CLI: text output, every cycle filter,
+# explicit contraction sets, exit 2 and exit 3.  A deliberate change of
+# output re-records the pins and lists the changed ones in CHANGES.md.
+EMPTY = hashlib.sha1(b"").hexdigest()
+PINNED = [
+    # the README's commands
+    (["fixtures", "--list"], 0,
+     "c6cc14df2a56a3e00d64f3db43b18f22ce552166", EMPTY),
+    (["validate", "fixture:fig_deformation"], 0,
+     "e7ce4995a62decc03229b93a0e5d3fa0104cefa1", EMPTY),
+    (["matchings", "fixture:fig_deformation", "--simple-only"], 0,
+     "2d1801a5aa2173d356ada6c47ca1b4a0a9432b4b", EMPTY),
+    (["eq", "fixture:fig_deformation", "--p", "4,6,6,1", "--q", "5,6,6,0"], 0,
+     "16d36b0814ec31b8b2dcdcd65eb2e39d316f5974", EMPTY),
+    (["cycles", "fixture:fig_iso_R", "--vertex", "2", "--max-len", "6", "--filter",
+      "vertex-simple"], 0,
+     "4e282ff5bc6d96aceb3a67015f26df03a805dce0", EMPTY),
+    (["tau", "fixture:fig_iso_R", "--path", "4,5,6,13,15,16"], 0,
+     "62ea012e9d324cd3667d9595e1d73a388274dc87", EMPTY),
+    (["contract", "fixture:fig_iso_R", "--check-cyclic", "--reduce"], 0,
+     "a489bae9cb28aa72b4ab31438e468e1304ad2cc8", EMPTY),
+    (["cycle-algebra", "fixture:fig_deformation"], 0,
+     "502e90a6746b8cb30b70939cae661247e5c2a5f1", EMPTY),
+    (["homotopy-center", "fixture:fig_deformation", "--degree-bound", "8"], 0,
+     "60f9a4abe6df9754bb20b84b88ecad46e6e62e34", EMPTY),
+    (["center", "fixture:fig_iso_R", "--image", "1,1,2"], 0,
+     "b6f8285ce5624a836933c2888d9935a47e3f58e0", EMPTY),
+    (["nilradical", "fixture:fig_noncancellative_central"], 0,
+     "3aefc109e1d22914bdf73facaab899b7eaab80b3", EMPTY),
+    (["normality", "fixture:fig_nested(2)", "--degree-bound", "6"], 0,
+     "cc2e2c0f3080720b37395f9f20c8e3721ad714d9", EMPTY),
+    (["noncancellative", "fixture:fig_deformation"], 0,
+     "01d191c965ac080761dbb84da9c3316368a984b0", EMPTY),
+    (["fixtures", "--check", "fig_deformation"], 0,
+     "4eb9cc0804085483f4d96bfe0877350c047de8f3", EMPTY),
+    # text output, global options on either side of the subcommand
+    (["validate", "fixture:fig_deformation", "--text"], 0,
+     "c0d0925f2a1973c17fb124126ae5acfe05e3354d", EMPTY),
+    (["--text", "contract", "fixture:fig_deformation", "--reduce"], 0,
+     "2e93926be80f6df7410b507e8547585618443512", EMPTY),
+    (["--max-states", "5000", "center", "fixture:fig_iso_R", "--image", "1,1,2", "--text"], 0,
+     "812242decd9f348f6e6aea14981c322051aeac11", EMPTY),
+    # every cycle filter, and the split into classes
+    (["cycles", "fixture:fig_deformation", "--vertex", "0", "--max-len", "5"], 0,
+     "41bf31591b305735c69968da29213a232b02b714", EMPTY),
+    (["cycles", "fixture:fig_deformation", "--vertex", "0", "--max-len", "5", "--filter",
+      "lift-simple"], 0,
+     "00fefb0d0923cd9f7d124b3a0d1a9fa902196102", EMPTY),
+    (["cycles", "fixture:fig_deformation", "--vertex", "0", "--max-len", "5", "--filter",
+      "homology:1,0"], 0,
+     "f5b4c51b8fd91d6e00be41cb14f1b9c334e2017f", EMPTY),
+    (["cycles", "fixture:fig_deformation", "--vertex", "0", "--max-len", "5", "--dedup"], 0,
+     "febf5b71fdee67375d7aeeb78ad4404b8fe6004b", EMPTY),
+    # explicit contraction sets, the raw text of --dump
+    (["tau", "fixture:fig_deformation", "--arrows", "", "--path", "0,2,5"], 0,
+     "9895d659cf012883b1cb8d0b585d2ae2e12f8e38", EMPTY),
+    (["cycle-algebra", "fixture:fig_iso_R", "--arrows", "0"], 0,
+     "cf281fbad61f0be3fbccd0f5eec1eb5e3cff83e3", EMPTY),
+    (["homotopy-center", "fixture:fig_deformation", "--degree-bound", "4", "--contains",
+      "1,1,1"], 0,
+     "3fab0ab4d6513409f04ca8bb0a00eb50f53c2a92", EMPTY),
+    (["noncancellative", "fixture:fig_deformation", "--arrows", ""], 0,
+     "01d191c965ac080761dbb84da9c3316368a984b0", EMPTY),
+    (["fixtures", "--dump", "fig_deformation"], 0,
+     "0c68cb90bdfb725d75b990d392cfa30ce6d4114f", EMPTY),
+    # exit 2
+    (["eq", "fixture:fig_deformation", "--p", "0,2,5", "--q", "1,3,4,6", "--max-states", "1"], 2,
+     "5fef67152152af033701d693abbad553a51c765f", EMPTY),
+    (["matchings", "fixture:fig_iso_R", "--cap", "3"], 2,
+     EMPTY, "81f5fca7a889d0a1fb8a7ce7409ba0c6ab8da432"),
+    (["normality", "fixture:fig_nested(2)", "--degree-bound", "5"], 2,
+     "4d51add333936959ae83cc2e2e133662aad88b2f", EMPTY),
+    # exit 3
+    (["validate", "fixture:fig_nope"], 3,
+     EMPTY, "4ade5f9dc9eb0efd2d71115e40aa28a2c867c8fe"),
+    (["cycles", "fixture:fig_deformation", "--vertex", "0", "--max-len", "3", "--filter",
+      "homology:1"], 3,
+     EMPTY, "e8fe0d3e120c6b65ad54b42dfc3639f3626966b9"),
+    (["cycles", "fixture:fig_deformation", "--vertex", "0", "--max-len", "3", "--filter",
+      "odd"], 3,
+     EMPTY, "f311d17af089d01c66390876e424addfe9fc3671"),
+    (["eq", "fixture:fig_deformation", "--p", "a,b", "--q", "0"], 3,
+     EMPTY, "74f440c570bdf771e102dc998ec26c535eed88e3"),
+    (["center", "fixture:fig_deformation", "--image", "x,y"], 3,
+     EMPTY, "ce30c2e93da5cb2f822bc183238f38219a41c81d"),
+    (["contract", "fixture:fig_deformation", "--arrows", "99"], 3,
+     EMPTY, "3e0c584e3ecb52fa8445f028e7a2a2ba719cf5d9"),
+    (["nilradical", "fixture:fig_deformation"], 3,
+     EMPTY, "f854fed6aa8af68c9b6b31b7eec6c547f4cb7e40"),
+    (["fixtures"], 3,
+     EMPTY, "cff09e1eb964a9706090da8e8f93dbff3c599e88"),
+    # unknown names for fixtures --check and --dump: exit 3, not a traceback
+    (["fixtures", "--check", "bogus"], 3,
+     EMPTY, "7d0be26f9f0c3530baee8aaac5348ecf0c34b156"),
+    (["fixtures", "--check", "fig_nested(0)"], 3,
+     EMPTY, "8a09aec5f0e70ec0c35e5265f265afe5b6858ea9"),
+    (["fixtures", "--dump", "bogus"], 3,
+     EMPTY, "7d0be26f9f0c3530baee8aaac5348ecf0c34b156"),
+]
+
+
+def _sha1(text):
+    return hashlib.sha1(text.encode("utf-8")).hexdigest()
+
+
+@pytest.mark.parametrize("argv, code, out, err", PINNED,
+                         ids=[" ".join(argv) for argv, *_ in PINNED])
+def test_pinned_output(argv, code, out, err, capsys):
+    assert main(argv) == code
+    got = capsys.readouterr()
+    assert (_sha1(got.out), _sha1(got.err)) == (out, err)

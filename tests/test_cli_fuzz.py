@@ -133,3 +133,23 @@ def option_commands(draw):
 @given(argv=option_commands())
 def test_option_values(argv):
     run_main(argv)
+
+
+# fixture names as `fixture:NAME` sources and as fixtures --check / --dump
+# arguments: valid names, unknown ones, nesting depths around the valid
+# range, and unbalanced parentheses
+NAME_CASES = st.one_of(
+    st.sampled_from(["fig_deformation", "fig_noncancellative_central", "fig_iso_R",
+                     "fig_hsb_ii"]),
+    st.sampled_from(["bogus", "", "fig_nested", "fig_nested(n)", "FIG_ISO_R", "fixture:fig_iso_R"]),
+    st.integers(-1, 3).map(lambda k: f"fig_nested({k})"),
+    st.sampled_from(["fig_nested(", "fig_nested(1", "fig_nested)1(", "fig_nested((1)",
+                     "fig_nested(1))", "fig_nested)", "(fig_iso_R"]),
+)
+
+
+@FUZZ
+@given(name=NAME_CASES, command=st.sampled_from(
+    [["validate", "fixture:{}"], ["fixtures", "--check", "{}"], ["fixtures", "--dump", "{}"]]))
+def test_fixture_names(name, command):
+    run_main([arg.format(name) for arg in command])
