@@ -28,12 +28,13 @@ from .quiver import (  # the 2-cycle removal is re-exported from here
 )
 from .rewriting import (
     DEFAULT_BOUNDS,
+    UNKNOWN,
+    ResourceExhausted,
     RewriteSystem,
     SearchBounds,
     face_rules,
     find_noncancellative_pair,
     paths_equal,
-    vertex_simple_cycles,
 )
 
 Monomial = tuple[int, ...]
@@ -177,7 +178,9 @@ def psi_word(c: Contraction, p: PathWord) -> PathWord:
 
 
 def _assert_relations_descend(c: Contraction):
-    """Every source relation must become an equality in the target."""
+    """Every source relation must become an equality in the target.  A
+    relation the bounded equality search cannot decide raises
+    ResourceExhausted: undecided, not a failed contraction."""
     rules = face_rules(c.source)
     rs_tgt = RewriteSystem(c.target)
     for aid, (left, right) in sorted(rules.items()):
@@ -185,6 +188,10 @@ def _assert_relations_descend(c: Contraction):
         lp = psi_word(c, PathWord(a.head, left))
         rp = psi_word(c, PathWord(a.head, right))
         res = paths_equal(rs_tgt, lp, rp)
+        if res.verdict == UNKNOWN:
+            raise ResourceExhausted(
+                f"relation at arrow {aid}: equality search cut off ({res.reason})"
+            )
         if not res.is_equal:
             raise ContractionError(
                 "relations", f"relation at arrow {aid} does not descend ({res.verdict})"
@@ -215,13 +222,51 @@ def sigma(c: Contraction) -> Monomial:
 def _cycle_algebra_generators(q: DimerQuiver, images) -> tuple[Monomial, ...]:
     """Minimal monomial generators of the algebra of cycle images in q.
 
-    The exponent of a cycle depends only on its arrow multiset, and every
-    closed walk decomposes into vertex-simple cycles, so images of
-    vertex-simple cycles generate the whole algebra."""
-    from .monomial_algebra import minimal_generators
+    The image of a closed walk depends only on its arrow multiset, and
+    every closed walk splits into vertex-simple cycles, so the images of
+    vertex-simple cycles generate the algebra.  They are found without
+    listing the cycles.  For each start vertex s, one breadth-first
+    search over packed (vertex, image) states (``monomial_algebra._Packing``)
+    steps only to vertices >= s, takes walks of at most V - s arrows,
+    collects the image of every walk that returns to s, and keeps each
+    state only at the first layer that reaches it.  The collected images
+    generate the same monoid as the vertex-simple cycle images:
 
-    found = {_image(images, cyc.arrows) for cyc in vertex_simple_cycles(q)}
-    return tuple(minimal_generators(found))
+    - every vertex-simple cycle whose least vertex is s is such a walk,
+      since it visits at most V - s vertices, all of them >= s;
+    - every collected image is the image of a closed walk, so it lies in
+      the monoid that the vertex-simple cycle images generate;
+    - a state seen again at a later layer has fewer steps left, so
+      dropping it loses no walk: whatever finishes a walk from the later
+      visit finishes it from the first, within the cap.
+
+    ``minimal_generators`` returns the irreducibles of that monoid, so the
+    list is the one the vertex-simple cycles give."""
+    from .monomial_algebra import _Packing, minimal_generators
+
+    nv = q.num_vertices
+    # a walk of at most V arrows: every field is at most V times the
+    # largest arrow degree
+    width = (nv * max(map(sum, images))).bit_length()
+    packing = _Packing.of_quiver(q, images, len(images[0]), width)
+    vmask, steps = packing.vmask, packing.steps
+    found: set[int] = set()
+    for s in range(nv):
+        seen = {s}
+        frontier = [s]
+        for _ in range(nv - s):
+            nxt = []
+            for node in frontier:
+                for _aid, step in steps[node & vmask]:
+                    state = node + step
+                    head = state & vmask
+                    if head == s:
+                        found.add(state - s)
+                    elif head > s and state not in seen:
+                        seen.add(state)
+                        nxt.append(state)
+            frontier = nxt
+    return tuple(minimal_generators(map(packing.exponents, found)))
 
 
 def source_cycle_algebra_generators(c: Contraction) -> list[Monomial]:

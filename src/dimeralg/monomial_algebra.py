@@ -9,16 +9,20 @@ the state budget ``rewriting.MAX_STATES`` only guards against oversized
 state spaces.  The search packs each state into one int (see
 ``_Packing``) and caps it by per-exponent caps and a degree cap: g and
 deg g for one monomial, D everywhere for the degree-D center table.
+Membership in a monoid given by generators (``algebra_contains``,
+``minimal_generators``) searches packed partial sums in the same layout,
+with one vertex.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from math import prod
+from operator import le, lshift
 
 from . import rewriting
 from .contraction import Contraction, Monomial
-from .quiver import DomainError, PathWord
+from .quiver import DimerQuiver, DomainError, PathWord
 from .rewriting import ResourceExhausted
 
 YES = "yes"
@@ -34,7 +38,7 @@ def mon_add(a: Monomial, b: Monomial) -> Monomial:
 
 
 def mon_leq(a: Monomial, b: Monomial) -> bool:
-    return all(x <= y for x, y in zip(a, b))
+    return all(map(le, a, b))
 
 
 def is_sigma_power(g: Monomial) -> bool:
@@ -54,6 +58,57 @@ def render_monomial(g: Monomial) -> str:
     return "*".join(parts)
 
 
+# -- packed states -----------------------------------------------------------
+
+
+class _Packing:
+    """The bit layout of packed (vertex, exponents) states for one field
+    width, and the packed step of each arrow.
+
+    The vertex sits in the low bits, under ``vmask``.  Above it each
+    exponent, then the degree, has a ``width``-bit field with one guard
+    bit on top.
+    ``arrows`` lists (tail, head, image) per arrow, in id order: the
+    arrows of a quiver with their monomial images, or none for plain
+    sums of monomials at the one vertex 0.  An arrow step is one addition
+    of the arrow's delta (its packed image, plus head minus tail).  With
+    ``limit`` the caps, the guard bits and all-ones vertex bits, a state
+    s is within the caps exactly when ``(limit - s) & guards == guards``:
+    no field borrows from the next, and a field's guard bit survives the
+    subtraction iff its value is at most its cap.  That holds when the
+    width holds every cap plus one step's largest increment; the caller
+    chooses the width."""
+
+    def __init__(self, width: int, dim: int, num_vertices: int, arrows):
+        vbits = (num_vertices - 1).bit_length()
+        self.vmask = (1 << vbits) - 1
+        self.mask = (1 << width) - 1
+        # one field per exponent, then the degree
+        self.shifts = tuple(range(vbits, vbits + (dim + 1) * (width + 1), width + 1))
+        self.guards = sum(1 << (shift + width) for shift in self.shifts)
+        self.deltas = tuple(
+            self.pack(head, image, degree(image)) - tail for tail, head, image in arrows
+        )
+        # per vertex, (arrow id, delta) in arrow id order
+        steps: list[list[tuple[int, int]]] = [[] for _ in range(num_vertices)]
+        for aid, (tail, _head, _image) in enumerate(arrows):
+            steps[tail].append((aid, self.deltas[aid]))
+        self.steps = tuple(map(tuple, steps))
+
+    @classmethod
+    def of_quiver(cls, q: DimerQuiver, images, dim: int, width: int) -> _Packing:
+        return cls(width, dim, q.num_vertices, [(a.tail, a.head, images[a.id]) for a in q.arrows])
+
+    def pack(self, v: int, g: Monomial, deg: int) -> int:
+        return v + sum(map(lshift, (*g, deg), self.shifts))
+
+    def exponents(self, s: int) -> Monomial:
+        return tuple((s >> shift) & self.mask for shift in self.shifts[:-1])
+
+
+# -- monomial algebras --------------------------------------------------------
+
+
 @dataclass(frozen=True)
 class MonomialAlgebra:
     """A monomial algebra given by semigroup generators, in a fixed order."""
@@ -68,24 +123,43 @@ class MonomialAlgebra:
 
 def algebra_contains(a: MonomialAlgebra, g: Monomial) -> str:
     """YES iff g is a nonnegative integer combination of the generators.
-    The lattice program below g is complete, so the verdict is exact."""
-    return YES if _reachable_vector(a.generators, g) else NO
+    The search over the packed partial sums below g is complete, so the
+    verdict is exact."""
+    packing = _sum_packing(len(g), degree(g))
+    # a summand must fit below g before it is packed: a larger exponent
+    # would overflow its field
+    steps = [
+        packing.pack(0, v, degree(v)) for v in a.generators if degree(v) > 0 and mon_leq(v, g)
+    ]
+    return YES if _packed_sum(packing.guards, steps, packing.pack(0, g, degree(g))) else NO
 
 
-def _reachable_vector(gens, g: Monomial) -> bool:
-    useful = [v for v in gens if degree(v) > 0 and mon_leq(v, g)]
-    reached = {tuple(0 for _ in g)}
-    frontier = [tuple(0 for _ in g)]
-    while frontier:
-        cur = frontier.pop()
-        if cur == g:
+def _sum_packing(dim: int, deg: int) -> _Packing:
+    """The layout of sums of monomials below a cap of degree ``deg``: one
+    vertex, and a width that holds twice the cap, i.e. a partial sum below
+    the cap plus one summand below it."""
+    return _Packing((2 * deg).bit_length(), dim, 1, ())
+
+
+def _packed_sum(guards: int, steps, goal: int) -> bool:
+    """Is the packed monomial ``goal`` a sum of packed ``steps``?  A
+    depth-first search over the partial sums below the goal, each one
+    packed int as in ``_Packing``: a sum stays below the goal exactly when
+    ``(limit - s) & guards == guards`` with ``limit = goal | guards``."""
+    limit = goal | guards
+    steps = [d for d in steps if (limit - d) & guards == guards]
+    seen = {0}
+    stack = [0]
+    while stack:
+        cur = stack.pop()
+        if cur == goal:
             return True
-        for v in useful:
-            nxt = mon_add(cur, v)
-            if mon_leq(nxt, g) and nxt not in reached:
-                reached.add(nxt)
-                frontier.append(nxt)
-    return g in reached
+        for d in steps:
+            s = cur + d
+            if s not in seen and (limit - s) & guards == guards:
+                seen.add(s)
+                stack.append(s)
+    return False
 
 
 def semigroup_monomials(gens, degree_bound: int) -> frozenset[Monomial]:
@@ -122,12 +196,32 @@ def ideal_monomials(generators, multiplier_gens, degree_bound: int) -> frozenset
 def minimal_generators(monomials) -> list[Monomial]:
     """Reduce a set of monomials to the subset that still generates it:
     the irreducible elements of the semigroup it generates, which are its
-    unique minimal generating set, sorted by degree."""
+    unique minimal generating set, sorted by degree.
+
+    The monomials are taken by degree, so when one is reached every
+    monomial of lower degree is already a sum of kept generators.  A
+    monomial m is therefore dropped at once when m - k is itself one of
+    the monomials for some kept k <= m; the rest go through the packed
+    membership search ``_packed_sum`` over the kept generators."""
     mons = sorted(set(m for m in monomials if degree(m) > 0), key=lambda m: (degree(m), m))
+    if not mons:
+        return []
+    packing = _sum_packing(len(mons[0]), degree(mons[-1]))
+    guards = packing.guards
+    packed = [packing.pack(0, m, degree(m)) for m in mons]
+    present = set(packed)
     kept: list[Monomial] = []
-    for m in mons:
-        if not _reachable_vector([k for k in kept if k != m], m):
+    kept_packed: list[int] = []
+    for m, pm in zip(mons, packed):
+        # (pm | guards) - pk keeps every guard bit iff k <= m, and then
+        # flipping the guards leaves the packed m - k; otherwise a guard
+        # bit stays set, and no packed monomial has one
+        top = pm | guards
+        if any((top - pk) ^ guards in present for pk in kept_packed):
+            continue
+        if not _packed_sum(guards, kept_packed, pm):
             kept.append(m)
+            kept_packed.append(pm)
     return kept
 
 
@@ -142,55 +236,17 @@ class Realizability:
     vertex: int | None = None
 
 
-class _Packing:
-    """The bit layout of packed (vertex, exponents spent) states for one
-    field width.
-
-    The vertex sits in the low bits, under ``vmask``.  Above it each
-    exponent, then the degree, has a ``width``-bit field with one guard
-    bit on top.
-    An arrow image is a 0/1 vector over the n simple matchings, so one
-    arrow adds at most 1 to an exponent and at most n to the degree: a
-    width that holds the degree cap plus n holds every cap plus one
-    arrow's largest increment.  An arrow step is one addition of the
-    arrow's delta (its packed image, plus head minus tail).  With
-    ``limit`` the caps, the guard bits and all-ones vertex bits, a state
-    s is within the caps exactly when ``(limit - s) & guards == guards``:
-    no field borrows from the next, and a field's guard bit survives the
-    subtraction iff its value is at most its cap."""
-
-    def __init__(self, c: Contraction, width: int):
-        q = c.source
-        vbits = (q.num_vertices - 1).bit_length()
-        self.vmask = (1 << vbits) - 1
-        self.mask = (1 << width) - 1
-        # one field per exponent, then the degree
-        self.shifts = tuple(vbits + k * (width + 1) for k in range(len(c.catalog) + 1))
-        self.guards = sum(1 << (shift + width) for shift in self.shifts)
-        images = c.source_images
-        self.deltas = tuple(
-            self.pack(a.head, images[a.id], degree(images[a.id])) - a.tail for a in q.arrows
-        )
-        # per vertex, (arrow id, delta) in out_arrows order
-        self.steps = tuple(
-            tuple((a.id, self.deltas[a.id]) for a in q.out_arrows(v))
-            for v in range(q.num_vertices)
-        )
-
-    def pack(self, v: int, g: Monomial, deg: int) -> int:
-        return v + sum(e << shift for e, shift in zip((*g, deg), self.shifts))
-
-    def exponents(self, s: int) -> Monomial:
-        return tuple((s >> shift) & self.mask for shift in self.shifts[:-1])
-
-
 def _packing(c: Contraction, deg_cap: int) -> _Packing:
-    """The packing for a degree cap, built once per field width and kept
-    on the contraction."""
+    """The packing of the source for a degree cap, built once per field
+    width and kept on the contraction.  An arrow image is a 0/1 vector
+    over the n simple matchings, so one arrow adds at most 1 to an
+    exponent and at most n to the degree: a width that holds the degree
+    cap plus n holds every cap plus one arrow's largest increment."""
     width = (deg_cap + len(c.catalog)).bit_length()
     packing = c._packings.get(width)
     if packing is None:
-        packing = c._packings[width] = _Packing(c, width)
+        packing = c._packings[width] = _Packing.of_quiver(
+            c.source, c.source_images, len(c.catalog), width)
     return packing
 
 

@@ -1,3 +1,6 @@
+import importlib.util
+from pathlib import Path
+
 import pytest
 
 from dimeralg import fixtures as fixtures_mod
@@ -12,6 +15,16 @@ FIXTURES = [
     "fig_hsb_ii",
     "fig_noncancellative_central",
 ]
+
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+
+
+def load_torus_cover():
+    """``torus_cover`` from ``perfbench/covers.py``, which is not a package."""
+    spec = importlib.util.spec_from_file_location("perfbench_covers", PERFBENCH / "covers.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module.torus_cover
 
 
 @pytest.fixture(scope="session")

@@ -256,10 +256,14 @@ def _bad_face(doc, value):
     (None, ["fixtures", "--check", "bogus"], 3),
     (None, ["fixtures", "--check", "fig_nested(0)"], 3),
     (None, ["fixtures", "--dump", "bogus"], 3),
+    # a relation whose equality search is cut off leaves the contraction undecided
+    (None, ["contract", "fixture:fig_nested(20)"], 2),
+    (None, ["fixtures", "--check", "fig_nested(20)"], 2),
 ], ids=["tail-string", "tail-bool", "face-string", "vertex-range", "cycle-budget",
         "matching-cap", "normality-below-witness", "candidate-arrow-range",
         "candidate-zero-denominator", "candidate-not-object", "irremovable-2cycle",
-        "check-unknown-name", "check-depth-zero", "dump-unknown-name"])
+        "check-unknown-name", "check-depth-zero", "dump-unknown-name",
+        "contract-relation-undecided", "check-relation-undecided"])
 def test_exit_code_contract(tmp_path, mutate, args, code):
     if mutate is not None:
         if callable(mutate):
@@ -275,6 +279,8 @@ def test_exit_code_contract(tmp_path, mutate, args, code):
     assert "Traceback" not in res.stderr
     if code == 3:
         assert res.stderr.startswith("error: ") and res.stderr.count("\n") == 1, res.stderr
+    if code == 2 and res.stderr:
+        assert res.stderr.startswith("undecided: ") and res.stderr.count("\n") == 1, res.stderr
 
 
 def test_center_search_budget_is_exit_2(monkeypatch, capsys):

@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 
 import pytest
 
@@ -14,12 +15,24 @@ from dimeralg.contraction import (
     reduce_word,
     sigma,
     source_cycle_algebra_generators,
+    target_cycle_algebra_generators,
     tau_psi,
 )
 from dimeralg.acceptance import quadratic_pattern_indices
 from dimeralg.matchings import enumerate_perfect_matchings, matching_catalog
+from dimeralg.monomial_algebra import minimal_generators
 from dimeralg.quiver import PathWord, concat, unit_cycle, validate_dimer
-from dimeralg.rewriting import RewriteSystem, paths_equal, vertex_simple_cycles
+from dimeralg.rewriting import (
+    NOT_EQUAL,
+    UNKNOWN,
+    EqResult,
+    ResourceExhausted,
+    RewriteSystem,
+    paths_equal,
+    vertex_simple_cycles,
+)
+
+from conftest import load_torus_cover
 
 
 def test_identity_contraction(deformation):
@@ -238,3 +251,66 @@ def test_nested_outer_cycle_becomes_unit_cycle():
     word = reduce_word(red, psi_word(c, outer).arrows)
     rotations = {word[k:] + word[:k] for k in range(len(word))}
     assert any(tuple(f.boundary) in rotations for f in red.quiver.faces)
+
+
+def _differential_contractions():
+    """Name -> contraction for the cycle-algebra differential test."""
+    out = {}
+    for name in ("fig_deformation", "fig_iso_R", "fig_hsb_ii", "fig_noncancellative_central"):
+        fx = fixtures_mod.fixture(name)
+        out[name] = contract(fx.quiver, fx.contraction_arrows)
+    for n in range(1, 7):
+        fx = fixtures_mod.fixture(f"fig_nested({n})")
+        out[f"fig_nested({n})"] = contract(fx.quiver, fx.contraction_arrows)
+    torus_cover = load_torus_cover()
+    for name in ("c3", "conifold"):
+        q = getattr(fixtures_mod, f"{name}_quiver")()
+        for n, m in itertools.product(range(1, 4), repeat=2):
+            out[f"{name}_{n}x{m}"] = identity_contraction(torus_cover(q, n, m))
+    deformation = fixtures_mod.fixture("fig_deformation").quiver
+    for n, m in ((2, 2), (3, 2)):
+        out[f"fig_deformation_{n}x{m}"] = identity_contraction(torus_cover(deformation, n, m))
+    iso_r = fixtures_mod.fixture("fig_iso_R").quiver
+    for k in (1, 2):
+        for arrows in itertools.combinations(range(len(iso_r.arrows)), k):
+            try:
+                out[f"fig_iso_R/{arrows}"] = contract(iso_r, arrows)
+            except ContractionError:
+                continue
+    return out
+
+
+def _simple_cycle_generators(q, images):
+    """The reference: minimal generators of the vertex-simple cycle images."""
+    found = {
+        tuple(map(sum, zip(*(images[aid] for aid in cyc.arrows))))
+        for cyc in vertex_simple_cycles(q)
+    }
+    return minimal_generators(found)
+
+
+def test_cycle_algebra_generators_match_simple_cycles():
+    contractions = _differential_contractions()
+    # 10 fixtures, 18 covers of c3 and the conifold, 2 of fig_deformation,
+    # and every fig_iso_R contraction of one or two arrows that contract accepts
+    assert len(contractions) == 30 + 141
+    for name, c in contractions.items():
+        assert source_cycle_algebra_generators(c) == _simple_cycle_generators(
+            c.source, c.source_images), name
+        assert target_cycle_algebra_generators(c) == _simple_cycle_generators(
+            c.target, c.target_images), name
+
+
+@pytest.mark.parametrize("verdict, error", [
+    (UNKNOWN, ResourceExhausted),
+    (NOT_EQUAL, ContractionError),
+])
+def test_relation_check_keeps_undecided_apart(monkeypatch, deformation, verdict, error):
+    # an undecided relation is a cut-off search, not a failed contraction
+    from dimeralg import contraction
+
+    monkeypatch.setattr(contraction, "paths_equal", lambda *args: EqResult(verdict))
+    with pytest.raises(error) as err:
+        contract(deformation.quiver, deformation.contraction_arrows)
+    if error is ContractionError:
+        assert err.value.kind == "relations"

@@ -1,9 +1,7 @@
 """EqualityClasses against a naive one-sided closure of each class
 representative, and the invariant that keeps its closures exact."""
 
-import importlib.util
 import random
-from pathlib import Path
 
 import pytest
 
@@ -30,9 +28,7 @@ from dimeralg.rewriting import (
     _encode,
 )
 
-from conftest import FIXTURES
-
-PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+from conftest import FIXTURES, load_torus_cover
 
 
 def pairwise_split(rs, words, bounds=DEFAULT_BOUNDS, classes=None):
@@ -143,13 +139,11 @@ def naive_successors(rs, word, cap):
 
 
 def _covers():
-    spec = importlib.util.spec_from_file_location("perfbench_covers", PERFBENCH / "covers.py")
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
+    torus_cover = load_torus_cover()
     deformation = fixtures_mod.fixture("fig_deformation").quiver
     return {
-        "c3_3x3": module.torus_cover(fixtures_mod.c3_quiver(), 3, 3),
-        "fig_deformation_2x2": module.torus_cover(deformation, 2, 2),
+        "c3_3x3": torus_cover(fixtures_mod.c3_quiver(), 3, 3),
+        "fig_deformation_2x2": torus_cover(deformation, 2, 2),
     }
 
 

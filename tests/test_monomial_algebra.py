@@ -59,6 +59,52 @@ def test_membership_matches_oracle():
         assert fast == slow, (gens, g)
 
 
+BIG = 2 ** 16 + 1
+
+
+@pytest.mark.parametrize("gens, g", [
+    # the unit monomial, with and without generators
+    (((1, 0), (0, 2)), (0, 0)),
+    ((), (0, 0, 0)),
+    # a degree-0 generator is no step at all
+    (((0, 0, 0), (1, 1, 0)), (2, 2, 0)),
+    (((0, 0), (1, 0)), (0, 1)),
+    # generators that are not below g, one far above the packed field width of g
+    (((9, 0), (0, 1)), (1, 3)),
+    (((0, 40), (1, 1)), (2, 2)),
+    (((3, 0), (1, 0)), (2, 0)),
+    (((5, 5), (2, 0), (0, 3)), (4, 3)),
+    # exponents above 2**16
+    (((BIG, 0), (0, 2 * BIG), (BIG, 2 * BIG)), (2 * BIG, 4 * BIG)),
+    (((BIG, 0), (0, 2 * BIG)), (BIG, 2 * BIG)),
+    (((BIG, 0), (0, 2 * BIG)), (BIG - 1, 2 * BIG)),
+    (((BIG, 0), (0, 2 * BIG)), (BIG, 2 * BIG + 1)),
+    # generators of several degrees
+    (((1, 0, 0), (0, 2, 1), (3, 0, 2), (1, 1, 1)), (4, 3, 4)),
+    (((1, 0, 0), (0, 2, 1), (3, 0, 2), (1, 1, 1)), (0, 3, 2)),
+    (((2, 0, 1), (0, 1, 3), (4, 4, 0)), (6, 5, 4)),
+    (((2, 0, 1), (0, 1, 3), (4, 4, 0)), (6, 4, 1)),
+])
+def test_membership_edge_cases_match_oracle(gens, g):
+    expected = oracle_membership(gens, g, max_degree=degree(g))
+    assert (algebra_contains(MonomialAlgebra(gens), g) == "yes") == expected
+
+
+def test_minimal_generators_match_oracle():
+    # irreducible = not a sum of the other monomials of lower degree
+    rng = random.Random(7)
+    for _ in range(60):
+        dim = rng.choice([2, 3])
+        mons = {tuple(rng.randrange(4) for _ in range(dim)) for _ in range(rng.randrange(1, 9))}
+        mons.discard((0,) * dim)
+        want = sorted(
+            (m for m in mons
+             if not oracle_membership([k for k in mons if degree(k) < degree(m)], m)),
+            key=lambda m: (degree(m), m),
+        )
+        assert minimal_generators(mons) == want, mons
+
+
 def test_render():
     assert render_monomial((0, 0, 0)) == "1"
     assert render_monomial((1, 1, 2)) == "x*y*z^2"
