@@ -1,8 +1,11 @@
 """Arrow contractions between dimer quivers and the monomial map they induce.
 
-Contracting a forest of arrows merges vertices, deletes the contracted
-arrows from every face, and leaves a dimer quiver again (checked).  Each
-surviving path then maps to a monomial: one variable per simple matching
+Contracting a forest of arrows of a dimer quiver merges vertices,
+deletes the contracted arrows from every face, and leaves a dimer quiver
+again (both checked).  The path map is then an algebra map with no search:
+each relation becomes a target relation or equates two unit cycles at one
+vertex, which are equal once its faces close up around it (``contract``).
+Each surviving path maps to a monomial: one variable per simple matching
 of the target, with exponent the number of its arrows landing in that
 matching.  The interesting contractions are the ones preserving the
 algebra generated by all such cycle monomials.
@@ -26,16 +29,7 @@ from .quiver import (  # the 2-cycle removal is re-exported from here
     tree_potentials,
     validate_dimer,
 )
-from .rewriting import (
-    DEFAULT_BOUNDS,
-    UNKNOWN,
-    ResourceExhausted,
-    RewriteSystem,
-    SearchBounds,
-    face_rules,
-    find_noncancellative_pair,
-    paths_equal,
-)
+from .rewriting import DEFAULT_BOUNDS, SearchBounds, find_noncancellative_pair
 
 Monomial = tuple[int, ...]
 
@@ -95,8 +89,32 @@ def _contracted_components(q: DimerQuiver, arrows: frozenset[int]):
     return [find(v) for v in range(q.num_vertices)]
 
 
+def _require_valid(q: DimerQuiver, kind: str, role: str) -> None:
+    report = validate_dimer(q)
+    if not report.ok:
+        codes = ", ".join(sorted(report.codes()))
+        raise ContractionError(kind, f"{role} quiver invalid: {codes}")
+
+
 def contract(q: DimerQuiver, arrows) -> Contraction:
-    """Contract a set of arrows and certify that relations map to relations."""
+    """Contract a forest of arrows of a valid dimer quiver.
+
+    The path map psi, which drops contracted arrows, is an algebra map by
+    construction.  The relation of an arrow a equates the arcs its two
+    faces leave when each is rotated to start at a and a is dropped.
+    - a survives: psi keeps face order and drops only contracted arrows,
+      so psi of a's arcs are literally the two rule arcs of psi(a).
+    - a is contracted: psi of a's arcs are the full boundaries of the
+      images of a's faces, rotated to corners at the merged vertex w: two
+      unit cycles at w.  Corners sharing an arrow b at w give b.X and b.Y
+      if b leaves w, X.b and Y.b if b enters it, with X, Y the arcs of b,
+      and one rewrite X -> Y joins them.  The corners at w form one cycle
+      (a checked vertex link), so all unit cycles at w are equal.
+    The source is validated: its relations are those of a dimer quiver,
+    and contracting a forest keeps every vertex link one cycle (a pinched
+    source stays pinched); the target is checked too.  A failure raises
+    ContractionError, whose ``kind`` names the check."""
+    _require_valid(q, "invalid_source", "source")
     arrows = frozenset(int(a) for a in arrows)
     for aid in arrows:
         if not 0 <= aid < len(q.arrows):
@@ -120,9 +138,7 @@ def contract(q: DimerQuiver, arrows) -> Contraction:
     for f in q.faces:
         kept = tuple(arrow_map[aid] for aid in f.boundary if aid not in arrows)
         if len(kept) < 2:
-            raise ContractionError(
-                "face_collapse", f"face {f.id} drops below length 2"
-            )
+            raise ContractionError("face_collapse", f"face {f.id} drops below length 2")
         new_faces.append(kept)
 
     new_arrows = []
@@ -133,41 +149,29 @@ def contract(q: DimerQuiver, arrows) -> Contraction:
         )
         t, h = vertex_map[a.tail], vertex_map[a.head]
         if t == h and hom == (0, 0):
-            raise ContractionError(
-                "null_loop", f"arrow {a.id} would become a null-homologous loop"
-            )
+            raise ContractionError("null_loop",
+                                   f"arrow {a.id} would become a null-homologous loop")
         new_arrows.append((t, h, hom))
 
     target = make_quiver(len(classes), new_arrows, new_faces)
-    report = validate_dimer(target)
-    if not report.ok:
-        codes = ", ".join(sorted(report.codes()))
-        raise ContractionError("invalid_target", f"contracted quiver invalid: {codes}")
-
-    fibers = [0] * len(classes)
-    for v in range(q.num_vertices):
-        fibers[vertex_map[v]] += 1
+    _require_valid(target, "invalid_target", "contracted")
 
     catalog = matching_catalog(target)
-    target_images = tuple(
-        tuple(int(b.id in d) for d in catalog.simple) for b in target.arrows
-    )
+    target_images = tuple(tuple(int(b.id in d) for d in catalog.simple) for b in target.arrows)
     zero = (0,) * len(catalog)
-    c = Contraction(
+    return Contraction(
         source=q,
         contracted=arrows,
         target=target,
         vertex_map=vertex_map,
         arrow_map=arrow_map,
-        fiber_counts=tuple(fibers),
+        fiber_counts=tuple(map(vertex_map.count, range(len(classes)))),
         catalog=catalog,
         source_images=tuple(
             zero if a.id in arrows else target_images[arrow_map[a.id]] for a in q.arrows
         ),
         target_images=target_images,
     )
-    _assert_relations_descend(c)
-    return c
 
 
 def psi_word(c: Contraction, p: PathWord) -> PathWord:
@@ -175,27 +179,6 @@ def psi_word(c: Contraction, p: PathWord) -> PathWord:
     check_path(c.source, p)
     arrows = tuple(c.arrow_map[aid] for aid in p.arrows if aid not in c.contracted)
     return PathWord(c.vertex_map[p.base], arrows)
-
-
-def _assert_relations_descend(c: Contraction):
-    """Every source relation must become an equality in the target.  A
-    relation the bounded equality search cannot decide raises
-    ResourceExhausted: undecided, not a failed contraction."""
-    rules = face_rules(c.source)
-    rs_tgt = RewriteSystem(c.target)
-    for aid, (left, right) in sorted(rules.items()):
-        a = c.source.arrow(aid)
-        lp = psi_word(c, PathWord(a.head, left))
-        rp = psi_word(c, PathWord(a.head, right))
-        res = paths_equal(rs_tgt, lp, rp)
-        if res.verdict == UNKNOWN:
-            raise ResourceExhausted(
-                f"relation at arrow {aid}: equality search cut off ({res.reason})"
-            )
-        if not res.is_equal:
-            raise ContractionError(
-                "relations", f"relation at arrow {aid} does not descend ({res.verdict})"
-            )
 
 
 def identity_contraction(q: DimerQuiver) -> Contraction:

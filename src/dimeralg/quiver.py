@@ -2,8 +2,10 @@
 
 A quiver here is a finite directed graph together with a face structure:
 every face is an oriented closed walk of arrows, every arrow lies on
-exactly two faces, and the whole thing is a cell decomposition of the
-torus (checked through the Euler characteristic and the homology data).
+exactly two faces, the corners of the faces at each vertex close up into
+one cycle around it (the vertex link, so the faces glue to a closed
+surface), and the whole thing is a cell decomposition of the torus
+(checked through the links, the Euler characteristic and the homology).
 Each arrow carries an integer vector recording its class in the first
 homology of the torus; faces must sum to zero and directed cycles must
 generate all of Z^2 for the embedding to be genuine.
@@ -219,21 +221,45 @@ def validate_dimer(q: DimerQuiver) -> ValidationReport:
             report("arrow_face_count", f"arrow {aid} lies on {c} faces, expected 2", f"arrow {aid}")
 
     # Faces: closed oriented walks of length >= 2 summing to zero homology.
+    # Each corner of a face, where boundary arrow x meets the next arrow y,
+    # links the head end of x (2x + 1) with the tail end of y (2y).
+    linked: list[list[int]] = [[] for _ in range(2 * na)]
     for f in q.faces:
-        if len(f.boundary) < 2:
-            report("face_length", f"face {f.id} has length {len(f.boundary)}", f"face {f.id}")
-        ok_walk = True
-        for k, aid in enumerate(f.boundary):
-            nxt = f.boundary[(k + 1) % len(f.boundary)]
-            if q.arrow(aid).head != q.arrow(nxt).tail:
-                ok_walk = False
+        b = f.boundary
+        if len(b) < 2:
+            report("face_length", f"face {f.id} has length {len(b)}", f"face {f.id}")
+        ok_walk, total = True, (0, 0)
+        for x, y in zip(b, b[1:] + b[:1]):
+            ok_walk &= q.arrows[x].head == q.arrows[y].tail
+            total = _hom_add(total, q.arrows[x].homology)
+            linked[2 * x + 1].append(2 * y)
+            linked[2 * y].append(2 * x + 1)
         if not ok_walk:
             report("face_walk", f"face {f.id} is not a closed oriented walk", f"face {f.id}")
-        total = (0, 0)
-        for aid in f.boundary:
-            total = _hom_add(total, q.arrow(aid).homology)
         if total != (0, 0):
             report("face_homology_sum", f"face {f.id} homology sums to {total}", f"face {f.id}")
+
+    # Vertex links: around each vertex the corners of its faces must close
+    # up into one cycle, or the surface is pinched there.  With closed face
+    # walks and every arrow on two faces, each arrow end lies on two
+    # corners at its vertex, so the ends at a vertex fall into cycles:
+    # count them, one walk per cycle.
+    if all(c == 2 for c in count) and not any(v.code == "face_walk" for v in bad):
+        cycles = [0] * nv
+        seen = [False] * (2 * na)
+        for start in range(2 * na):
+            if not seen[start]:
+                a = q.arrows[start // 2]
+                cycles[a.head if start % 2 else a.tail] += 1
+                stack = [start]
+                while stack:
+                    if not seen[e := stack.pop()]:
+                        seen[e] = True
+                        stack += linked[e]
+        for v, n in enumerate(cycles):
+            if n > 1:
+                report("vertex_link", f"the corners at vertex {v} form {n} cycles, not one",
+                       f"vertex {v}")
 
     # Loops are allowed only when they wind around the torus; a loop with
     # vanishing homology would bound a disc and cannot be embedded.
@@ -302,13 +328,8 @@ def unit_cycle(q: DimerQuiver, i: int, face_id: int | None = None) -> PathWord:
     several times on the boundary the first occurrence wins.
     """
     if face_id is None:
-        for f in q.faces:
-            for k, aid in enumerate(f.boundary):
-                if q.arrow(aid).tail == i:
-                    face_id = f.id
-                    break
-            if face_id is not None:
-                break
+        face_id = next((f.id for f in q.faces for aid in f.boundary
+                        if q.arrow(aid).tail == i), None)
         if face_id is None:
             raise DomainError(f"vertex {i} lies on no face")
     if not 0 <= face_id < len(q.faces):
@@ -316,8 +337,7 @@ def unit_cycle(q: DimerQuiver, i: int, face_id: int | None = None) -> PathWord:
     f = q.faces[face_id]
     for k, aid in enumerate(f.boundary):
         if q.arrow(aid).tail == i:
-            rotated = f.boundary[k:] + f.boundary[:k]
-            return PathWord(i, rotated)
+            return PathWord(i, f.boundary[k:] + f.boundary[:k])
     raise DomainError(f"vertex {i} does not lie on face {face_id}")
 
 
@@ -431,8 +451,7 @@ def _one_bigon_step(q: DimerQuiver) -> tuple[DimerQuiver, BigonStep] | None:
 
     def arc(face, aid):
         k = face.boundary.index(aid)
-        rot = face.boundary[k:] + face.boundary[:k]
-        return rot[1:]
+        return face.boundary[k + 1:] + face.boundary[:k]
 
     arc_a = arc(fa, a_id)  # complementary to a; replaces b
     arc_b = arc(fb, b_id)  # complementary to b; replaces a

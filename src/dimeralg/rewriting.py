@@ -104,12 +104,8 @@ def face_rules(q: DimerQuiver) -> dict[int, tuple[tuple[int, ...], tuple[int, ..
     the two arcs."""
     rules = {}
     for a in q.arrows:
-        arcs = []
-        for f in q.faces:
-            positions = [k for k, aid in enumerate(f.boundary) if aid == a.id]
-            for k in positions:
-                rot = f.boundary[k:] + f.boundary[:k]
-                arcs.append(tuple(rot[1:]))
+        arcs = [f.boundary[k + 1:] + f.boundary[:k]
+                for f in q.faces for k, aid in enumerate(f.boundary) if aid == a.id]
         if len(arcs) != 2:
             raise DomainError(f"arrow {a.id} lies on {len(arcs)} faces")
         rules[a.id] = (arcs[0], arcs[1])

@@ -230,6 +230,16 @@ def test_negative_count_option_is_exit_3(args, option, capsys):
 NILRADICAL_CANDIDATE = ["nilradical", "fixture:fig_deformation", "--candidate"]
 
 
+# c3's loops with both faces in the same cyclic order: no pinch shows in
+# the Euler characteristic, the incidences or the homology data
+PINCHED_C3 = {
+    "vertices": 1,
+    "arrows": [{"id": i, "tail": 0, "head": 0, "homology": h}
+               for i, h in enumerate([[1, 0], [0, 1], [-1, -1]])],
+    "faces": [[0, 1, 2], [0, 1, 2]],
+}
+
+
 def _bad_arrow_tail(doc, value):
     doc["arrows"][0]["tail"] = value
 
@@ -256,14 +266,17 @@ def _bad_face(doc, value):
     (None, ["fixtures", "--check", "bogus"], 3),
     (None, ["fixtures", "--check", "fig_nested(0)"], 3),
     (None, ["fixtures", "--dump", "bogus"], 3),
-    # a relation whose equality search is cut off leaves the contraction undecided
-    (None, ["contract", "fixture:fig_nested(20)"], 2),
-    (None, ["fixtures", "--check", "fig_nested(20)"], 2),
+    # relations descend by construction: no contraction is left undecided
+    (None, ["contract", "fixture:fig_nested(20)"], 0),
+    # a source that is no dimer quiver is bad input for contract
+    (lambda d: _bad_face(d, [0, 2]), ["contract", "--arrows", "3"], 3),
+    # a sphere pinched twice passes every check but the vertex links
+    (PINCHED_C3, ["validate"], 1),
 ], ids=["tail-string", "tail-bool", "face-string", "vertex-range", "cycle-budget",
         "matching-cap", "normality-below-witness", "candidate-arrow-range",
         "candidate-zero-denominator", "candidate-not-object", "irremovable-2cycle",
         "check-unknown-name", "check-depth-zero", "dump-unknown-name",
-        "contract-relation-undecided", "check-relation-undecided"])
+        "contract-nested-20", "contract-invalid-source", "pinched-vertex-link"])
 def test_exit_code_contract(tmp_path, mutate, args, code):
     if mutate is not None:
         if callable(mutate):
@@ -281,6 +294,16 @@ def test_exit_code_contract(tmp_path, mutate, args, code):
         assert res.stderr.startswith("error: ") and res.stderr.count("\n") == 1, res.stderr
     if code == 2 and res.stderr:
         assert res.stderr.startswith("undecided: ") and res.stderr.count("\n") == 1, res.stderr
+
+
+def test_contract_names_invalid_source(tmp_path, capsys):
+    # the contract-invalid-source case above: its one error line names the check
+    doc = quiver_to_json(fixture("fig_deformation").quiver)
+    _bad_face(doc, [0, 2])
+    path = tmp_path / "q.json"
+    path.write_text(json.dumps(doc))
+    assert main(["contract", str(path), "--arrows", "3"]) == 3
+    assert "contraction failed (invalid_source)" in capsys.readouterr().err
 
 
 def test_center_search_budget_is_exit_2(monkeypatch, capsys):

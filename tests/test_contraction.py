@@ -21,14 +21,20 @@ from dimeralg.contraction import (
 from dimeralg.acceptance import quadratic_pattern_indices
 from dimeralg.matchings import enumerate_perfect_matchings, matching_catalog
 from dimeralg.monomial_algebra import minimal_generators
-from dimeralg.quiver import PathWord, concat, unit_cycle, validate_dimer
+from dimeralg.quiver import (
+    PathWord,
+    concat,
+    path_head,
+    quiver_from_json,
+    quiver_to_json,
+    unit_cycle,
+    validate_dimer,
+)
 from dimeralg.rewriting import (
-    NOT_EQUAL,
-    UNKNOWN,
-    EqResult,
-    ResourceExhausted,
     RewriteSystem,
+    face_rules,
     paths_equal,
+    replay_witness,
     vertex_simple_cycles,
 )
 
@@ -167,6 +173,66 @@ def test_relations_descend_under_psi(deformation_contraction):
         assert paths_equal(rs_tgt, lp, rp).is_equal
 
 
+def _relation_contractions():
+    """Every contraction that contract accepts among: the fixtures',
+    fig_nested(1..8)'s, every 1-2-arrow one of fig_iso_R and every
+    1-3-arrow one of fig_deformation."""
+    out = []
+    names = ["fig_deformation", "fig_iso_R", "fig_hsb_ii", "fig_noncancellative_central"]
+    for name in names + [f"fig_nested({n})" for n in range(1, 9)]:
+        fx = fixtures_mod.fixture(name)
+        out.append(contract(fx.quiver, fx.contraction_arrows))
+    for name, most in (("fig_iso_R", 2), ("fig_deformation", 3)):
+        q = fixtures_mod.fixture(name).quiver
+        for k in range(1, most + 1):
+            for arrows in itertools.combinations(range(len(q.arrows)), k):
+                try:
+                    out.append(contract(q, arrows))
+                except ContractionError:
+                    continue
+    return out
+
+
+def test_relations_descend_by_construction():
+    # the argument of the contract docstring, checked on data: a surviving
+    # arrow's arcs map to the rule arcs of its image, and a contracted
+    # arrow's arcs map to two cycles at the merged vertex that a replayed
+    # rewrite witness joins in the target
+    contractions = _relation_contractions()
+    assert len(contractions) == 12 + 141 + 12
+    contracted = 0
+    for c in contractions:
+        target_rules = face_rules(c.target)
+        rs = RewriteSystem(c.target)
+        for aid, arcs in face_rules(c.source).items():
+            a = c.source.arrow(aid)
+            left, right = (psi_word(c, PathWord(a.head, arc)) for arc in arcs)
+            if aid in c.arrow_map:
+                assert (left.arrows, right.arrows) == target_rules[c.arrow_map[aid]]
+                continue
+            contracted += 1
+            w = c.vertex_map[a.head]
+            assert left.base == right.base == w
+            assert path_head(c.target, left) == path_head(c.target, right) == w
+            res = paths_equal(rs, left, right)
+            assert res.is_equal, (sorted(c.contracted), aid, res)
+            assert replay_witness(rs, left, res.steps)[-1] == right
+    assert contracted > 0
+
+
+def test_invalid_source_is_rejected(deformation):
+    # face 0 cut short: the source is no dimer quiver, so no contraction of
+    # it is certified, whichever arrows are contracted
+    doc = quiver_to_json(deformation.quiver)
+    doc["faces"][0] = [0, 2]
+    q = quiver_from_json(doc)
+    assert not validate_dimer(q).ok
+    for arrows in ((), (3,), deformation.contraction_arrows):
+        with pytest.raises(ContractionError) as err:
+            contract(q, arrows)
+        assert err.value.kind == "invalid_source"
+
+
 def test_deformation_is_cyclic(deformation_contraction):
     rep = is_cyclic(deformation_contraction)
     assert rep.cyclic_up_to_bound
@@ -299,18 +365,3 @@ def test_cycle_algebra_generators_match_simple_cycles():
             c.source, c.source_images), name
         assert target_cycle_algebra_generators(c) == _simple_cycle_generators(
             c.target, c.target_images), name
-
-
-@pytest.mark.parametrize("verdict, error", [
-    (UNKNOWN, ResourceExhausted),
-    (NOT_EQUAL, ContractionError),
-])
-def test_relation_check_keeps_undecided_apart(monkeypatch, deformation, verdict, error):
-    # an undecided relation is a cut-off search, not a failed contraction
-    from dimeralg import contraction
-
-    monkeypatch.setattr(contraction, "paths_equal", lambda *args: EqResult(verdict))
-    with pytest.raises(error) as err:
-        contract(deformation.quiver, deformation.contraction_arrows)
-    if error is ContractionError:
-        assert err.value.kind == "relations"

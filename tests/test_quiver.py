@@ -1,3 +1,4 @@
+import itertools
 import json
 import random
 
@@ -17,6 +18,9 @@ from dimeralg.quiver import (
     unit_cycle,
     validate_dimer,
 )
+from dimeralg.rewriting import EQUAL, NOT_EQUAL, RewriteSystem, paths_equal
+
+from conftest import load_torus_cover
 
 
 def test_all_fixtures_validate(all_fixtures):
@@ -31,6 +35,30 @@ def test_helper_quivers_validate():
         assert validate_dimer(q).ok
 
 
+def test_covers_validate():
+    # contraction targets are validated by contract itself
+    torus_cover = load_torus_cover()
+    for q in (fixtures_mod.c3_quiver(), fixtures_mod.conifold_quiver(),
+              fixtures_mod.fixture("fig_deformation").quiver):
+        for n, m in itertools.product(range(1, 4), repeat=2):
+            assert validate_dimer(torus_cover(q, n, m)).ok
+
+
+def test_pinched_vertex_link_is_reported():
+    # c3's three loops, with both faces in the same cyclic order: the
+    # Euler characteristic, the incidences and the homology data all pass,
+    # but the faces glue to a sphere pinched twice, not a torus, and its
+    # two unit cycles at the vertex are not equal as they are in c3
+    pinched = make_quiver(1, [(0, 0, (1, 0)), (0, 0, (0, 1)), (0, 0, (-1, -1))],
+                          [(0, 1, 2), (0, 1, 2)])
+    assert validate_dimer(pinched).codes() == {"vertex_link"}
+    c3 = fixtures_mod.c3_quiver()
+    assert [f.boundary for f in c3.faces] == [(0, 1, 2), (0, 2, 1)]
+    for q, verdict in ((pinched, NOT_EQUAL), (c3, EQUAL)):
+        res = paths_equal(RewriteSystem(q), PathWord(0, (0, 1, 2)), PathWord(0, (1, 2, 0)))
+        assert res.verdict == verdict
+
+
 def test_missing_face_breaks_euler(deformation):
     q = deformation.quiver
     data = quiver_to_json(q)
@@ -39,6 +67,8 @@ def test_missing_face_breaks_euler(deformation):
     report = validate_dimer(mutated)
     assert not report.ok
     assert "euler" in report.codes()
+    # links are read only once every arrow lies on two faces
+    assert "vertex_link" not in report.codes()
 
 
 def test_zero_homology_everywhere_fails_span(deformation):
