@@ -8,7 +8,9 @@ cycle at vertex i" is plain reachability in the finite product graph of
 the state budget ``rewriting.MAX_STATES`` only guards against oversized
 state spaces.  The search packs each state into one int (see
 ``_Packing``) and caps it by per-exponent caps and a degree cap: g and
-deg g for one monomial, D everywhere for the degree-D center table.
+deg g for one monomial, D everywhere for the degree-D center table, and
+the componentwise max of a sigma-round's goals and their largest degree
+for the normality tests.
 Membership in a monoid given by generators (``algebra_contains``,
 ``minimal_generators``) searches packed partial sums in the same layout,
 with one vertex.

@@ -13,19 +13,23 @@ once by ``homotopy_center_monomials``.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from math import prod
 
+from . import rewriting
 from .contraction import Contraction, Monomial, sigma, source_cycle_algebra_generators
 from .monomial_algebra import (
     NO,
     YES,
+    _reach,
     degree,
-    homotopy_center_contains,
     homotopy_center_monomials,
     ideal_monomials,
     is_sigma_power,
     minimal_generators,
     mon_add,
 )
+from .quiver import DomainError
+from .rewriting import ResourceExhausted
 
 UNKNOWN = "unknown"
 
@@ -40,11 +44,60 @@ class SigmaIdealResult:
 def sigma_power_times_S_in_R(c: Contraction, n: int) -> SigmaIdealResult:
     """Does sigma^n * S land in R?  Tested on the S-generators; the
     non-sigma-power products absorb the rest of S, and sigma^n itself is
-    in R, the n-th power of the unit cycle at every vertex."""
+    in R, the n-th power of the unit cycle at every vertex.
+
+    One search per vertex answers every goal sigma^n * g of the round: a
+    ``_reach`` whose caps are the componentwise maximum of the goals and
+    whose degree cap is their largest degree.  Arrow images are
+    nonnegative, so a walk that reaches a goal only passes through states
+    below that goal, which lie inside the shared box: reachability there
+    is reachability in the goal's own box, and the verdict is exact.
+    The witness is the first generator, in generator order, whose goal
+    fails at some vertex; once a generator fails, later vertices are
+    searched only for the generators before it, and none once the first
+    one fails.
+
+    Guard: a goal whose own box times the vertex count exceeds
+    ``rewriting.MAX_STATES`` raises ResourceExhausted unless an earlier
+    generator fails, as one membership test per goal would.  Only the
+    goals before the first such goal are searched together, and a shared
+    search past the budget raises too: an Unknown (exit 2), never a wrong
+    verdict."""
+    return _sigma_round(c, n, [set() for _ in range(c.source.num_vertices)])
+
+
+def _sigma_round(c: Contraction, n: int, passed: list[set[int]]) -> SigmaIdealResult:
+    """``sigma_power_times_S_in_R`` skipping what is known: ``passed[i]``
+    holds the indices of the generators g with sigma^m * g realizable at
+    vertex i for some m <= n, and the round adds those it finds.  A unit
+    cycle at i has image sigma, so a cycle at i with image sigma^m * g
+    extends to one with image sigma^n * g; only the goals still open at
+    a vertex are searched there."""
     sn = (n,) * len(c.catalog)
-    for g in source_cycle_algebra_generators(c):
-        if homotopy_center_contains(c, mon_add(sn, g)).verdict != YES:
-            return SigmaIdealResult(NO, witness=g, power=n)
+    gens = source_cycle_algebra_generators(c)
+    goals = [mon_add(sn, g) for g in gens]
+    if any(min(goal) < 0 for goal in goals):
+        raise DomainError("monomial with a negative exponent")
+    max_states = rewriting.MAX_STATES
+    num_vertices = c.source.num_vertices
+    spaces = [prod(e + 1 for e in goal) * num_vertices for goal in goals]
+    over = next((k for k, space in enumerate(spaces) if space > max_states), len(goals))
+    live = over  # generators 0 .. live - 1 are still to check
+    for i in range(num_vertices):
+        todo = [k for k in range(live) if k not in passed[i]]
+        if not todo:
+            continue
+        caps = tuple(map(max, zip(*(goals[k] for k in todo))))
+        packing, reached = _reach(c, i, caps, max(degree(goals[k]) for k in todo), max_states)
+        for k in todo:
+            if packing.pack(i, goals[k], degree(goals[k])) not in reached:
+                live = k
+                break
+            passed[i].add(k)
+    if live < over:
+        return SigmaIdealResult(NO, witness=gens[live], power=n)
+    if over < len(goals):
+        raise ResourceExhausted(f"state space {spaces[over]} exceeds budget {max_states}")
     return SigmaIdealResult(YES, power=n)
 
 
@@ -60,10 +113,12 @@ class MinimalSigmaPower:
 
 
 def _sigma_rounds(c: Contraction, n_max: int) -> list[SigmaIdealResult]:
-    """sigma^n * S in R for n = 1, 2, ... up to the first yes or n_max."""
+    """sigma^n * S in R for n = 1, 2, ... up to the first yes or n_max;
+    each round skips what the earlier rounds found realizable."""
+    passed: list[set[int]] = [set() for _ in range(c.source.num_vertices)]
     rounds: list[SigmaIdealResult] = []
     for n in range(1, n_max + 1):
-        rounds.append(sigma_power_times_S_in_R(c, n))
+        rounds.append(_sigma_round(c, n, passed))
         if rounds[-1].verdict == YES:
             break
     return rounds

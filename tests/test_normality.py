@@ -1,7 +1,7 @@
 import pytest
 
 from dimeralg import fixtures as fixtures_mod
-from dimeralg import monomial_algebra
+from dimeralg import monomial_algebra, normality, rewriting
 from dimeralg.center import power_in_reduced_center
 from dimeralg.contraction import contract, identity_contraction, sigma, source_cycle_algebra_generators
 from dimeralg.monomial_algebra import (
@@ -10,8 +10,17 @@ from dimeralg.monomial_algebra import (
     homotopy_center_monomials,
     is_sigma_power,
     mon_add,
+    realizable_at_vertex,
 )
-from dimeralg.normality import minimal_sigma_power, normality_report, sigma_S_in_R
+from dimeralg.normality import (
+    SigmaIdealResult,
+    minimal_sigma_power,
+    normality_report,
+    sigma_power_times_S_in_R,
+    sigma_S_in_R,
+)
+from dimeralg.quiver import DomainError
+from dimeralg.rewriting import ResourceExhausted
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])
@@ -114,21 +123,95 @@ def test_bound_sweep_never_contradicts(all_contractions):
 
 
 def test_report_adds_no_realizability_calls(all_contractions, monkeypatch):
+    # the report's searches are the rounds of minimal_sigma_power plus one
+    # table search per vertex
     calls = [0]
-    realizable = monomial_algebra.realizable_at_vertex
+    reach = monomial_algebra._reach
 
     def counted(*args, **kwargs):
         calls[0] += 1
-        return realizable(*args, **kwargs)
+        return reach(*args, **kwargs)
 
-    monkeypatch.setattr(monomial_algebra, "realizable_at_vertex", counted)
+    for module in (monomial_algebra, normality):
+        monkeypatch.setattr(module, "_reach", counted)
     for name, c in all_contractions.items():
+        vertices = c.source.num_vertices
         calls[0] = 0
         minimal_sigma_power(c)
         alone = calls[0]
+        assert 0 < alone, name
         calls[0] = 0
         normality_report(c)
-        assert calls[0] == alone, name
+        assert calls[0] == alone + vertices, name
         calls[0] = 0
         homotopy_center_monomials(c, 6)
-        assert calls[0] == 0, name
+        assert calls[0] == vertices, name
+
+
+def reference_round(c, n, gens):
+    """sigma^n * S in R by one membership test per generator, in order."""
+    sn = (n,) * len(c.catalog)
+    for g in gens:
+        if homotopy_center_contains(c, mon_add(sn, g)).verdict != "yes":
+            return SigmaIdealResult("no", witness=g, power=n)
+    return SigmaIdealResult("yes", power=n)
+
+
+@pytest.mark.parametrize("order", [1, -1])
+def test_shared_round_matches_per_generator_tests(all_contractions, order, monkeypatch):
+    # both generator orders, so the witness order is tested too; the
+    # chained rounds of minimal_sigma_power skip the (vertex, generator)
+    # pairs earlier rounds found, and may only keep pairs that hold
+    fx = fixtures_mod.fixture("fig_nested(5)")  # four rounds, the last one yes
+    contractions = {**all_contractions, "fig_nested(5)": contract(fx.quiver, fx.contraction_arrows)}
+    for name, c in contractions.items():
+        gens = source_cycle_algebra_generators(c)[::order]
+        monkeypatch.setattr(normality, "source_cycle_algebra_generators", lambda c: gens)
+        passed = [set() for _ in range(c.source.num_vertices)]
+        for n in range(1, 7):
+            want = reference_round(c, n, gens)
+            assert sigma_power_times_S_in_R(c, n) == want, (name, n)
+            assert normality._sigma_round(c, n, passed) == want, (name, n)
+            sn = (n,) * len(c.catalog)
+            for i, known in enumerate(passed):
+                for k in known:
+                    assert realizable_at_vertex(c, i, mon_add(sn, gens[k])).verdict == "yes"
+
+
+def test_negative_sigma_power_is_refused():
+    fx = fixtures_mod.fixture("fig_nested(2)")
+    c = contract(fx.quiver, fx.contraction_arrows)
+    with pytest.raises(DomainError):
+        sigma_power_times_S_in_R(c, -1)
+
+
+# (generators, n, budget, outcome) on fig_nested(2), whose sigma * g
+# fails and sigma^2 * g passes for g = (0, 0, 1, 1); the box of (4, 4, 4, 4)
+# is over each budget
+GUARD_CASES = [
+    # the first generator fails within the budget
+    ([(0, 0, 1, 1), (4, 4, 4, 4)], 1, 360, "no"),
+    # the first generator passes, so the over-budget one is undecided
+    ([(0, 0, 1, 1), (4, 4, 4, 4)], 2, 1440, "undecided"),
+    # an over-budget generator ahead of a failing one is undecided
+    ([(4, 4, 4, 4), (0, 0, 1, 1)], 1, 1440, "undecided"),
+]
+
+
+@pytest.mark.parametrize("gens, n, budget, expected", GUARD_CASES)
+def test_shared_round_keeps_the_guard_order(gens, n, budget, expected, monkeypatch):
+    fx = fixtures_mod.fixture("fig_nested(2)")
+    c = contract(fx.quiver, fx.contraction_arrows)
+    monkeypatch.setattr(rewriting, "MAX_STATES", budget)
+    monkeypatch.setattr(normality, "source_cycle_algebra_generators", lambda c: gens)
+
+    def outcome(test):
+        try:
+            res = test()
+        except ResourceExhausted:
+            return "undecided"
+        return res.verdict, res.witness
+
+    want = outcome(lambda: reference_round(c, n, gens))
+    assert want == (expected if expected == "undecided" else (expected, gens[0]))
+    assert outcome(lambda: sigma_power_times_S_in_R(c, n)) == want
