@@ -11,7 +11,15 @@ from fractions import Fraction
 
 from . import fixtures as fixtures_mod
 from .center import CentralCandidate, nilpotency_and_kernel_check, reduced_center_contains
-from .contraction import ContractionError, bigon_reduce, contract, is_cyclic, sigma, tau_psi
+from .contraction import (
+    ContractionError,
+    bigon_reduce,
+    contract,
+    is_cyclic,
+    sigma,
+    source_cycle_algebra_generators,
+    tau_psi,
+)
 from .matchings import matching_catalog
 from .monomial_algebra import (
     degree,
@@ -21,7 +29,7 @@ from .monomial_algebra import (
     mon_add,
 )
 from .normality import normality_report
-from .quiver import concat, unit_cycle
+from .quiver import PathWord, concat, unit_cycle
 from .rewriting import RewriteSystem, find_noncancellative_pair, paths_equal
 
 
@@ -79,20 +87,13 @@ def derive_claims(name: str) -> dict:
     if "cycle_algebras_agree" in fx.expected:
         out["cycle_algebras_agree"] = cyclic.semigroups_match
     if "homotopy_center_is_k_plus_quadratic_ideal" in fx.expected:
-        idx = quadratic_pattern_indices(cyclic.source_generators)
-        if idx is None:
-            out["homotopy_center_is_k_plus_quadratic_ideal"] = False
-        else:
-            a, b, _ = idx
-            quad = [
-                tuple(2 if k == a else 0 for k in range(3)),
-                tuple(2 if k == b else 0 for k in range(3)),
-                tuple(1 if k in (a, b) else 0 for k in range(3)),
-            ]
-            out["homotopy_center_is_k_plus_quadratic_ideal"] = (
-                ideal_monomials(quad, cyclic.source_generators, 8)
-                == homotopy_center_monomials(c, 8)
-            )
+        gens = cyclic.source_generators
+        # the pattern's quadratic monomials are its degree-two generators
+        quad = [g for g in gens if degree(g) == 2]
+        out["homotopy_center_is_k_plus_quadratic_ideal"] = (
+            quadratic_pattern_indices(gens) is not None
+            and ideal_monomials(quad, gens, 8) == homotopy_center_monomials(c, 8)
+        )
     if "source_noncancellative" in fx.expected:
         rep = find_noncancellative_pair(q, c)
         out["source_noncancellative"] = rep.found
@@ -147,10 +148,7 @@ def derive_claims(name: str) -> dict:
         m = img[0] if len(set(img)) == 1 else None
         claim = None  # undecided stays distinguishable from both answers
         if m is not None:
-            u = unit_cycle(q, red_cycle.base)
-            power = u
-            for _ in range(m - 1):
-                power = concat(q, power, u)
+            power = PathWord(red_cycle.base, unit_cycle(q, red_cycle.base).arrows * m)
             res = paths_equal(rs, red_cycle, power)
             if res.verdict != "unknown":
                 claim = res.is_equal
@@ -161,8 +159,6 @@ def derive_claims(name: str) -> dict:
 def _free_variable(c):
     """The catalog index whose single variable is a cycle-algebra
     generator, as a unit vector."""
-    from .contraction import source_cycle_algebra_generators
-
     deg1 = [g for g in source_cycle_algebra_generators(c) if degree(g) == 1]
     if len(deg1) != 1:
         raise ValueError("no unique degree-one generator")

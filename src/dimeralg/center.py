@@ -17,13 +17,7 @@ from fractions import Fraction
 from math import gcd
 
 from .contraction import Contraction, Monomial, psi_word
-from .monomial_algebra import (
-    NO,
-    YES,
-    cycles_with_image,
-    homotopy_center_contains,
-    mon_add,
-)
+from .monomial_algebra import NO, YES, cycles_with_image, homotopy_center_contains
 from .quiver import DimerQuiver, DomainError, PathWord, check_path, concat, path_head, unit_cycle
 from .rewriting import (
     DEFAULT_BOUNDS,
@@ -66,16 +60,23 @@ class CentralCandidate:
 
 
 def sigma_sum_candidate(q: DimerQuiver, power: int = 1) -> CentralCandidate:
-    """The sum over vertices of the (power-th) unit cycle, a standard
-    central element."""
-    comps = {}
-    for v in range(q.num_vertices):
-        u = unit_cycle(q, v)
-        w = u
-        for _ in range(power - 1):
-            w = concat(q, w, u)
-        comps[v] = [(Fraction(1), w)]
-    return CentralCandidate(comps)
+    """The sum over vertices of the power-th unit cycle, a standard central
+    element; power 0 gives the unit, the sum of the trivial paths."""
+    if power < 0:
+        raise DomainError(f"negative power {power}")
+    return CentralCandidate({
+        v: [(Fraction(1), PathWord(v, unit_cycle(q, v).arrows * power))]
+        for v in range(q.num_vertices)
+    })
+
+
+def _commutator_terms(a, z: dict) -> list[tuple[int, object, PathWord]]:
+    """The terms of z·a - a·z for z given as vertex -> [(coefficient,
+    cycle)], whether the coefficients are numbers or names of unknowns:
+    (sign, coefficient, word) for w·a over the cycles w at a's tail, then
+    for a·w over the cycles at its head."""
+    return ([(1, coef, PathWord(w.base, w.arrows + (a.id,))) for coef, w in z.get(a.tail, ())]
+            + [(-1, coef, PathWord(a.tail, (a.id,) + w.arrows)) for coef, w in z.get(a.head, ())])
 
 
 def _sum_verdict(eq: EqualityClasses, terms) -> tuple[str, list[tuple[PathWord, Fraction]]]:
@@ -130,11 +131,7 @@ def verify_central(
     eq = EqualityClasses(rs or RewriteSystem(q), bounds)
     verdicts = []
     for a in q.arrows:
-        terms: list[Term] = []
-        for coef, w in z.components.get(a.tail, ()):
-            terms.append((coef, PathWord(w.base, w.arrows + (a.id,))))
-        for coef, w in z.components.get(a.head, ()):
-            terms.append((-coef, PathWord(a.tail, (a.id,) + w.arrows)))
+        terms = [(sign * coef, w) for sign, coef, w in _commutator_terms(a, z.components)]
         verdicts.append(ArrowVerdict(a.id, *_sum_verdict(eq, terms)))
     return CentralityCertificate(verdicts)
 
@@ -271,19 +268,34 @@ def reduced_center_contains(
 ) -> ReducedCenterResult:
     """Is the monomial g the image of a central element?
 
-    Builds, per vertex, the classes of cycles whose image is exactly g,
-    then solves the arrow-commutation constraints for rational
+    Degree 0 is the image of the unit, the sum of the trivial paths: it
+    commutes with every arrow and the contraction maps it to 1.
+
+    Otherwise builds, per vertex, the classes of cycles whose image is
+    exactly g, then solves the arrow-commutation constraints for rational
     coefficients normalised to image g at every vertex.  The search space
     is restricted to same-image cycles; combinations mixing images are
     outside this test's scope.
+
+    Once g is in the homotopy center, every vertex has such a cycle: a
+    shortest closed walk at the vertex with image g is nonempty (g is
+    not 0) and visits no (vertex, image spent) state twice, so its
+    zero-image steps never revisit a state, and it has at most deg g
+    image-carrying steps with fewer than V steps before, between and
+    after them, within the (deg g + 1)·V cap of ``cycles_with_image``.
     """
     q = c.source
     hc = homotopy_center_contains(c, g)
     if hc.verdict != YES:
         return ReducedCenterResult(NO, failing_vertex=hc.vertex, reason="not_in_homotopy_center")
+    if not any(g):
+        return ReducedCenterResult(YES, witness=sigma_sum_candidate(q, 0))
     eq = EqualityClasses(RewriteSystem(q), bounds)
 
-    class_reps: dict[int, list[PathWord]] = {}
+    # the candidate: one unknown coefficient per class of cycles with
+    # image g, numbered across the vertices in order
+    unknowns: dict[int, list[tuple[int, PathWord]]] = {}
+    n = 0
     counts, ccounts = {}, {}
     undecided = False
     for v in range(q.num_vertices):
@@ -291,42 +303,31 @@ def reduced_center_contains(
             cycles = cycles_with_image(c, v, g)
         except ResourceExhausted:
             return ReducedCenterResult(UNKNOWN, reason="cycle_enumeration_budget")
-        if not cycles:
-            return ReducedCenterResult(NO, failing_vertex=v, reason="no_cycle_with_image")
         split, unknown = eq.split(cycles)
         undecided = undecided or unknown > 0
-        class_reps[v] = [cycles[cls[0]] for cls in split]
+        unknowns[v] = [(n + k, cycles[cls[0]]) for k, cls in enumerate(split)]
+        n += len(split)
         counts[v] = len(cycles)
         ccounts[v] = len(split)
 
-    # unknowns x[v][k]; build the linear system over the classes of all
-    # commutator words
-    index = {}
-    for v, reps in class_reps.items():
-        for k in range(len(reps)):
-            index[(v, k)] = len(index)
+    # the coefficients at each vertex sum to 1, then every class of
+    # commutator words cancels
     rows: list[list[int]] = []
     rhs: list[int] = []
-    for v, reps in class_reps.items():
-        row = [0] * len(index)
-        for k in range(len(reps)):
-            row[index[(v, k)]] = 1
+    for terms in unknowns.values():
+        row = [0] * n
+        for idx, _ in terms:
+            row[idx] = 1
         rows.append(row)
         rhs.append(1)
-
     for a in q.arrows:
-        # words cycle+a (from the tail component) and a+cycle (head side)
-        products: list[tuple[PathWord, int, int]] = []
-        for k, w in enumerate(class_reps[a.tail]):
-            products.append((PathWord(w.base, w.arrows + (a.id,)), index[(a.tail, k)], 1))
-        for k, w in enumerate(class_reps[a.head]):
-            products.append((PathWord(a.tail, (a.id,) + w.arrows), index[(a.head, k)], -1))
-        split, unknown = eq.split([word for word, _, _ in products])
+        products = _commutator_terms(a, unknowns)
+        split, unknown = eq.split([word for _, _, word in products])
         undecided = undecided or unknown > 0
         for cls in split:
-            row = [0] * len(index)
+            row = [0] * n
             for k in cls:
-                _, idx, sign = products[k]
+                sign, idx, _ = products[k]
                 row[idx] += sign
             if any(x != 0 for x in row):
                 rows.append(row)
@@ -340,11 +341,9 @@ def reduced_center_contains(
             class_counts=ccounts,
             reason="commutation_infeasible",
         )
-    comps = {}
-    for (v, k), idx in index.items():
-        if sol[idx] != 0:
-            comps.setdefault(v, []).append((sol[idx], class_reps[v][k]))
-    witness = CentralCandidate(comps)
+    # CentralCandidate drops the zero coefficients
+    witness = CentralCandidate({v: [(sol[idx], w) for idx, w in terms]
+                                for v, terms in unknowns.items()})
     return ReducedCenterResult(
         YES, witness=witness, candidate_counts=counts, class_counts=ccounts
     )
@@ -361,10 +360,7 @@ def power_in_reduced_center(
     (None, unknown) when some powers were undecided."""
     any_unknown = False
     for n in range(1, n_max + 1):
-        gn = g
-        for _ in range(n - 1):
-            gn = mon_add(gn, g)
-        res = reduced_center_contains(c, gn, bounds)
+        res = reduced_center_contains(c, tuple(n * e for e in g), bounds)
         if res.verdict == YES:
             return n, YES
         if res.verdict == UNKNOWN:

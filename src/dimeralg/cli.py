@@ -325,7 +325,10 @@ def _candidate_from_json(q, data) -> CentralCandidate:
 
 def cmd_nilradical(args, q, fx):
     c = _contraction(q, fx, args)
-    if args.candidate == "builtin" and fx is not None and "p" in fx.paths:
+    if args.candidate == "builtin":
+        if fx is None or "p" not in fx.paths:
+            where = "a quiver file" if fx is None else f"fixture {fx.name}"
+            raise CliError(f"{where} has no built-in candidate; pass --candidate FILE")
         z = distinguished_candidate(fx)
     else:
         try:

@@ -76,8 +76,12 @@ class DimerQuiver:
     def faces_of_arrow(self, aid: int) -> list[Face]:
         return [f for f in self.faces if aid in f.boundary]
 
-    def max_face_length(self) -> int:
+    @cached_property
+    def _max_face_length(self) -> int:
         return max((len(f.boundary) for f in self.faces), default=0)
+
+    def max_face_length(self) -> int:
+        return self._max_face_length
 
 
 @dataclass(frozen=True)

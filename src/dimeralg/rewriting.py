@@ -310,55 +310,49 @@ class EqualityClasses:
     one word-equality search of the package.
 
     Each representative keeps, per word cap, a rewrite closure grown only
-    as far as queries need.  A query checks endpoints, homology and
-    matching profile, then looks the word up in the closure; on a miss it
-    searches from the word and grows the closure, the smaller frontier
-    first, until they meet (the word's search then joins the closure), one
-    side is complete, or the state budget is spent.  A complete closure
-    that never hit the cap is the whole class, so NotEqual is certain;
-    cut-offs answer Unknown.  Every closure word keeps the word it was
-    reached from, so ``witness`` reads a rewrite chain from the
-    representative to any word found equal to it.
+    as far as queries need; the closures are all an instance holds.
+    ``compare`` checks endpoints, homology and matching profile, then
+    looks the word up in the closure; on a miss it searches from the word
+    and grows the closure, the smaller frontier first, until they meet
+    (the word's search then joins the closure), one side is complete, or
+    the state budget is spent.  A complete closure that never hit the cap
+    is the whole class, so NotEqual is certain; cut-offs answer Unknown.
+    ``split`` and the pair search group their words by those invariants
+    first, so they skip the refutation and query the closures directly.
+    Every closure word keeps the word it was reached from, so ``witness``
+    reads a rewrite chain from the representative to any word found equal
+    to it.
     """
 
     def __init__(self, rs: RewriteSystem, bounds: SearchBounds = DEFAULT_BOUNDS):
         self.rs = rs
         self.bounds = bounds
         self.closures: dict[tuple[PathWord, int], _Closure] = {}
-        self._caps: dict[int, int] = {}  # longest word length -> word cap
-        self._rep_invariants: dict[PathWord, tuple] = {}
-        self._last: tuple = (None, None, None)  # the latest query word, its invariants and text
-
-    def invariants(self, w: PathWord) -> tuple:
-        """Endpoints, homology and matching profile of a word; the latest
-        query word's are kept, with its text."""
-        if self._last[0] is not w:
-            self._last = (w, _invariants(self.rs, w), _encode(w.arrows))
-        return self._last[1]
 
     def compare(self, rep: PathWord, word: PathWord, max_states: int | None = None) -> EqResult:
         """Is ``word`` in the class of ``rep``?  ``max_states`` overrides the
         state budget of this one query."""
         if rep == word:
             return EqResult(EQUAL)
-        word_inv = self.invariants(word)
-        rep_inv = self._rep_invariants.get(rep)
-        if rep_inv is None:
-            rep_inv = self._rep_invariants[rep] = _invariants(self.rs, rep)
-        reason = _mismatch(rep_inv, word_inv)
+        reason = _mismatch(_invariants(self.rs, rep), _invariants(self.rs, word))
         if reason is not None:
             return EqResult(NOT_EQUAL, reason=reason)
+        return self._query(rep, word, _encode(word.arrows), max_states)
+
+    def _query(
+        self, rep: PathWord, word: PathWord, text: str, max_states: int | None = None
+    ) -> EqResult:
+        """``compare`` past the refutation, for a word known to share the
+        invariants of ``rep``; ``text`` is the word as the search holds it."""
+        if rep == word:
+            return EqResult(EQUAL)
         if not rep.arrows or not word.arrows:
             return EqResult(NOT_EQUAL, reason="trivial_path")
-        longest = max(len(rep.arrows), len(word.arrows))
-        cap = self._caps.get(longest)
-        if cap is None:
-            cap = self._caps[longest] = self.bounds.word_cap(self.rs.quiver, rep, word)
+        cap = self.bounds.word_cap(self.rs.quiver, rep, word)
         closure = self.closures.get((rep, cap))
         if closure is None:
             closure = self.closures[(rep, cap)] = _Closure(_encode(rep.arrows))
         limit = self.bounds.max_states if max_states is None else max_states
-        text = self._last[2]  # the word's, kept by invariants(word) above
         return self._search(closure, text, cap, limit)
 
     def _search(self, closure: _Closure, start: str, cap: int, limit: int) -> EqResult:
@@ -399,8 +393,7 @@ class EqualityClasses:
         first rewrite in ``RewriteSystem.successors`` order that makes it."""
         if rep == word:
             return ()
-        cap = self._caps[max(len(rep.arrows), len(word.arrows))]
-        words = self.closures[(rep, cap)].words
+        words = self.closures[(rep, self.bounds.word_cap(self.rs.quiver, rep, word))].words
         chain = [_encode(word.arrows)]
         while words[chain[-1]] is not None:
             chain.append(words[chain[-1]])
@@ -414,24 +407,24 @@ class EqualityClasses:
         word goes on to the later classes.
 
         A word is compared only with the representatives that share its
-        invariants, in class order: any other comparison is a certain
-        NotEqual, so the classes and the undecided count are those of
-        comparing with every representative."""
+        invariants, in class order, and without the refutation that
+        ``compare`` runs first: any other comparison is a certain NotEqual,
+        so the classes and the undecided count are those of comparing with
+        every representative."""
         classes: list[list[int]] = []
         buckets: dict[tuple, list[list[int]]] = {}
         unknown = 0
         for k, w in enumerate(words):
-            key = self.invariants(w)
-            bucket = buckets.setdefault(key, [])
+            bucket = buckets.setdefault(_invariants(self.rs, w), [])
+            text = _encode(w.arrows)
             for cls in bucket:
-                verdict = self.compare(words[cls[0]], w).verdict
+                verdict = self._query(words[cls[0]], w, text).verdict
                 if verdict == EQUAL:
                     cls.append(k)
                     break
                 if verdict == UNKNOWN:
                     unknown += 1
             else:
-                self._rep_invariants[w] = key
                 bucket.append([k])
                 classes.append(bucket[-1])
         return classes, unknown
@@ -766,13 +759,14 @@ def _search_pairs(rs: RewriteSystem, images, bounds: SearchBounds) -> Noncancell
             for word in _cycles_at(q, v, length):
                 report.cycles_considered += 1
                 c = PathWord(v, word)
+                text = _encode(word)
                 image = images and tuple(map(sum, zip(*map(images.__getitem__, word))))
-                reps = buckets[v].setdefault((classes.invariants(c), image), [])
+                reps = buckets[v].setdefault((_invariants(rs, c), image), [])
                 for rep in reps:
                     if budget <= 0:
                         report.exhausted = True
                         return report
-                    res = classes.compare(rep, c, min(per_call, budget))
+                    res = classes._query(rep, c, text, min(per_call, budget))
                     budget -= max(res.states, 1)
                     report.pairs_tested += 1
                     if res.is_equal:

@@ -17,7 +17,7 @@ from dimeralg.center import (
 )
 from dimeralg.contraction import sigma, source_cycle_algebra_generators
 from dimeralg.monomial_algebra import homotopy_center_contains, mon_add
-from dimeralg.quiver import PathWord
+from dimeralg.quiver import DomainError, PathWord
 from dimeralg.rewriting import SearchBounds
 
 
@@ -68,6 +68,24 @@ def test_zero_candidate_commutes_vacuously(deformation):
     assert z.is_zero()
     cert = verify_central(deformation.quiver, z)
     assert cert.central
+
+
+def test_sigma_sum_to_power_zero_is_the_unit(all_fixtures):
+    for name, fx in all_fixtures.items():
+        q = fx.quiver
+        z = sigma_sum_candidate(q, 0)
+        assert z.components == {v: [(1, PathWord(v, ()))] for v in range(q.num_vertices)}
+        assert verify_central(q, z).central, name
+    with pytest.raises(DomainError):
+        sigma_sum_candidate(q, -1)
+
+
+def test_zero_monomial_is_the_image_of_the_unit(all_contractions):
+    for name, c in all_contractions.items():
+        res = reduced_center_contains(c, (0,) * len(c.catalog))
+        assert res.verdict == "yes", name
+        assert res.witness.components == sigma_sum_candidate(c.source, 0).components
+        assert verify_central(c.source, res.witness).central, name
 
 
 def test_sigma_in_reduced_center(deformation_contraction):

@@ -6,10 +6,13 @@ import sys
 
 import pytest
 
-from dimeralg.cli import main
+from dimeralg.center import verify_central
+from dimeralg.cli import _candidate_from_json, main
 from dimeralg.contraction import contract
 from dimeralg.fixtures import bigon_inserted_c3, fixture
 from dimeralg.quiver import quiver_to_json
+
+from conftest import FIXTURES
 
 RUN = [sys.executable, "-m", "dimeralg.cli"]
 
@@ -163,6 +166,25 @@ def test_nilradical_builtin_candidate():
         "psi_z_zero": "equal",
         "consistent": "equal",
     }
+
+
+def test_nilradical_without_builtin_candidate_names_the_option(capsys):
+    assert main(["nilradical", "fixture:fig_deformation"]) == 3
+    err = capsys.readouterr().err
+    assert "fixture fig_deformation has no built-in candidate" in err
+    assert "--candidate FILE" in err
+
+
+@pytest.mark.parametrize("name", FIXTURES)
+def test_center_of_zero_monomial_is_the_unit(name, capsys):
+    fx = fixture(name)
+    c = contract(fx.quiver, fx.contraction_arrows)
+    zero = ",".join("0" * len(c.catalog))
+    assert main(["center", f"fixture:{name}", "--image", zero]) == 0
+    results = json.loads(capsys.readouterr().out)["results"]
+    assert results["verdict"] == "yes"
+    witness = _candidate_from_json(fx.quiver, results["witness"])
+    assert verify_central(fx.quiver, witness).central
 
 
 def test_fixture_check_command():
@@ -427,7 +449,7 @@ PINNED = [
     (["contract", "fixture:fig_deformation", "--arrows", "99"], 3,
      EMPTY, "3e0c584e3ecb52fa8445f028e7a2a2ba719cf5d9"),
     (["nilradical", "fixture:fig_deformation"], 3,
-     EMPTY, "f854fed6aa8af68c9b6b31b7eec6c547f4cb7e40"),
+     EMPTY, "7a5703f63fb0acdb653899b0294ee5443bce1dcf"),
     (["fixtures"], 3,
      EMPTY, "cff09e1eb964a9706090da8e8f93dbff3c599e88"),
     # unknown names for fixtures --check and --dump: exit 3, not a traceback

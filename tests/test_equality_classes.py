@@ -217,13 +217,13 @@ def test_complete_closure_decides_not_equal(all_fixtures):
 
 def test_noncancellative_search_stops_when_budget_is_spent(iso_r_contraction, monkeypatch):
     budgets = []
-    compare = EqualityClasses.compare
+    query = EqualityClasses._query
 
-    def counted(self, rep, word, max_states=None):
+    def counted(self, rep, word, text, max_states=None):
         budgets.append(max_states)
-        return compare(self, rep, word, max_states)
+        return query(self, rep, word, text, max_states)
 
-    monkeypatch.setattr(rewriting.EqualityClasses, "compare", counted)
+    monkeypatch.setattr(rewriting.EqualityClasses, "_query", counted)
     rep = find_noncancellative_pair(iso_r_contraction.target, bounds=SearchBounds(0, 2000))
     assert rep.exhausted and not rep.found
     assert rep.pairs_tested == len(budgets)
@@ -288,13 +288,13 @@ def unbucketed_split(classes, words):
 
 def test_split_compares_only_within_invariants(all_fixtures, iso_r_contraction, monkeypatch):
     pairs = []
-    compare = EqualityClasses.compare
+    query = EqualityClasses._query
 
-    def counted(self, rep, word, max_states=None):
+    def counted(self, rep, word, text, max_states=None):
         pairs.append((self.rs, rep, word))
-        return compare(self, rep, word, max_states)
+        return query(self, rep, word, text, max_states)
 
-    monkeypatch.setattr(rewriting.EqualityClasses, "compare", counted)
+    monkeypatch.setattr(rewriting.EqualityClasses, "_query", counted)
     c = iso_r_contraction
     free = next(g for g in source_cycle_algebra_generators(c) if sum(g) == 1)
     for g in (sigma(c), mon_add(sigma(c), free)):
