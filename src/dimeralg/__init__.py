@@ -62,14 +62,13 @@ from .monomial_algebra import (
 )
 from .center import (
     CentralCandidate,
-    commutation_property_check,
     nilpotency_and_kernel_check,
     power_in_reduced_center,
     reduced_center_contains,
     sigma_sum_candidate,
     verify_central,
 )
-from .normality import minimal_sigma_power, normality_report, sigma_S_in_R
+from .normality import minimal_sigma_power, normality_report
 from .fixtures import FIXTURE_NAMES, fixture
 
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -28,7 +28,6 @@ from .rewriting import (
     ResourceExhausted,
     RewriteSystem,
     SearchBounds,
-    paths_equal,
 )
 
 Term = tuple[Fraction, PathWord]
@@ -182,31 +181,6 @@ def nilpotency_and_kernel_check(
     else:
         consistent = UNKNOWN if central != NOT_EQUAL else EQUAL
     return NilpotencyReport(central, z2, psi_zero, consistent)
-
-
-def commutation_property_check(
-    q: DimerQuiver, z: CentralCandidate, bounds: SearchBounds = DEFAULT_BOUNDS
-) -> str:
-    """For z with components p - q, do p and q commute at every vertex?
-
-    Components with a single cycle count as a difference against zero and
-    pass vacuously."""
-    rs = RewriteSystem(q)
-    overall = EQUAL
-    for v, terms in z.components.items():
-        if len(terms) == 1:
-            continue
-        if len(terms) != 2:
-            raise DomainError("component is not a difference of two cycles")
-        (c1, p), (c2, r) = terms
-        if {c1, c2} != {Fraction(1), Fraction(-1)}:
-            raise DomainError("component is not a difference of two cycles")
-        res = paths_equal(rs, concat(q, p, r), concat(q, r, p), bounds)
-        if res.verdict == NOT_EQUAL:
-            return NOT_EQUAL
-        if res.verdict == UNKNOWN:
-            overall = UNKNOWN
-    return overall
 
 
 # -- monomial membership in the image of the center ---------------------------

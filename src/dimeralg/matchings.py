@@ -2,7 +2,11 @@
 
 A perfect matching picks exactly one arrow out of every face; it is
 simple when deleting it leaves a strongly connected quiver.  Enumeration
-is exact cover over the faces, most constrained face first.
+is exact cover over the faces, most constrained face first (lowest index
+among ties), arrows in ascending id.  Sets are int bit masks: each face's
+arrows and each arrow's faces are precomputed, the search state is three
+ints (covered faces, blocked arrows, chosen arrows), popcount ranks the
+faces, and frozensets are built only for the returned list.
 """
 
 from __future__ import annotations
@@ -22,60 +26,52 @@ class MatchingCapExceeded(RuntimeError):
 
 def enumerate_perfect_matchings(q: DimerQuiver, cap: int = DEFAULT_MATCHING_CAP):
     """All perfect matchings, as a canonically sorted list of frozensets."""
-    faces = [set(f.boundary) for f in q.faces]
-    face_of = {}
+    face_arrows = [sum(1 << aid for aid in set(f.boundary)) for f in q.faces]
+    arrow_faces = [0] * len(q.arrows)  # bit i: the arrow lies on face i
+    # choosing an arrow blocks every arrow sharing a face with it, itself
+    # included, so blocked always holds every arrow of every covered face
+    rivals = [0] * len(q.arrows)
     for idx, f in enumerate(q.faces):
         for aid in f.boundary:
-            face_of.setdefault(aid, []).append(idx)
+            arrow_faces[aid] |= 1 << idx
+            rivals[aid] |= face_arrows[idx]
+    all_faces = (1 << len(face_arrows)) - 1
+    found: list[int] = []
 
-    found: list[frozenset[int]] = []
-    chosen: set[int] = set()
-    blocked: set[int] = set()  # arrows excluded because their face is covered
-
-    def recurse(covered: set[int]):
+    def recurse(covered: int, blocked: int, chosen: int):
         if len(found) > cap:
             raise MatchingCapExceeded(cap)
-        if len(covered) == len(faces):
-            found.append(frozenset(chosen))
+        if covered == all_faces:
+            found.append(chosen)
             return
-        # most constrained uncovered face
-        best, best_opts = None, None
-        for idx in range(len(faces)):
-            if idx in covered:
-                continue
-            opts = [a for a in faces[idx] if a not in blocked]
-            if best_opts is None or len(opts) < len(best_opts):
-                best, best_opts = idx, opts
-                if not opts:
+        # most constrained uncovered face, lowest index among ties
+        best_opts, best_n = 0, len(rivals) + 1
+        rest = all_faces & ~covered
+        while rest:
+            low = rest & -rest
+            opts = face_arrows[low.bit_length() - 1] & ~blocked
+            n = opts.bit_count()
+            if n < best_n:
+                best_opts, best_n = opts, n
+                if not n:
                     break
-        if not best_opts:
-            return
-        for a in sorted(best_opts):
-            covers = face_of[a]
-            # an unblocked arrow cannot sit on a covered face, but faces
-            # listing an arrow twice would break that; guard anyway
-            if any(c in covered for c in covers):
-                continue
-            newly_blocked = []
-            chosen.add(a)
-            new_cov = set()
-            for c in covers:
-                new_cov.add(c)
-                for b in faces[c]:
-                    if b != a and b not in blocked:
-                        blocked.add(b)
-                        newly_blocked.append(b)
-            recurse(covered | new_cov)
-            chosen.discard(a)
-            for b in newly_blocked:
-                blocked.discard(b)
-        return
+            rest ^= low
+        while best_opts:  # ascending arrow id
+            bit = best_opts & -best_opts
+            best_opts ^= bit
+            a = bit.bit_length() - 1
+            recurse(covered | arrow_faces[a], blocked | rivals[a], chosen | bit)
 
-    if faces:
-        recurse(set())
+    if face_arrows:
+        recurse(0, 0, 0)
     if len(found) > cap:
         raise MatchingCapExceeded(cap)
-    return sorted(found, key=lambda d: tuple(sorted(d)))
+    return [frozenset(ids) for ids in sorted(map(_bit_ids, found))]
+
+
+def _bit_ids(mask: int) -> tuple[int, ...]:
+    """Positions of the set bits of mask, ascending."""
+    return tuple(i for i, bit in enumerate(bin(mask)[:1:-1]) if bit == "1")
 
 
 def is_perfect_matching(q: DimerQuiver, arrows) -> bool:

@@ -101,10 +101,6 @@ def _sigma_round(c: Contraction, n: int, passed: list[set[int]]) -> SigmaIdealRe
     return SigmaIdealResult(YES, power=n)
 
 
-def sigma_S_in_R(c: Contraction) -> SigmaIdealResult:
-    return sigma_power_times_S_in_R(c, 1)
-
-
 @dataclass
 class MinimalSigmaPower:
     n: int | None

@@ -1,10 +1,13 @@
 import importlib.util
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 from dimeralg import fixtures as fixtures_mod
 from dimeralg.contraction import contract
+from dimeralg.quiver import DomainError, concat
+from dimeralg.rewriting import EQUAL, NOT_EQUAL, UNKNOWN, RewriteSystem, paths_equal
 
 FIXTURES = [
     "fig_deformation",
@@ -25,6 +28,29 @@ def load_torus_cover():
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module.torus_cover
+
+
+def commutation_property_check(q, z) -> str:
+    """For z with components p - q, do p and q commute at every vertex?
+
+    Components with a single cycle count as a difference against zero and
+    pass vacuously."""
+    rs = RewriteSystem(q)
+    overall = EQUAL
+    for terms in z.components.values():
+        if len(terms) == 1:
+            continue
+        if len(terms) != 2:
+            raise DomainError("component is not a difference of two cycles")
+        (c1, p), (c2, r) = terms
+        if {c1, c2} != {Fraction(1), Fraction(-1)}:
+            raise DomainError("component is not a difference of two cycles")
+        res = paths_equal(rs, concat(q, p, r), concat(q, r, p))
+        if res.verdict == NOT_EQUAL:
+            return NOT_EQUAL
+        if res.verdict == UNKNOWN:
+            overall = UNKNOWN
+    return overall
 
 
 @pytest.fixture(scope="session")

@@ -16,7 +16,6 @@ from dimeralg import fixtures as fixtures_mod
 from dimeralg.acceptance import distinguished_candidate, quadratic_pattern_indices
 from dimeralg.center import (
     CentralCandidate,
-    commutation_property_check,
     nilpotency_and_kernel_check,
     power_in_reduced_center,
     reduced_center_contains,
@@ -56,6 +55,8 @@ from dimeralg.rewriting import (
     lift_is_simple,
     paths_equal,
 )
+
+from conftest import commutation_property_check
 
 ALL_NAMES = [
     "fig_deformation",

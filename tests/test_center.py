@@ -8,7 +8,6 @@ from dimeralg.acceptance import distinguished_candidate, quadratic_pattern_indic
 from dimeralg.center import (
     CentralCandidate,
     _solve_rational,
-    commutation_property_check,
     nilpotency_and_kernel_check,
     power_in_reduced_center,
     reduced_center_contains,
@@ -19,6 +18,8 @@ from dimeralg.contraction import sigma, source_cycle_algebra_generators
 from dimeralg.monomial_algebra import homotopy_center_contains, mon_add
 from dimeralg.quiver import DomainError, PathWord
 from dimeralg.rewriting import SearchBounds
+
+from conftest import commutation_property_check
 
 
 def test_sigma_sum_is_central(all_fixtures):

@@ -5,13 +5,29 @@ import pytest
 from dimeralg import fixtures as fixtures_mod
 from dimeralg.contraction import contract
 from dimeralg.matchings import (
+    MatchingCapExceeded,
     enumerate_perfect_matchings,
     is_nondegenerate,
+    is_perfect_matching,
     is_simple_matching,
     matching_catalog,
 )
 from dimeralg.oracles import oracle_matchings
 from dimeralg.quiver import DomainError, quiver_from_json, quiver_to_json
+
+from conftest import load_torus_cover
+
+
+def _base(name):
+    if name == "c3":
+        return fixtures_mod.c3_quiver()
+    if name == "conifold":
+        return fixtures_mod.conifold_quiver()
+    return fixtures_mod.fixture(name).quiver
+
+
+def _cover(name, n, m):
+    return load_torus_cover()(_base(name), n, m)
 
 
 def test_oracle_agreement_on_fixtures(all_fixtures):
@@ -57,6 +73,59 @@ def test_oracle_agreement_on_randomized_quivers(all_fixtures):
         q, _ = _relabeled(base, rng)
         assert enumerate_perfect_matchings(q) == oracle_matchings(q)
         count += 1
+
+
+# covers under the oracle's 20-arrow guard: 12, 16 and 14 arrows
+SMALL_COVERS = [("c3", 2, 2), ("conifold", 2, 2), ("fig_deformation", 2, 1)]
+
+
+@pytest.mark.parametrize("base,n,m", SMALL_COVERS)
+def test_oracle_agreement_on_torus_covers(base, n, m):
+    q = _cover(base, n, m)
+    assert len(q.arrows) <= 20
+    assert enumerate_perfect_matchings(q) == oracle_matchings(q)
+    # relabelled copies put arrow bits in an order unrelated to the faces
+    rng = random.Random(f"{base}|{n}|{m}")
+    for _ in range(3):
+        r = _relabeled(q, rng)[0]
+        assert enumerate_perfect_matchings(r) == oracle_matchings(r)
+
+
+# counts past the oracle's guard, as the set-based enumerator gave them;
+# the 1 x 1 cover is the base quiver itself
+LARGE_COUNTS = [
+    ("c3", 3, 3, 42),
+    ("fig_deformation", 2, 2, 108),
+    ("fig_nested(3)", 1, 1, 256),
+    ("c3", 4, 4, 417),
+    ("conifold", 3, 3, 448),
+]
+
+
+@pytest.mark.parametrize("base,n,m,count", LARGE_COUNTS)
+def test_matchings_past_the_oracle_guard(base, n, m, count):
+    q = _cover(base, n, m)
+    assert len(q.arrows) > 20
+    found = enumerate_perfect_matchings(q)
+    assert len(found) == count
+    assert len(set(found)) == count
+    assert all(is_perfect_matching(q, d) for d in found)
+    assert found == sorted(found, key=lambda d: tuple(sorted(d)))
+    r = _relabeled(q, random.Random(f"{base}|{n}|{m}"))[0]
+    assert len(enumerate_perfect_matchings(r)) == count
+
+
+def test_cap_boundary():
+    q = _cover("conifold", 2, 2)
+    full = enumerate_perfect_matchings(q)
+    assert enumerate_perfect_matchings(q, cap=len(full)) == full
+    with pytest.raises(MatchingCapExceeded) as info:
+        enumerate_perfect_matchings(q, cap=len(full) - 1)
+    assert info.value.cap == len(full) - 1
+    assert enumerate_perfect_matchings(fixtures_mod.bigon_inserted_c3(), cap=0) == []
+    # past the 4096-matching profile cap of RewriteSystem
+    with pytest.raises(MatchingCapExceeded):
+        enumerate_perfect_matchings(_cover("fig_deformation", 3, 3), cap=4096)
 
 
 def test_no_matchings_when_face_count_is_odd():

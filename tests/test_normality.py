@@ -17,7 +17,6 @@ from dimeralg.normality import (
     minimal_sigma_power,
     normality_report,
     sigma_power_times_S_in_R,
-    sigma_S_in_R,
 )
 from dimeralg.quiver import DomainError
 from dimeralg.rewriting import ResourceExhausted
@@ -51,7 +50,7 @@ def test_nested_normality_conditions_agree(n):
 
 def test_deformation_is_normal(deformation_contraction):
     c = deformation_contraction
-    assert sigma_S_in_R(c).verdict == "yes"
+    assert sigma_power_times_S_in_R(c, 1).verdict == "yes"
     msp = minimal_sigma_power(c)
     assert msp.n == 1
     rep = normality_report(c, degree_bound=8)
@@ -60,7 +59,7 @@ def test_deformation_is_normal(deformation_contraction):
 
 def test_identity_contraction_is_normal():
     c = identity_contraction(fixtures_mod.conifold_quiver())
-    assert sigma_S_in_R(c).verdict == "yes"
+    assert sigma_power_times_S_in_R(c, 1).verdict == "yes"
     assert minimal_sigma_power(c).n == 1
     rep = normality_report(c, degree_bound=6)
     assert rep.normal == "yes"
@@ -69,7 +68,7 @@ def test_identity_contraction_is_normal():
 def test_sigma_witness_on_nested_two():
     fx = fixtures_mod.fixture("fig_nested(2)")
     c = contract(fx.quiver, fx.contraction_arrows)
-    res = sigma_S_in_R(c)
+    res = sigma_power_times_S_in_R(c, 1)
     assert res.verdict == "no"
     assert res.witness is not None
     # the witness product really fails membership
@@ -112,7 +111,7 @@ def test_bound_sweep_never_contradicts(all_contractions):
     # the truncated k + m0*S test only refutes: below the degree of
     # sigma * witness it cannot, and the report says unknown there
     for name, c in all_contractions.items():
-        res = sigma_S_in_R(c)
+        res = sigma_power_times_S_in_R(c, 1)
         for bound in range(11):
             rep = normality_report(c, bound)
             vacuous = res.verdict == "no" and bound < degree(mon_add(sigma(c), res.witness))
