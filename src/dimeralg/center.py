@@ -54,9 +54,6 @@ class CentralCandidate:
                 if w.base != v or path_head(q, w) != v:
                     raise DomainError(f"component at {v} contains a non-cycle")
 
-    def is_zero(self) -> bool:
-        return not self.components
-
 
 def sigma_sum_candidate(q: DimerQuiver, power: int = 1) -> CentralCandidate:
     """The sum over vertices of the power-th unit cycle, a standard central

@@ -4,11 +4,12 @@ Every subcommand but ``fixtures`` reads a quiver from a JSON file or a
 built-in fixture given as ``fixture:NAME``.  One path in ``main`` serves
 them all: it loads the quiver once, the command returns its results and
 exit code, and ``main`` wraps the results in the report ``{command,
-inputs, bounds, results}`` and emits it once, as JSON (default) or a
-flat text rendering of the same fields; the raw text of ``fixtures
---list`` and ``--dump`` is emitted as it is.  Exit codes: 0 success,
-1 a checked claim failed, 2 a bounded procedure could not decide,
-3 bad input (an unknown fixture name included).
+inputs, bounds, results}`` and emits it once, as JSON (default) or an
+indented text rendering of the same fields, one ``-`` per list item;
+the raw text of ``fixtures --list`` and ``--dump`` is emitted as it
+is.  Exit codes: 0 success, 1 a checked claim failed, 2 a bounded
+procedure could not decide, 3 bad input (an unknown fixture name
+included).
 """
 
 from __future__ import annotations
@@ -140,6 +141,7 @@ def _render_text(payload, prefix=""):
     elif isinstance(payload, list):
         for value in payload:
             if isinstance(value, (dict, list)):
+                lines.append(f"{prefix}-")
                 lines.extend(_render_text(value, prefix + "  "))
             else:
                 lines.append(f"{prefix}- {value}")
@@ -407,7 +409,7 @@ def _global_options(parser, suppress=False):
     parser.add_argument("--max-states", type=_count, default=default(200000))
     parser.add_argument("--degree-bound", type=_count, default=default(8))
     parser.add_argument("--text", action="store_true", default=default(False),
-                        help="flat text output instead of JSON")
+                        help="indented text output instead of JSON")
 
 
 def build_parser():

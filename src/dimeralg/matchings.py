@@ -128,9 +128,6 @@ class MatchingCatalog:
     simple: tuple[frozenset[int], ...]
     all_count: int
 
-    def index_of(self, matching) -> int:
-        return self.simple.index(frozenset(matching))
-
     def __len__(self) -> int:
         return len(self.simple)
 

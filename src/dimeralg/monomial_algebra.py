@@ -43,6 +43,13 @@ def mon_leq(a: Monomial, b: Monomial) -> bool:
     return all(map(le, a, b))
 
 
+def _check_catalog(monomials) -> None:
+    """The arithmetic above stops at the shorter tuple, so monomials of
+    different lengths are refused before they meet."""
+    if len(set(map(len, monomials))) > 1:
+        raise DomainError("monomial indexed by a different catalog")
+
+
 def is_sigma_power(g: Monomial) -> bool:
     return len(set(g)) == 1 and g[0] > 0
 
@@ -120,6 +127,7 @@ class MonomialAlgebra:
 
     def __post_init__(self):
         gens = tuple(sorted(set(self.generators)))
+        _check_catalog(gens)
         object.__setattr__(self, "generators", gens)
 
 
@@ -127,6 +135,7 @@ def algebra_contains(a: MonomialAlgebra, g: Monomial) -> str:
     """YES iff g is a nonnegative integer combination of the generators.
     The search over the packed partial sums below g is complete, so the
     verdict is exact."""
+    _check_catalog((g, *a.generators))
     packing = _sum_packing(len(g), degree(g))
     # a summand must fit below g before it is packed: a larger exponent
     # would overflow its field
@@ -165,34 +174,42 @@ def _packed_sum(guards: int, steps, goal: int) -> bool:
 
 
 def semigroup_monomials(gens, degree_bound: int) -> frozenset[Monomial]:
-    """All nonzero sums of generators with degree <= degree_bound."""
-    gens = [v for v in gens if 0 < degree(v) <= degree_bound]
-    if not gens:
-        return frozenset()
-    zero = tuple(0 for _ in gens[0])
-    reached = {zero}
-    frontier = [zero]
-    while frontier:
-        cur = frontier.pop()
-        for v in gens:
-            nxt = mon_add(cur, v)
-            if degree(nxt) <= degree_bound and nxt not in reached:
-                reached.add(nxt)
-                frontier.append(nxt)
-    reached.discard(zero)
-    return frozenset(reached)
+    """All nonzero sums of generators with degree <= degree_bound: the
+    closure of ``ideal_monomials`` started at the zero monomial, with
+    zero removed.  It is exact for the reason given there."""
+    gens = tuple(gens)
+    zero = (0,) * len(gens[0]) if gens else ()
+    return ideal_monomials([zero], gens, degree_bound) - {zero}
 
 
 def ideal_monomials(generators, multiplier_gens, degree_bound: int) -> frozenset[Monomial]:
     """The monomials of the ideal spanned by ``generators`` over the
-    semigroup spanned by ``multiplier_gens``, up to the degree bound."""
-    mult = semigroup_monomials(multiplier_gens, degree_bound)
-    out = set()
-    for g in generators:
-        if degree(g) <= degree_bound:
-            out.add(g)
-            out.update(p for p in (mon_add(g, s) for s in mult) if degree(p) <= degree_bound)
-    return frozenset(out)
+    semigroup spanned by ``multiplier_gens``, up to the degree bound:
+    the set {g + s : deg(g + s) <= D} over generators g and sums s of
+    multipliers (s = 0 included), for D the degree bound.
+
+    One breadth-first closure builds it: start from the generators of
+    degree at most D, and add each multiplier of positive degree to each
+    new monomial while the degree stays at most D.  Exponents are
+    nonnegative, so every partial sum g + x_1 + ... + x_j of an element
+    g + x_1 + ... + x_k of the set has degree at most that of the whole
+    sum, and the closure reaches it through those partial sums; a
+    multiplier of degree 0 is the zero monomial and adds nothing.
+    Generators and multipliers must be indexed by one catalog."""
+    generators, multiplier_gens = tuple(generators), tuple(multiplier_gens)
+    _check_catalog(generators + multiplier_gens)
+    steps = [(v, degree(v)) for v in multiplier_gens if 0 < degree(v) <= degree_bound]
+    frontier = [(g, degree(g)) for g in set(generators) if degree(g) <= degree_bound]
+    reached = {g for g, _ in frontier}
+    while frontier:
+        layer = []
+        for cur, deg in frontier:
+            for v, dv in steps:
+                if deg + dv <= degree_bound and (nxt := mon_add(cur, v)) not in reached:
+                    reached.add(nxt)
+                    layer.append((nxt, deg + dv))
+        frontier = layer
+    return frozenset(reached)
 
 
 def minimal_generators(monomials) -> list[Monomial]:

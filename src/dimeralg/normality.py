@@ -27,6 +27,7 @@ from .monomial_algebra import (
     is_sigma_power,
     minimal_generators,
     mon_add,
+    semigroup_monomials,
 )
 from .quiver import DomainError
 from .rewriting import ResourceExhausted
@@ -169,6 +170,31 @@ class EquivalenceViolation(AssertionError):
 
 
 def normality_report(c: Contraction, degree_bound: int = 8, n_max: int = 6) -> NormalityReport:
+    """Evaluate the normality conditions of the homotopy center R of c.
+
+    The fields of the report:
+
+    - ``cond_sigma_S`` and ``normal``: whether sigma*S lies in R, decided
+      exactly by ``sigma_power_times_S_in_R`` at n = 1; ``sigma_witness``
+      is the S-generator g whose product sigma*g is not in R, if any.
+    - ``cond_k_plus_m0S``: whether R = k + m0*S, and ``cond_k_plus_ideal``,
+      whether R = k + J for an ideal J of S, which is the same condition
+      and carries the same verdict.  Unknown when sigma*S fails but
+      sigma*witness lies beyond the degree bound, where the truncated
+      sets cannot see the failure.  ``consistent`` is True: a
+      disagreement with ``cond_sigma_S`` raises EquivalenceViolation.
+    - ``minimal_power``: the least n <= n_max with sigma^n*S in R, or None.
+    - ``decomposition_holds``: whether R = k[sigma] + (m0~, sigma^n)*S for
+      that n, with m0~ the R-monomials that are not sigma powers;
+      unknown without a minimal power.
+    - ``ideal_property_holds``: whether every minimal generator of R
+      that is not a sigma power stays in R times each S-generator.
+    - ``degree_bound`` and ``r_generators``, the minimal generators of
+      the R-monomials up to that bound.
+
+    The ideal conditions compare monomial sets truncated at
+    ``degree_bound``: R, m0*S and the decomposition each up to that
+    degree, built by ``ideal_monomials`` and ``semigroup_monomials``."""
     s = sigma(c)
     rounds = _sigma_rounds(c, max(n_max, 1))  # round 1 is the sigma*S condition
     res_sigma = rounds[0]
@@ -198,11 +224,9 @@ def normality_report(c: Contraction, degree_bound: int = 8, n_max: int = 6) -> N
     # non-sigma-power part
     decomposition = UNKNOWN
     if msp.n is not None:
-        sn = (msp.n,) * len(s)
-        powers = {(k,) * len(s) for k in range(1, degree_bound + 1)
-                  if 0 < k * len(s) <= degree_bound}
-        m0_tilde = [m for m in r_mons if not is_sigma_power(m)]
-        decomp = powers | ideal_monomials(m0_tilde + [sn], s_gens, degree_bound)
+        ideal_gens = [m for m in r_mons if not is_sigma_power(m)] + [(msp.n,) * len(s)]
+        decomp = (semigroup_monomials([s], degree_bound)
+                  | ideal_monomials(ideal_gens, s_gens, degree_bound))
         decomposition = YES if decomp == r_mons else NO
 
     # the non-sigma-power part of R is an ideal of S already

@@ -73,9 +73,6 @@ class DimerQuiver:
         """The arrows with head v, in id order."""
         return self._in_arrows[v]
 
-    def faces_of_arrow(self, aid: int) -> list[Face]:
-        return [f for f in self.faces if aid in f.boundary]
-
     @cached_property
     def _max_face_length(self) -> int:
         return max((len(f.boundary) for f in self.faces), default=0)

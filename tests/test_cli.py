@@ -210,6 +210,12 @@ def test_text_rendering_mirrors_json():
     tx = run_cli(["matchings", "fixture:fig_deformation", "--text"])
     payload = json.loads(js.stdout)
     assert str(payload["results"]["count"]) in tx.stdout
+    # each matching, a list of arrow ids, has one bare item marker with
+    # its arrows one step below it
+    lines = tx.stdout.splitlines()
+    assert lines.count("    -") == payload["results"]["count"]
+    first = lines.index("    -")
+    assert lines[first + 1:first + 3] == ["      - 0", "      - 1"]
 
 
 def test_homotopy_center_contains_flag():
@@ -400,7 +406,7 @@ PINNED = [
     (["validate", "fixture:fig_deformation", "--text"], 0,
      "c0d0925f2a1973c17fb124126ae5acfe05e3354d", EMPTY),
     (["--text", "contract", "fixture:fig_deformation", "--reduce"], 0,
-     "2e93926be80f6df7410b507e8547585618443512", EMPTY),
+     "9fa328099300488b71b12039102c9d9eb8018f56", EMPTY),
     (["--max-states", "5000", "center", "fixture:fig_iso_R", "--image", "1,1,2", "--text"], 0,
      "812242decd9f348f6e6aea14981c322051aeac11", EMPTY),
     # every cycle filter, and the split into classes

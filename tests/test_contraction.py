@@ -297,7 +297,8 @@ def test_cycle_algebra_survives_reduction(iso_r_contraction):
     c = iso_r_contraction
     red = bigon_reduce(c.target)
     reduced_catalog = matching_catalog(red.quiver)
-    order = [reduced_catalog.index_of(reduce_matching(red, d)) for d in c.catalog.simple]
+    order = [reduced_catalog.simple.index(frozenset(reduce_matching(red, d)))
+             for d in c.catalog.simple]
     for cyc in vertex_simple_cycles(c.source):
         direct = tau_psi(c, cyc)
         pushed_word = reduce_word(red, psi_word(c, cyc).arrows)

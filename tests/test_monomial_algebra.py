@@ -1,7 +1,10 @@
 import itertools
 import random
+from operator import sub
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dimeralg import fixtures as fixtures_mod
 from dimeralg import monomial_algebra, rewriting
@@ -267,6 +270,73 @@ def test_ideal_monomials_by_hand():
     assert ideal_monomials(gens, mult, 4) == {(1, 1), (2, 1), (3, 1), (1, 3), (0, 4)}
     assert ideal_monomials(gens, mult, 3) == {(1, 1), (2, 1)}
     assert ideal_monomials(gens, [], 4) == {(1, 1), (0, 4)}
+
+
+# -- the degree-bounded closure against the exhaustive-sum oracle -------------
+
+CLOSURE = settings(derandomize=True, database=None, deadline=None, max_examples=200)
+
+
+@st.composite
+def closure_cases(draw):
+    """(dim, starts, multipliers, degree bound) with small exponents; the
+    bound runs from -1, and starts and multipliers may lie above it."""
+    dim = draw(st.integers(1, 3))
+    mon = st.tuples(*[st.integers(0, 3)] * dim)
+    return (dim, draw(st.lists(mon, max_size=4)), draw(st.lists(mon, max_size=4)),
+            draw(st.integers(-1, 6)))
+
+
+CLOSURE_EDGES = [
+    (2, [], [(1, 0), (0, 1)], 3),            # no starts
+    (2, [(1, 1), (0, 2)], [], 4),            # no multipliers
+    (2, [(1, 0)], [(0, 0), (0, 1)], 3),      # a zero multiplier
+    (2, [(1, 0)], [(1, 1)], -1),
+    (2, [(0, 0), (1, 0)], [(1, 0)], 0),
+    (3, [(3, 3, 0), (1, 0, 0)], [(2, 2, 2), (0, 1, 0)], 3),  # starts and multipliers above D
+    (1, [(2,)], [(3,)], 6),
+]
+
+
+def _check_closures(case):
+    """Both closures against the oracle on every monomial of degree at
+    most the bound."""
+    dim, gens, mult, bound = case
+    box = [m for m in itertools.product(range(bound + 1), repeat=dim) if degree(m) <= bound]
+    assert semigroup_monomials(mult, bound) == {
+        m for m in box if degree(m) > 0 and oracle_membership(mult, m)
+    }
+    assert ideal_monomials(gens, mult, bound) == {
+        m for m in box
+        if any(mon_leq(g, m) and (m == g or oracle_membership(mult, tuple(map(sub, m, g))))
+               for g in gens)
+    }
+
+
+@CLOSURE
+@given(closure_cases())
+def test_closures_match_oracle(case):
+    _check_closures(case)
+
+
+@pytest.mark.parametrize("case", CLOSURE_EDGES)
+def test_closure_edges_match_oracle(case):
+    _check_closures(case)
+
+
+def test_monomials_of_another_length_are_refused():
+    with pytest.raises(DomainError, match="different catalog"):
+        algebra_contains(QUAD, (1, 1))
+    with pytest.raises(DomainError, match="different catalog"):
+        algebra_contains(QUAD, (2,))
+    with pytest.raises(DomainError, match="different catalog"):
+        MonomialAlgebra(((1, 0), (0, 1, 0)))
+    with pytest.raises(DomainError, match="different catalog"):
+        semigroup_monomials([(1, 0), (0, 1, 0)], 2)
+    with pytest.raises(DomainError, match="different catalog"):
+        ideal_monomials([(1, 0)], [(0, 1, 0)], 2)
+    # with no generators there is nothing to disagree with
+    assert algebra_contains(MonomialAlgebra(()), (0, 0, 0)) == "yes"
 
 
 def test_negative_exponent_is_a_domain_error(deformation_contraction):
