@@ -17,7 +17,6 @@ from .quiver import (
     validate_dimer,
 )
 from .matchings import (
-    MatchingCatalog,
     enumerate_perfect_matchings,
     is_nondegenerate,
     is_simple_matching,

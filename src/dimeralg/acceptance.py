@@ -23,7 +23,6 @@ from .contraction import (
 from .matchings import matching_catalog
 from .monomial_algebra import (
     degree,
-    homotopy_center_contains,
     homotopy_center_monomials,
     ideal_monomials,
     mon_add,
@@ -129,9 +128,6 @@ def derive_claims(name: str) -> dict:
             out["witness_cycles_at_i"] = res.candidate_counts.get(i)
             out["witness_classes_at_i"] = res.class_counts.get(i)
             out["marked_vertex"] = i
-    elif "loop_sigma_in_homotopy_center" in fx.expected:
-        g = mon_add(sigma(c), _free_variable(c))
-        out["loop_sigma_in_homotopy_center"] = homotopy_center_contains(c, g).verdict == "yes"
     if "z_is_central" in fx.expected:
         z = distinguished_candidate(fx)
         rep = nilpotency_and_kernel_check(c, z)

@@ -16,8 +16,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd
 
-from .contraction import Contraction, Monomial, psi_word
-from .monomial_algebra import NO, YES, cycles_with_image, homotopy_center_contains
+from .contraction import Contraction, psi_word
+from .monomial_algebra import NO, YES, Monomial, cycles_with_image, homotopy_center_contains
 from .quiver import DimerQuiver, DomainError, PathWord, check_path, concat, path_head, unit_cycle
 from .rewriting import (
     DEFAULT_BOUNDS,
@@ -75,24 +75,22 @@ def _commutator_terms(a, z: dict) -> list[tuple[int, object, PathWord]]:
             + [(-1, coef, PathWord(a.tail, (a.id,) + w.arrows)) for coef, w in z.get(a.head, ())])
 
 
-def _sum_verdict(eq: EqualityClasses, terms) -> tuple[str, list[tuple[PathWord, Fraction]]]:
+def _sum_verdict(eq: EqualityClasses, terms) -> str:
     """Do the terms sum to zero modulo the relations?  Buckets them by
-    equality of their words and returns the verdict with the nonzero class
-    sums; any undecided comparison makes the verdict unknown."""
+    equality of their words and sums each class; any undecided comparison
+    makes the verdict unknown."""
     terms = sorted(terms, key=lambda t: (t[1].base, t[1].arrows))
     split, unknown = eq.split([word for _, word in terms])
-    classes = [(terms[cls[0]][1], sum((terms[k][0] for k in cls), Fraction(0))) for cls in split]
-    residue = [(rep, total) for rep, total in classes if total != 0]
     if unknown:
-        return UNKNOWN, residue
-    return (NOT_EQUAL if residue else EQUAL), residue
+        return UNKNOWN
+    nonzero = any(sum(terms[k][0] for k in cls) != 0 for cls in split)
+    return NOT_EQUAL if nonzero else EQUAL
 
 
 @dataclass
 class ArrowVerdict:
     arrow: int
     verdict: str  # equal / not_equal / unknown
-    residue: list = field(default_factory=list)  # nonzero classes if any
 
 
 @dataclass
@@ -128,7 +126,7 @@ def verify_central(
     verdicts = []
     for a in q.arrows:
         terms = [(sign * coef, w) for sign, coef, w in _commutator_terms(a, z.components)]
-        verdicts.append(ArrowVerdict(a.id, *_sum_verdict(eq, terms)))
+        verdicts.append(ArrowVerdict(a.id, _sum_verdict(eq, terms)))
     return CentralityCertificate(verdicts)
 
 
@@ -164,14 +162,14 @@ def nilpotency_and_kernel_check(
         for c1, w1 in terms:
             for c2, w2 in terms:
                 square_terms.append((c1 * c2, concat(q, w1, w2)))
-    z2 = _sum_verdict(eq, square_terms)[0]
+    z2 = _sum_verdict(eq, square_terms)
 
     eq_t = EqualityClasses(RewriteSystem(c.target), bounds)
     image_terms: list[Term] = []
     for v, terms in z.components.items():
         for coef, w in terms:
             image_terms.append((coef, psi_word(c, w)))
-    psi_zero = _sum_verdict(eq_t, image_terms)[0]
+    psi_zero = _sum_verdict(eq_t, image_terms)
 
     if central == EQUAL and z2 in (EQUAL, NOT_EQUAL) and psi_zero in (EQUAL, NOT_EQUAL):
         consistent = EQUAL if (z2 == psi_zero) else NOT_EQUAL
@@ -244,16 +242,21 @@ def reduced_center_contains(
 
     Otherwise builds, per vertex, the classes of cycles whose image is
     exactly g, then solves the arrow-commutation constraints for rational
-    coefficients normalised to image g at every vertex.  The search space
-    is restricted to same-image cycles; combinations mixing images are
-    outside this test's scope.
+    coefficients normalised to image g at every vertex.
+
+    Restricting to cycles of image g is exact.  The preimage of a perfect
+    matching of the target is a perfect matching of the source, so each
+    relation equates two paths of one image: the relations are
+    homogeneous for the grading of paths by their image.  Commuting with
+    an arrow adds the arrow's image to every term, so each homogeneous
+    component of a central element is central, and a central element
+    with image g has a central component made of cycles of image g.
 
     Once g is in the homotopy center, every vertex has such a cycle: a
     shortest closed walk at the vertex with image g is nonempty (g is
     not 0) and visits no (vertex, image spent) state twice, so its
-    zero-image steps never revisit a state, and it has at most deg g
-    image-carrying steps with fewer than V steps before, between and
-    after them, within the (deg g + 1)·V cap of ``cycles_with_image``.
+    zero-image steps never revisit a state, and ``cycles_with_image``
+    lists it.
     """
     q = c.source
     hc = homotopy_center_contains(c, g)

@@ -225,7 +225,7 @@ def cmd_tau(args, q, fx):
     return {
         "monomial": list(img),
         "rendered": render_monomial(img),
-        "catalog": [sorted(d) for d in c.catalog.simple],
+        "catalog": [sorted(d) for d in c.catalog],
     }, EXIT_OK
 
 
@@ -235,7 +235,7 @@ def cmd_contract(args, q, fx):
         "target": quiver_to_json(c.target),
         "vertex_map": list(c.vertex_map),
         "fiber_counts": list(c.fiber_counts),
-        "simple_matchings": [sorted(d) for d in c.catalog.simple],
+        "simple_matchings": [sorted(d) for d in c.catalog],
     }
     code = EXIT_OK
     if args.check_cyclic:
@@ -258,7 +258,7 @@ def cmd_cycle_algebra(args, q, fx):
     return {
         "generators": [list(g) for g in gens],
         "rendered": [render_monomial(g) for g in gens],
-        "catalog": [sorted(d) for d in c.catalog.simple],
+        "catalog": [sorted(d) for d in c.catalog],
     }, EXIT_OK
 
 

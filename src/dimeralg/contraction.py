@@ -16,7 +16,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 
-from .matchings import MatchingCatalog, matching_catalog
+from .matchings import matching_catalog
+from .monomial_algebra import Monomial, cycle_algebra_generators
 from .quiver import (  # the 2-cycle removal is re-exported from here
     BigonReduction,
     DimerQuiver,
@@ -30,8 +31,6 @@ from .quiver import (  # the 2-cycle removal is re-exported from here
     validate_dimer,
 )
 from .rewriting import DEFAULT_BOUNDS, SearchBounds, find_noncancellative_pair
-
-Monomial = tuple[int, ...]
 
 
 class ContractionError(ValueError):
@@ -48,7 +47,7 @@ class Contraction:
     vertex_map: tuple[int, ...]          # source vertex -> target vertex
     arrow_map: dict                      # surviving source arrow -> target arrow
     fiber_counts: tuple[int, ...]        # target vertex -> source fiber size
-    catalog: MatchingCatalog
+    catalog: tuple[frozenset[int], ...]  # simple matchings of the target
     # per-arrow monomial images: per simple matching of the target, 1 if
     # the (mapped) arrow lies in it; zero for a contracted source arrow
     source_images: tuple[Monomial, ...]
@@ -56,11 +55,11 @@ class Contraction:
 
     @cached_property
     def _source_generators(self) -> tuple[Monomial, ...]:
-        return _cycle_algebra_generators(self.source, self.source_images)
+        return cycle_algebra_generators(self.source, self.source_images)
 
     @cached_property
     def _target_generators(self) -> tuple[Monomial, ...]:
-        return _cycle_algebra_generators(self.target, self.target_images)
+        return cycle_algebra_generators(self.target, self.target_images)
 
     @cached_property
     def _packings(self) -> dict:
@@ -157,7 +156,7 @@ def contract(q: DimerQuiver, arrows) -> Contraction:
     _require_valid(target, "invalid_target", "contracted")
 
     catalog = matching_catalog(target)
-    target_images = tuple(tuple(int(b.id in d) for d in catalog.simple) for b in target.arrows)
+    target_images = tuple(tuple(int(b.id in d) for d in catalog) for b in target.arrows)
     zero = (0,) * len(catalog)
     return Contraction(
         source=q,
@@ -200,56 +199,6 @@ def tau_psi(c: Contraction, p: PathWord) -> Monomial:
 
 def sigma(c: Contraction) -> Monomial:
     return (1,) * len(c.catalog)
-
-
-def _cycle_algebra_generators(q: DimerQuiver, images) -> tuple[Monomial, ...]:
-    """Minimal monomial generators of the algebra of cycle images in q.
-
-    The image of a closed walk depends only on its arrow multiset, and
-    every closed walk splits into vertex-simple cycles, so the images of
-    vertex-simple cycles generate the algebra.  They are found without
-    listing the cycles.  For each start vertex s, one breadth-first
-    search over packed (vertex, image) states (``monomial_algebra._Packing``)
-    steps only to vertices >= s, takes walks of at most V - s arrows,
-    collects the image of every walk that returns to s, and keeps each
-    state only at the first layer that reaches it.  The collected images
-    generate the same monoid as the vertex-simple cycle images:
-
-    - every vertex-simple cycle whose least vertex is s is such a walk,
-      since it visits at most V - s vertices, all of them >= s;
-    - every collected image is the image of a closed walk, so it lies in
-      the monoid that the vertex-simple cycle images generate;
-    - a state seen again at a later layer has fewer steps left, so
-      dropping it loses no walk: whatever finishes a walk from the later
-      visit finishes it from the first, within the cap.
-
-    ``minimal_generators`` returns the irreducibles of that monoid, so the
-    list is the one the vertex-simple cycles give."""
-    from .monomial_algebra import _Packing, minimal_generators
-
-    nv = q.num_vertices
-    # a walk of at most V arrows: every field is at most V times the
-    # largest arrow degree
-    width = (nv * max(map(sum, images))).bit_length()
-    packing = _Packing.of_quiver(q, images, len(images[0]), width)
-    vmask, steps = packing.vmask, packing.steps
-    found: set[int] = set()
-    for s in range(nv):
-        seen = {s}
-        frontier = [s]
-        for _ in range(nv - s):
-            nxt = []
-            for node in frontier:
-                for _aid, step in steps[node & vmask]:
-                    state = node + step
-                    head = state & vmask
-                    if head == s:
-                        found.add(state - s)
-                    elif head > s and state not in seen:
-                        seen.add(state)
-                        nxt.append(state)
-            frontier = nxt
-    return tuple(minimal_generators(map(packing.exponents, found)))
 
 
 def source_cycle_algebra_generators(c: Contraction) -> list[Monomial]:

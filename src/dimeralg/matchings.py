@@ -11,8 +11,6 @@ faces, and frozensets are built only for the returned list.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .quiver import DimerQuiver, DomainError
 
 DEFAULT_MATCHING_CAP = 100000
@@ -121,18 +119,7 @@ def is_nondegenerate(q: DimerQuiver, cap: int = DEFAULT_MATCHING_CAP):
     return (not uncovered, uncovered)
 
 
-@dataclass(frozen=True)
-class MatchingCatalog:
-    """Simple matchings in canonical order; the order fixes variable names."""
-
-    simple: tuple[frozenset[int], ...]
-    all_count: int
-
-    def __len__(self) -> int:
-        return len(self.simple)
-
-
-def matching_catalog(q: DimerQuiver, cap: int = DEFAULT_MATCHING_CAP) -> MatchingCatalog:
-    matchings = enumerate_perfect_matchings(q, cap)
-    simple = tuple(d for d in matchings if is_simple_matching(q, d))
-    return MatchingCatalog(simple, len(matchings))
+def matching_catalog(q: DimerQuiver, cap: int = DEFAULT_MATCHING_CAP) -> tuple[frozenset[int], ...]:
+    """The simple matchings in canonical order; the order fixes variable
+    names."""
+    return tuple(d for d in enumerate_perfect_matchings(q, cap) if is_simple_matching(q, d))

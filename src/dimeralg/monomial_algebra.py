@@ -8,9 +8,9 @@ cycle at vertex i" is plain reachability in the finite product graph of
 the state budget ``rewriting.MAX_STATES`` only guards against oversized
 state spaces.  The search packs each state into one int (see
 ``_Packing``) and caps it by per-exponent caps and a degree cap: g and
-deg g for one monomial, D everywhere for the degree-D center table, and
-the componentwise max of a sigma-round's goals and their largest degree
-for the normality tests.
+deg g for one witness walk, D everywhere for the degree-D center table,
+and the componentwise max of the goals and their largest degree for
+``first_unrealized_goal``, the every-vertex test of several goals.
 Membership in a monoid given by generators (``algebra_contains``,
 ``minimal_generators``) searches packed partial sums in the same layout,
 with one vertex.
@@ -21,11 +21,16 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import prod
 from operator import le, lshift
+from typing import TYPE_CHECKING
 
 from . import rewriting
-from .contraction import Contraction, Monomial
 from .quiver import DimerQuiver, DomainError, PathWord
 from .rewriting import ResourceExhausted
+
+if TYPE_CHECKING:
+    from .contraction import Contraction
+
+Monomial = tuple[int, ...]
 
 YES = "yes"
 NO = "no"
@@ -244,6 +249,55 @@ def minimal_generators(monomials) -> list[Monomial]:
     return kept
 
 
+def cycle_algebra_generators(q: DimerQuiver, images) -> tuple[Monomial, ...]:
+    """Minimal monomial generators of the algebra of cycle images in q,
+    for ``images`` the monomial image of each arrow.
+
+    The image of a closed walk depends only on its arrow multiset, and
+    every closed walk splits into vertex-simple cycles, so the images of
+    vertex-simple cycles generate the algebra.  They are found without
+    listing the cycles.  For each start vertex s, one breadth-first
+    search over packed (vertex, image) states (``_Packing``) steps only
+    to vertices >= s, takes walks of at most V - s arrows, collects the
+    image of every walk that returns to s, and keeps each state only at
+    the first layer that reaches it.  The collected images generate the
+    same monoid as the vertex-simple cycle images:
+
+    - every vertex-simple cycle whose least vertex is s is such a walk,
+      since it visits at most V - s vertices, all of them >= s;
+    - every collected image is the image of a closed walk, so it lies in
+      the monoid that the vertex-simple cycle images generate;
+    - a state seen again at a later layer has fewer steps left, so
+      dropping it loses no walk: whatever finishes a walk from the later
+      visit finishes it from the first, within the cap.
+
+    ``minimal_generators`` returns the irreducibles of that monoid, so the
+    list is the one the vertex-simple cycles give."""
+    nv = q.num_vertices
+    # a walk of at most V arrows: every field is at most V times the
+    # largest arrow degree
+    width = (nv * max(map(sum, images))).bit_length()
+    packing = _Packing.of_quiver(q, images, len(images[0]), width)
+    vmask, steps = packing.vmask, packing.steps
+    found: set[int] = set()
+    for s in range(nv):
+        seen = {s}
+        frontier = [s]
+        for _ in range(nv - s):
+            nxt = []
+            for node in frontier:
+                for _aid, step in steps[node & vmask]:
+                    state = node + step
+                    head = state & vmask
+                    if head == s:
+                        found.add(state - s)
+                    elif head > s and state not in seen:
+                        seen.add(state)
+                        nxt.append(state)
+            frontier = nxt
+    return tuple(minimal_generators(map(packing.exponents, found)))
+
+
 # -- realizability of monomials as cycle images -------------------------------
 
 
@@ -270,26 +324,24 @@ def _packing(c: Contraction, deg_cap: int) -> _Packing:
 
 
 def _reach(
-    c: Contraction, i: int, caps: Monomial, deg_cap: int, max_states: int,
-    goal: Monomial | None = None,
-) -> tuple[_Packing, dict[int, int | None]]:
-    """Breadth-first search over packed (vertex, exponents spent) states
+    c: Contraction, i: int, caps: Monomial, deg_cap: int, max_states: int, targets=frozenset(),
+) -> dict[int, int | None]:
+    """Breadth-first search over the states of ``_packing(c, deg_cap)``
     from (i, 0), keeping each state whose exponents are at most ``caps``
     and whose degree is at most ``deg_cap`` (caps nonnegative and at most
     the degree cap).
 
-    Returns the packing and the map from each reached state to the arrow
-    id that first entered it (None at the start); the previous state is
-    the state minus that arrow's delta.  With a goal the search stops
-    after the layer that reaches (i, goal).  Past ``max_states`` states it
-    raises ResourceExhausted."""
+    Returns the map from each reached state to the arrow id that first
+    entered it (None at the start); the previous state is the state minus
+    that arrow's delta.  With targets, a set of packed states, the search
+    stops after the layer that has reached all of them.  Past
+    ``max_states`` states it raises ResourceExhausted."""
     packing = _packing(c, deg_cap)
     vmask, guards, steps = packing.vmask, packing.guards, packing.steps
     limit = packing.pack(vmask, caps, deg_cap) | guards
-    target = None if goal is None else packing.pack(i, goal, degree(goal))
     parent: dict[int, int | None] = {i: None}
     frontier = [i]
-    while frontier and target not in parent:
+    while frontier and not (targets and parent.keys() >= targets):
         nxt_frontier = []
         for node in frontier:
             for aid, step in steps[node & vmask]:
@@ -301,16 +353,17 @@ def _reach(
             if len(parent) > max_states:
                 raise ResourceExhausted(f"realizability search exceeds budget {max_states}")
         frontier = nxt_frontier
-    return packing, parent
+    return parent
 
 
-def _check_query(c: Contraction, i: int, g: Monomial) -> None:
+def _check_query(c: Contraction, goals, i: int = 0) -> None:
     if not 0 <= i < c.source.num_vertices:
         raise DomainError(f"vertex {i} out of range")
-    if len(g) != len(c.catalog):
-        raise DomainError("monomial indexed by a different catalog")
-    if min(g, default=0) < 0:
-        raise DomainError("monomial with a negative exponent")
+    for g in goals:
+        if len(g) != len(c.catalog):
+            raise DomainError("monomial indexed by a different catalog")
+        if min(g, default=0) < 0:
+            raise DomainError("monomial with a negative exponent")
 
 
 def realizable_at_vertex(c: Contraction, i: int, g: Monomial) -> Realizability:
@@ -322,16 +375,13 @@ def realizable_at_vertex(c: Contraction, i: int, g: Monomial) -> Realizability:
     success the witness walk is rebuilt backwards from the arrow that
     entered each state.
     """
-    q = c.source
-    _check_query(c, i, g)
+    _check_query(c, [g], i)
     max_states = rewriting.MAX_STATES
-    box = prod(e + 1 for e in g)
-    if box * q.num_vertices > max_states:
-        raise ResourceExhausted(
-            f"state space {box * q.num_vertices} exceeds budget {max_states}"
-        )
-    packing, parent = _reach(c, i, g, degree(g), max_states, g)
+    if (space := prod(e + 1 for e in g) * c.source.num_vertices) > max_states:
+        raise ResourceExhausted(f"state space {space} exceeds budget {max_states}")
+    packing = _packing(c, degree(g))
     node = packing.pack(i, g, degree(g))
+    parent = _reach(c, i, g, degree(g), max_states, {node})
     if node not in parent:
         return Realizability(NO, None, len(parent), i)
     word: list[int] = []
@@ -347,22 +397,22 @@ _MAX_CYCLES = 20000  # cycles one image may have before cycles_with_image gives 
 
 def cycles_with_image(c: Contraction, i: int, g: Monomial) -> list[PathWord]:
     """All cycles at i with image exactly g whose zero-image steps never
-    revisit a (vertex, exponent) state.  Image-carrying steps are bounded
-    by deg(g) and each zero-image chain between them by the vertex count,
-    so walks are cut at (deg(g) + 1) times the vertex count.
+    revisit a (vertex, exponent) state.  Every such walk is finite: it
+    has at most deg g image-carrying steps, and each zero-image chain
+    before, between and after them visits distinct states with one
+    exponent, so it has at most V - 1 steps; a walk therefore has fewer
+    than (deg g + 1)·V arrows.
 
     The depth-first search runs on the packed states of ``_Packing``
     capped by g and deg g, as in ``_reach``: a step adds the arrow's
     delta, and a zero-image step leaves every field above the vertex bits
     unchanged."""
-    q = c.source
-    _check_query(c, i, g)
+    _check_query(c, [g], i)
     deg = degree(g)
     packing = _packing(c, deg)
     vmask, guards, steps = packing.vmask, packing.guards, packing.steps
     limit = packing.pack(vmask, g, deg) | guards
     goal = packing.pack(i, g, deg)
-    walk_cap = (deg + 1) * q.num_vertices
     out: list[PathWord] = []
     stack = [(i, (), frozenset({i}))]
     while stack:
@@ -371,8 +421,6 @@ def cycles_with_image(c: Contraction, i: int, g: Monomial) -> list[PathWord]:
             out.append(PathWord(i, word))
             if len(out) > _MAX_CYCLES:
                 raise ResourceExhausted("too many witness cycles")
-        if len(word) >= walk_cap:
-            continue
         for aid, step in reversed(steps[s & vmask]):
             state = s + step
             if (limit - state) & guards != guards:
@@ -389,14 +437,67 @@ def cycles_with_image(c: Contraction, i: int, g: Monomial) -> list[PathWord]:
     return out
 
 
-def homotopy_center_contains(c: Contraction, g: Monomial):
+def first_unrealized_goal(c: Contraction, goals, passed=None) -> tuple[int, int] | None:
+    """The first goal, in order, that is not a cycle image at every
+    vertex, and the first vertex where it is not, as (index, vertex);
+    None when every goal is a cycle image at every vertex.
+
+    One ``_reach`` per vertex answers every open goal, capped by their
+    componentwise max and largest degree.  Arrow images are nonnegative,
+    so a walk to a goal stays below it, inside the shared box, and the
+    verdict is exact.  Once a goal fails, later vertices search only the
+    goals before it.  ``passed[i]``, when given, holds the indices of
+    goals known to be cycle images at vertex i; they are skipped there,
+    and the search adds those it finds.
+
+    Guard: a goal whose own box times the vertex count exceeds
+    ``rewriting.MAX_STATES`` raises ResourceExhausted unless an earlier
+    goal fails, as one membership test per goal would; only the goals
+    before it are searched, and a shared search past the budget raises
+    too: an Unknown (exit 2), never a wrong verdict."""
+    _check_query(c, goals)
+    max_states = rewriting.MAX_STATES
+    num_vertices = c.source.num_vertices
+    spaces = [prod(e + 1 for e in goal) * num_vertices for goal in goals]
+    over = next((k for k, space in enumerate(spaces) if space > max_states), len(goals))
+    live, vertex = over, None  # goals 0 .. live - 1 are still to check
+    searched = None
+    for i in range(num_vertices):
+        known = passed[i] if passed else set()
+        todo = [k for k in range(live) if k not in known]
+        if not todo:
+            continue
+        if todo != searched:
+            # the shared box and the goals packed at vertex 0, kept while
+            # the open goals stay the same
+            searched = todo
+            open_goals = [goals[k] for k in todo]
+            deg_cap = max(map(degree, open_goals))
+            packing = _packing(c, deg_cap)
+            caps = tuple(map(max, zip(*open_goals)))
+            base = [packing.pack(0, goal, degree(goal)) for goal in open_goals]
+        targets = [i + b for b in base]
+        reached = _reach(c, i, caps, deg_cap, max_states, set(targets))
+        for k, target in zip(todo, targets):
+            if target not in reached:
+                live, vertex = k, i
+                break
+            known.add(k)
+        if not live:
+            break
+    if live < over:
+        return live, vertex
+    if over < len(goals):
+        raise ResourceExhausted(f"state space {spaces[over]} exceeds budget {max_states}")
+    return None
+
+
+def homotopy_center_contains(c: Contraction, g: Monomial) -> Realizability:
     """YES iff g is a cycle image at every vertex; otherwise the report
-    names the first failing vertex."""
-    for i in range(c.source.num_vertices):
-        res = realizable_at_vertex(c, i, g)
-        if res.verdict != YES:
-            return Realizability(NO, None, res.states, i)
-    return Realizability(YES, None, 0, None)
+    names the first failing vertex.  The one-goal case of
+    ``first_unrealized_goal``."""
+    miss = first_unrealized_goal(c, [g])
+    return Realizability(YES) if miss is None else Realizability(NO, vertex=miss[1])
 
 
 @dataclass
@@ -415,8 +516,9 @@ def homotopy_center_monomials(c: Contraction, degree_bound: int) -> frozenset[Mo
     out: set[int] | None = None
     budget = rewriting.MAX_STATES
     caps = (degree_bound,) * len(c.catalog)
+    packing = _packing(c, degree_bound)
     for i in range(c.source.num_vertices):
-        packing, reached = _reach(c, i, caps, degree_bound, budget)
+        reached = _reach(c, i, caps, degree_bound, budget)
         budget -= len(reached)
         # back at i with a nonzero image; the vertex bits are cleared so the
         # packed exponents intersect across vertices

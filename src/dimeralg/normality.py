@@ -13,15 +13,14 @@ once by ``homotopy_center_monomials``.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from math import prod
 
-from . import rewriting
-from .contraction import Contraction, Monomial, sigma, source_cycle_algebra_generators
+from .contraction import Contraction, sigma, source_cycle_algebra_generators
 from .monomial_algebra import (
     NO,
     YES,
-    _reach,
+    Monomial,
     degree,
+    first_unrealized_goal,
     homotopy_center_monomials,
     ideal_monomials,
     is_sigma_power,
@@ -29,10 +28,7 @@ from .monomial_algebra import (
     mon_add,
     semigroup_monomials,
 )
-from .quiver import DomainError
-from .rewriting import ResourceExhausted
-
-UNKNOWN = "unknown"
+from .rewriting import UNKNOWN
 
 
 @dataclass
@@ -45,29 +41,14 @@ class SigmaIdealResult:
 def sigma_power_times_S_in_R(c: Contraction, n: int) -> SigmaIdealResult:
     """Does sigma^n * S land in R?  Tested on the S-generators; the
     non-sigma-power products absorb the rest of S, and sigma^n itself is
-    in R, the n-th power of the unit cycle at every vertex.
-
-    One search per vertex answers every goal sigma^n * g of the round: a
-    ``_reach`` whose caps are the componentwise maximum of the goals and
-    whose degree cap is their largest degree.  Arrow images are
-    nonnegative, so a walk that reaches a goal only passes through states
-    below that goal, which lie inside the shared box: reachability there
-    is reachability in the goal's own box, and the verdict is exact.
-    The witness is the first generator, in generator order, whose goal
-    fails at some vertex; once a generator fails, later vertices are
-    searched only for the generators before it, and none once the first
-    one fails.
-
-    Guard: a goal whose own box times the vertex count exceeds
-    ``rewriting.MAX_STATES`` raises ResourceExhausted unless an earlier
-    generator fails, as one membership test per goal would.  Only the
-    goals before the first such goal are searched together, and a shared
-    search past the budget raises too: an Unknown (exit 2), never a wrong
-    verdict."""
-    return _sigma_round(c, n, [set() for _ in range(c.source.num_vertices)])
+    in R, the n-th power of the unit cycle at every vertex.  The witness
+    is the first generator g whose goal sigma^n * g is not a cycle image
+    at some vertex, as ``first_unrealized_goal`` decides it: exactly, or
+    by raising ResourceExhausted past its state budget."""
+    return _sigma_round(c, n)
 
 
-def _sigma_round(c: Contraction, n: int, passed: list[set[int]]) -> SigmaIdealResult:
+def _sigma_round(c: Contraction, n: int, passed=None) -> SigmaIdealResult:
     """``sigma_power_times_S_in_R`` skipping what is known: ``passed[i]``
     holds the indices of the generators g with sigma^m * g realizable at
     vertex i for some m <= n, and the round adds those it finds.  A unit
@@ -76,30 +57,10 @@ def _sigma_round(c: Contraction, n: int, passed: list[set[int]]) -> SigmaIdealRe
     a vertex are searched there."""
     sn = (n,) * len(c.catalog)
     gens = source_cycle_algebra_generators(c)
-    goals = [mon_add(sn, g) for g in gens]
-    if any(min(goal) < 0 for goal in goals):
-        raise DomainError("monomial with a negative exponent")
-    max_states = rewriting.MAX_STATES
-    num_vertices = c.source.num_vertices
-    spaces = [prod(e + 1 for e in goal) * num_vertices for goal in goals]
-    over = next((k for k, space in enumerate(spaces) if space > max_states), len(goals))
-    live = over  # generators 0 .. live - 1 are still to check
-    for i in range(num_vertices):
-        todo = [k for k in range(live) if k not in passed[i]]
-        if not todo:
-            continue
-        caps = tuple(map(max, zip(*(goals[k] for k in todo))))
-        packing, reached = _reach(c, i, caps, max(degree(goals[k]) for k in todo), max_states)
-        for k in todo:
-            if packing.pack(i, goals[k], degree(goals[k])) not in reached:
-                live = k
-                break
-            passed[i].add(k)
-    if live < over:
-        return SigmaIdealResult(NO, witness=gens[live], power=n)
-    if over < len(goals):
-        raise ResourceExhausted(f"state space {spaces[over]} exceeds budget {max_states}")
-    return SigmaIdealResult(YES, power=n)
+    miss = first_unrealized_goal(c, [mon_add(sn, g) for g in gens], passed)
+    if miss is None:
+        return SigmaIdealResult(YES, power=n)
+    return SigmaIdealResult(NO, witness=gens[miss[0]], power=n)
 
 
 @dataclass

@@ -9,8 +9,8 @@ from __future__ import annotations
 
 from itertools import combinations, product
 
-from .contraction import Contraction, Monomial
-from .monomial_algebra import degree, mon_add, mon_leq
+from .contraction import Contraction
+from .monomial_algebra import Monomial, degree, mon_add, mon_leq
 from .quiver import DimerQuiver, DomainError
 
 
@@ -81,7 +81,7 @@ def oracle_realizable(c: Contraction, i: int, g: Monomial, multiplicity_cap: int
             images.append((0,) * dim)
         else:
             img = c.arrow_map[a.id]
-            images.append(tuple(1 if img in d else 0 for d in c.catalog.simple))
+            images.append(tuple(1 if img in d else 0 for d in c.catalog))
 
     if degree(g) == 0:
         return True  # the trivial walk

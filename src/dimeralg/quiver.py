@@ -401,7 +401,6 @@ class BigonStep:
     substitutions are recorded in the arrow ids of the quiver *before* the
     step; ``relabel`` maps surviving old ids to new dense ids."""
 
-    face: int
     a: int
     b: int
     sub_a: tuple[int, ...]
@@ -473,7 +472,7 @@ def _one_bigon_step(q: DimerQuiver) -> tuple[DimerQuiver, BigonStep] | None:
         raise DomainError(
             f"2-cycle {bigon.id}: merged face is invalid ({', '.join(sorted(rep.codes()))})"
         )
-    step = BigonStep(bigon.id, a_id, b_id, arc_b, arc_a, relabel)
+    step = BigonStep(a_id, b_id, arc_b, arc_a, relabel)
     return nq, step
 
 

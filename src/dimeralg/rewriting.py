@@ -552,7 +552,7 @@ def vertex_simple_cycles(q: DimerQuiver) -> list[PathWord]:
     This is the reference enumerator: the count grows exponentially
     (2,315 cycles on fig_nested(4)), so the library finds cycle-algebra
     generators by a closed-walk search instead
-    (``contraction._cycle_algebra_generators``), and the tests compare
+    (``monomial_algebra.cycle_algebra_generators``), and the tests compare
     that search with these cycles."""
     out: list[PathWord] = []
     for s in range(q.num_vertices):

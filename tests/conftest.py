@@ -6,6 +6,7 @@ import pytest
 
 from dimeralg import fixtures as fixtures_mod
 from dimeralg.contraction import contract
+from dimeralg.monomial_algebra import realizable_at_vertex
 from dimeralg.quiver import DomainError, concat
 from dimeralg.rewriting import EQUAL, NOT_EQUAL, UNKNOWN, RewriteSystem, paths_equal
 
@@ -28,6 +29,15 @@ def load_torus_cover():
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module.torus_cover
+
+
+def per_vertex_contains(c, g):
+    """Homotopy-center membership by one witness search per vertex:
+    (verdict, first vertex where g is not a cycle image, or None)."""
+    for i in range(c.source.num_vertices):
+        if realizable_at_vertex(c, i, g).verdict != "yes":
+            return "no", i
+    return "yes", None
 
 
 def commutation_property_check(q, z) -> str:

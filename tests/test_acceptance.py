@@ -345,9 +345,10 @@ def test_criterion_7_property_sweeps():
 
         # sampled center monomials reach the reduced center by power 6;
         # the samples are the all-ones vector, its square, and the first
-        # few non-divisible monomials (the same-image candidate search is
-        # blind to mixed-image combinations, so divisible non-power
-        # monomials can stay out of its reach; see the iso_R tests)
+        # few non-divisible monomials (a divisible non-power monomial can
+        # be the image of no central element at all, as z*sigma on
+        # fig_iso_R is: the same-image test is exact, so that no is final;
+        # see the iso_R tests)
         samples = [ones, mon_add(ones, ones)]
         samples += [g for g in sorted(rmons) if min(g) == 0][:2]
         for g in samples:

@@ -119,6 +119,16 @@ def test_loop_sigma_not_in_reduced_center(iso_r_contraction, iso_r):
     assert homotopy_center_contains(c, zsigma).verdict == "yes"
 
 
+def test_reduced_center_refusals_name_their_reason(iso_r_contraction):
+    c = iso_r_contraction
+    # outside the homotopy center: refused before any cycle is listed
+    res = reduced_center_contains(c, (0, 0, 1))
+    assert (res.verdict, res.reason, res.failing_vertex) == ("no", "not_in_homotopy_center", 1)
+    # sigma^12 has more cycles at a vertex than cycles_with_image lists
+    res = reduced_center_contains(c, (12, 12, 12))
+    assert (res.verdict, res.reason) == ("unknown", "cycle_enumeration_budget")
+
+
 def test_powers_of_nondivisible_monomials(deformation_contraction):
     c = deformation_contraction
     gens = source_cycle_algebra_generators(c)

@@ -10,7 +10,8 @@ from dimeralg.center import verify_central
 from dimeralg.cli import _candidate_from_json, main
 from dimeralg.contraction import contract
 from dimeralg.fixtures import bigon_inserted_c3, fixture
-from dimeralg.quiver import quiver_to_json
+from dimeralg.quiver import PathWord, quiver_to_json
+from dimeralg.rewriting import RewriteStep, RewriteSystem, replay_witness
 
 from conftest import FIXTURES
 
@@ -63,6 +64,23 @@ def test_eq_exit_codes():
     assert res.returncode == 0
     payload = json.loads(res.stdout)
     assert payload["results"]["verdict"] == "not_equal"
+
+
+def test_eq_witness_replays(capsys):
+    argv = ["eq", "fixture:fig_deformation", "--p", "4,6,6,1,2,4", "--q", "5,6,6,0,2,4"]
+    assert main(argv) == 0
+    results = json.loads(capsys.readouterr().out)["results"]
+    assert (results["verdict"], len(results["witness"])) == ("equal", 5)
+    steps = [RewriteStep(s["pos"], s["arrow"], tuple(s["old"]), tuple(s["new"]))
+             for s in results["witness"]]
+    q = fixture("fig_deformation").quiver
+    base = q.arrow(4).tail
+    trail = replay_witness(RewriteSystem(q), PathWord(base, (4, 6, 6, 1, 2, 4)), steps)
+    assert trail[-1] == PathWord(base, (5, 6, 6, 0, 2, 4))
+    # a word cap below the witness's longest word leaves the pair undecided
+    assert main(argv + ["--max-word-length", "6"]) == 2
+    results = json.loads(capsys.readouterr().out)["results"]
+    assert (results["verdict"], results["reason"]) == ("unknown", "word_length")
 
 
 def test_matchings_output_shape():
@@ -432,9 +450,15 @@ PINNED = [
      "01d191c965ac080761dbb84da9c3316368a984b0", EMPTY),
     (["fixtures", "--dump", "fig_deformation"], 0,
      "0c68cb90bdfb725d75b990d392cfa30ce6d4114f", EMPTY),
+    # an equal pair and its rewrite witness
+    (["eq", "fixture:fig_deformation", "--p", "4,6,6,1,2,4", "--q", "5,6,6,0,2,4"], 0,
+     "36f75808383e46c37f0d5f415a1a5c313eee5775", EMPTY),
     # exit 2
     (["eq", "fixture:fig_deformation", "--p", "0,2,5", "--q", "1,3,4,6", "--max-states", "1"], 2,
      "5fef67152152af033701d693abbad553a51c765f", EMPTY),
+    (["eq", "fixture:fig_deformation", "--p", "4,6,6,1,2,4", "--q", "5,6,6,0,2,4",
+      "--max-word-length", "6"], 2,
+     "a7c584a26dd960840731bace6c84aca8452a3a84", EMPTY),
     (["matchings", "fixture:fig_iso_R", "--cap", "3"], 2,
      EMPTY, "81f5fca7a889d0a1fb8a7ce7409ba0c6ab8da432"),
     (["normality", "fixture:fig_nested(2)", "--degree-bound", "5"], 2,

@@ -94,8 +94,8 @@ def test_image_table_counts_simple_matchings(all_contractions):
                 continue
             img = c.arrow_map[a.id]
             assert entry == c.target_images[img], (name, a.id)
-            assert entry == tuple(int(img in d) for d in c.catalog.simple), (name, a.id)
-            assert sum(entry) == sum(1 for d in c.catalog.simple if img in d), (name, a.id)
+            assert entry == tuple(int(img in d) for d in c.catalog), (name, a.id)
+            assert sum(entry) == sum(1 for d in c.catalog if img in d), (name, a.id)
 
 
 def test_tau_psi_sums_the_image_table(all_contractions):
@@ -254,6 +254,14 @@ def test_identity_contraction_is_cyclic():
     assert rep.source_generators == rep.target_generators
 
 
+def test_noncancellative_target_is_not_cyclic(iso_r, deformation):
+    # fig_iso_R contracted at arrow 0 alone, and fig_deformation not
+    # contracted at all, keep a non-cancellative pair in the target
+    for c in (contract(iso_r.quiver, [0]), identity_contraction(deformation.quiver)):
+        rep = is_cyclic(c)
+        assert (rep.cyclic_up_to_bound, rep.cancellative_target) == (False, False)
+
+
 def test_bigon_reduce_no_op(deformation_contraction):
     red = bigon_reduce(deformation_contraction.target)
     assert not red.changed
@@ -285,8 +293,8 @@ def test_nested_target_reduces_to_conifold():
 def test_matching_transport_through_reduction(iso_r_contraction):
     c = iso_r_contraction
     red = bigon_reduce(c.target)
-    reduced_simple = set(matching_catalog(red.quiver).simple)
-    transported = {reduce_matching(red, d) for d in c.catalog.simple}
+    reduced_simple = set(matching_catalog(red.quiver))
+    transported = {reduce_matching(red, d) for d in c.catalog}
     assert transported == reduced_simple
 
 
@@ -297,14 +305,14 @@ def test_cycle_algebra_survives_reduction(iso_r_contraction):
     c = iso_r_contraction
     red = bigon_reduce(c.target)
     reduced_catalog = matching_catalog(red.quiver)
-    order = [reduced_catalog.simple.index(frozenset(reduce_matching(red, d)))
-             for d in c.catalog.simple]
+    order = [reduced_catalog.index(frozenset(reduce_matching(red, d)))
+             for d in c.catalog]
     for cyc in vertex_simple_cycles(c.source):
         direct = tau_psi(c, cyc)
         pushed_word = reduce_word(red, psi_word(c, cyc).arrows)
         counts = [0] * len(reduced_catalog)
         for aid in pushed_word:
-            for k, d in enumerate(reduced_catalog.simple):
+            for k, d in enumerate(reduced_catalog):
                 if aid in d:
                     counts[k] += 1
         assert direct == tuple(counts[k] for k in order)

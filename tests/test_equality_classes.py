@@ -23,6 +23,7 @@ from dimeralg.rewriting import (
     SearchBounds,
     enumerate_cycles,
     find_noncancellative_pair,
+    paths_equal,
     replay_witness,
     _decode,
     _encode,
@@ -203,6 +204,32 @@ def test_grown_closure_is_the_breadth_first_closure(all_fixtures):
     words, truncated = bfs_closure(rs, closure.words, closure.pending, cap)
     assert words == class_words
     assert (closure.truncated or truncated) == class_truncated
+
+
+def test_capped_matching_profile_falls_back():
+    # the 3x3 cover of fig_deformation has 12,366 perfect matchings, over
+    # the 4,096 that RewriteSystem enumerates for the profile invariant;
+    # without the profile a rewritten pair is still decided by its closure
+    q = load_torus_cover()(fixtures_mod.fixture("fig_deformation").quiver, 3, 3)
+    rs = RewriteSystem(q)
+    assert rs.profile((0,)) is None and rs.has_matching
+    rng = random.Random("fallback")
+    at = rng.randrange(q.num_vertices)
+    word = []
+    for _ in range(12):
+        a = rng.choice(q.out_arrows(at))
+        word.append(a.id)
+        at = a.head
+    p = PathWord(q.arrow(word[0]).tail, tuple(word))
+    scrambled = p.arrows
+    for _ in range(12):
+        succs, _ = naive_successors(rs, scrambled, len(p.arrows) + q.max_face_length())
+        scrambled = rng.choice(succs)[0]
+    r = PathWord(p.base, scrambled)
+    assert r != p
+    res = paths_equal(rs, p, r)
+    assert res.verdict == EQUAL
+    assert replay_witness(rs, p, res.steps)[-1] == r
 
 
 def test_complete_closure_decides_not_equal(all_fixtures):

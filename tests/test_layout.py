@@ -1,0 +1,43 @@
+"""The package layout: a private name is used only in the module that
+defines it, and every import sits at module level, so no import cycle
+is hidden inside a function."""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+PACKAGE = Path(__file__).resolve().parents[1] / "src" / "dimeralg"
+MODULES = sorted(PACKAGE.glob("*.py"))
+
+
+def _from_package(node: ast.ImportFrom) -> bool:
+    return node.level > 0 or (node.module or "").split(".")[0] == "dimeralg"
+
+
+@pytest.mark.parametrize("path", MODULES, ids=[p.name for p in MODULES])
+def test_no_private_name_crosses_modules(path):
+    tree = ast.parse(path.read_text())
+    imported = [node for node in ast.walk(tree)
+                if isinstance(node, ast.ImportFrom) and _from_package(node)]
+    private = [a.name for node in imported for a in node.names if a.name.startswith("_")]
+    assert not private, f"{path.name} imports {private}"
+    # modules bound by "from . import module" are not reached into either
+    modules = {a.asname or a.name for node in imported if node.module is None for a in node.names}
+    reached = sorted(
+        f"{node.value.id}.{node.attr}" for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+        and node.value.id in modules and node.attr.startswith("_")
+    )
+    assert not reached, f"{path.name} uses {reached}"
+
+
+@pytest.mark.parametrize("path", MODULES, ids=[p.name for p in MODULES])
+def test_no_import_inside_a_function(path):
+    tree = ast.parse(path.read_text())
+    nested = sorted(
+        f"{fn.name}:{node.lineno}"
+        for fn in ast.walk(tree) if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))
+        for node in ast.walk(fn) if isinstance(node, (ast.Import, ast.ImportFrom))
+    )
+    assert not nested, f"{path.name} imports inside {nested}"

@@ -184,9 +184,8 @@ def test_catalog_is_deterministic(deformation):
     a = matching_catalog(deformation.quiver)
     b = matching_catalog(deformation.quiver)
     assert a == b
-    assert list(a.simple) == sorted(a.simple, key=lambda d: tuple(sorted(d)))
+    assert list(a) == sorted(a, key=lambda d: tuple(sorted(d)))
 
 
 def test_deformation_target_has_three_simple_matchings(deformation_contraction):
     assert len(deformation_contraction.catalog) == 3
-    assert deformation_contraction.catalog.all_count == 5

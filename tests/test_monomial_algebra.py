@@ -30,6 +30,8 @@ from dimeralg.oracles import oracle_membership, oracle_realizable
 from dimeralg.quiver import DomainError, PathWord, path_head
 from dimeralg.rewriting import ResourceExhausted
 
+from conftest import per_vertex_contains
+
 
 QUAD = MonomialAlgebra(((2, 0, 0), (0, 2, 0), (1, 1, 0), (0, 0, 1)))
 
@@ -126,6 +128,16 @@ def test_sigma_realizable_everywhere_with_unit_cycle_witness(all_contractions):
             assert res.verdict == "yes", (name, i)
             w = res.witness
             assert w.base == i and path_head(c.source, w) == i
+
+
+def test_center_membership_is_the_per_vertex_search(all_contractions):
+    # the one-goal every-vertex search against a witness search per
+    # vertex: same verdict and same first failing vertex
+    for name, c in all_contractions.items():
+        for g in itertools.product(range(7), repeat=len(c.catalog)):
+            if degree(g) <= 6:
+                res = homotopy_center_contains(c, g)
+                assert (res.verdict, res.vertex) == per_vertex_contains(c, g), (name, g)
 
 
 def test_single_variable_not_realizable_on_deformation(deformation_contraction):
@@ -345,6 +357,8 @@ def test_negative_exponent_is_a_domain_error(deformation_contraction):
         realizable_at_vertex(deformation_contraction, 0, (1, -1, 0))
     with pytest.raises(DomainError):
         cycles_with_image(deformation_contraction, 0, (1, -1, 0))
+    with pytest.raises(DomainError):
+        homotopy_center_contains(deformation_contraction, (1, -1, 0))
 
 
 # -- the packed realizability search against a tuple-state reference ----------
@@ -454,8 +468,9 @@ def test_center_table_searches_share_one_budget(deformation_contraction, monkeyp
 
 def naive_cycles_with_image(c, i, g):
     """Depth-first search over (vertex, exponents spent) tuples, reversed
-    out_arrows order on the stack, with the same walk cap and the same
-    rule for zero-image steps as ``cycles_with_image``."""
+    out_arrows order on the stack, with the same rule for zero-image steps
+    as ``cycles_with_image`` and a walk cap of (deg g + 1)·V arrows, which
+    its docstring shows never binds."""
     q = c.source
     images = c.source_images
     walk_cap = (degree(g) + 1) * q.num_vertices
