@@ -24,6 +24,17 @@ class MatchingCapExceeded(RuntimeError):
 
 def enumerate_perfect_matchings(q: DimerQuiver, cap: int = DEFAULT_MATCHING_CAP):
     """All perfect matchings, as a canonically sorted list of frozensets."""
+    found: list[int] = []
+    for chosen in perfect_matching_masks(q):
+        found.append(chosen)
+        if len(found) > cap:
+            raise MatchingCapExceeded(cap)
+    return [frozenset(ids) for ids in sorted(map(_bit_ids, found))]
+
+
+def perfect_matching_masks(q: DimerQuiver):
+    """Every perfect matching as a bit mask of arrow ids, in search order,
+    one at a time: ``rewriting.RewriteSystem`` takes only the first."""
     face_arrows = [sum(1 << aid for aid in set(f.boundary)) for f in q.faces]
     arrow_faces = [0] * len(q.arrows)  # bit i: the arrow lies on face i
     # choosing an arrow blocks every arrow sharing a face with it, itself
@@ -34,14 +45,12 @@ def enumerate_perfect_matchings(q: DimerQuiver, cap: int = DEFAULT_MATCHING_CAP)
             arrow_faces[aid] |= 1 << idx
             rivals[aid] |= face_arrows[idx]
     all_faces = (1 << len(face_arrows)) - 1
-    found: list[int] = []
-
-    def recurse(covered: int, blocked: int, chosen: int):
-        if len(found) > cap:
-            raise MatchingCapExceeded(cap)
+    stack = [(0, 0, 0)] if face_arrows else []
+    while stack:
+        covered, blocked, chosen = stack.pop()
         if covered == all_faces:
-            found.append(chosen)
-            return
+            yield chosen
+            continue
         # most constrained uncovered face, lowest index among ties
         best_opts, best_n = 0, len(rivals) + 1
         rest = all_faces & ~covered
@@ -54,17 +63,10 @@ def enumerate_perfect_matchings(q: DimerQuiver, cap: int = DEFAULT_MATCHING_CAP)
                 if not n:
                     break
             rest ^= low
-        while best_opts:  # ascending arrow id
-            bit = best_opts & -best_opts
-            best_opts ^= bit
-            a = bit.bit_length() - 1
-            recurse(covered | arrow_faces[a], blocked | rivals[a], chosen | bit)
-
-    if face_arrows:
-        recurse(0, 0, 0)
-    if len(found) > cap:
-        raise MatchingCapExceeded(cap)
-    return [frozenset(ids) for ids in sorted(map(_bit_ids, found))]
+        while best_opts:  # pushed descending, so tried in ascending arrow id
+            a = best_opts.bit_length() - 1
+            best_opts ^= 1 << a
+            stack.append((covered | arrow_faces[a], blocked | rivals[a], chosen | 1 << a))
 
 
 def _bit_ids(mask: int) -> tuple[int, ...]:

@@ -3,15 +3,26 @@
 Every arrow sits on two faces; rotating each face to start at the arrow
 and dropping it leaves two complementary arcs between the same endpoints,
 and the relations identify exactly those arcs.  Rewrites preserve
-endpoints, homology, and the count of arrows in every perfect matching,
-so many inequalities are certain without a search.  Otherwise
-``EqualityClasses`` is the one search: the rewrite closure of a class
-representative grows against the closure of the word asked about, the
-smaller frontier first, until they meet or one side is complete.  A
-complete closure that never hit the word cap is the whole class, so
-inequality is then certain; only a genuinely cut-off search answers
-Unknown.  ``paths_equal`` is one query on fresh classes, its witness read
-back along the word's parent chain.
+endpoints, homology, and the matching profile, so many inequalities are
+certain without a search.  Otherwise ``EqualityClasses`` is the one
+search: the rewrite closure of a class representative grows against the
+closure of the word asked about, the smaller frontier first, until they
+meet or one side is complete.  A complete closure that never hit the
+word cap is the whole class, so inequality is then certain; only a
+genuinely cut-off search answers Unknown.  ``paths_equal`` is one query
+on fresh classes, its witness read back along the word's parent chain.
+
+The matching profile is a word's arrow count in D0, the first perfect
+matching the exact cover of ``matchings`` finds.  Sound on any quiver:
+a relation's arcs are its arrow's two faces minus the arrow, each face
+holds one D0 arrow, so both arcs hold one, or none; and D0 is one of the
+matchings.  Exact on a valid quiver (``validate_dimer(q).ok``): for any
+matching D, chi_D - chi_D0 sums to zero around each face, a 1-cocycle;
+the labels vanish on faces and span Z^2, so the surface is the torus
+and they are an isomorphism on H_1; words with equal endpoints and
+homology differ by a boundary, so their count difference in any D is
+the one in D0.  On an invalid quiver D0 may refute fewer pairs than all
+matchings; those pairs are searched instead.
 
 Inside the search a word is text, one character per arrow
 (``chr(arrow id)``): a str caches its hash and slices cheaply.  One rule
@@ -28,7 +39,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .matchings import MatchingCapExceeded, enumerate_perfect_matchings
+from .matchings import perfect_matching_masks
 from .quiver import (
     BigonReduction,
     DimerQuiver,
@@ -44,8 +55,6 @@ EQUAL = "equal"
 NOT_EQUAL = "not_equal"
 UNKNOWN = "unknown"
 
-_PROFILE_CAP = 4096
-_FIELD_BITS = 16  # profiles are exact for words shorter than 2**16 arrows
 _TEXT_ARROWS = 0x110000  # arrow ids are characters inside the search
 
 
@@ -126,7 +135,12 @@ class RewriteSystem:
 
     The relations are one rule table per arc length, ascending: each maps
     an arc's text to [(arrow, replacement text)], in the order of the
-    arrows.  ``successors`` and ``step_between`` both read it."""
+    arrows.  ``successors`` and ``step_between`` both read it.
+
+    The matching profile counts arrows in D0, the first exact-cover
+    solution, which also sets ``has_matching``: each face holds one D0
+    arrow, so relations keep the count, and on a valid quiver chi_D -
+    chi_D0 is a cocycle for every matching D, so D0 refutes what all do."""
 
     def __init__(self, q: DimerQuiver):
         n = len(q.arrows)
@@ -143,31 +157,14 @@ class RewriteSystem:
         self._arcs = dict(sorted(arcs.items()))
         self._hx = [a.homology[0] for a in q.arrows]
         self._hy = [a.homology[1] for a in q.arrows]
-        try:
-            matchings = enumerate_perfect_matchings(q, _PROFILE_CAP)
-        except MatchingCapExceeded:
-            self._vectors = None
-            self.has_matching = True
-        else:
-            self.has_matching = bool(matchings)
-            # arrow -> its matching vector, one _FIELD_BITS-wide field per
-            # matching packed into an int, so a profile is a plain sum
-            width = _FIELD_BITS // 8
-            fields = [bytearray(width * len(matchings)) for _ in q.arrows]
-            for k, d in enumerate(matchings):
-                for aid in d:
-                    fields[aid][width * k] = 1
-            self._vectors = [int.from_bytes(f, "little") for f in fields]
+        d0 = next(perfect_matching_masks(q), None)
+        self.has_matching = d0 is not None
+        self._in_d0 = [(d0 or 0) >> aid & 1 for aid in range(n)]
 
     def profile(self, word: tuple[int, ...]):
-        """Arrow counts of the word in every perfect matching (an invariant
-        of rewriting), packed into one int; None when enumeration was
-        capped."""
-        if self._vectors is None:
-            return None
-        if len(word) >> _FIELD_BITS:
-            raise DomainError(f"word of {len(word)} arrows overflows the matching profile")
-        return sum(map(self._vectors.__getitem__, word))
+        """The word's arrow count in the perfect matching D0, exact on valid
+        quivers (module docstring); None if there is no perfect matching."""
+        return sum(map(self._in_d0.__getitem__, word)) if self.has_matching else None
 
     def successors(self, word: str, cap: int):
         """All one-step rewrites of the text word not exceeding cap, as text

@@ -1,6 +1,7 @@
 """EqualityClasses against a naive one-sided closure of each class
 representative, and the invariant that keeps its closures exact."""
 
+import itertools
 import random
 
 import pytest
@@ -9,9 +10,18 @@ from dimeralg import fixtures as fixtures_mod
 from dimeralg import rewriting
 from dimeralg.center import reduced_center_contains
 from dimeralg.cli import main
-from dimeralg.contraction import is_cyclic, sigma, source_cycle_algebra_generators
+from dimeralg.contraction import contract, is_cyclic, sigma, source_cycle_algebra_generators
+from dimeralg.matchings import enumerate_perfect_matchings
 from dimeralg.monomial_algebra import cycles_with_image, homotopy_center_monomials, mon_add
-from dimeralg.quiver import PathWord, concat, unit_cycle
+from dimeralg.quiver import (
+    PathWord,
+    bigon_reduce,
+    concat,
+    make_quiver,
+    path_homology,
+    unit_cycle,
+    validate_dimer,
+)
 from dimeralg.rewriting import (
     DEFAULT_BOUNDS,
     EQUAL,
@@ -206,13 +216,81 @@ def test_grown_closure_is_the_breadth_first_closure(all_fixtures):
     assert (closure.truncated or truncated) == class_truncated
 
 
-def test_capped_matching_profile_falls_back():
-    # the 3x3 cover of fig_deformation has 12,366 perfect matchings, over
-    # the 4,096 that RewriteSystem enumerates for the profile invariant;
-    # without the profile a rewritten pair is still decided by its closure
-    q = load_torus_cover()(fixtures_mod.fixture("fig_deformation").quiver, 3, 3)
+LEMMA_QUIVERS = FIXTURES + ["fig_nested(4)", "fig_nested(5)", "c3", "conifold", "c3 4x4",
+                            "conifold 3x3", "fig_deformation 3x2", "fig_deformation 3x3"]
+
+
+def lemma_quivers(name):
+    """A fixture with its target and their bigon reductions; c3 or the
+    conifold; or a torus cover of one of those, given as "base NxM"."""
+    bases = {"c3": fixtures_mod.c3_quiver, "conifold": fixtures_mod.conifold_quiver}
+    base, _, index = name.partition(" ")
+    fx = None if base in bases else fixtures_mod.fixture(base)
+    q = fx.quiver if fx else bases[base]()
+    if index:
+        return [load_torus_cover()(q, *map(int, index.split("x")))]
+    if fx is None:
+        return [q]
+    out = []
+    for q in (fx.quiver, contract(fx.quiver, fx.contraction_arrows).target):
+        red = bigon_reduce(q)
+        out += [q, red.quiver] if red.changed else [q]
+    return out
+
+
+def full_profile(q):
+    """word -> its arrow counts in every perfect matching, one byte per
+    matching packed into an int (exact below 256 arrows)."""
+    matchings = enumerate_perfect_matchings(q)
+    fields = [bytearray(len(matchings)) for _ in q.arrows]
+    for k, d in enumerate(matchings):
+        for aid in d:
+            fields[aid][k] = 1
+    vectors = [int.from_bytes(f, "little") for f in fields]
+    return lambda word: sum(map(vectors.__getitem__, word))
+
+
+@pytest.mark.parametrize("name", LEMMA_QUIVERS)
+def test_one_matching_decides_the_profile(name):
+    # on a valid quiver, words with the same endpoints and homology have
+    # equal counts in the one matching D0 iff in every perfect matching;
+    # fig_deformation 3x3 has 12,366 of them
+    for q in lemma_quivers(name):
+        assert validate_dimer(q).ok
+        _check_one_matching(q, random.Random(name))
+
+
+def _check_one_matching(q, rng):
     rs = RewriteSystem(q)
-    assert rs.profile((0,)) is None and rs.has_matching
+    full = full_profile(q)
+    starts = [rng.randrange(q.num_vertices) for _ in range(2)]
+    groups: dict[tuple, dict[int, set]] = {}
+    for _ in range(400):
+        at = v = rng.choice(starts)
+        word = []
+        for _ in range(rng.randint(4, 14)):
+            a = rng.choice(q.out_arrows(at))
+            word.append(a.id)
+            at = a.head
+        w = PathWord(v, tuple(word))
+        by_count = groups.setdefault((v, at, path_homology(q, w)), {})
+        by_count.setdefault(rs.profile(w.arrows), set()).add((w.arrows, full(w.arrows)))
+    refuted = shared = 0
+    for by_count in groups.values():
+        fulls = [{f for _, f in words} for words in by_count.values()]
+        assert all(len(f) == 1 for f in fulls)  # equal D0 counts: equal everywhere
+        assert len(set.union(*fulls)) == len(fulls)  # unequal: unequal somewhere
+        refuted += len(by_count) > 1
+        shared += any(len(words) > 1 for words in by_count.values())
+    assert refuted >= 20 and shared >= 20
+
+
+def test_profile_on_a_cover_with_many_matchings():
+    # the 3x3 cover of fig_deformation has 12,366 perfect matchings; the
+    # profile needs only the first
+    q = lemma_quivers("fig_deformation 3x3")[0]
+    rs = RewriteSystem(q)
+    assert rs.profile((0,)) is not None and rs.has_matching
     rng = random.Random("fallback")
     at = rng.randrange(q.num_vertices)
     word = []
@@ -221,6 +299,8 @@ def test_capped_matching_profile_falls_back():
         word.append(a.id)
         at = a.head
     p = PathWord(q.arrow(word[0]).tail, tuple(word))
+    res = EqualityClasses(rs).compare(p, concat(q, p, unit_cycle(q, at)))
+    assert (res.verdict, res.reason) == (NOT_EQUAL, "matching_profile")
     scrambled = p.arrows
     for _ in range(12):
         succs, _ = naive_successors(rs, scrambled, len(p.arrows) + q.max_face_length())
@@ -230,6 +310,36 @@ def test_capped_matching_profile_falls_back():
     res = paths_equal(rs, p, r)
     assert res.verdict == EQUAL
     assert replay_witness(rs, p, res.steps)[-1] == r
+
+
+def test_profile_off_the_torus():
+    # c3 with every homology label zero fails validation; one matching
+    # no longer refutes arrows 1 and 2, which the closure still tells apart
+    c3 = fixtures_mod.c3_quiver()
+    flat = make_quiver(1, [(a.tail, a.head, (0, 0)) for a in c3.arrows],
+                       [f.boundary for f in c3.faces])
+    assert not validate_dimer(flat).ok
+    res = EqualityClasses(RewriteSystem(flat)).compare(PathWord(0, (1,)), PathWord(0, (2,)))
+    assert (res.verdict, res.reason) == (NOT_EQUAL, "saturated")
+    rs, full = RewriteSystem(flat), full_profile(flat)
+    assert rs.profile((1,)) == rs.profile((2,)) and full((1,)) != full((2,))
+    # the pinched c3 of test_quiver: a sphere pinched twice.  On both, a
+    # mismatch in the one matching is still a mismatch in all of them
+    pinched = make_quiver(1, [(0, 0, (1, 0)), (0, 0, (0, 1)), (0, 0, (-1, -1))],
+                          [(0, 1, 2), (0, 1, 2)])
+    words = [w for n in range(1, 5) for w in itertools.product(range(3), repeat=n)]
+    for q in (flat, pinched):
+        rs, full = RewriteSystem(q), full_profile(q)
+        for p, r in itertools.combinations(words, 2):
+            assert rs.profile(p) == rs.profile(r) or full(p) != full(r)
+
+
+def test_profile_of_a_long_word():
+    # (0, 1, 2) is a face of c3, so it holds exactly one arrow of D0
+    rs = RewriteSystem(fixtures_mod.c3_quiver())
+    k = 2 ** 16 // 3 + 1
+    assert len((0, 1, 2) * k) >= 2 ** 16
+    assert rs.profile((0, 1, 2) * k) == k
 
 
 def test_complete_closure_decides_not_equal(all_fixtures):

