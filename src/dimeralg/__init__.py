@@ -2,17 +2,21 @@
 
 from .quiver import (
     Arrow,
+    BigonReduction,
     DimerQuiver,
     DomainError,
     Face,
     PathWord,
     StructuralError,
     ValidationReport,
+    bigon_reduce,
     concat,
     make_quiver,
     path_homology,
     quiver_from_json,
     quiver_to_json,
+    reduce_matching,
+    reduce_word,
     unit_cycle,
     validate_dimer,
 )
@@ -33,16 +37,12 @@ from .rewriting import (
     vertex_simple_cycles,
 )
 from .contraction import (
-    BigonReduction,
     Contraction,
     ContractionError,
-    bigon_reduce,
     contract,
     identity_contraction,
     is_cyclic,
     psi_word,
-    reduce_matching,
-    reduce_word,
     sigma,
     source_cycle_algebra_generators,
     target_cycle_algebra_generators,
@@ -53,7 +53,6 @@ from .monomial_algebra import (
     algebra_contains,
     cycles_with_image,
     homotopy_center_contains,
-    homotopy_center_generators,
     homotopy_center_monomials,
     ideal_monomials,
     realizable_at_vertex,

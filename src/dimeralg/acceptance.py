@@ -9,17 +9,16 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from . import fixtures as fixtures_mod
 from .center import CentralCandidate, nilpotency_and_kernel_check, reduced_center_contains
 from .contraction import (
     ContractionError,
-    bigon_reduce,
     contract,
     is_cyclic,
     sigma,
     source_cycle_algebra_generators,
     tau_psi,
 )
+from .fixtures import Fixture
 from .matchings import matching_catalog
 from .monomial_algebra import (
     degree,
@@ -28,7 +27,7 @@ from .monomial_algebra import (
     mon_add,
 )
 from .normality import normality_report
-from .quiver import PathWord, concat, unit_cycle
+from .quiver import PathWord, bigon_reduce, concat, unit_cycle
 from .rewriting import RewriteSystem, find_noncancellative_pair, paths_equal
 
 
@@ -52,9 +51,8 @@ def quadratic_pattern_indices(gens):
     return (a, b, c_idx) if want == set(gens) else None
 
 
-def derive_claims(name: str) -> dict:
+def derive_claims(fx: Fixture) -> dict:
     """Recompute the values of every expected claim of the fixture."""
-    fx = fixtures_mod.fixture(name)
     q = fx.quiver
     out: dict = {}
     # contract validates its source first, so that check answers "validates"
@@ -161,7 +159,7 @@ def _free_variable(c):
     return deg1[0]
 
 
-def distinguished_candidate(fx) -> CentralCandidate:
+def distinguished_candidate(fx: Fixture) -> CentralCandidate:
     """The central candidate (p - q) completed by the connector arrow on
     both sides, for fixtures that carry the three distinguished paths."""
     q = fx.quiver
@@ -173,11 +171,10 @@ def distinguished_candidate(fx) -> CentralCandidate:
     })
 
 
-def check_fixture(name: str):
+def check_fixture(fx: Fixture):
     """Compare recomputed claims against the expected map; returns
     (per-claim results, overall flag)."""
-    fx = fixtures_mod.fixture(name)
-    derived = derive_claims(name)
+    derived = derive_claims(fx)
     results = []
     ok = True
     for claim, (want, tag) in sorted(fx.expected.items()):

@@ -88,29 +88,23 @@ def _sum_verdict(eq: EqualityClasses, terms) -> str:
 
 
 @dataclass
-class ArrowVerdict:
-    arrow: int
-    verdict: str  # equal / not_equal / unknown
-
-
-@dataclass
 class CentralityCertificate:
-    verdicts: list[ArrowVerdict]
+    verdicts: dict[int, str]  # arrow id -> equal / not_equal / unknown
 
     @property
     def central(self) -> bool:
-        return all(v.verdict == EQUAL for v in self.verdicts)
+        return all(v == EQUAL for v in self.verdicts.values())
 
     @property
     def verdict(self) -> str:
         if self.central:
             return EQUAL
-        if any(v.verdict == NOT_EQUAL for v in self.verdicts):
+        if NOT_EQUAL in self.verdicts.values():
             return NOT_EQUAL
         return UNKNOWN
 
     def failing_arrows(self) -> list[int]:
-        return [v.arrow for v in self.verdicts if v.verdict != EQUAL]
+        return [a for a, v in self.verdicts.items() if v != EQUAL]
 
 
 def verify_central(
@@ -123,10 +117,10 @@ def verify_central(
     arrow verdict is an exact cancellation."""
     z.check(q)
     eq = EqualityClasses(rs or RewriteSystem(q), bounds)
-    verdicts = []
+    verdicts = {}
     for a in q.arrows:
         terms = [(sign * coef, w) for sign, coef, w in _commutator_terms(a, z.components)]
-        verdicts.append(ArrowVerdict(a.id, _sum_verdict(eq, terms)))
+        verdicts[a.id] = _sum_verdict(eq, terms)
     return CentralityCertificate(verdicts)
 
 
@@ -136,14 +130,6 @@ class NilpotencyReport:
     z_squared_zero: str
     psi_z_zero: str
     consistent: str
-
-    def as_dict(self):
-        return {
-            "central": self.central,
-            "z_squared_zero": self.z_squared_zero,
-            "psi_z_zero": self.psi_z_zero,
-            "consistent": self.consistent,
-        }
 
 
 def nilpotency_and_kernel_check(

@@ -15,6 +15,7 @@ included).
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import sys
@@ -30,7 +31,6 @@ from .center import (
 from .contraction import (
     Contraction,
     ContractionError,
-    bigon_reduce,
     contract,
     is_cyclic,
     source_cycle_algebra_generators,
@@ -39,7 +39,8 @@ from .contraction import (
 from .matchings import MatchingCapExceeded, enumerate_perfect_matchings, is_simple_matching
 from .monomial_algebra import (
     homotopy_center_contains,
-    homotopy_center_generators,
+    homotopy_center_monomials,
+    minimal_generators,
     render_monomial,
 )
 from .normality import normality_report
@@ -47,6 +48,7 @@ from .quiver import (
     DomainError,
     PathWord,
     StructuralError,
+    bigon_reduce,
     quiver_from_json,
     quiver_to_json,
     validate_dimer,
@@ -198,15 +200,13 @@ def cmd_eq(args, q, fx):
 
 
 def cmd_cycles(args, q, fx):
-    named = {"all": CycleFilter.all, "vertex-simple": CycleFilter.vertex_simple,
-             "lift-simple": CycleFilter.lift_simple}
-    if args.filter in named:
-        filt = named[args.filter]()
+    if args.filter in ("all", "vertex-simple", "lift-simple"):
+        filt = CycleFilter(args.filter.replace("-", "_"))
     elif args.filter.startswith("homology:"):
         pair = _parse_ints(args.filter[len("homology:"):], "homology class")
         if len(pair) != 2:
             raise CliError("homology filter needs two components")
-        filt = CycleFilter.homology_class(pair)
+        filt = CycleFilter("homology", pair)
     else:
         raise CliError(f"unknown filter {args.filter!r}")
     enum = enumerate_cycles(q, args.vertex, args.max_len, filt,
@@ -264,12 +264,13 @@ def cmd_cycle_algebra(args, q, fx):
 
 def cmd_homotopy_center(args, q, fx):
     c = _contraction(q, fx, args)
-    gens = homotopy_center_generators(c, args.degree_bound)
+    mons = homotopy_center_monomials(c, args.degree_bound)
+    gens = sorted(minimal_generators(mons))
     results = {
         "degree_bound": args.degree_bound,
-        "generators": [list(g) for g in gens.algebra.generators],
-        "rendered": [render_monomial(g) for g in gens.algebra.generators],
-        "monomial_count": len(gens.monomials),
+        "generators": [list(g) for g in gens],
+        "rendered": [render_monomial(g) for g in gens],
+        "monomial_count": len(mons),
     }
     if args.contains:
         g = _parse_ints(args.contains, "monomial")
@@ -339,7 +340,7 @@ def cmd_nilradical(args, q, fx):
         except (OSError, json.JSONDecodeError, KeyError, ValueError) as exc:
             raise CliError(f"cannot read candidate: {exc}") from exc
     rep = nilpotency_and_kernel_check(c, z, _bounds(args))
-    results = rep.as_dict()
+    results = dataclasses.asdict(rep)
     code = EXIT_OK if rep.consistent == "equal" else EXIT_CLAIM_FAILED
     return results, EXIT_UNKNOWN if UNKNOWN in results.values() else code
 
@@ -382,8 +383,8 @@ def cmd_fixtures(args, q, fx):
         dumped = quiver_to_json(_fixture(args.dump).quiver)
         return json.dumps(dumped, indent=2, sort_keys=True), EXIT_OK
     if args.check:
-        _fixture(args.check)  # an unknown name is bad input, not a failed claim
-        claims, ok = check_fixture(args.check)
+        # an unknown name is bad input, not a failed claim
+        claims, ok = check_fixture(_fixture(args.check))
         results = {"fixture": args.check, "claims": claims, "ok": ok}
         return results, EXIT_OK if ok else EXIT_CLAIM_FAILED
     raise CliError("fixtures requires --list, --dump NAME, or --check NAME")

@@ -18,15 +18,11 @@ from functools import cached_property
 
 from .matchings import matching_catalog
 from .monomial_algebra import Monomial, cycle_algebra_generators
-from .quiver import (  # the 2-cycle removal is re-exported from here
-    BigonReduction,
+from .quiver import (
     DimerQuiver,
     PathWord,
-    bigon_reduce,
     check_path,
     make_quiver,
-    reduce_matching,
-    reduce_word,
     tree_potentials,
     validate_dimer,
 )

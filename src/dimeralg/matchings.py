@@ -112,16 +112,16 @@ def is_simple_matching(q: DimerQuiver, matching) -> bool:
     return _strongly_connected(q.num_vertices, edges)
 
 
-def is_nondegenerate(q: DimerQuiver, cap: int = DEFAULT_MATCHING_CAP):
+def is_nondegenerate(q: DimerQuiver):
     """(flag, uncovered arrow ids): flag iff every arrow is in a matching."""
     covered: set[int] = set()
-    for d in enumerate_perfect_matchings(q, cap):
+    for d in enumerate_perfect_matchings(q):
         covered |= d
     uncovered = sorted(set(a.id for a in q.arrows) - covered)
     return (not uncovered, uncovered)
 
 
-def matching_catalog(q: DimerQuiver, cap: int = DEFAULT_MATCHING_CAP) -> tuple[frozenset[int], ...]:
+def matching_catalog(q: DimerQuiver) -> tuple[frozenset[int], ...]:
     """The simple matchings in canonical order; the order fixes variable
     names."""
-    return tuple(d for d in enumerate_perfect_matchings(q, cap) if is_simple_matching(q, d))
+    return tuple(d for d in enumerate_perfect_matchings(q) if is_simple_matching(q, d))

@@ -500,12 +500,6 @@ def homotopy_center_contains(c: Contraction, g: Monomial) -> Realizability:
     return Realizability(YES) if miss is None else Realizability(NO, vertex=miss[1])
 
 
-@dataclass
-class CenterGenerators:
-    algebra: MonomialAlgebra
-    monomials: frozenset[Monomial]
-
-
 def homotopy_center_monomials(c: Contraction, degree_bound: int) -> frozenset[Monomial]:
     """The nonzero monomials of degree <= degree_bound that are cycle
     images at every vertex: one degree-bounded search per vertex, the
@@ -526,10 +520,3 @@ def homotopy_center_monomials(c: Contraction, degree_bound: int) -> frozenset[Mo
         out = back if out is None else out & back
     return frozenset(packing.exponents(s) for s in out or ())
 
-
-def homotopy_center_generators(c: Contraction, degree_bound: int) -> CenterGenerators:
-    """Monomials of the homotopy center up to the bound, reduced to the
-    minimal generating set of what is visible at that degree."""
-    mons = homotopy_center_monomials(c, degree_bound)
-    gens = minimal_generators(sorted(mons))
-    return CenterGenerators(MonomialAlgebra(tuple(gens), label="homotopy-center"), mons)

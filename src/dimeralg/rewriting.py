@@ -429,32 +429,15 @@ class EqualityClasses:
 
 # -- cycle enumeration -------------------------------------------------------
 
-FILTER_ALL = "all"
-FILTER_VERTEX_SIMPLE = "vertex_simple"
-FILTER_HOMOLOGY = "homology"
-FILTER_LIFT_SIMPLE = "lift_simple"  # the doubled lift revisits no vertex
-
-
 @dataclass(frozen=True)
 class CycleFilter:
-    variant: str = FILTER_ALL
+    """Which cycles ``enumerate_cycles`` keeps: ``"all"``, ``"vertex_simple"``
+    (no vertex revisited before closing), ``"homology"`` (homology
+    ``hom_class``) or ``"lift_simple"`` (nonzero homology and a doubled
+    lift that revisits no vertex, ``lift_is_simple``)."""
+
+    variant: str = "all"
     hom_class: tuple[int, int] | None = None
-
-    @staticmethod
-    def all():
-        return CycleFilter(FILTER_ALL)
-
-    @staticmethod
-    def vertex_simple():
-        return CycleFilter(FILTER_VERTEX_SIMPLE)
-
-    @staticmethod
-    def homology_class(u):
-        return CycleFilter(FILTER_HOMOLOGY, (int(u[0]), int(u[1])))
-
-    @staticmethod
-    def lift_simple():
-        return CycleFilter(FILTER_LIFT_SIMPLE)
 
 
 def lift_is_simple(q: DimerQuiver, cycle: PathWord) -> bool:
@@ -488,7 +471,7 @@ def enumerate_cycles(
     q: DimerQuiver,
     i: int,
     max_len: int,
-    filt: CycleFilter = CycleFilter.all(),
+    filt: CycleFilter = CycleFilter(),
     rs: RewriteSystem | None = None,
     dedup_mod_relations: bool = False,
     bounds: SearchBounds = DEFAULT_BOUNDS,
@@ -499,7 +482,7 @@ def enumerate_cycles(
     are counted."""
     if not 0 <= i < q.num_vertices:
         raise DomainError(f"vertex {i} out of range")
-    prune_revisits = filt.variant == FILTER_VERTEX_SIMPLE
+    prune_revisits = filt.variant == "vertex_simple"
     results: list[PathWord] = []
     states = 0
     stack: list[tuple[int, tuple[int, ...], frozenset[int]]] = [(i, (), frozenset())]
@@ -522,14 +505,12 @@ def enumerate_cycles(
             stack.append((a.head, word + (a.id,), visited))
 
     def passes(c: PathWord) -> bool:
-        if filt.variant in (FILTER_ALL, FILTER_VERTEX_SIMPLE):
+        if filt.variant in ("all", "vertex_simple"):
             return True  # the walk above already prunes revisits
-        if filt.variant == FILTER_HOMOLOGY:
+        if filt.variant == "homology":
             return path_homology(q, c) == filt.hom_class
-        if filt.variant == FILTER_LIFT_SIMPLE:
-            if path_homology(q, c) == (0, 0):
-                return False
-            return lift_is_simple(q, c)
+        if filt.variant == "lift_simple":
+            return path_homology(q, c) != (0, 0) and lift_is_simple(q, c)
         raise DomainError(f"unknown filter {filt.variant}")
 
     cycles = sorted((c for c in results if passes(c)), key=lambda c: (len(c.arrows), c.arrows))
@@ -643,17 +624,17 @@ def find_noncancellative_pair(
     invariants and a path r such that appending or prepending r makes them
     equal.
 
-    A quiver with 2-cycles is searched after ``bigon_reduce``: each arrow
-    of a 2-cycle equals a path, so the reduced quiver has the same algebra
-    and far smaller rewrite closures.  Its arrows are arrows of q, so the
-    contraction's per-arrow images carry over, and a pair found there is
-    lifted back to q: each link of the reduced witness (one merged-face
-    relation) is rejoined by ``paths_equal`` on q, and the pair is
-    reported only if the whole lifted witness replays on q; otherwise the
-    report has no pair and is ``exhausted``.  A 2-cycle that cannot be
-    removed leaves q searched as given.  A quiver with no perfect matching
-    is outside the theorems: it is reported ``exhausted`` with no pair and
-    zero counts, before any search.
+    The search always runs on ``bigon_reduce(q).quiver`` (q itself when q
+    has no 2-cycles or one cannot be removed): each arrow of a 2-cycle
+    equals a path, so the reduced quiver has the same algebra and far
+    smaller rewrite closures.  Its arrows are arrows of q, so the
+    contraction's per-arrow images carry over, and a pair found after a
+    removal is lifted back to q: each link of the reduced witness (one
+    merged-face relation) is rejoined by ``paths_equal`` on q, and the
+    pair is reported only if the whole lifted witness replays on q;
+    otherwise the report has no pair and is ``exhausted``.  A quiver with
+    no perfect matching is outside the theorems: it is reported
+    ``exhausted`` with no pair and zero counts, before any search.
 
     Cycles are grown length by length across all vertices, up to twice
     the longest face or half the word cap, and bucketed by homology,
@@ -667,23 +648,20 @@ def find_noncancellative_pair(
     says whether the search ran to completion or was cut off.
     ``cycles_considered`` and ``pairs_tested`` count the quiver searched,
     which lacks ``removed_2cycles`` of q's 2-cycles."""
-    images = None if contraction is None else contraction.source_images
     try:
         red = bigon_reduce(q)
     except DomainError:
         red = BigonReduction(q)  # q is searched as given
     rs = RewriteSystem(red.quiver)
-    if not rs.has_matching:
-        # outside the theorems, and every word has the same matching profile
-        return NoncancellativeReport(None, True, 0, 0, len(red.steps))
-    if not red.changed:
-        return _search_pairs(rs, images, bounds)
     ids = red.original_ids
-    if images is not None:
-        images = tuple(images[a] for a in ids)
-    report = _search_pairs(rs, images, bounds)
+    images = None if contraction is None else tuple(contraction.source_images[a] for a in ids)
+    if rs.has_matching:
+        report = _search_pairs(rs, images, bounds)
+    else:
+        # outside the theorems, and every word has the same matching profile
+        report = NoncancellativeReport(None, True, 0, 0)
     report.removed_2cycles = len(red.steps)
-    if report.found:
+    if report.found and red.steps:
         report.pair = _lift_pair(rs, RewriteSystem(q), ids, report.pair, bounds)
         report.exhausted = report.pair is None
     return report

@@ -4,6 +4,7 @@ Each test prints a PASS line on success (run with ``pytest -s`` to see
 them); stated runtime limits are asserted, not just observed.
 """
 
+import dataclasses
 import random
 import subprocess
 import sys
@@ -242,7 +243,7 @@ def test_criterion_6_kernel_equals_nilpotents():
             violations.append((name, "not central"))
             continue
         if rep.consistent != "equal":
-            violations.append((name, rep.as_dict()))
+            violations.append((name, dataclasses.asdict(rep)))
     assert not violations, violations
     print(f"\nACCEPTANCE 6: PASS kernel/nilpotency equivalence on "
           f"{len(candidates)} certified central candidates")

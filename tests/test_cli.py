@@ -6,6 +6,7 @@ import sys
 
 import pytest
 
+from dimeralg.acceptance import distinguished_candidate
 from dimeralg.center import verify_central
 from dimeralg.cli import _candidate_from_json, main
 from dimeralg.contraction import contract
@@ -191,6 +192,48 @@ def test_nilradical_without_builtin_candidate_names_the_option(capsys):
     err = capsys.readouterr().err
     assert "fixture fig_deformation has no built-in candidate" in err
     assert "--candidate FILE" in err
+
+
+NILRADICAL_FILE = ["nilradical", "fixture:fig_noncancellative_central", "--candidate"]
+
+
+def test_nilradical_candidate_file_matches_builtin(tmp_path, capsys):
+    z = distinguished_candidate(fixture("fig_noncancellative_central"))
+    doc = {str(v): [[t.numerator, t.denominator, list(w.arrows)] for t, w in terms]
+           for v, terms in z.components.items()}
+    assert main(NILRADICAL_FILE[:-1]) == 0
+    builtin = json.loads(capsys.readouterr().out)["results"]
+    path = tmp_path / "z.json"
+    path.write_text(json.dumps(doc))
+    assert main(NILRADICAL_FILE + [str(path)]) == 0
+    assert json.loads(capsys.readouterr().out)["results"] == builtin
+    # zero is central and lies in nil Z
+    path.write_text("{}")
+    assert main(NILRADICAL_FILE + [str(path)]) == 0
+    assert set(json.loads(capsys.readouterr().out)["results"].values()) == {"equal"}
+
+
+@pytest.mark.parametrize("text", [
+    "[[1, 1, [0]]]",
+    '{"0": [[1, 0, [6]]]}',
+    '{"0": [[true, 1, [6]]]}',
+    '{"0": [[1, 1, [7]]]}',
+    '{"0": [[1, 1, [0]]]}',  # arrow 0 runs from 0 to 2: no cycle at 0
+    '{"x": [[1, 1, [6]]]}',
+    "{",
+    None,  # no file at the path
+    "<directory>",
+], ids=["list", "zero-denominator", "bool-numerator", "unknown-arrow", "not-a-cycle",
+        "vertex-not-int", "invalid-json", "missing-path", "directory"])
+def test_nilradical_bad_candidate_file_is_exit_3(tmp_path, capsys, text):
+    path = tmp_path / "z.json"
+    if text == "<directory>":
+        path = tmp_path
+    elif text is not None:
+        path.write_text(text)
+    assert main(NILRADICAL_FILE + [str(path)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1, err
 
 
 @pytest.mark.parametrize("name", FIXTURES)

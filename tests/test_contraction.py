@@ -6,13 +6,10 @@ import pytest
 from dimeralg import fixtures as fixtures_mod
 from dimeralg.contraction import (
     ContractionError,
-    bigon_reduce,
     contract,
     identity_contraction,
     is_cyclic,
     psi_word,
-    reduce_matching,
-    reduce_word,
     sigma,
     source_cycle_algebra_generators,
     target_cycle_algebra_generators,
@@ -23,10 +20,13 @@ from dimeralg.matchings import enumerate_perfect_matchings, matching_catalog
 from dimeralg.monomial_algebra import minimal_generators
 from dimeralg.quiver import (
     PathWord,
+    bigon_reduce,
     concat,
     path_head,
     quiver_from_json,
     quiver_to_json,
+    reduce_matching,
+    reduce_word,
     unit_cycle,
     validate_dimer,
 )

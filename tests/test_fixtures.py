@@ -1,8 +1,10 @@
+import dataclasses
+
 import pytest
 
 from dimeralg import fixtures as fixtures_mod
 from dimeralg.acceptance import check_fixture
-from dimeralg.quiver import validate_dimer
+from dimeralg.quiver import make_quiver, validate_dimer
 
 NAMES = [
     "fig_deformation",
@@ -51,9 +53,23 @@ def test_nested_growth():
 
 @pytest.mark.parametrize("name", NAMES)
 def test_every_expected_claim_rederives(name):
-    results, ok = check_fixture(name)
+    results, ok = check_fixture(fixtures_mod.fixture(name))
     failing = [r for r in results if not r["ok"]]
     assert ok, failing
+
+
+def test_invalid_source_derives_only_validates():
+    fx = fixtures_mod.fixture("fig_deformation")
+    q = fx.quiver
+    # one face dropped: a quiver make_quiver builds but validate_dimer rejects
+    broken = make_quiver(q.num_vertices, [(a.tail, a.head, a.homology) for a in q.arrows],
+                         [f.boundary for f in q.faces[:-1]])
+    assert not validate_dimer(broken).ok
+    results, ok = check_fixture(dataclasses.replace(fx, quiver=broken))
+    derived = {r["claim"]: r["derived"] for r in results}
+    assert derived.pop("validates") is False
+    assert derived and set(derived.values()) == {"<not derived>"}
+    assert not ok
 
 
 def test_distinguished_paths_have_matching_endpoints():

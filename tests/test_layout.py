@@ -1,6 +1,7 @@
 """The package layout: a private name is used only in the module that
-defines it, and every import sits at module level, so no import cycle
-is hidden inside a function."""
+defines it, every import sits at module level, so no import cycle is
+hidden inside a function, and every name is imported from the module
+that defines it, never through a re-export."""
 
 import ast
 from pathlib import Path
@@ -41,3 +42,30 @@ def test_no_import_inside_a_function(path):
         for node in ast.walk(fn) if isinstance(node, (ast.Import, ast.ImportFrom))
     )
     assert not nested, f"{path.name} imports inside {nested}"
+
+
+def _defined_at_top_level(module: str) -> set[str]:
+    """The names a package module binds by ``def``, ``class`` or
+    assignment at top level, not by import."""
+    tree = ast.parse((PACKAGE / f"{module}.py").read_text())
+    names = set()
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names.update(n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name))
+    return names
+
+
+@pytest.mark.parametrize("path", MODULES, ids=[p.name for p in MODULES])
+def test_names_are_imported_from_their_home(path):
+    tree = ast.parse(path.read_text())
+    passed_through = sorted(
+        f"{node.module}.{a.name}" for node in ast.walk(tree)
+        # "from . import module" binds modules, checked above
+        if isinstance(node, ast.ImportFrom) and _from_package(node) and node.module
+        for a in node.names
+        if a.name not in _defined_at_top_level(node.module.split(".")[-1])
+    )
+    assert not passed_through, f"{path.name} imports re-exported {passed_through}"

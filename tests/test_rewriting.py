@@ -21,6 +21,7 @@ from dimeralg.rewriting import (
     DEFAULT_BOUNDS,
     NOT_EQUAL,
     CycleFilter,
+    NoncancellativePair,
     RewriteSystem,
     SearchBounds,
     enumerate_cycles,
@@ -29,6 +30,8 @@ from dimeralg.rewriting import (
     paths_equal,
     replay_witness,
     vertex_simple_cycles,
+    _completed,
+    _probes,
     _search_pairs,
 )
 
@@ -165,22 +168,25 @@ def test_enumerate_below_girth_is_empty(deformation):
 def test_enumerate_filters(iso_r):
     q = iso_r.quiver
     enum_all = enumerate_cycles(q, 2, 6)
-    enum_simple = enumerate_cycles(q, 2, 6, CycleFilter.vertex_simple())
+    enum_simple = enumerate_cycles(q, 2, 6, CycleFilter("vertex_simple"))
     assert set(c.arrows for c in enum_simple.cycles) <= set(c.arrows for c in enum_all.cycles)
     for c in enum_simple.cycles:
         interior = [q.arrow(a).head for a in c.arrows[:-1]]
         assert len(interior) == len(set(interior))
         assert 2 not in interior
-    hom = enumerate_cycles(q, 2, 6, CycleFilter.homology_class((0, 0)))
+    hom = enumerate_cycles(q, 2, 6, CycleFilter("homology", (0, 0)))
     for c in hom.cycles:
         assert path_homology(q, c) == (0, 0)
+    # a variant is a plain string, so a misspelt one is refused
+    with pytest.raises(DomainError, match="unknown filter"):
+        enumerate_cycles(q, 2, 6, CycleFilter("vertex-simple"))
 
 
 def test_lift_simple_filter_rechecks(all_fixtures):
     for fx in all_fixtures.values():
         q = fx.quiver
         for v in range(q.num_vertices):
-            enum = enumerate_cycles(q, v, 4, CycleFilter.lift_simple())
+            enum = enumerate_cycles(q, v, 4, CycleFilter("lift_simple"))
             for c in enum.cycles:
                 assert path_homology(q, c) != (0, 0)
                 assert lift_is_simple(q, c)
@@ -223,7 +229,7 @@ def test_vertex_simple_cycles_match_rotation_classes(all_fixtures):
         q = fx.quiver
         canon = set()
         for i in range(q.num_vertices):
-            for c in enumerate_cycles(q, i, q.num_vertices, CycleFilter.vertex_simple()).cycles:
+            for c in enumerate_cycles(q, i, q.num_vertices, CycleFilter("vertex_simple")).cycles:
                 canon.add(min(c.arrows[k:] + c.arrows[:k] for k in range(len(c.arrows))))
         want = [PathWord(q.arrow(w[0]).tail, w) for w in sorted(canon, key=lambda w: (len(w), w))]
         assert vertex_simple_cycles(q) == want, name
@@ -273,6 +279,40 @@ def test_no_perfect_matching_is_undecided_before_any_search(monkeypatch):
     rep = find_noncancellative_pair(fixtures_mod.bigon_inserted_c3())
     assert (rep.found, rep.exhausted, rep.cycles_considered, rep.pairs_tested) == (
         False, True, 0, 0)
+
+
+def _walks(q, v, r_cap, end):
+    """Every path of 1..r_cap arrows starting (end False) or ending (end
+    True) at v, by brute force, shortest first."""
+    out = []
+    layer = [()]
+    for _ in range(r_cap):
+        layer = [w + (a.id,) for w in layer for a in q.arrows
+                 if (w and q.arrow(w[-1]).head == a.tail) or (not w and (end or a.tail == v))]
+        out += [w for w in layer if not end or q.arrow(w[-1]).head == v]
+    return out
+
+
+def test_probes_append_then_prepend(deformation):
+    # every pair found so far closes with an appended r, so the prepended
+    # half of the probes is pinned here
+    q = deformation.quiver
+    v, r_cap = 0, q.max_face_length() + 2
+    p, q_ = PathWord(0, (6,)), PathWord(0, (0, 2, 5))
+    probes = list(_probes(q, v, p, q_, r_cap))
+    after = [r.arrows for side, r, _, _ in probes if side == "after"]
+    before = [r.arrows for side, r, _, _ in probes if side == "before"]
+    assert [side for side, *_ in probes] == ["after"] * len(after) + ["before"] * len(before)
+    assert sorted(after, key=len) == after and set(after) == set(_walks(q, v, r_cap, False))
+    assert sorted(before, key=len) == before and set(before) == set(_walks(q, v, r_cap, True))
+    assert len(after) == len(set(after)) and len(before) == len(set(before))
+    for side, r, pr, qr in probes:
+        if side == "after":
+            assert (r.base, pr, qr) == (v, concat(q, p, r), concat(q, q_, r))
+        else:
+            assert (pr, qr) == (concat(q, r, p), concat(q, r, q_))
+        pair = NoncancellativePair(v, p, q_, r, side, "", ())
+        assert (_completed(pair, p), _completed(pair, q_)) == (pr, qr)
 
 
 # (quiver, side, bounds) -> (found, exhausted, cycles considered, pairs
