@@ -15,8 +15,6 @@ from .quiver import (
     path_homology,
     quiver_from_json,
     quiver_to_json,
-    reduce_matching,
-    reduce_word,
     unit_cycle,
     validate_dimer,
 )

@@ -36,7 +36,12 @@ from .contraction import (
     source_cycle_algebra_generators,
     tau_psi,
 )
-from .matchings import MatchingCapExceeded, enumerate_perfect_matchings, is_simple_matching
+from .matchings import (
+    DEFAULT_MATCHING_CAP,
+    MatchingCapExceeded,
+    enumerate_perfect_matchings,
+    is_simple_matching,
+)
 from .monomial_algebra import (
     homotopy_center_contains,
     homotopy_center_monomials,
@@ -248,7 +253,7 @@ def cmd_contract(args, q, fx):
     if args.reduce:
         red = bigon_reduce(c.target)
         results["reduced_target"] = quiver_to_json(red.quiver)
-        results["removed_2cycles"] = len(red.steps)
+        results["removed_2cycles"] = red.removed
     return results, code
 
 
@@ -441,7 +446,7 @@ def build_parser():
 
     p = add("matchings", cmd_matchings, "quiver")
     p.add_argument("--simple-only", action="store_true")
-    p.add_argument("--cap", type=_count, default=100000)
+    p.add_argument("--cap", type=_count, default=DEFAULT_MATCHING_CAP)
 
     p = add("eq", cmd_eq, "quiver", "p", "q")
     p.add_argument("--p", required=True, help="comma-separated arrow ids")

@@ -13,7 +13,7 @@ generate all of Z^2 for the embedding to be genuine.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from math import gcd
 
@@ -395,40 +395,17 @@ def quiver_from_json(data: dict) -> DimerQuiver:
 
 
 @dataclass(frozen=True)
-class BigonStep:
-    """One 2-cycle removal: arrows a and b are deleted and each is replaced,
-    in any word, by the complementary arc of the other's second face.  The
-    substitutions are recorded in the arrow ids of the quiver *before* the
-    step; ``relabel`` maps surviving old ids to new dense ids."""
-
-    a: int
-    b: int
-    sub_a: tuple[int, ...]
-    sub_b: tuple[int, ...]
-    relabel: dict
-
-
-@dataclass
 class BigonReduction:
+    """The 2-cycle-free quiver; its arrow a is arrow ``original_ids[a]`` of
+    the original quiver (same ends and homology), after ``removed`` removals."""
+
     quiver: DimerQuiver
-    steps: list[BigonStep] = field(default_factory=list)
-
-    @property
-    def changed(self):
-        return bool(self.steps)
-
-    @property
-    def original_ids(self) -> tuple[int, ...]:
-        """Reduced arrow id -> id of the same arrow (same endpoints and
-        homology) in the original quiver: the steps' ``relabel`` maps
-        composed.  Each map lists the surviving ids in increasing order."""
-        ids = range(len(self.quiver.arrows) + 2 * len(self.steps))
-        for step in self.steps:
-            ids = [ids[old] for old in step.relabel]
-        return tuple(ids)
+    original_ids: tuple[int, ...]
+    removed: int
 
 
-def _one_bigon_step(q: DimerQuiver) -> tuple[DimerQuiver, BigonStep] | None:
+def _one_bigon_step(q: DimerQuiver) -> tuple[DimerQuiver, tuple[int, ...]] | None:
+    """q without its lowest-id 2-cycle and the old ids of its arrows, or None."""
     bigon = next((f for f in q.faces if len(f.boundary) == 2), None)
     if bigon is None:
         return None
@@ -453,61 +430,29 @@ def _one_bigon_step(q: DimerQuiver) -> tuple[DimerQuiver, BigonStep] | None:
         k = face.boundary.index(aid)
         return face.boundary[k + 1:] + face.boundary[:k]
 
-    arc_a = arc(fa, a_id)  # complementary to a; replaces b
-    arc_b = arc(fb, b_id)  # complementary to b; replaces a
-    merged = arc_a + arc_b
-
+    # the arc of fa beside a equals b, and the arc of fb beside b equals a
+    merged = arc(fa, a_id) + arc(fb, b_id)
     keep = [x for x in q.arrows if x.id not in (a_id, b_id)]
     relabel = {x.id: k for k, x in enumerate(keep)}
     new_arrows = [(x.tail, x.head, x.homology) for x in keep]
-    new_faces = []
-    for f in q.faces:
-        if f.id == bigon.id or f.id in (fa.id, fb.id):
-            continue
-        new_faces.append(tuple(relabel[x] for x in f.boundary))
-    new_faces.append(tuple(relabel[x] for x in merged))
-    nq = make_quiver(q.num_vertices, new_arrows, new_faces)
+    faces = [f.boundary for f in q.faces if f.id not in (bigon.id, fa.id, fb.id)] + [merged]
+    nq = make_quiver(q.num_vertices, new_arrows, [[relabel[x] for x in f] for f in faces])
     rep = validate_dimer(nq)
     if not rep.ok:
         raise DomainError(
             f"2-cycle {bigon.id}: merged face is invalid ({', '.join(sorted(rep.codes()))})"
         )
-    step = BigonStep(a_id, b_id, arc_b, arc_a, relabel)
-    return nq, step
+    return nq, tuple(x.id for x in keep)
 
 
 def bigon_reduce(q: DimerQuiver) -> BigonReduction:
     """Remove every 2-cycle, the lowest-id one first.  Each arrow of a
     2-cycle equals a path, so the algebra does not change.  A 2-cycle that
     cannot be removed raises ``DomainError``."""
-    red = BigonReduction(q)
-    while (out := _one_bigon_step(red.quiver)) is not None:
-        red.quiver, step = out
-        red.steps.append(step)
-    return red
-
-
-def reduce_word(red: BigonReduction, word: tuple[int, ...]) -> tuple[int, ...]:
-    """Push an arrow word of the original quiver through every removal."""
-    for step in red.steps:
-        out: list[int] = []
-        for aid in word:
-            if aid == step.a:
-                out.extend(step.sub_a)
-            elif aid == step.b:
-                out.extend(step.sub_b)
-            else:
-                out.append(aid)
-        word = tuple(step.relabel[aid] for aid in out)
-    return word
-
-
-def reduce_matching(red: BigonReduction, matching: frozenset[int]) -> frozenset[int]:
-    """Transport a perfect matching of the original quiver: each removal
-    drops whichever of its two arrows the matching contains."""
-    d = set(matching)
-    for step in red.steps:
-        d.discard(step.a)
-        d.discard(step.b)
-        d = {step.relabel[x] for x in d}
-    return frozenset(d)
+    ids = tuple(range(len(q.arrows)))
+    removed = 0
+    while (out := _one_bigon_step(q)) is not None:
+        q, kept = out
+        ids = tuple(ids[k] for k in kept)
+        removed += 1
+    return BigonReduction(q, ids, removed)

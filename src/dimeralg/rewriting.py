@@ -433,11 +433,20 @@ class EqualityClasses:
 class CycleFilter:
     """Which cycles ``enumerate_cycles`` keeps: ``"all"``, ``"vertex_simple"``
     (no vertex revisited before closing), ``"homology"`` (homology
-    ``hom_class``) or ``"lift_simple"`` (nonzero homology and a doubled
-    lift that revisits no vertex, ``lift_is_simple``)."""
+    ``hom_class``, two ints, given for this variant only) or ``"lift_simple"``
+    (nonzero homology and a doubled lift that revisits no vertex).  Any
+    other filter raises ``DomainError`` when it is built."""
 
     variant: str = "all"
     hom_class: tuple[int, int] | None = None
+
+    def __post_init__(self):
+        if self.variant not in ("all", "vertex_simple", "homology", "lift_simple"):
+            raise DomainError(f"unknown filter {self.variant}")
+        hom = self.hom_class
+        pair = isinstance(hom, tuple) and len(hom) == 2 and all(isinstance(x, int) for x in hom)
+        if not pair == (self.variant == "homology") == (hom is not None):
+            raise DomainError(f"filter {self.variant} with homology class {hom!r}")
 
 
 def lift_is_simple(q: DimerQuiver, cycle: PathWord) -> bool:
@@ -505,13 +514,11 @@ def enumerate_cycles(
             stack.append((a.head, word + (a.id,), visited))
 
     def passes(c: PathWord) -> bool:
-        if filt.variant in ("all", "vertex_simple"):
-            return True  # the walk above already prunes revisits
         if filt.variant == "homology":
             return path_homology(q, c) == filt.hom_class
         if filt.variant == "lift_simple":
             return path_homology(q, c) != (0, 0) and lift_is_simple(q, c)
-        raise DomainError(f"unknown filter {filt.variant}")
+        return True  # "all", or "vertex_simple": the walk above prunes revisits
 
     cycles = sorted((c for c in results if passes(c)), key=lambda c: (len(c.arrows), c.arrows))
     enum = CycleEnumeration(cycles)
@@ -651,7 +658,7 @@ def find_noncancellative_pair(
     try:
         red = bigon_reduce(q)
     except DomainError:
-        red = BigonReduction(q)  # q is searched as given
+        red = BigonReduction(q, tuple(range(len(q.arrows))), 0)  # q is searched as given
     rs = RewriteSystem(red.quiver)
     ids = red.original_ids
     images = None if contraction is None else tuple(contraction.source_images[a] for a in ids)
@@ -660,8 +667,8 @@ def find_noncancellative_pair(
     else:
         # outside the theorems, and every word has the same matching profile
         report = NoncancellativeReport(None, True, 0, 0)
-    report.removed_2cycles = len(red.steps)
-    if report.found and red.steps:
+    report.removed_2cycles = red.removed
+    if report.found and red.removed:
         report.pair = _lift_pair(rs, RewriteSystem(q), ids, report.pair, bounds)
         report.exhausted = report.pair is None
     return report

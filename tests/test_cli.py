@@ -8,9 +8,10 @@ import pytest
 
 from dimeralg.acceptance import distinguished_candidate
 from dimeralg.center import verify_central
-from dimeralg.cli import _candidate_from_json, main
+from dimeralg.cli import _candidate_from_json, build_parser, main
 from dimeralg.contraction import contract
 from dimeralg.fixtures import bigon_inserted_c3, fixture
+from dimeralg.matchings import DEFAULT_MATCHING_CAP
 from dimeralg.quiver import PathWord, quiver_to_json
 from dimeralg.rewriting import RewriteStep, RewriteSystem, replay_witness
 
@@ -45,6 +46,26 @@ def test_malformed_json_is_exit_3(tmp_path):
     missing = tmp_path / "missing.json"
     res = run_cli(["validate", str(missing)])
     assert res.returncode == 3
+
+
+def test_validate_repeated_arrow_is_exit_1(tmp_path):
+    # arrow 0 twice in one face of c3's loops
+    data = {"vertices": 1,
+            "arrows": [{"id": k, "tail": 0, "head": 0, "homology": h}
+                       for k, h in enumerate([[1, 0], [0, 1], [-1, -1]])],
+            "faces": [[0, 1, 2, 0], [1, 2]]}
+    path = tmp_path / "repeat.json"
+    path.write_text(json.dumps(data))
+    res = run_cli(["validate", str(path)])
+    assert res.returncode == 1
+    violations = json.loads(res.stdout)["results"]["violations"]
+    assert {"code": "arrow_face_count", "message": "arrow 0 repeats in face 0",
+            "where": "face 0"} in violations
+
+
+def test_matchings_cap_default_is_the_library_default():
+    args = build_parser().parse_args(["matchings", "fixture:fig_deformation"])
+    assert args.cap == DEFAULT_MATCHING_CAP
 
 
 def test_unknown_fixture_is_exit_3():

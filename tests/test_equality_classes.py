@@ -234,7 +234,7 @@ def lemma_quivers(name):
     out = []
     for q in (fx.quiver, contract(fx.quiver, fx.contraction_arrows).target):
         red = bigon_reduce(q)
-        out += [q, red.quiver] if red.changed else [q]
+        out += [q, red.quiver] if red.removed else [q]
     return out
 
 

@@ -183,6 +183,16 @@ def test_witness_cycles_at_marked_vertex(iso_r_contraction, iso_r):
         assert w.base == i and path_head(c.source, w) == i
 
 
+def test_zero_image_walks_end_at_the_revisit_guard(iso_r):
+    # uncontracted fig_iso_R has an empty catalog, so every arrow image is
+    # (): a closed walk revisits its start without spending, the guard
+    # cuts it, and no vertex has a cycle of image ()
+    c = identity_contraction(iso_r.quiver)
+    assert c.catalog == () and set(c.source_images) == {()}
+    for v in range(c.source.num_vertices):
+        assert cycles_with_image(c, v, ()) == []
+
+
 def test_homotopy_center_examples(deformation_contraction):
     c = deformation_contraction
     assert homotopy_center_contains(c, sigma(c)).verdict == "yes"

@@ -71,6 +71,17 @@ def test_missing_face_breaks_euler(deformation):
     assert "vertex_link" not in report.codes()
 
 
+def test_arrow_repeated_in_a_face_is_reported():
+    # c3's loops with faces (0, 1, 2, 0) and (1, 2): every arrow lies on
+    # exactly two faces, so only the repeat check reports the incidence
+    q = make_quiver(1, [(0, 0, (1, 0)), (0, 0, (0, 1)), (0, 0, (-1, -1))],
+                    [(0, 1, 2, 0), (1, 2)])
+    report = validate_dimer(q)
+    assert not report.ok
+    assert [(v.message, v.where) for v in report.violations
+            if v.code == "arrow_face_count"] == [("arrow 0 repeats in face 0", "face 0")]
+
+
 def test_zero_homology_everywhere_fails_span(deformation):
     q = deformation.quiver
     data = quiver_to_json(q)

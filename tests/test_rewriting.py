@@ -182,6 +182,19 @@ def test_enumerate_filters(iso_r):
         enumerate_cycles(q, 2, 6, CycleFilter("vertex-simple"))
 
 
+@pytest.mark.parametrize("variant, hom_class, message", [
+    ("bogus", None, "unknown filter bogus"),
+    ("homology", None, "filter homology with homology class None"),
+    ("homology", [1, 0], "filter homology with homology class"),
+    ("homology", (1,), "filter homology with homology class"),
+    ("all", (1, 0), "filter all with homology class"),
+], ids=["unknown", "homology-no-class", "homology-list", "homology-one-int", "class-on-all"])
+def test_bad_filter_is_refused_before_the_walk(deformation, variant, hom_class, message):
+    # max_len 0 walks no cycle, so only an up-front check can refuse these
+    with pytest.raises(DomainError, match=message):
+        enumerate_cycles(deformation.quiver, 0, 0, CycleFilter(variant, hom_class))
+
+
 def test_lift_simple_filter_rechecks(all_fixtures):
     for fx in all_fixtures.values():
         q = fx.quiver
@@ -417,7 +430,7 @@ def inserted(deformation):
     # the quad t.c*.d.l split into t.c* and d.l
     q = insert_2cycle(deformation.quiver, 1, 2)
     assert validate_dimer(q).ok
-    assert len(bigon_reduce(q).steps) == 1
+    assert bigon_reduce(q).removed == 1
     return q
 
 
