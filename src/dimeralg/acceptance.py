@@ -95,7 +95,7 @@ def derive_claims(fx: Fixture) -> dict:
         rep = find_noncancellative_pair(q, c)
         out["source_noncancellative"] = rep.found
     if "target_cancellative_up_to_bounds" in fx.expected:
-        out["target_cancellative_up_to_bounds"] = not cyclic.target_pair_found
+        out["target_cancellative_up_to_bounds"] = cyclic.cancellative_target is not False
     if fx.expected.keys() & {"minimal_sigma_power", "normal"}:
         # the report already runs the minimal-power search
         normality = normality_report(c, degree_bound=6)

@@ -48,7 +48,7 @@ from .monomial_algebra import (
     minimal_generators,
     render_monomial,
 )
-from .normality import normality_report
+from .normality import DEFAULT_DEGREE_BOUND, DEFAULT_N_MAX, normality_report
 from .quiver import (
     DomainError,
     PathWord,
@@ -59,6 +59,7 @@ from .quiver import (
     validate_dimer,
 )
 from .rewriting import (
+    DEFAULT_BOUNDS,
     UNKNOWN,
     CycleFilter,
     ResourceExhausted,
@@ -410,10 +411,11 @@ def _global_options(parser, suppress=False):
     def default(value):
         return argparse.SUPPRESS if suppress else value
 
-    parser.add_argument("--max-word-length", type=_count, default=default(0),
+    parser.add_argument("--max-word-length", type=_count,
+                        default=default(DEFAULT_BOUNDS.max_word_length),
                         help="word-length cap for rewriting (0 = derive from inputs)")
-    parser.add_argument("--max-states", type=_count, default=default(200000))
-    parser.add_argument("--degree-bound", type=_count, default=default(8))
+    parser.add_argument("--max-states", type=_count, default=default(DEFAULT_BOUNDS.max_states))
+    parser.add_argument("--degree-bound", type=_count, default=default(DEFAULT_DEGREE_BOUND))
     parser.add_argument("--text", action="store_true", default=default(False),
                         help="indented text output instead of JSON")
 
@@ -479,7 +481,7 @@ def build_parser():
                    help="candidate JSON file, or 'builtin' for the fixture's")
 
     p = add("normality", cmd_normality, "quiver", contracts=True)
-    p.add_argument("--n-max", type=_count, default=6)
+    p.add_argument("--n-max", type=_count, default=DEFAULT_N_MAX)
 
     add("noncancellative", cmd_noncancellative, "quiver", contracts=True)
 

@@ -210,20 +210,20 @@ def target_cycle_algebra_generators(c: Contraction) -> list[Monomial]:
 
 @dataclass
 class CyclicReport:
-    cyclic_up_to_bound: bool | None  # None: the target search was cut off
     source_generators: list[Monomial]
     target_generators: list[Monomial]
-    semigroups_match: bool
-    target_pair_found: bool
-    target_search_exhausted: bool
+    # True / False / None = no pair found / pair found / search cut off
+    # before any conclusion
+    cancellative_target: bool | None
 
     @property
-    def cancellative_target(self):
-        """True / False / None = no pair found / pair found / search cut off
-        before any conclusion."""
-        if self.target_pair_found:
-            return False
-        return None if self.target_search_exhausted else True
+    def semigroups_match(self) -> bool:
+        return self.source_generators == self.target_generators
+
+    @property
+    def cyclic_up_to_bound(self) -> bool | None:
+        """None: the algebras match but the target search was cut off."""
+        return self.semigroups_match and self.cancellative_target
 
 
 def is_cyclic(c: Contraction, bounds: SearchBounds = DEFAULT_BOUNDS) -> CyclicReport:
@@ -235,17 +235,5 @@ def is_cyclic(c: Contraction, bounds: SearchBounds = DEFAULT_BOUNDS) -> CyclicRe
     match but the target search was cut off before finding a pair."""
     src = source_cycle_algebra_generators(c)
     tgt = target_cycle_algebra_generators(c)
-    same = src == tgt
     rep = find_noncancellative_pair(c.target, bounds=bounds)
-    if not same or rep.found:
-        cyclic = False
-    else:
-        cyclic = None if rep.exhausted else True
-    return CyclicReport(
-        cyclic_up_to_bound=cyclic,
-        source_generators=src,
-        target_generators=tgt,
-        semigroups_match=same,
-        target_pair_found=rep.found,
-        target_search_exhausted=rep.exhausted,
-    )
+    return CyclicReport(src, tgt, False if rep.found else (None if rep.exhausted else True))

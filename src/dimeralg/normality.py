@@ -31,65 +31,61 @@ from .monomial_algebra import (
 from .rewriting import UNKNOWN
 
 
-@dataclass
-class SigmaIdealResult:
-    verdict: str
-    witness: Monomial | None = None  # S-generator g with sigma^n * g outside R
-    power: int = 1
+DEFAULT_DEGREE_BOUND = 8  # degree up to which the monomial conditions compare sets
+DEFAULT_N_MAX = 6  # largest power the minimal-power search tries
 
 
-def sigma_power_times_S_in_R(c: Contraction, n: int) -> SigmaIdealResult:
+def sigma_power_times_S_in_R(c: Contraction, n: int, passed=None) -> Monomial | None:
     """Does sigma^n * S land in R?  Tested on the S-generators; the
     non-sigma-power products absorb the rest of S, and sigma^n itself is
-    in R, the n-th power of the unit cycle at every vertex.  The witness
-    is the first generator g whose goal sigma^n * g is not a cycle image
-    at some vertex, as ``first_unrealized_goal`` decides it: exactly, or
-    by raising ResourceExhausted past its state budget."""
-    return _sigma_round(c, n)
+    in R, the n-th power of the unit cycle at every vertex.  Returns the
+    first generator g whose goal sigma^n * g is not a cycle image at some
+    vertex, as ``first_unrealized_goal`` decides it (exactly, or by
+    raising ResourceExhausted past its state budget), or None when
+    sigma^n * S lies in R.
 
-
-def _sigma_round(c: Contraction, n: int, passed=None) -> SigmaIdealResult:
-    """``sigma_power_times_S_in_R`` skipping what is known: ``passed[i]``
-    holds the indices of the generators g with sigma^m * g realizable at
-    vertex i for some m <= n, and the round adds those it finds.  A unit
-    cycle at i has image sigma, so a cycle at i with image sigma^m * g
-    extends to one with image sigma^n * g; only the goals still open at
-    a vertex are searched there."""
+    ``passed[i]``, if given, holds the indices of the generators g with
+    sigma^m * g realizable at vertex i for some m <= n, and the round
+    adds those it finds.  A unit cycle at i has image sigma, so a cycle
+    at i with image sigma^m * g extends to one with image sigma^n * g;
+    only the goals still open at a vertex are searched there."""
     sn = (n,) * len(c.catalog)
     gens = source_cycle_algebra_generators(c)
     miss = first_unrealized_goal(c, [mon_add(sn, g) for g in gens], passed)
-    if miss is None:
-        return SigmaIdealResult(YES, power=n)
-    return SigmaIdealResult(NO, witness=gens[miss[0]], power=n)
+    return None if miss is None else gens[miss[0]]
 
 
 @dataclass
 class MinimalSigmaPower:
     n: int | None
-    verdict: str
     failing_witness: Monomial | None = None  # witness at n-1
 
+    @property
+    def verdict(self) -> str:
+        return UNKNOWN if self.n is None else YES
 
-def _sigma_rounds(c: Contraction, n_max: int) -> list[SigmaIdealResult]:
-    """sigma^n * S in R for n = 1, 2, ... up to the first yes or n_max;
-    each round skips what the earlier rounds found realizable."""
+
+def _sigma_rounds(c: Contraction, n_max: int) -> list[Monomial | None]:
+    """The witnesses of sigma^n * S in R for n = 1, 2, ... up to the first
+    None or n_max; each round skips what the earlier rounds found
+    realizable."""
     passed: list[set[int]] = [set() for _ in range(c.source.num_vertices)]
-    rounds: list[SigmaIdealResult] = []
+    witnesses: list[Monomial | None] = []
     for n in range(1, n_max + 1):
-        rounds.append(_sigma_round(c, n, passed))
-        if rounds[-1].verdict == YES:
+        witnesses.append(sigma_power_times_S_in_R(c, n, passed))
+        if witnesses[-1] is None:
             break
-    return rounds
+    return witnesses
 
 
-def _minimal_power(rounds: list[SigmaIdealResult]) -> MinimalSigmaPower:
-    if rounds and rounds[-1].verdict == YES:
-        prev = rounds[-2].witness if len(rounds) > 1 else None
-        return MinimalSigmaPower(rounds[-1].power, YES, prev)
-    return MinimalSigmaPower(None, UNKNOWN, rounds[-1].witness if rounds else None)
+def _minimal_power(witnesses: list[Monomial | None]) -> MinimalSigmaPower:
+    if witnesses and witnesses[-1] is None:
+        prev = witnesses[-2] if len(witnesses) > 1 else None
+        return MinimalSigmaPower(len(witnesses), prev)
+    return MinimalSigmaPower(None, witnesses[-1] if witnesses else None)
 
 
-def minimal_sigma_power(c: Contraction, n_max: int = 6) -> MinimalSigmaPower:
+def minimal_sigma_power(c: Contraction, n_max: int = DEFAULT_N_MAX) -> MinimalSigmaPower:
     """Least n with sigma^n * S inside R; below it there is a witness
     product outside R."""
     return _minimal_power(_sigma_rounds(c, n_max))
@@ -97,10 +93,7 @@ def minimal_sigma_power(c: Contraction, n_max: int = 6) -> MinimalSigmaPower:
 
 @dataclass
 class NormalityReport:
-    cond_sigma_S: str
     cond_k_plus_m0S: str
-    cond_k_plus_ideal: str
-    consistent: bool
     normal: str
     sigma_witness: Monomial | None
     minimal_power: int | None
@@ -110,11 +103,13 @@ class NormalityReport:
     r_generators: list = field(default_factory=list)
 
     def as_dict(self):
+        # sigma*S in R is ``normal``, R = k + J is R = k + m0*S, and a
+        # disagreement raises EquivalenceViolation before any report exists
         return {
-            "cond_sigma_S_in_R": self.cond_sigma_S,
+            "cond_sigma_S_in_R": self.normal,
             "cond_R_equals_k_plus_m0S": self.cond_k_plus_m0S,
-            "cond_R_equals_k_plus_ideal": self.cond_k_plus_ideal,
-            "conditions_consistent": self.consistent,
+            "cond_R_equals_k_plus_ideal": self.cond_k_plus_m0S,
+            "conditions_consistent": True,
             "normal": self.normal,
             "sigma_witness": list(self.sigma_witness) if self.sigma_witness else None,
             "minimal_sigma_power": self.minimal_power,
@@ -130,20 +125,21 @@ class EquivalenceViolation(AssertionError):
     only mean an implementation bug, so it is raised, not reported."""
 
 
-def normality_report(c: Contraction, degree_bound: int = 8, n_max: int = 6) -> NormalityReport:
+def normality_report(
+    c: Contraction, degree_bound: int = DEFAULT_DEGREE_BOUND, n_max: int = DEFAULT_N_MAX
+) -> NormalityReport:
     """Evaluate the normality conditions of the homotopy center R of c.
 
     The fields of the report:
 
-    - ``cond_sigma_S`` and ``normal``: whether sigma*S lies in R, decided
-      exactly by ``sigma_power_times_S_in_R`` at n = 1; ``sigma_witness``
-      is the S-generator g whose product sigma*g is not in R, if any.
-    - ``cond_k_plus_m0S``: whether R = k + m0*S, and ``cond_k_plus_ideal``,
-      whether R = k + J for an ideal J of S, which is the same condition
-      and carries the same verdict.  Unknown when sigma*S fails but
+    - ``normal``: whether sigma*S lies in R, decided exactly by
+      ``sigma_power_times_S_in_R`` at n = 1; ``sigma_witness`` is the
+      S-generator g whose product sigma*g is not in R, if any.
+    - ``cond_k_plus_m0S``: whether R = k + m0*S, the same condition as
+      R = k + J for an ideal J of S.  Unknown when sigma*S fails but
       sigma*witness lies beyond the degree bound, where the truncated
-      sets cannot see the failure.  ``consistent`` is True: a
-      disagreement with ``cond_sigma_S`` raises EquivalenceViolation.
+      sets cannot see the failure; a disagreement with ``normal`` raises
+      EquivalenceViolation.
     - ``minimal_power``: the least n <= n_max with sigma^n*S in R, or None.
     - ``decomposition_holds``: whether R = k[sigma] + (m0~, sigma^n)*S for
       that n, with m0~ the R-monomials that are not sigma powers;
@@ -158,7 +154,8 @@ def normality_report(c: Contraction, degree_bound: int = 8, n_max: int = 6) -> N
     degree, built by ``ideal_monomials`` and ``semigroup_monomials``."""
     s = sigma(c)
     rounds = _sigma_rounds(c, max(n_max, 1))  # round 1 is the sigma*S condition
-    res_sigma = rounds[0]
+    witness = rounds[0]
+    normal = YES if witness is None else NO
     msp = _minimal_power(rounds[:max(n_max, 0)])
 
     # one table of R up to the degree bound plus the largest S-generator
@@ -173,13 +170,10 @@ def normality_report(c: Contraction, degree_bound: int = 8, n_max: int = 6) -> N
     cond_m0S = YES if ideal_monomials(r_mons, s_gens, degree_bound) == r_mons else NO
     # the truncated test only refutes, so its yes means nothing while
     # sigma * witness lies beyond the bound
-    if res_sigma.verdict == NO and cond_m0S == YES:
-        if degree_bound < degree(mon_add(s, res_sigma.witness)):
-            cond_m0S = UNKNOWN
-    if cond_m0S != UNKNOWN and res_sigma.verdict != cond_m0S:
-        raise EquivalenceViolation(
-            f"sigma*S test says {res_sigma.verdict} but k+m0S test says {cond_m0S}"
-        )
+    if normal == NO and cond_m0S == YES and degree_bound < degree(mon_add(s, witness)):
+        cond_m0S = UNKNOWN
+    if cond_m0S not in (UNKNOWN, normal):
+        raise EquivalenceViolation(f"sigma*S test says {normal} but k+m0S test says {cond_m0S}")
 
     # decomposition: R = k[sigma] + (m0~, sigma^n) * S with m0~ the
     # non-sigma-power part
@@ -195,14 +189,9 @@ def normality_report(c: Contraction, degree_bound: int = 8, n_max: int = 6) -> N
     ideal_prop = NO if any(outside) else YES
 
     return NormalityReport(
-        cond_sigma_S=res_sigma.verdict,
-        # R = k + J for an ideal J of S: equivalent to the previous
-        # condition, reported as its consequence
         cond_k_plus_m0S=cond_m0S,
-        cond_k_plus_ideal=cond_m0S,
-        consistent=True,
-        normal=res_sigma.verdict,
-        sigma_witness=res_sigma.witness,
+        normal=normal,
+        sigma_witness=witness,
         minimal_power=msp.n,
         decomposition_holds=decomposition,
         ideal_property_holds=ideal_prop,

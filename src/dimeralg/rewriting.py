@@ -453,16 +453,12 @@ def lift_is_simple(q: DimerQuiver, cycle: PathWord) -> bool:
     """True iff walking the cycle twice in the universal cover repeats no
     lifted vertex strictly inside the walk."""
     seen = {(cycle.base, (0, 0))}
-    at, acc = cycle.base, (0, 0)
-    n = 2 * len(cycle.arrows)
-    for k in range(n):
-        aid = cycle.arrows[k % len(cycle.arrows)]
+    acc = (0, 0)
+    # the closing arrow is left out: closing the doubled walk is allowed
+    for aid in (cycle.arrows * 2)[:-1]:
         a = q.arrow(aid)
         acc = (acc[0] + a.homology[0], acc[1] + a.homology[1])
-        at = a.head
-        node = (at, acc)
-        if k == n - 1:
-            return True  # closing the doubled walk is allowed
+        node = (a.head, acc)
         if node in seen:
             return False
         seen.add(node)

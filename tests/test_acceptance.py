@@ -178,8 +178,8 @@ def test_criterion_5_nested_powers(n):
     rep = normality_report(c, degree_bound=6)
     expected = "yes" if n == 1 else "no"
     assert rep.normal == expected
-    assert rep.cond_sigma_S == rep.cond_k_plus_m0S == rep.cond_k_plus_ideal == expected
-    assert rep.consistent
+    d = rep.as_dict()
+    assert d["cond_sigma_S_in_R"] == rep.cond_k_plus_m0S == d["cond_R_equals_k_plus_ideal"] == expected
     print(f"\nACCEPTANCE 5({n}): PASS minimal power {n}, normality "
           f"conditions all {expected}")
 

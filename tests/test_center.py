@@ -4,6 +4,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from dimeralg import monomial_algebra
 from dimeralg.acceptance import distinguished_candidate, quadratic_pattern_indices
 from dimeralg.center import (
     CentralCandidate,
@@ -56,6 +57,23 @@ def test_distinguished_element_is_nil_central(all_fixtures, all_contractions):
     assert rep.z_squared_zero == "equal"
     assert rep.psi_z_zero == "equal"
     assert rep.consistent == "equal"
+
+
+def test_cut_off_commutators_leave_centrality_unknown(all_fixtures):
+    # two states per closure decide no commutator of the distinguished
+    # element, and an undecided arrow is neither central nor refuted
+    fx = all_fixtures["fig_noncancellative_central"]
+    cert = verify_central(fx.quiver, distinguished_candidate(fx), SearchBounds(0, 2))
+    assert cert.verdict == "unknown"
+    assert cert.central is False
+
+
+def test_power_search_keeps_refused_and_undecided_apart(all_contractions, monkeypatch):
+    c = all_contractions["fig_iso_R"]
+    assert power_in_reduced_center(c, (1, 1, 2), n_max=1) == (None, "no")
+    # past its cycle cap the reduced-center search decides nothing
+    monkeypatch.setattr(monomial_algebra, "_MAX_CYCLES", 3)
+    assert power_in_reduced_center(c, (1, 1, 2), n_max=1) == (None, "unknown")
 
 
 def test_distinguished_components_commute(all_fixtures):

@@ -12,8 +12,9 @@ from dimeralg.cli import _candidate_from_json, build_parser, main
 from dimeralg.contraction import contract
 from dimeralg.fixtures import bigon_inserted_c3, fixture
 from dimeralg.matchings import DEFAULT_MATCHING_CAP
+from dimeralg.normality import DEFAULT_DEGREE_BOUND, DEFAULT_N_MAX
 from dimeralg.quiver import PathWord, quiver_to_json
-from dimeralg.rewriting import RewriteStep, RewriteSystem, replay_witness
+from dimeralg.rewriting import DEFAULT_BOUNDS, RewriteStep, RewriteSystem, replay_witness
 
 from conftest import FIXTURES
 
@@ -66,6 +67,10 @@ def test_validate_repeated_arrow_is_exit_1(tmp_path):
 def test_matchings_cap_default_is_the_library_default():
     args = build_parser().parse_args(["matchings", "fixture:fig_deformation"])
     assert args.cap == DEFAULT_MATCHING_CAP
+    args = build_parser().parse_args(["normality", "fixture:fig_deformation"])
+    assert (args.max_word_length, args.max_states) == (
+        DEFAULT_BOUNDS.max_word_length, DEFAULT_BOUNDS.max_states)
+    assert (args.degree_bound, args.n_max) == (DEFAULT_DEGREE_BOUND, DEFAULT_N_MAX)
 
 
 def test_unknown_fixture_is_exit_3():
@@ -206,6 +211,13 @@ def test_nilradical_builtin_candidate():
         "psi_z_zero": "equal",
         "consistent": "equal",
     }
+
+
+def test_nilradical_cut_off_is_exit_2(capsys):
+    # two states decide no commutator: every verdict is unknown, not a no
+    assert main(["--max-states", "2", "nilradical", "fixture:fig_noncancellative_central"]) == 2
+    results = json.loads(capsys.readouterr().out)["results"]
+    assert set(results.values()) == {"unknown"}
 
 
 def test_nilradical_without_builtin_candidate_names_the_option(capsys):

@@ -13,7 +13,6 @@ from dimeralg.monomial_algebra import (
     realizable_at_vertex,
 )
 from dimeralg.normality import (
-    SigmaIdealResult,
     minimal_sigma_power,
     normality_report,
     sigma_power_times_S_in_R,
@@ -41,10 +40,9 @@ def test_nested_normality_conditions_agree(n):
     rep = normality_report(c, degree_bound=6)
     expected = "yes" if n == 1 else "no"
     assert rep.normal == expected
-    assert rep.cond_sigma_S == expected
+    assert rep.as_dict()["cond_sigma_S_in_R"] == expected
     assert rep.cond_k_plus_m0S == expected
-    assert rep.cond_k_plus_ideal == expected
-    assert rep.consistent
+    assert rep.as_dict()["cond_R_equals_k_plus_ideal"] == expected
     assert rep.minimal_power == n
     assert rep.decomposition_holds == "yes"
     assert rep.ideal_property_holds == "yes"
@@ -52,16 +50,16 @@ def test_nested_normality_conditions_agree(n):
 
 def test_deformation_is_normal(deformation_contraction):
     c = deformation_contraction
-    assert sigma_power_times_S_in_R(c, 1).verdict == "yes"
+    assert sigma_power_times_S_in_R(c, 1) is None
     msp = minimal_sigma_power(c)
     assert msp.n == 1
     rep = normality_report(c, degree_bound=8)
-    assert rep.normal == "yes" and rep.consistent
+    assert rep.normal == "yes"
 
 
 def test_identity_contraction_is_normal():
     c = identity_contraction(fixtures_mod.conifold_quiver())
-    assert sigma_power_times_S_in_R(c, 1).verdict == "yes"
+    assert sigma_power_times_S_in_R(c, 1) is None
     assert minimal_sigma_power(c).n == 1
     rep = normality_report(c, degree_bound=6)
     assert rep.normal == "yes"
@@ -70,19 +68,28 @@ def test_identity_contraction_is_normal():
 def test_sigma_witness_on_nested_two():
     fx = fixtures_mod.fixture("fig_nested(2)")
     c = contract(fx.quiver, fx.contraction_arrows)
-    res = sigma_power_times_S_in_R(c, 1)
-    assert res.verdict == "no"
-    assert res.witness is not None
+    witness = sigma_power_times_S_in_R(c, 1)
+    assert witness is not None
     # the witness product really fails membership
-    g = mon_add(sigma(c), res.witness)
+    g = mon_add(sigma(c), witness)
     assert homotopy_center_contains(c, g).verdict == "no"
 
 
 def test_normality_report_consistency_everywhere(all_contractions):
     for name, c in all_contractions.items():
-        rep = normality_report(c, degree_bound=6)
-        assert rep.consistent, name
-        assert (rep.cond_sigma_S == "yes") == (rep.normal == "yes")
+        d = normality_report(c, degree_bound=6).as_dict()
+        assert d["cond_R_equals_k_plus_m0S"] in (d["normal"], "unknown"), name
+        assert d["cond_R_equals_k_plus_ideal"] == d["cond_R_equals_k_plus_m0S"], name
+        assert d["cond_sigma_S_in_R"] == d["normal"], name
+
+
+def test_disagreeing_conditions_raise(deformation_contraction, monkeypatch):
+    # a sigma-round search that fails every generator makes sigma*S in R
+    # say no on a normal fixture, where k + m0*S says yes
+    monkeypatch.setattr(normality, "first_unrealized_goal", lambda *args: (0, 0))
+    with pytest.raises(normality.EquivalenceViolation,
+                       match=r"sigma\*S test says no but k\+m0S test says yes"):
+        normality_report(deformation_contraction, 8)
 
 
 def test_nonsigma_part_is_an_ideal(all_contractions):
@@ -113,14 +120,15 @@ def test_bound_sweep_never_contradicts(all_contractions):
     # the truncated k + m0*S test only refutes: below the degree of
     # sigma * witness it cannot, and the report says unknown there
     for name, c in all_contractions.items():
-        res = sigma_power_times_S_in_R(c, 1)
+        witness = sigma_power_times_S_in_R(c, 1)
+        normal = "yes" if witness is None else "no"
         for bound in range(11):
             rep = normality_report(c, bound)
-            vacuous = res.verdict == "no" and bound < degree(mon_add(sigma(c), res.witness))
-            want = "unknown" if vacuous else res.verdict
+            vacuous = witness is not None and bound < degree(mon_add(sigma(c), witness))
+            want = "unknown" if vacuous else normal
             assert rep.cond_k_plus_m0S == want, (name, bound)
-            assert rep.cond_k_plus_ideal == want, (name, bound)
-            assert rep.cond_sigma_S == rep.normal == res.verdict, (name, bound)
+            assert rep.as_dict()["cond_R_equals_k_plus_ideal"] == want, (name, bound)
+            assert rep.as_dict()["cond_sigma_S_in_R"] == rep.normal == normal, (name, bound)
 
 
 def test_report_adds_no_realizability_calls(all_contractions, monkeypatch):
@@ -150,12 +158,12 @@ def test_report_adds_no_realizability_calls(all_contractions, monkeypatch):
 
 def reference_round(c, n, gens):
     """sigma^n * S in R by one membership test per generator, in order,
-    each a witness search per vertex."""
+    each a witness search per vertex: the first failing generator, or None."""
     sn = (n,) * len(c.catalog)
     for g in gens:
         if per_vertex_contains(c, mon_add(sn, g))[0] != "yes":
-            return SigmaIdealResult("no", witness=g, power=n)
-    return SigmaIdealResult("yes", power=n)
+            return g
+    return None
 
 
 @pytest.mark.parametrize("order", [1, -1])
@@ -172,7 +180,7 @@ def test_shared_round_matches_per_generator_tests(all_contractions, order, monke
         for n in range(1, 7):
             want = reference_round(c, n, gens)
             assert sigma_power_times_S_in_R(c, n) == want, (name, n)
-            assert normality._sigma_round(c, n, passed) == want, (name, n)
+            assert sigma_power_times_S_in_R(c, n, passed) == want, (name, n)
             sn = (n,) * len(c.catalog)
             for i, known in enumerate(passed):
                 for k in known:
@@ -208,11 +216,10 @@ def test_shared_round_keeps_the_guard_order(gens, n, budget, expected, monkeypat
 
     def outcome(test):
         try:
-            res = test()
+            return test()
         except ResourceExhausted:
             return "undecided"
-        return res.verdict, res.witness
 
     want = outcome(lambda: reference_round(c, n, gens))
-    assert want == (expected if expected == "undecided" else (expected, gens[0]))
+    assert want == (expected if expected == "undecided" else gens[0])
     assert outcome(lambda: sigma_power_times_S_in_R(c, n)) == want

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 from types import SimpleNamespace
 
@@ -22,6 +23,7 @@ from dimeralg.rewriting import (
     NOT_EQUAL,
     CycleFilter,
     NoncancellativePair,
+    ResourceExhausted,
     RewriteSystem,
     SearchBounds,
     enumerate_cycles,
@@ -212,6 +214,37 @@ def test_lift_simple_examples(deformation):
     assert lift_is_simple(q, PathWord(0, (6, 6)))
     # gluing a null-homologous unit cycle onto it does revisit one
     assert not lift_is_simple(q, PathWord(0, (6, 0, 2, 5)))
+
+
+def test_enumeration_past_its_state_budget_raises(deformation, monkeypatch):
+    monkeypatch.setattr(rewriting, "MAX_STATES", 5)
+    with pytest.raises(ResourceExhausted, match="state budget"):
+        enumerate_cycles(deformation.quiver, 0, 4)
+
+
+@pytest.mark.parametrize("spoil, message", [
+    ("pos", "does not match the word"),
+    ("arrow", "not an instance of its rule"),
+    ("homology", "broke an invariant"),
+])
+def test_replay_rejects_a_bad_step(deformation, spoil, message):
+    # the two-step witness between the unit cycles at vertex 0, spoilt in
+    # its first step (the rule of arrow 0) or in the quiver it replays on
+    q = deformation.quiver
+    start = unit_cycle(q, 0, 0)
+    res = paths_equal(RewriteSystem(q), start, unit_cycle(q, 0, 1))
+    assert res.is_equal and len(res.steps) == 2
+    first, rest = res.steps[0], list(res.steps[1:])
+    assert first.arrow == 0
+    if spoil == "pos":
+        first = dataclasses.replace(first, pos=first.pos + 1)
+    elif spoil == "arrow":
+        first = dataclasses.replace(first, arrow=1)
+    else:
+        arrows = [(a.tail, a.head, (0, -2) if a.id == 6 else a.homology) for a in q.arrows]
+        q = make_quiver(q.num_vertices, arrows, [f.boundary for f in q.faces])
+    with pytest.raises(DomainError, match=message):
+        replay_witness(RewriteSystem(q), start, [first, *rest])
 
 
 def test_dedup_mod_relations(deformation):
