@@ -27,8 +27,11 @@ matchings; those pairs are searched instead.
 Inside the search a word is text, one character per arrow
 (``chr(arrow id)``): a str caches its hash and slices cheaply.  One rule
 table, keyed by arc text, finds the rewrite sites with one lookup per
-window, in order of arc length, then position, then rule.  Every word
-that leaves the search (``PathWord``, ``RewriteStep``) is a tuple again.
+window, in order of arc length, then position, then rule.  A closure
+expands its words first in, first out, so expanding a word skips the
+windows whose rewrites an earlier word in the queue already applied
+(``_Closure`` says why the closure is unchanged).  Every word that
+leaves the search (``PathWord``, ``RewriteStep``) is a tuple again.
 
 ``find_noncancellative_pair`` searches the 2-cycle-free quiver of
 ``bigon_reduce``, which has the same algebra, and lifts any pair it finds
@@ -62,6 +65,12 @@ _TEXT_ARROWS = 0x110000  # arrow ids are characters inside the search
 class SearchBounds:
     max_word_length: int = 0  # 0 = derive from inputs
     max_states: int = 200000
+
+    def __post_init__(self):
+        for name in ("max_word_length", "max_states"):
+            value = getattr(self, name)
+            if type(value) is not int or value < 0:
+                raise DomainError(f"{name} must be a non-negative int, not {value!r}")
 
     def word_cap(self, q: DimerQuiver, *words) -> int:
         if self.max_word_length > 0:
@@ -155,6 +164,9 @@ class RewriteSystem:
                 table = arcs.setdefault(len(arc), {})
                 table.setdefault(_encode(arc), []).append((aid, _encode(repl)))
         self._arcs = dict(sorted(arcs.items()))
+        # the largest length gain of one rewrite, for the cap guard of successors
+        self._gain = max((abs(len(left) - len(right)) for left, right in self.rules.values()),
+                         default=0)
         self._hx = [a.homology[0] for a in q.arrows]
         self._hy = [a.homology[1] for a in q.arrows]
         d0 = next(perfect_matching_masks(q), None)
@@ -166,23 +178,44 @@ class RewriteSystem:
         quivers (module docstring); None if there is no perfect matching."""
         return sum(map(self._in_d0.__getitem__, word)) if self.has_matching else None
 
-    def successors(self, word: str, cap: int):
+    def successors(self, word: str, cap: int, made=None, known=(), sites=None):
         """All one-step rewrites of the text word not exceeding cap, as text
         words in order of arc length, then position, then rule; also say
-        whether anything was suppressed by the cap."""
+        whether anything was suppressed by the cap.
+
+        ``made`` is the site (arc length, position, replacement length) of
+        the rewrite that first reached the word in a FIFO closure; the
+        windows clear of it and earlier in this order are then skipped
+        (``_Closure`` says why that is exact), unless the cap guard refuses.
+        Words in ``known`` are left out, and ``sites`` gets the site of each
+        word returned."""
         out = []
         truncated = False
         n = len(word)
+        ell = 0  # arcs up to this length skip the windows clear of the site
+        if made is not None:
+            ell, at, grew = made
+            if grew < ell and n - grew + ell + self._gain > cap:
+                ell = 0  # the parent was longer: its siblings may not fit
         for ln, table in self._arcs.items():
             room = cap - n + ln  # the longest replacement within the cap
-            for pos in range(n - ln + 1):
+            start, stop = 0, n - ln + 1
+            if ln <= ell:
+                start = max(0, at - ln + 1)
+                if ln < ell:
+                    stop = min(stop, at + grew)
+            for pos in range(start, stop):
                 entries = table.get(word[pos:pos + ln])
                 if entries:
                     for _, repl in entries:
                         if len(repl) > room:
                             truncated = True
                         else:
-                            out.append(word[:pos] + repl + word[pos + ln:])
+                            nxt = word[:pos] + repl + word[pos + ln:]
+                            if nxt not in known:
+                                out.append(nxt)
+                                if sites is not None:
+                                    sites.append((ln, pos, len(repl)))
         return out, truncated
 
     def step_between(self, word: tuple[int, ...], nxt: tuple[int, ...]) -> RewriteStep:
@@ -276,12 +309,39 @@ class _Closure:
     the cap in ``words``.  An empty ``pending`` makes the closure
     complete, and then it is the start word's whole class unless
     ``truncated`` says the cap suppressed a rewrite.
+
+    ``made`` maps each word this closure reached itself to the site (arc
+    length, position, replacement length) of the rewrite b that first
+    reached it from its parent u, and ``successors`` skips the windows of
+    the word clear of that site that come before b in successors order.
+    Such a rewrite r applies to u too, before b, so r(u) was in ``words``
+    before b(u) was; in first-in, first-out order r(u) was expanded first
+    (or came complete from ``absorb``), and b on r(u) built r(b(u)) or
+    flagged the cap.  By induction on expansion order, every skipped word
+    is already in ``words`` and every skipped cut-off already in
+    ``truncated``, so words, parents, pending order and verdicts are those
+    of the full scan.  The argument needs three facts:
+
+    - a search cut off mid-layer requeues ``layer[k:] + pending``, which
+      keeps the order;
+    - ``absorb`` appends the other closure's pending words at the back, in
+      their order, and carries no records: the absorbed words are scanned
+      in full, since their records refer to the other closure's queue;
+    - a start word has no record, so its scan is full.
+
+    And r(u) must fit the cap.  When b shortened the word, r(u) is longer
+    than r(b(u)) and may be the one that does not fit, so a record is used
+    only if b did not shorten, or u plus the largest gain of one rewrite
+    fits the cap (``RewriteSystem._gain``).  Without that guard fig_iso_R's
+    7,10,11,7,10,11 and 9,10,11,7,10,12 at word cap 9 answer Unknown
+    (word_length) instead of Equal with a 7-step witness.
     """
 
-    __slots__ = ("words", "pending", "truncated")
+    __slots__ = ("words", "pending", "truncated", "made")
 
     def __init__(self, word: str):
         self.words: dict[str, str | None] = {word: None}
+        self.made: dict[str, tuple[int, int, int]] = {}
         self.pending = [word]
         self.truncated = False
 
@@ -363,17 +423,20 @@ class EqualityClasses:
             if len(own.pending) < len(closure.pending):
                 grow, other = own, closure
             layer, grow.pending = grow.pending, []
+            words, made = grow.words, grow.made
             for k, w in enumerate(layer):
-                succs, trunc = successors(w, cap)
+                sites = []
+                succs, trunc = successors(w, cap, made.get(w), words, sites)
                 grow.truncated = grow.truncated or trunc
-                for nxt in succs:
-                    if nxt in grow.words:
-                        continue
+                for nxt, site in zip(succs, sites):
+                    if nxt in words:
+                        continue  # reached twice in one scan
                     states += 1
                     if states > limit:
                         grow.pending = layer[k:] + grow.pending
                         return EqResult(UNKNOWN, reason="state_budget", states=states)
-                    grow.words[nxt] = w
+                    words[nxt] = w
+                    made[nxt] = site
                     grow.pending.append(nxt)
                     if nxt in other.words:
                         # w is requeued: its later successors are not generated yet

@@ -2,6 +2,7 @@
 representative, and the invariant that keeps its closures exact."""
 
 import itertools
+import json
 import random
 
 import pytest
@@ -27,6 +28,7 @@ from dimeralg.rewriting import (
     EQUAL,
     NOT_EQUAL,
     UNKNOWN,
+    EqResult,
     EqualityClasses,
     RewriteStep,
     RewriteSystem,
@@ -130,14 +132,17 @@ def bfs_closure(rs, words, pending, cap):
     return words, truncated
 
 
-def naive_successors(rs, word, cap):
+def naive_successors(rs, word, cap, skip=lambda pos, ln: False):
     """The reference scan on tuple words: every rule, both ways, at every
     position, in order of arc length, then position, then rule; each
-    rewrite as (new word, pos, arrow, old arc, new arc)."""
+    rewrite as (new word, pos, arrow, old arc, new arc).  Windows for
+    which ``skip(pos, ln)`` holds are left out."""
     out, truncated = [], False
     lengths = sorted({len(arc) for sides in rs.rules.values() for arc in sides})
     for ln in lengths:
         for pos in range(len(word) - ln + 1):
+            if skip(pos, ln):
+                continue
             for aid, (left, right) in rs.rules.items():
                 for old, new in dict.fromkeys(((left, right), (right, left))):
                     if len(old) != ln or word[pos:pos + ln] != old:
@@ -457,3 +462,168 @@ def test_budgeted_split_is_the_unbucketed_loop(all_fixtures):
     assert ref_unknown == 0 and len(ref) < len(split)
     owner = {k: n for n, cls in enumerate(ref) for k in cls}
     assert all(len({owner[k] for k in cls}) == 1 for cls in split)
+
+
+# -- a FIFO closure skips the rewrites a sibling already applied ---------------
+
+
+def random_word(rng, q, n):
+    at = rng.randrange(q.num_vertices)
+    word = []
+    for _ in range(n):
+        a = rng.choice(q.out_arrows(at))
+        word.append(a.id)
+        at = a.head
+    return tuple(word)
+
+
+@pytest.mark.parametrize("name", sorted(differential_quivers()) + ["covers"])
+def test_skipped_windows_are_the_clear_earlier_ones(name):
+    # given the site (arc length, position, replacement length) that made
+    # the word, the scan leaves out exactly the windows clear of the site
+    # that come first in successors order, unless the cap guard refuses
+    quivers = _covers() if name == "covers" else {name: differential_quivers()[name]}
+    rng = random.Random(f"sites {name}")
+    skipped = refused = varied = 0
+    for q in quivers.values():
+        rs = RewriteSystem(q)
+        pairs = [pair for left, right in rs.rules.values() for pair in ((left, right), (right, left))]
+        lengths = sorted({len(old) for old, _ in pairs})
+        gain = max(len(new) - len(old) for old, new in pairs)
+        varied += len(lengths) > 1  # else every rewrite keeps the length
+        for _ in range(40):
+            word = random_word(rng, q, rng.randint(1, 20))
+            for cap in (len(word) - 2, len(word), len(word) + 1, len(word) + q.max_face_length()):
+                ell, grew = rng.choice(lengths), rng.choice(lengths)
+                if grew > len(word):
+                    continue
+                at = rng.randrange(len(word) - grew + 1)
+                guard = grew >= ell or len(word) - grew + ell + gain <= cap
+                refused += not guard
+
+                def skip(pos, ln):
+                    clear = pos + ln <= at or pos >= at + grew
+                    return guard and clear and (ln < ell or ln == ell and pos + ln <= at)
+
+                ref, ref_truncated = naive_successors(rs, word, cap, skip)
+                full = naive_successors(rs, word, cap)[0]
+                skipped += len(full) - len(ref)
+                site = (ell, at, grew)
+                succs, truncated = rs.successors(_encode(word), cap, site)
+                assert [_decode(w) for w in succs] == [r[0] for r in ref], (word, cap, site)
+                assert truncated == ref_truncated, (word, cap, site)
+                # known words are left out, and each word returned gets its site
+                known = {_encode(r[0]) for r in ref[::2]}
+                sites = []
+                succs, _ = rs.successors(_encode(word), cap, site, known, sites)
+                kept = [r for r in ref if _encode(r[0]) not in known]
+                assert succs == [_encode(r[0]) for r in kept]
+                assert sites == [(len(r[3]), r[1], len(r[4])) for r in kept]
+    assert skipped > 40 and refused >= bool(varied)
+
+
+def without_skipping(monkeypatch):
+    """Make ``RewriteSystem.successors`` drop the recorded site: the full scan."""
+    full = RewriteSystem.successors
+
+    def scan(self, word, cap, made=None, known=(), sites=None):
+        return full(self, word, cap, None, known, sites)
+
+    monkeypatch.setattr(RewriteSystem, "successors", scan)
+
+
+def search_groups(q, rs, rng):
+    """Words to split: the first 40 cycles of each length up to 5 at two
+    vertices, and four random words of 6 to 10 arrows, each with four
+    words reached from it by random rewrites."""
+    groups = []
+    for v in range(min(2, q.num_vertices)):
+        for n in range(1, 6):
+            groups.append([PathWord(v, c) for c in itertools.islice(rewriting._cycles_at(q, v, n), 40)])
+    for _ in range(4):
+        word = random_word(rng, q, rng.randint(6, 10))
+        group = [PathWord(q.arrow(word[0]).tail, word)]
+        for _ in range(4):
+            for _ in range(rng.randint(1, 6)):
+                succs = naive_successors(rs, word, len(word) + 2)[0]
+                word = rng.choice(succs)[0] if succs else word
+            group.append(PathWord(group[0].base, word))
+        groups.append(group)
+    return [g for g in groups if len(g) > 1]
+
+
+def budgeted_searches(rs, groups):
+    """Every result and every closure of splitting each group in order as
+    ``split`` does (a word meets only the representatives that share its
+    invariants), at the default cap and at caps L..L+3 for the group's
+    first length L, with a budget of 500 states; every third word gets 2
+    instead, which cuts its search off mid-layer."""
+    log = []
+    for group in groups:
+        length = len(group[0].arrows)
+        for cap in (0, length, length + 1, length + 2, length + 3):
+            ec = EqualityClasses(rs, SearchBounds(cap, 500))
+            buckets = {}
+            for k, w in enumerate(group):
+                reps = buckets.setdefault(rewriting._invariants(rs, w), [])
+                for rep in reps:
+                    res = ec.compare(rep, w, max_states=2 if k % 3 == 1 else None)
+                    log.append(res)
+                    if res.is_equal:
+                        break
+                else:
+                    reps.append(w)
+            log += [(key, list(c.words.items()), c.pending, c.truncated)
+                    for key, c in ec.closures.items()]
+    return log
+
+
+@pytest.mark.parametrize("name", LEMMA_QUIVERS)
+def test_skipping_keeps_every_closure(name, monkeypatch):
+    # with and without skipping: the same words with the same parents in
+    # the same order, the same pending words and the same results; and the
+    # skipping scan builds fewer words
+    rng = random.Random(f"skipping {name}")
+    built, cut = [0, 0], 0
+    for q in lemma_quivers(name):
+        rs = RewriteSystem(q)
+        groups = search_groups(q, rs, rng)
+        logs = []
+        for k in (0, 1):
+            if k:
+                without_skipping(monkeypatch)
+            scan = RewriteSystem.successors
+
+            def counted(self, word, cap, made=None, known=(), sites=None):
+                built[k] += len(scan(self, word, cap, made)[0])
+                return scan(self, word, cap, made, known, sites)
+
+            monkeypatch.setattr(RewriteSystem, "successors", counted)
+            logs.append(budgeted_searches(rs, groups))
+            monkeypatch.undo()
+        assert logs[0] == logs[1]
+        cut += sum(isinstance(r, EqResult) and r.reason == "state_budget" for r in logs[0])
+    assert cut > 0 and built[0] < built[1]
+
+
+# b shortens the word, so a sibling skipped at cap 9 never fitted the cap
+ISO_R_TIGHT = ((7, 10, 11, 7, 10, 11), (9, 10, 11, 7, 10, 12), 9)
+
+
+def test_cap_guard_keeps_a_shortened_word_decided(all_fixtures, monkeypatch, capsys):
+    q = all_fixtures["fig_iso_R"].quiver
+    rs = RewriteSystem(q)
+    p_arrows, r_arrows, cap = ISO_R_TIGHT
+    p, r = PathWord(q.arrow(p_arrows[0]).tail, p_arrows), PathWord(q.arrow(r_arrows[0]).tail, r_arrows)
+    res = paths_equal(rs, p, r, SearchBounds(cap))
+    assert (res.verdict, len(res.steps)) == (EQUAL, 7)
+    assert replay_witness(rs, p, res.steps)[-1] == r
+    args = ["--max-word-length", str(cap), "eq", "fixture:fig_iso_R",
+            "--p", ",".join(map(str, p_arrows)), "--q", ",".join(map(str, r_arrows))]
+    assert main(args) == 0
+    results = json.loads(capsys.readouterr().out)["results"]
+    steps = [RewriteStep(s["pos"], s["arrow"], tuple(s["old"]), tuple(s["new"]))
+             for s in results["witness"]]
+    assert results["verdict"] == EQUAL and replay_witness(rs, p, steps)[-1] == r
+    without_skipping(monkeypatch)
+    assert paths_equal(rs, p, r, SearchBounds(cap)) == res

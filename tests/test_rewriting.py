@@ -109,6 +109,18 @@ def test_distinguished_paths_differ(all_fixtures):
     assert res.reason == "saturated"
 
 
+@pytest.mark.parametrize("field, value", [
+    ("max_word_length", -3), ("max_states", -1), ("max_states", 2.5), ("max_word_length", "9"),
+    ("max_states", True),
+], ids=["negative-cap", "negative-budget", "float-budget", "text-cap", "bool-budget"])
+def test_bad_bounds_are_refused(field, value):
+    # a negative cap would quietly mean "derive it", a negative budget an
+    # immediate Unknown
+    with pytest.raises(DomainError, match=f"{field} must be a non-negative int"):
+        SearchBounds(**{field: value})
+    assert SearchBounds(0, 0) == SearchBounds(max_word_length=0, max_states=0)
+
+
 def test_one_complete_side_decides_not_equal(all_fixtures, capsys):
     # At word cap 5 the closure of p is complete and never hits the cap,
     # while the search from q does; p's complete closure alone proves the
