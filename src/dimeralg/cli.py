@@ -206,15 +206,8 @@ def cmd_eq(args, q, fx):
 
 
 def cmd_cycles(args, q, fx):
-    if args.filter in ("all", "vertex-simple", "lift-simple"):
-        filt = CycleFilter(args.filter.replace("-", "_"))
-    elif args.filter.startswith("homology:"):
-        pair = _parse_ints(args.filter[len("homology:"):], "homology class")
-        if len(pair) != 2:
-            raise CliError("homology filter needs two components")
-        filt = CycleFilter("homology", pair)
-    else:
-        raise CliError(f"unknown filter {args.filter!r}")
+    variant, colon, hom = args.filter.partition(":")
+    filt = CycleFilter(variant, _parse_ints(hom, "homology class") if colon else None)
     enum = enumerate_cycles(q, args.vertex, args.max_len, filt,
                             dedup_mod_relations=args.dedup, bounds=_bounds(args))
     results = {"cycles": [list(c.arrows) for c in enum.cycles], "count": len(enum.cycles)}
@@ -284,7 +277,7 @@ def cmd_homotopy_center(args, q, fx):
         results["contains"] = {
             "monomial": list(g),
             "verdict": res.verdict,
-            "failing_vertex": res.vertex if res.verdict != "yes" else None,
+            "failing_vertex": res.vertex,
         }
     return results, EXIT_OK
 

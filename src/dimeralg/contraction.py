@@ -35,8 +35,11 @@ class ContractionError(ValueError):
         self.kind = kind
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Contraction:
+    """Compared and hashed by identity, so it keys the search layouts
+    that ``monomial_algebra`` keeps for it."""
+
     source: DimerQuiver
     contracted: frozenset[int]
     target: DimerQuiver
@@ -56,11 +59,6 @@ class Contraction:
     @cached_property
     def _target_generators(self) -> tuple[Monomial, ...]:
         return cycle_algebra_generators(self.target, self.target_images)
-
-    @cached_property
-    def _packings(self) -> dict:
-        # realizability search layouts by field width (monomial_algebra._packing)
-        return {}
 
 
 def _contracted_components(q: DimerQuiver, arrows: frozenset[int]):

@@ -11,9 +11,10 @@ state spaces.  The search packs each state into one int (see
 deg g for one witness walk, D everywhere for the degree-D center table,
 and the componentwise max of the goals and their largest degree for
 ``first_unrealized_goal``, the every-vertex test of several goals.
-Membership in a monoid given by generators (``algebra_contains``,
-``minimal_generators``) searches packed partial sums in the same layout,
-with one vertex.
+This module keeps each contraction's layouts, per field width, until the
+contraction dies.  Membership in a monoid given by generators
+(``algebra_contains``, ``minimal_generators``) searches packed partial
+sums in the same layout, with one vertex.
 """
 
 from __future__ import annotations
@@ -22,6 +23,7 @@ from dataclasses import dataclass
 from math import prod
 from operator import le, lshift
 from typing import TYPE_CHECKING
+from weakref import WeakKeyDictionary
 
 from . import rewriting
 from .quiver import DimerQuiver, DomainError, PathWord
@@ -309,34 +311,35 @@ class Realizability:
     vertex: int | None = None
 
 
+_packings: WeakKeyDictionary[Contraction, dict[int, _Packing]] = WeakKeyDictionary()
+
+
 def _packing(c: Contraction, deg_cap: int) -> _Packing:
     """The packing of the source for a degree cap, built once per field
-    width and kept on the contraction.  An arrow image is a 0/1 vector
+    width and kept in ``_packings``.  An arrow image is a 0/1 vector
     over the n simple matchings, so one arrow adds at most 1 to an
     exponent and at most n to the degree: a width that holds the degree
     cap plus n holds every cap plus one arrow's largest increment."""
     width = (deg_cap + len(c.catalog)).bit_length()
-    packing = c._packings.get(width)
-    if packing is None:
-        packing = c._packings[width] = _Packing.of_quiver(
-            c.source, c.source_images, len(c.catalog), width)
-    return packing
+    layouts = _packings.setdefault(c, {})
+    if width not in layouts:
+        layouts[width] = _Packing.of_quiver(c.source, c.source_images, len(c.catalog), width)
+    return layouts[width]
 
 
 def _reach(
-    c: Contraction, i: int, caps: Monomial, deg_cap: int, max_states: int, targets=frozenset(),
+    packing: _Packing, i: int, caps: Monomial, deg_cap: int, max_states: int, targets=frozenset(),
 ) -> dict[int, int | None]:
-    """Breadth-first search over the states of ``_packing(c, deg_cap)``
-    from (i, 0), keeping each state whose exponents are at most ``caps``
-    and whose degree is at most ``deg_cap`` (caps nonnegative and at most
-    the degree cap).
+    """Breadth-first search over the states of ``packing``, the layout
+    ``_packing`` gives for ``deg_cap``, from (i, 0), keeping each state
+    whose exponents are at most ``caps`` and whose degree is at most
+    ``deg_cap`` (caps nonnegative and at most the degree cap).
 
     Returns the map from each reached state to the arrow id that first
     entered it (None at the start); the previous state is the state minus
     that arrow's delta.  With targets, a set of packed states, the search
     stops after the layer that has reached all of them.  Past
     ``max_states`` states it raises ResourceExhausted."""
-    packing = _packing(c, deg_cap)
     vmask, guards, steps = packing.vmask, packing.guards, packing.steps
     limit = packing.pack(vmask, caps, deg_cap) | guards
     parent: dict[int, int | None] = {i: None}
@@ -381,7 +384,7 @@ def realizable_at_vertex(c: Contraction, i: int, g: Monomial) -> Realizability:
         raise ResourceExhausted(f"state space {space} exceeds budget {max_states}")
     packing = _packing(c, degree(g))
     node = packing.pack(i, g, degree(g))
-    parent = _reach(c, i, g, degree(g), max_states, {node})
+    parent = _reach(packing, i, g, degree(g), max_states, {node})
     if node not in parent:
         return Realizability(NO, None, len(parent), i)
     word: list[int] = []
@@ -477,7 +480,7 @@ def first_unrealized_goal(c: Contraction, goals, passed=None) -> tuple[int, int]
             caps = tuple(map(max, zip(*open_goals)))
             base = [packing.pack(0, goal, degree(goal)) for goal in open_goals]
         targets = [i + b for b in base]
-        reached = _reach(c, i, caps, deg_cap, max_states, set(targets))
+        reached = _reach(packing, i, caps, deg_cap, max_states, set(targets))
         for k, target in zip(todo, targets):
             if target not in reached:
                 live, vertex = k, i
@@ -512,7 +515,7 @@ def homotopy_center_monomials(c: Contraction, degree_bound: int) -> frozenset[Mo
     caps = (degree_bound,) * len(c.catalog)
     packing = _packing(c, degree_bound)
     for i in range(c.source.num_vertices):
-        reached = _reach(c, i, caps, degree_bound, budget)
+        reached = _reach(packing, i, caps, degree_bound, budget)
         budget -= len(reached)
         # back at i with a nonzero image; the vertex bits are cleared so the
         # packed exponents intersect across vertices

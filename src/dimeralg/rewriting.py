@@ -494,18 +494,19 @@ class EqualityClasses:
 
 @dataclass(frozen=True)
 class CycleFilter:
-    """Which cycles ``enumerate_cycles`` keeps: ``"all"``, ``"vertex_simple"``
-    (no vertex revisited before closing), ``"homology"`` (homology
-    ``hom_class``, two ints, given for this variant only) or ``"lift_simple"``
-    (nonzero homology and a doubled lift that revisits no vertex).  Any
-    other filter raises ``DomainError`` when it is built."""
+    """Which cycles ``enumerate_cycles`` keeps, spelled as the CLI's
+    ``--filter`` spells them: ``"all"``, ``"vertex-simple"`` (no vertex
+    revisited before closing), ``"homology"`` (homology ``hom_class``, two
+    ints, given for this variant only) or ``"lift-simple"`` (nonzero
+    homology and a doubled lift that revisits no vertex).  Any other
+    filter raises ``DomainError`` when it is built."""
 
     variant: str = "all"
     hom_class: tuple[int, int] | None = None
 
     def __post_init__(self):
-        if self.variant not in ("all", "vertex_simple", "homology", "lift_simple"):
-            raise DomainError(f"unknown filter {self.variant}")
+        if self.variant not in ("all", "vertex-simple", "homology", "lift-simple"):
+            raise DomainError(f"unknown filter {self.variant!r}")
         hom = self.hom_class
         pair = isinstance(hom, tuple) and len(hom) == 2 and all(isinstance(x, int) for x in hom)
         if not pair == (self.variant == "homology") == (hom is not None):
@@ -544,13 +545,14 @@ def enumerate_cycles(
     dedup_mod_relations: bool = False,
     bounds: SearchBounds = DEFAULT_BOUNDS,
 ) -> CycleEnumeration:
-    """All cycles at i of length <= max_len passing the filter, in a fixed
+    """All cycles at i of length <= max_len passing the filter (its
+    variants spelled with hyphens, as in ``CycleFilter``), in a fixed
     order.  With dedup_mod_relations, also group them into equality
     classes; undecided comparisons leave cycles in separate classes and
     are counted."""
     if not 0 <= i < q.num_vertices:
         raise DomainError(f"vertex {i} out of range")
-    prune_revisits = filt.variant == "vertex_simple"
+    prune_revisits = filt.variant == "vertex-simple"
     results: list[PathWord] = []
     states = 0
     stack: list[tuple[int, tuple[int, ...], frozenset[int]]] = [(i, (), frozenset())]
@@ -575,9 +577,9 @@ def enumerate_cycles(
     def passes(c: PathWord) -> bool:
         if filt.variant == "homology":
             return path_homology(q, c) == filt.hom_class
-        if filt.variant == "lift_simple":
+        if filt.variant == "lift-simple":
             return path_homology(q, c) != (0, 0) and lift_is_simple(q, c)
-        return True  # "all", or "vertex_simple": the walk above prunes revisits
+        return True  # "all", or "vertex-simple": the walk above prunes revisits
 
     cycles = sorted((c for c in results if passes(c)), key=lambda c: (len(c.arrows), c.arrows))
     enum = CycleEnumeration(cycles)
@@ -820,8 +822,8 @@ def _search_pairs(rs: RewriteSystem, images, bounds: SearchBounds) -> Noncancell
                             report.exhausted = True
                             break
                         # a pair needs a witness, so probes go through paths_equal
-                        cap = bounds.word_cap(q, pr, qr)
-                        probe = paths_equal(rs, pr, qr, SearchBounds(cap, min(per_call, budget)))
+                        probe = paths_equal(rs, pr, qr, SearchBounds(
+                            bounds.max_word_length, min(per_call, budget)))
                         budget -= max(probe.states, 1)
                         if probe.is_equal:
                             report.pair = NoncancellativePair(

@@ -47,6 +47,11 @@ def test_malformed_json_is_exit_3(tmp_path):
     missing = tmp_path / "missing.json"
     res = run_cli(["validate", str(missing)])
     assert res.returncode == 3
+    listed = tmp_path / "list.json"
+    listed.write_text("[]")
+    res = run_cli(["validate", str(listed)])
+    assert res.returncode == 3
+    assert res.stderr == f"error: {listed}: quiver document must be an object\n"
 
 
 def test_validate_repeated_arrow_is_exit_1(tmp_path):
@@ -349,6 +354,11 @@ def test_negative_count_option_is_exit_3(args, option, capsys):
     assert main(args + [option, "0"]) != 3
 
 
+def test_non_integer_count_option_is_exit_3(capsys):
+    assert main(["--max-states", "abc", "validate", "fixture:fig_deformation"]) == 3
+    assert "argument --max-states: invalid int value: 'abc'" in capsys.readouterr().err
+
+
 NILRADICAL_CANDIDATE = ["nilradical", "fixture:fig_deformation", "--candidate"]
 
 
@@ -426,6 +436,12 @@ def test_contract_names_invalid_source(tmp_path, capsys):
     path.write_text(json.dumps(doc))
     assert main(["contract", str(path), "--arrows", "3"]) == 3
     assert "contraction failed (invalid_source)" in capsys.readouterr().err
+
+
+def test_contract_names_null_loop(capsys):
+    assert main(["contract", "fixture:fig_nested(1)", "--arrows", "0,5,7,9"]) == 3
+    assert capsys.readouterr().err == (
+        "error: contraction failed (null_loop): arrow 14 would become a null-homologous loop\n")
 
 
 def test_center_search_budget_is_exit_2(monkeypatch, capsys):
@@ -544,7 +560,7 @@ PINNED = [
      EMPTY, "4ade5f9dc9eb0efd2d71115e40aa28a2c867c8fe"),
     (["cycles", "fixture:fig_deformation", "--vertex", "0", "--max-len", "3", "--filter",
       "homology:1"], 3,
-     EMPTY, "e8fe0d3e120c6b65ad54b42dfc3639f3626966b9"),
+     EMPTY, "ab228577641207dceb94e4f600d6b55d05f5a9e1"),
     (["cycles", "fixture:fig_deformation", "--vertex", "0", "--max-len", "3", "--filter",
       "odd"], 3,
      EMPTY, "f311d17af089d01c66390876e424addfe9fc3671"),

@@ -66,6 +66,14 @@ def test_face_collapse_is_rejected(iso_r):
     assert err.value.kind == "face_collapse"
 
 
+def test_null_loop_is_rejected():
+    q = fixtures_mod.fixture("fig_nested(1)").quiver
+    with pytest.raises(ContractionError) as err:
+        contract(q, frozenset({0, 5, 7, 9}))
+    assert err.value.kind == "null_loop"
+    assert str(err.value) == "arrow 14 would become a null-homologous loop"
+
+
 def test_targets_validate(all_contractions):
     for name, c in all_contractions.items():
         assert validate_dimer(c.target).ok, name

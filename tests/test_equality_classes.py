@@ -339,6 +339,16 @@ def test_profile_off_the_torus():
             assert rs.profile(p) == rs.profile(r) or full(p) != full(r)
 
 
+def test_trivial_path_without_a_profile():
+    # bigon_inserted_c3 has no perfect matching, so no profile tells the
+    # trivial path from the 2-cycle (3, 4); only the trivial-path rule does
+    rs = RewriteSystem(fixtures_mod.bigon_inserted_c3())
+    assert not rs.has_matching
+    p, r = PathWord(0, ()), PathWord(0, (3, 4))
+    for res in (EqualityClasses(rs).compare(p, r), paths_equal(rs, p, r)):
+        assert (res.verdict, res.reason, res.states) == (NOT_EQUAL, "trivial_path", 0)
+
+
 def test_profile_of_a_long_word():
     # (0, 1, 2) is a face of c3, so it holds exactly one arrow of D0
     rs = RewriteSystem(fixtures_mod.c3_quiver())

@@ -1,7 +1,8 @@
 """The package layout: a private name is used only in the module that
-defines it, every import sits at module level, so no import cycle is
-hidden inside a function, and every name is imported from the module
-that defines it, never through a re-export."""
+defines it, a private attribute is read only through ``self``/``cls`` or
+in the module that defines it, every import sits at module level, so no
+import cycle is hidden inside a function, and every name is imported from
+the module that defines it, never through a re-export."""
 
 import ast
 from pathlib import Path
@@ -31,6 +32,29 @@ def test_no_private_name_crosses_modules(path):
         and node.value.id in modules and node.attr.startswith("_")
     )
     assert not reached, f"{path.name} uses {reached}"
+
+
+@pytest.mark.parametrize("path", MODULES, ids=[p.name for p in MODULES])
+def test_private_attributes_stay_home(path):
+    # a private attribute is defined where the module has it as a def or
+    # class, or assigns it as a name or an attribute
+    tree = ast.parse(path.read_text())
+    defined = set()
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            defined.add(node.name)
+        elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store):
+            defined.add(node.id)
+        elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Store):
+            defined.add(node.attr)
+    foreign = sorted(
+        f"{node.lineno}:{ast.unparse(node)}" for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+        and node.attr.startswith("_") and not node.attr.startswith("__")
+        and node.attr not in defined
+        and not (isinstance(node.value, ast.Name) and node.value.id in ("self", "cls"))
+    )
+    assert not foreign, f"{path.name} reads {foreign}"
 
 
 @pytest.mark.parametrize("path", MODULES, ids=[p.name for p in MODULES])

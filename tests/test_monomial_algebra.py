@@ -1,5 +1,8 @@
+import dataclasses
+import gc
 import itertools
 import random
+import weakref
 from operator import sub
 
 import pytest
@@ -9,7 +12,12 @@ from hypothesis import strategies as st
 from dimeralg import fixtures as fixtures_mod
 from dimeralg import monomial_algebra, rewriting
 from dimeralg.acceptance import quadratic_pattern_indices
-from dimeralg.contraction import identity_contraction, sigma, source_cycle_algebra_generators
+from dimeralg.contraction import (
+    contract,
+    identity_contraction,
+    sigma,
+    source_cycle_algebra_generators,
+)
 from dimeralg.monomial_algebra import (
     MonomialAlgebra,
     algebra_contains,
@@ -358,6 +366,26 @@ def test_monomials_of_another_length_are_refused():
         ideal_monomials([(1, 0)], [(0, 1, 0)], 2)
     # with no generators there is nothing to disagree with
     assert algebra_contains(MonomialAlgebra(()), (0, 0, 0)) == "yes"
+
+
+def test_vertex_out_of_range_is_a_domain_error(deformation_contraction):
+    with pytest.raises(DomainError, match="vertex 99 out of range"):
+        realizable_at_vertex(deformation_contraction, 99, (1, 0, 0))
+
+
+def test_layouts_are_kept_per_contraction(deformation):
+    c = contract(deformation.quiver, deformation.contraction_arrows)
+    homotopy_center_monomials(c, 4)
+    layouts = monomial_algebra._packings[c]
+    assert layouts
+    # a copy is another contraction and starts with no layouts
+    assert dataclasses.replace(c) not in monomial_algebra._packings
+    # the map does not keep a contraction alive, and its entry goes with it
+    gone = weakref.ref(c)
+    del c
+    gc.collect()
+    assert gone() is None
+    assert all(v is not layouts for v in monomial_algebra._packings.values())
 
 
 def test_negative_exponent_is_a_domain_error(deformation_contraction):

@@ -10,6 +10,7 @@ from dimeralg.quiver import (
     PathWord,
     StructuralError,
     bigon_reduce,
+    check_path,
     concat,
     make_quiver,
     path_homology,
@@ -196,6 +197,16 @@ def test_non_composable_word_rejected(deformation):
     q = deformation.quiver
     with pytest.raises(DomainError):
         path_homology(q, PathWord(0, (0, 0)))  # arrow 0 runs 0 -> 2
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda q: check_path(q, PathWord(9, ())), "path base 9 out of range"),
+    (lambda q: concat(q, PathWord(0, (0,)), PathWord(0, (6,))), "paths not composable"),
+    (lambda q: unit_cycle(q, 0, 99), "unknown face id 99"),
+], ids=["path-base", "concat", "face-id"])
+def test_outside_words_are_refused(deformation, call, message):
+    with pytest.raises(DomainError, match=message):
+        call(deformation.quiver)
 
 
 def test_json_roundtrip(all_fixtures):

@@ -182,7 +182,7 @@ def test_enumerate_below_girth_is_empty(deformation):
 def test_enumerate_filters(iso_r):
     q = iso_r.quiver
     enum_all = enumerate_cycles(q, 2, 6)
-    enum_simple = enumerate_cycles(q, 2, 6, CycleFilter("vertex_simple"))
+    enum_simple = enumerate_cycles(q, 2, 6, CycleFilter("vertex-simple"))
     assert set(c.arrows for c in enum_simple.cycles) <= set(c.arrows for c in enum_all.cycles)
     for c in enum_simple.cycles:
         interior = [q.arrow(a).head for a in c.arrows[:-1]]
@@ -193,11 +193,11 @@ def test_enumerate_filters(iso_r):
         assert path_homology(q, c) == (0, 0)
     # a variant is a plain string, so a misspelt one is refused
     with pytest.raises(DomainError, match="unknown filter"):
-        enumerate_cycles(q, 2, 6, CycleFilter("vertex-simple"))
+        enumerate_cycles(q, 2, 6, CycleFilter("vertex_simple"))
 
 
 @pytest.mark.parametrize("variant, hom_class, message", [
-    ("bogus", None, "unknown filter bogus"),
+    ("bogus", None, "unknown filter 'bogus'"),
     ("homology", None, "filter homology with homology class None"),
     ("homology", [1, 0], "filter homology with homology class"),
     ("homology", (1,), "filter homology with homology class"),
@@ -213,7 +213,7 @@ def test_lift_simple_filter_rechecks(all_fixtures):
     for fx in all_fixtures.values():
         q = fx.quiver
         for v in range(q.num_vertices):
-            enum = enumerate_cycles(q, v, 4, CycleFilter("lift_simple"))
+            enum = enumerate_cycles(q, v, 4, CycleFilter("lift-simple"))
             for c in enum.cycles:
                 assert path_homology(q, c) != (0, 0)
                 assert lift_is_simple(q, c)
@@ -287,7 +287,7 @@ def test_vertex_simple_cycles_match_rotation_classes(all_fixtures):
         q = fx.quiver
         canon = set()
         for i in range(q.num_vertices):
-            for c in enumerate_cycles(q, i, q.num_vertices, CycleFilter("vertex_simple")).cycles:
+            for c in enumerate_cycles(q, i, q.num_vertices, CycleFilter("vertex-simple")).cycles:
                 canon.add(min(c.arrows[k:] + c.arrows[:k] for k in range(len(c.arrows))))
         want = [PathWord(q.arrow(w[0]).tail, w) for w in sorted(canon, key=lambda w: (len(w), w))]
         assert vertex_simple_cycles(q) == want, name
