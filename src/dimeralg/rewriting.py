@@ -9,8 +9,14 @@ search: the rewrite closure of a class representative grows against the
 closure of the word asked about, the smaller frontier first, until they
 meet or one side is complete.  A complete closure that never hit the
 word cap is the whole class, so inequality is then certain; only a
-genuinely cut-off search answers Unknown.  ``paths_equal`` is one query
-on fresh classes, its witness read back along the word's parent chain.
+genuinely cut-off search answers Unknown.  ``paths_equal`` queries fresh
+classes, its witness read back along the word's parent chain.  It first
+searches the differing core of the two words, without their common
+prefix and suffix: the relations generate a two-sided ideal, so equal
+cores make equal words, and a short search often settles Equal where
+the closures of the whole words would grow with every arrow of the
+shared ends.  Unequal cores decide nothing, since a non-cancellative
+quiver has p.r = q.r with p != q, so the whole words are searched then.
 
 The matching profile is a word's arrow count in D0, the first perfect
 matching the exact cover of ``matchings`` finds.  Sound on any quiver:
@@ -40,7 +46,7 @@ back to the quiver asked about, with a witness that replays there.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from .matchings import perfect_matching_masks
 from .quiver import (
@@ -255,18 +261,58 @@ def _mismatch(a: tuple, b: tuple) -> str | None:
 def paths_equal(
     rs: RewriteSystem, p: PathWord, q_: PathWord, bounds: SearchBounds = DEFAULT_BOUNDS
 ) -> EqResult:
-    """Three-valued equality of paths modulo the face relations: one query
-    on a fresh ``EqualityClasses``.
+    """Three-valued equality of paths modulo the face relations.
 
     Equal comes with a replayable rewrite witness from p to q.  NotEqual
     is only reported when certain: invariant mismatch, or a closure that
     saturated without meeting the other side.  Unknown means the bounded
     search was cut off before deciding.
+
+    Past the invariants, the differing cores are searched first: the
+    words without their longest common prefix x and suffix y, under the
+    word cap less |x| + |y|, with the whole state budget.  The relations
+    generate a two-sided ideal, so core u = core v gives x.u.y = x.v.y,
+    and the core witness, shifted past x, replays on the whole words
+    inside the cap.  The converse fails, and on a non-cancellative quiver
+    that is the point (p.r = q.r with p != q), so a core that is not
+    equal decides nothing: the whole words are then searched with what
+    the core search left of the budget, and the states of both are
+    reported.  A core search that spent the budget answers Unknown.
     """
     check_path(rs.quiver, p)
     check_path(rs.quiver, q_)
+    reason = _mismatch(_invariants(rs, p), _invariants(rs, q_))
+    if reason is not None:
+        return EqResult(NOT_EQUAL, reason=reason)
+    a, b = p.arrows, q_.arrows
+    n = min(len(a), len(b))
+    lo = hi = 0
+    while lo < n and a[lo] == b[lo]:
+        lo += 1
+    while lo + hi < n and a[-1 - hi] == b[-1 - hi]:
+        hi += 1
+    room = bounds.word_cap(rs.quiver, p, q_) - lo - hi
+    spent = 0
+    if 0 < lo + hi < n and room > 0:
+        base = path_head(rs.quiver, PathWord(p.base, a[:lo]))
+        core = _query_words(rs, PathWord(base, a[lo:len(a) - hi]),
+                            PathWord(base, b[lo:len(b) - hi]), SearchBounds(room, bounds.max_states))
+        if core.is_equal:
+            core.steps = tuple(replace(s, pos=s.pos + lo) for s in core.steps)
+            return core
+        if core.reason == "state_budget":
+            return core
+        spent = core.states
+    res = _query_words(rs, p, q_, SearchBounds(bounds.max_word_length, bounds.max_states - spent))
+    res.states += spent
+    return res
+
+
+def _query_words(rs: RewriteSystem, p: PathWord, q_: PathWord, bounds: SearchBounds) -> EqResult:
+    """One query on a fresh ``EqualityClasses`` for words known to share
+    their invariants, with the witness read back on Equal."""
     classes = EqualityClasses(rs, bounds)
-    res = classes.compare(p, q_)
+    res = classes._query(p, q_, _encode(q_.arrows))
     if res.is_equal:
         res.steps = classes.witness(p, q_)
     return res
@@ -821,8 +867,10 @@ def _search_pairs(rs: RewriteSystem, images, bounds: SearchBounds) -> Noncancell
                         if budget <= 0:
                             report.exhausted = True
                             break
-                        # a pair needs a witness, so probes go through paths_equal
-                        probe = paths_equal(rs, pr, qr, SearchBounds(
+                        # a pair needs a witness.  p.r and q.r share their
+                        # invariants, and their core is (rep, c), just
+                        # refuted, so no core search: the whole words only
+                        probe = _query_words(rs, pr, qr, SearchBounds(
                             bounds.max_word_length, min(per_call, budget)))
                         budget -= max(probe.states, 1)
                         if probe.is_equal:

@@ -637,3 +637,115 @@ def test_cap_guard_keeps_a_shortened_word_decided(all_fixtures, monkeypatch, cap
     assert results["verdict"] == EQUAL and replay_witness(rs, p, steps)[-1] == r
     without_skipping(monkeypatch)
     assert paths_equal(rs, p, r, SearchBounds(cap)) == res
+
+
+# a swapped pair on the c3 cover: 2 arrows in front and 9 behind are shared
+C3_CORE = (11, (11, 15, 19, 16, 17, 2, 38, 17, 18, 35, 14, 18, 35, 30, 31, 28, 29, 46, 41, 4),
+           (11, 15, 35, 14, 18, 19, 16, 17, 2, 38, 17, 18, 35, 30, 31, 28, 29, 46, 41, 4))
+
+
+def c3_core_pair():
+    q = load_torus_cover()(fixtures_mod.c3_quiver(), 4, 4)
+    base, p, r = C3_CORE
+    return RewriteSystem(q), PathWord(base, p), PathWord(base, r)
+
+
+def assert_replays_inside_cap(rs, p, r, res, bounds):
+    trail = replay_witness(rs, p, res.steps)
+    assert trail[-1] == r
+    assert max(len(w.arrows) for w in trail) <= bounds.word_cap(rs.quiver, p, r)
+
+
+def test_core_search_settles_a_pair_the_whole_words_do_not():
+    # the cores 19,16,17,2,38,17,18,35,14 and 35,14,18,19,16,17,2,38,17
+    # are equal, so the whole words are: the core witness, shifted past
+    # the shared prefix, replays on them
+    rs, p, r = c3_core_pair()
+    bounds = SearchBounds(0, 5000)
+    res = paths_equal(rs, p, r, bounds)
+    assert (res.verdict, res.states) == (EQUAL, 303)
+    assert min(step.pos for step in res.steps) >= 2
+    assert_replays_inside_cap(rs, p, r, res, bounds)
+    assert EqualityClasses(rs, bounds).compare(p, r) == EqResult(UNKNOWN, "state_budget", states=5001)
+
+
+def test_core_search_spends_the_state_budget():
+    rs, p, r = c3_core_pair()
+    for k in (0, 10, 100, 302):
+        res = paths_equal(rs, p, r, SearchBounds(0, k))
+        assert (res.verdict, res.reason, res.states) == (UNKNOWN, "state_budget", k + 1), k
+    assert paths_equal(rs, p, r, SearchBounds(0, 303)).verdict == EQUAL
+
+
+def test_unequal_core_falls_back_to_the_whole_words(deformation):
+    # fig_deformation is not cancellative: its cores 4,6,6,1 and 5,6,6,0
+    # differ, and walked before 2,4 they are equal
+    rs = RewriteSystem(deformation.quiver)
+    p, r = PathWord(1, (4, 6, 6, 1, 2, 4)), PathWord(1, (5, 6, 6, 0, 2, 4))
+    core = paths_equal(rs, PathWord(1, p.arrows[:4]), PathWord(1, r.arrows[:4]))
+    assert (core.verdict, core.reason) == (NOT_EQUAL, "saturated")
+    res = paths_equal(rs, p, r)
+    assert res.verdict == EQUAL
+    assert_replays_inside_cap(rs, p, r, res, DEFAULT_BOUNDS)
+
+
+def shared_end_pairs(q, rs, rng, count):
+    """Pairs x.u.y and x.v.y, x and y of up to 2 arrows: v is u after
+    random rewrites, or u and v are cycles at one vertex with the same
+    invariants, equal or not."""
+    pairs = []
+    while len(pairs) < count:
+        if rng.random() < 0.5:
+            u = v = random_word(rng, q, rng.randint(2, 7))
+            for _ in range(rng.randint(1, 5)):
+                succs = naive_successors(rs, v, len(v) + 2)[0]
+                v = rng.choice(succs)[0] if succs else v
+        else:
+            at = rng.randrange(q.num_vertices)
+            buckets = {}
+            for c in itertools.islice(rewriting._cycles_at(q, at, rng.randint(2, 6)), 60):
+                buckets.setdefault(rewriting._invariants(rs, PathWord(at, c)), []).append(c)
+            cycles = max(buckets.values(), key=len, default=[])
+            if len(cycles) < 2:
+                continue
+            u, v = rng.sample(cycles, 2)
+        if u == v:
+            continue
+        x = random_walk_at(rng, q, q.arrow(u[0]).tail, rng.randint(0, 2), into=True)
+        y = random_walk_at(rng, q, q.arrow(u[-1]).head, rng.randint(0, 2))
+        base = q.arrow(x[0]).tail if x else q.arrow(u[0]).tail
+        pairs.append((PathWord(base, x + u + y), PathWord(base, x + v + y)))
+    return pairs
+
+
+def random_walk_at(rng, q, at, n, into=False):
+    """A random walk of n arrows out of vertex ``at``, or into it."""
+    word = []
+    for _ in range(n):
+        a = rng.choice(q.in_arrows(at) if into else q.out_arrows(at))
+        word.append(a.id)
+        at = a.tail if into else a.head
+    return tuple(reversed(word)) if into else tuple(word)
+
+
+@pytest.mark.parametrize("name", LEMMA_QUIVERS)
+def test_core_search_agrees_with_the_whole_word_search(name):
+    # paths_equal never contradicts a decided whole-word compare, its
+    # NotEqual is compare's, and its Equal witness replays inside the cap
+    rng = random.Random(f"cores {name}")
+    settled = 0
+    for q in lemma_quivers(name):
+        rs = RewriteSystem(q)
+        for p, r in shared_end_pairs(q, rs, rng, 12):
+            length = max(len(p.arrows), len(r.arrows))
+            for cap in (0, length, length + 1, length + 2):
+                bounds = SearchBounds(cap, 300)
+                res = paths_equal(rs, p, r, bounds)
+                ref = EqualityClasses(rs, bounds).compare(p, r)
+                if res.is_not_equal:
+                    assert (ref.verdict, ref.reason) == (res.verdict, res.reason), (p, r, cap)
+                if res.is_equal:
+                    assert not ref.is_not_equal, (p, r, cap)
+                    assert_replays_inside_cap(rs, p, r, res, bounds)
+                    settled += ref.verdict == UNKNOWN or res.states < ref.states
+    assert settled > 0
