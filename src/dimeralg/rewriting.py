@@ -11,11 +11,13 @@ meet or one side is complete.  A complete closure that never hit the
 word cap is the whole class, so inequality is then certain; only a
 genuinely cut-off search answers Unknown.  ``paths_equal`` queries fresh
 classes, its witness read back along the word's parent chain.  It first
-searches the differing core of the two words, without their common
-prefix and suffix: the relations generate a two-sided ideal, so equal
-cores make equal words, and a short search often settles Equal where
-the closures of the whole words would grow with every arrow of the
-shared ends.  Unequal cores decide nothing, since a non-cancellative
+searches the differing blocks of the two words: without their common
+prefix and suffix, and with the core between cut wherever both words
+have walked to the same vertex with the same homology and profile.  The
+relations generate a two-sided ideal, so equal blocks make equal words,
+and a few short searches often settle Equal where the closures of the
+whole words would grow with every arrow outside the block being
+rewritten.  Unequal blocks decide nothing, since a non-cancellative
 quiver has p.r = q.r with p != q, so the whole words are searched then.
 
 The matching profile is a word's arrow count in D0, the first perfect
@@ -268,22 +270,60 @@ def paths_equal(
     saturated without meeting the other side.  Unknown means the bounded
     search was cut off before deciding.
 
-    Past the invariants, the differing cores are searched first: the
-    words without their longest common prefix x and suffix y, under the
-    word cap less |x| + |y|, with the whole state budget.  The relations
-    generate a two-sided ideal, so core u = core v gives x.u.y = x.v.y,
-    and the core witness, shifted past x, replays on the whole words
+    Past the invariants, the words are cut into blocks (``_blocks``):
+    their longest common prefix and suffix, and the differing core cut
+    wherever both sides have walked to the same vertex with the same
+    homology and profile.  The relations generate a two-sided ideal, so
+    blocks pairwise equal make the words equal.  Each differing block is
+    searched in turn, under the word cap less the rest of the word, with
+    what the earlier blocks left of the state budget; the block witnesses,
+    each shifted past the blocks before it, replay on the whole words
     inside the cap.  The converse fails, and on a non-cancellative quiver
-    that is the point (p.r = q.r with p != q), so a core that is not
-    equal decides nothing: the whole words are then searched with what
-    the core search left of the budget, and the states of both are
-    reported.  A core search that spent the budget answers Unknown.
+    that is the point (p.r = q.r with p != q), so a block that is not
+    equal decides nothing: the whole words are then searched with what is
+    left of the budget, and the states of all searches are reported.  A
+    block search that spent the budget answers Unknown.
     """
     check_path(rs.quiver, p)
     check_path(rs.quiver, q_)
     reason = _mismatch(_invariants(rs, p), _invariants(rs, q_))
     if reason is not None:
         return EqResult(NOT_EQUAL, reason=reason)
+    spent = 0
+    blocks = _blocks(rs, p, q_, bounds.word_cap(rs.quiver, p, q_))
+    if blocks:
+        steps = []
+        for pos, u, v, room in blocks:
+            res = _query_words(rs, u, v, SearchBounds(room, bounds.max_states - spent))
+            spent += res.states
+            if res.reason == "state_budget":
+                res.states = spent
+                return res
+            if not res.is_equal:
+                break
+            steps += [replace(s, pos=s.pos + pos) for s in res.steps]
+        else:
+            return EqResult(EQUAL, steps=tuple(steps), states=spent)
+    res = _query_words(rs, p, q_, SearchBounds(bounds.max_word_length, bounds.max_states - spent))
+    res.states += spent
+    return res
+
+
+def _blocks(rs: RewriteSystem, p: PathWord, q_: PathWord, cap: int):
+    """The differing blocks of two words with the same invariants, as
+    (position, block of p, block of q, word cap of its search), or None
+    when the words are one block.
+
+    The words are cut after their longest common prefix, before their
+    longest common suffix, and between: at the increasing pairs of core
+    positions, taken least first, where both have walked from the core's
+    start to the same vertex with the same homology and profile, so each
+    block pair shares these invariants.  Blocks are rewritten left to
+    right: block k sits at the length of q's blocks before it, and its
+    search may use the cap less everything outside it, q's blocks before
+    and p's after.  So every intermediate word fits the cap, provided the
+    words between two blocks' searches do; if one does not, or a block
+    has no room, None."""
     a, b = p.arrows, q_.arrows
     n = min(len(a), len(b))
     lo = hi = 0
@@ -291,21 +331,38 @@ def paths_equal(
         lo += 1
     while lo + hi < n and a[-1 - hi] == b[-1 - hi]:
         hi += 1
-    room = bounds.word_cap(rs.quiver, p, q_) - lo - hi
-    spent = 0
-    if 0 < lo + hi < n and room > 0:
-        base = path_head(rs.quiver, PathWord(p.base, a[:lo]))
-        core = _query_words(rs, PathWord(base, a[lo:len(a) - hi]),
-                            PathWord(base, b[lo:len(b) - hi]), SearchBounds(room, bounds.max_states))
-        if core.is_equal:
-            core.steps = tuple(replace(s, pos=s.pos + lo) for s in core.steps)
-            return core
-        if core.reason == "state_budget":
-            return core
-        spent = core.states
-    res = _query_words(rs, p, q_, SearchBounds(bounds.max_word_length, bounds.max_states - spent))
-    res.states += spent
-    return res
+    if lo + hi == n:
+        return None  # one word is a prefix or suffix of the other
+    quiver, hx, hy, in_d0 = rs.quiver, rs._hx, rs._hy, rs._in_d0
+    base = path_head(quiver, PathWord(p.base, a[:lo]))
+
+    def walked(word):
+        """The invariants of each proper prefix of the word's core."""
+        at, x, y, d = base, 0, 0, 0
+        for aid in word[lo:len(word) - hi - 1]:
+            at, x, y, d = quiver.arrows[aid].head, x + hx[aid], y + hy[aid], d + in_d0[aid]
+            yield at, x, y, d
+
+    first: dict[tuple, list[int]] = {}
+    for i, key in enumerate(walked(a), 1):
+        first.setdefault(key, []).append(i)
+    cuts = [(0, 0)]
+    for i, j in sorted((i, j) for j, key in enumerate(walked(b), 1) for i in first.get(key, ())):
+        if i > cuts[-1][0] and j > cuts[-1][1]:
+            cuts.append((i, j))
+    if lo + hi == 0 and len(cuts) == 1:
+        return None
+    cuts.append((len(a) - hi - lo, len(b) - hi - lo))
+    blocks, at = [], base
+    for k, ((i0, j0), (i1, j1)) in enumerate(zip(cuts, cuts[1:])):
+        u, v = a[lo + i0:lo + i1], b[lo + j0:lo + j1]
+        start, at = at, path_head(quiver, PathWord(at, u))
+        room = cap - (lo + j0) - (len(a) - lo - i1)
+        if room <= 0 or (k and len(u) > room) or (k < len(cuts) - 2 and len(v) > room):
+            return None
+        if u != v:
+            blocks.append((lo + j0, PathWord(start, u), PathWord(start, v), room))
+    return blocks
 
 
 def _query_words(rs: RewriteSystem, p: PathWord, q_: PathWord, bounds: SearchBounds) -> EqResult:
@@ -869,7 +926,8 @@ def _search_pairs(rs: RewriteSystem, images, bounds: SearchBounds) -> Noncancell
                             break
                         # a pair needs a witness.  p.r and q.r share their
                         # invariants, and their core is (rep, c), just
-                        # refuted, so no core search: the whole words only
+                        # refuted, so its blocks cannot all be equal and
+                        # no block search: the whole words only
                         probe = _query_words(rs, pr, qr, SearchBounds(
                             bounds.max_word_length, min(per_call, budget)))
                         budget -= max(probe.states, 1)

@@ -639,7 +639,8 @@ def test_cap_guard_keeps_a_shortened_word_decided(all_fixtures, monkeypatch, cap
     assert paths_equal(rs, p, r, SearchBounds(cap)) == res
 
 
-# a swapped pair on the c3 cover: 2 arrows in front and 9 behind are shared
+# a swapped pair on the c3 cover: 2 arrows in front and 9 behind are
+# shared, and the cores meet at a vertex after 5 and after 6 arrows each
 C3_CORE = (11, (11, 15, 19, 16, 17, 2, 38, 17, 18, 35, 14, 18, 35, 30, 31, 28, 29, 46, 41, 4),
            (11, 15, 35, 14, 18, 19, 16, 17, 2, 38, 17, 18, 35, 30, 31, 28, 29, 46, 41, 4))
 
@@ -656,25 +657,34 @@ def assert_replays_inside_cap(rs, p, r, res, bounds):
     assert max(len(w.arrows) for w in trail) <= bounds.word_cap(rs.quiver, p, r)
 
 
-def test_core_search_settles_a_pair_the_whole_words_do_not():
-    # the cores 19,16,17,2,38,17,18,35,14 and 35,14,18,19,16,17,2,38,17
-    # are equal, so the whole words are: the core witness, shifted past
-    # the shared prefix, replays on them
+def test_block_search_settles_a_pair_the_whole_words_do_not():
+    # the cores are cut where both have walked to the same vertex with the
+    # same homology and profile: 19,16,17,2,38 | 17 | 18,35,14 against
+    # 35,14,18,19,16 | 17 | 2,38,17.  The differing blocks are equal, so
+    # the whole words are: the block witnesses, each shifted past the
+    # blocks before it, replay on them inside the cap
     rs, p, r = c3_core_pair()
     bounds = SearchBounds(0, 5000)
+    blocks = rewriting._blocks(rs, p, r, bounds.word_cap(rs.quiver, p, r))
+    assert [(at, u.arrows, v.arrows, room) for at, u, v, room in blocks] == [
+        (2, (19, 16, 17, 2, 38), (35, 14, 18, 19, 16), 11),
+        (8, (18, 35, 14), (2, 38, 17), 9),
+    ]
     res = paths_equal(rs, p, r, bounds)
-    assert (res.verdict, res.states) == (EQUAL, 303)
+    assert (res.verdict, res.states) == (EQUAL, 24)
     assert min(step.pos for step in res.steps) >= 2
     assert_replays_inside_cap(rs, p, r, res, bounds)
     assert EqualityClasses(rs, bounds).compare(p, r) == EqResult(UNKNOWN, "state_budget", states=5001)
 
 
-def test_core_search_spends_the_state_budget():
+def test_block_search_spends_the_state_budget():
+    # the first block takes 19 states, the second 5: a budget of 19
+    # settles the first and leaves none for the second
     rs, p, r = c3_core_pair()
-    for k in (0, 10, 100, 302):
+    for k in (0, 10, 18, 19, 23):
         res = paths_equal(rs, p, r, SearchBounds(0, k))
         assert (res.verdict, res.reason, res.states) == (UNKNOWN, "state_budget", k + 1), k
-    assert paths_equal(rs, p, r, SearchBounds(0, 303)).verdict == EQUAL
+    assert paths_equal(rs, p, r, SearchBounds(0, 24)).verdict == EQUAL
 
 
 def test_unequal_core_falls_back_to_the_whole_words(deformation):
@@ -689,18 +699,63 @@ def test_unequal_core_falls_back_to_the_whole_words(deformation):
     assert_replays_inside_cap(rs, p, r, res, DEFAULT_BOUNDS)
 
 
+def test_unequal_block_falls_back_past_an_equal_one(deformation):
+    # the same pair behind 0,2 and 6,0,3, which are equal: the first block
+    # is settled, the second is the unequal core, so the whole words are
+    # searched, and the first block's witness is not part of the answer
+    rs = RewriteSystem(deformation.quiver)
+    p, r = PathWord(0, (0, 2, 4, 6, 6, 1, 2, 4)), PathWord(0, (6, 0, 3, 5, 6, 6, 0, 2, 4))
+    blocks = rewriting._blocks(rs, p, r, DEFAULT_BOUNDS.word_cap(rs.quiver, p, r))
+    assert [(at, u.arrows, v.arrows) for at, u, v, _ in blocks] == [
+        (0, (0, 2), (6, 0, 3)), (3, (4, 6, 6, 1), (5, 6, 6, 0))]
+    first = paths_equal(rs, blocks[0][1], blocks[0][2])
+    assert first.verdict == EQUAL
+    res = paths_equal(rs, p, r)
+    assert res.verdict == EQUAL and res.states > first.states
+    assert_replays_inside_cap(rs, p, r, res, DEFAULT_BOUNDS)
+
+
+@pytest.mark.parametrize("name, p, r", [
+    # 0,2 | 4 | 6,0,3 against 6,0,3 | 4 | 0,2: 6,0,3,4,6,0,3 in between
+    ("fig_deformation", (0, 2, 4, 6, 0, 3), (6, 0, 3, 4, 0, 2)),
+    # 0,6 | 9,12,1 against 4,7,13 | 8,5: 4,7,13,9,12,1 in between
+    ("fig_hsb_ii", (0, 6, 9, 12, 1), (4, 7, 13, 8, 5)),
+], ids=["fig_deformation", "fig_hsb_ii"])
+def test_words_between_blocks_stay_inside_the_cap(name, p, r):
+    # one rewrite makes each block of the other, but the word between the
+    # two block searches is an arrow longer than both words, so under a cap
+    # of their length the words are one block
+    rs = RewriteSystem(fixtures_mod.fixture(name).quiver)
+    p, r = PathWord(0, p), PathWord(0, r)
+    cap = max(len(p.arrows), len(r.arrows))
+    assert len(rewriting._blocks(rs, p, r, cap + 1)) == 2
+    assert rewriting._blocks(rs, p, r, cap) is None
+    for bounds in (SearchBounds(cap), SearchBounds(cap + 1)):
+        res = paths_equal(rs, p, r, bounds)
+        assert res.verdict == EQUAL
+        assert_replays_inside_cap(rs, p, r, res, bounds)
+
+
 def shared_end_pairs(q, rs, rng, count):
-    """Pairs x.u.y and x.v.y, x and y of up to 2 arrows: v is u after
-    random rewrites, or u and v are cycles at one vertex with the same
-    invariants, equal or not."""
+    """Pairs x.u.y and x.v.y, x and y of up to 2 arrows, of three kinds in
+    turn: v is u after random rewrites; u and v are cycles at one vertex
+    with the same invariants, equal or not; or u and v are two pairs of the
+    first kind end to end, both changed, so that the cores can be cut
+    between the two."""
+    def rewritten(u):
+        v = u
+        for _ in range(rng.randint(1, 5)):
+            succs = naive_successors(rs, v, len(v) + 2)[0]
+            v = rng.choice(succs)[0] if succs else v
+        return v
+
     pairs = []
     while len(pairs) < count:
-        if rng.random() < 0.5:
-            u = v = random_word(rng, q, rng.randint(2, 7))
-            for _ in range(rng.randint(1, 5)):
-                succs = naive_successors(rs, v, len(v) + 2)[0]
-                v = rng.choice(succs)[0] if succs else v
-        else:
+        kind = len(pairs) % 3
+        if kind == 0:
+            u = random_word(rng, q, rng.randint(2, 7))
+            v = rewritten(u)
+        elif kind == 1:
             at = rng.randrange(q.num_vertices)
             buckets = {}
             for c in itertools.islice(rewriting._cycles_at(q, at, rng.randint(2, 6)), 60):
@@ -709,6 +764,13 @@ def shared_end_pairs(q, rs, rng, count):
             if len(cycles) < 2:
                 continue
             u, v = rng.sample(cycles, 2)
+        else:
+            u = random_word(rng, q, rng.randint(2, 5))
+            w = random_walk_at(rng, q, q.arrow(u[-1]).head, rng.randint(2, 5))
+            v, z = rewritten(u), rewritten(w)
+            if v == u or z == w:
+                continue
+            u, v = u + w, v + z
         if u == v:
             continue
         x = random_walk_at(rng, q, q.arrow(u[0]).tail, rng.randint(0, 2), into=True)
@@ -729,17 +791,18 @@ def random_walk_at(rng, q, at, n, into=False):
 
 
 @pytest.mark.parametrize("name", LEMMA_QUIVERS)
-def test_core_search_agrees_with_the_whole_word_search(name):
+def test_block_search_agrees_with_the_whole_word_search(name):
     # paths_equal never contradicts a decided whole-word compare, its
     # NotEqual is compare's, and its Equal witness replays inside the cap
     rng = random.Random(f"cores {name}")
-    settled = 0
+    settled = cut = 0
     for q in lemma_quivers(name):
         rs = RewriteSystem(q)
         for p, r in shared_end_pairs(q, rs, rng, 12):
             length = max(len(p.arrows), len(r.arrows))
             for cap in (0, length, length + 1, length + 2):
                 bounds = SearchBounds(cap, 300)
+                cut += len(rewriting._blocks(rs, p, r, bounds.word_cap(q, p, r)) or ()) > 1
                 res = paths_equal(rs, p, r, bounds)
                 ref = EqualityClasses(rs, bounds).compare(p, r)
                 if res.is_not_equal:
@@ -748,4 +811,4 @@ def test_core_search_agrees_with_the_whole_word_search(name):
                     assert not ref.is_not_equal, (p, r, cap)
                     assert_replays_inside_cap(rs, p, r, res, bounds)
                     settled += ref.verdict == UNKNOWN or res.states < ref.states
-    assert settled > 0
+    assert settled > 0 and cut > 0
