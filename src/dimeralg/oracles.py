@@ -2,7 +2,8 @@
 
 These are deliberately naive: matchings by filtering all arrow subsets,
 semigroup membership by exhausting sums, realizability by enumerating
-balanced integer flows.  Size guards keep them on desk-scale inputs.
+balanced integer flows, path equality by closing a set of words under
+single rewrites.  Size guards keep them on desk-scale inputs.
 """
 
 from __future__ import annotations
@@ -12,6 +13,7 @@ from itertools import combinations, product
 from .contraction import Contraction
 from .monomial_algebra import Monomial, degree, mon_add, mon_leq
 from .quiver import DimerQuiver, DomainError
+from .rewriting import face_rules
 
 
 class OracleSizeExceeded(RuntimeError):
@@ -36,6 +38,28 @@ def oracle_matchings(q: DimerQuiver, max_arrows: int = 20):
             if all(sum(1 for aid in f.boundary if aid in chosen) == 1 for f in q.faces):
                 out.append(frozenset(chosen))
     return sorted(set(out), key=lambda d: tuple(sorted(d)))
+
+
+def oracle_class(q: DimerQuiver, word: tuple[int, ...], cap: int, max_words: int = 20000):
+    """The words reached from ``word`` (arrow ids) by single rewrites, every
+    rule of ``face_rules`` both ways at every position, through words of at
+    most ``cap`` arrows; and whether a rewrite passed the cap.  Without one
+    the set is the word's whole class."""
+    rules = [sides for pair in face_rules(q).values() for sides in (pair, pair[::-1])]
+    seen, todo, truncated = {tuple(word)}, [tuple(word)], False
+    while todo:
+        w = todo.pop()
+        for old, new in rules:
+            for pos in range(len(w) - len(old) + 1):
+                if w[pos:pos + len(old)] == old:
+                    nxt = w[:pos] + new + w[pos + len(old):]
+                    truncated = truncated or len(nxt) > cap
+                    if len(nxt) <= cap and nxt not in seen:
+                        if len(seen) >= max_words:
+                            raise OracleSizeExceeded(f"class past the guard of {max_words} words")
+                        seen.add(nxt)
+                        todo.append(nxt)
+    return seen, truncated
 
 
 def oracle_membership(gens, g: Monomial, max_degree: int = 12) -> bool:

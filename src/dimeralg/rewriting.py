@@ -5,20 +5,16 @@ and dropping it leaves two complementary arcs between the same endpoints,
 and the relations identify exactly those arcs.  Rewrites preserve
 endpoints, homology, and the matching profile, so many inequalities are
 certain without a search.  Otherwise ``EqualityClasses`` is the one
-search: the rewrite closure of a class representative grows against the
-closure of the word asked about, the smaller frontier first, until they
-meet or one side is complete.  A complete closure that never hit the
-word cap is the whole class, so inequality is then certain; only a
-genuinely cut-off search answers Unknown.  ``paths_equal`` queries fresh
-classes, its witness read back along the word's parent chain.  It first
-searches the differing blocks of the two words: without their common
-prefix and suffix, and with the core between cut wherever both words
-have walked to the same vertex with the same homology and profile.  The
-relations generate a two-sided ideal, so equal blocks make equal words,
-and a few short searches often settle Equal where the closures of the
-whole words would grow with every arrow outside the block being
-rewritten.  Unequal blocks decide nothing, since a non-cancellative
-quiver has p.r = q.r with p != q, so the whole words are searched then.
+search: the rewrite closure of a class representative, one per
+representative under the highest word cap asked of it, grows against
+the closure of the word asked about until they meet or one side is
+complete.  A complete side that never hit its cap is the whole class,
+so inequality is then certain; only a genuinely cut-off search answers
+Unknown.  ``paths_equal`` queries fresh classes, first on the differing
+blocks of the two words (the relations generate a two-sided ideal, so
+equal blocks make equal words), then, unless all are equal, on the
+whole words: a few short searches often settle Equal where the closures
+of the whole words would grow with every arrow outside the blocks.
 
 The matching profile is a word's arrow count in D0, the first perfect
 matching the exact cover of ``matchings`` finds.  Sound on any quiver:
@@ -154,10 +150,8 @@ class RewriteSystem:
     an arc's text to [(arrow, replacement text)], in the order of the
     arrows.  ``successors`` and ``step_between`` both read it.
 
-    The matching profile counts arrows in D0, the first exact-cover
-    solution, which also sets ``has_matching``: each face holds one D0
-    arrow, so relations keep the count, and on a valid quiver chi_D -
-    chi_D0 is a cocycle for every matching D, so D0 refutes what all do."""
+    The matching profile (module docstring) counts arrows in D0, the
+    first exact-cover solution, which also sets ``has_matching``."""
 
     def __init__(self, q: DimerQuiver):
         n = len(q.arrows)
@@ -172,9 +166,6 @@ class RewriteSystem:
                 table = arcs.setdefault(len(arc), {})
                 table.setdefault(_encode(arc), []).append((aid, _encode(repl)))
         self._arcs = dict(sorted(arcs.items()))
-        # the largest length gain of one rewrite, for the cap guard of successors
-        self._gain = max((abs(len(left) - len(right)) for left, right in self.rules.values()),
-                         default=0)
         self._hx = [a.homology[0] for a in q.arrows]
         self._hy = [a.homology[1] for a in q.arrows]
         d0 = next(perfect_matching_masks(q), None)
@@ -194,17 +185,15 @@ class RewriteSystem:
         ``made`` is the site (arc length, position, replacement length) of
         the rewrite that first reached the word in a FIFO closure; the
         windows clear of it and earlier in this order are then skipped
-        (``_Closure`` says why that is exact), unless the cap guard refuses.
-        Words in ``known`` are left out, and ``sites`` gets the site of each
-        word returned."""
+        (``_Closure`` says why that is exact, and when no site is passed).
+        Words in ``known`` are left out, and ``sites`` gets the site of
+        each word returned."""
         out = []
         truncated = False
         n = len(word)
         ell = 0  # arcs up to this length skip the windows clear of the site
         if made is not None:
             ell, at, grew = made
-            if grew < ell and n - grew + ell + self._gain > cap:
-                ell = 0  # the parent was longer: its siblings may not fit
         for ln, table in self._arcs.items():
             room = cap - n + ln  # the longest replacement within the cap
             start, stop = 0, n - ln + 1
@@ -270,18 +259,14 @@ def paths_equal(
     saturated without meeting the other side.  Unknown means the bounded
     search was cut off before deciding.
 
-    Past the invariants, the words are cut into blocks (``_blocks``):
-    their longest common prefix and suffix, and the differing core cut
-    wherever both sides have walked to the same vertex with the same
-    homology and profile.  The relations generate a two-sided ideal, so
-    blocks pairwise equal make the words equal.  Each differing block is
-    searched in turn, under the word cap less the rest of the word, with
-    what the earlier blocks left of the state budget; the block witnesses,
-    each shifted past the blocks before it, replay on the whole words
-    inside the cap.  The converse fails, and on a non-cancellative quiver
-    that is the point (p.r = q.r with p != q), so a block that is not
-    equal decides nothing: the whole words are then searched with what is
-    left of the budget, and the states of all searches are reported.  A
+    Past the invariants, each differing block of the words (``_blocks``)
+    is searched in turn with what the earlier blocks left of the state
+    budget.  The relations generate a two-sided ideal, so equal blocks
+    make equal words, and the block witnesses, each shifted past the
+    blocks before it, replay on them inside the cap.  The converse fails
+    on a non-cancellative quiver (p.r = q.r with p != q), so an unequal
+    block decides nothing: the whole words are then searched with the
+    rest of the budget, and the states of all searches are reported.  A
     block search that spent the budget answers Unknown.
     """
     check_path(rs.quiver, p)
@@ -290,11 +275,12 @@ def paths_equal(
     if reason is not None:
         return EqResult(NOT_EQUAL, reason=reason)
     spent = 0
-    blocks = _blocks(rs, p, q_, bounds.word_cap(rs.quiver, p, q_))
+    cap = bounds.word_cap(rs.quiver, p, q_)
+    blocks = _blocks(rs, p, q_, cap)
     if blocks:
         steps = []
         for pos, u, v, room in blocks:
-            res = _query_words(rs, u, v, SearchBounds(room, bounds.max_states - spent))
+            res = _query_words(rs, u, v, room, bounds.max_states - spent)
             spent += res.states
             if res.reason == "state_budget":
                 res.states = spent
@@ -304,7 +290,7 @@ def paths_equal(
             steps += [replace(s, pos=s.pos + pos) for s in res.steps]
         else:
             return EqResult(EQUAL, steps=tuple(steps), states=spent)
-    res = _query_words(rs, p, q_, SearchBounds(bounds.max_word_length, bounds.max_states - spent))
+    res = _query_words(rs, p, q_, cap, bounds.max_states - spent)
     res.states += spent
     return res
 
@@ -365,11 +351,14 @@ def _blocks(rs: RewriteSystem, p: PathWord, q_: PathWord, cap: int):
     return blocks
 
 
-def _query_words(rs: RewriteSystem, p: PathWord, q_: PathWord, bounds: SearchBounds) -> EqResult:
+def _query_words(
+    rs: RewriteSystem, p: PathWord, q_: PathWord, cap: int, max_states: int
+) -> EqResult:
     """One query on a fresh ``EqualityClasses`` for words known to share
-    their invariants, with the witness read back on Equal."""
-    classes = EqualityClasses(rs, bounds)
-    res = classes._query(p, q_, _encode(q_.arrows))
+    their invariants, under the given word cap and state budget, with the
+    witness read back on Equal."""
+    classes = EqualityClasses(rs)
+    res = classes._query(p, q_, _encode(q_.arrows), max_states, cap)
     if res.is_equal:
         res.steps = classes.witness(p, q_)
     return res
@@ -402,7 +391,7 @@ def replay_witness(rs: RewriteSystem, p: PathWord, steps) -> list[PathWord]:
 
 
 class _Closure:
-    """Words reached from one start word, all under one word cap; every
+    """Words reached from one start word under the word cap ``cap``; every
     word is text, as ``RewriteSystem.successors`` takes and returns it.
 
     ``words`` maps each reached word to the word it was reached from (the
@@ -432,21 +421,24 @@ class _Closure:
       in full, since their records refer to the other closure's queue;
     - a start word has no record, so its scan is full.
 
-    And r(u) must fit the cap.  When b shortened the word, r(u) is longer
-    than r(b(u)) and may be the one that does not fit, so a record is used
-    only if b did not shorten, or u plus the largest gain of one rewrite
-    fits the cap (``RewriteSystem._gain``).  Without that guard fig_iso_R's
+    And r(u) must fit the cap: when b shortened the word, r(u) is longer
+    than r(b(u)) and may not.  So a closure passes its records only while
+    ``truncated`` is False, which is exact: a sibling r(u), or b on r(u),
+    that did not fit set the flag.  Without that rule fig_iso_R's
     7,10,11,7,10,11 and 9,10,11,7,10,12 at word cap 9 answer Unknown
-    (word_length) instead of Equal with a 7-step witness.
+    (word_length) instead of Equal with a 7-step witness.  It is also what
+    lets ``cap`` rise: a closure that has cut nothing holds every successor
+    of its expanded words under any cap.
     """
 
-    __slots__ = ("words", "pending", "truncated", "made")
+    __slots__ = ("words", "pending", "truncated", "made", "cap")
 
-    def __init__(self, word: str):
+    def __init__(self, word: str, cap: int):
         self.words: dict[str, str | None] = {word: None}
         self.made: dict[str, tuple[int, int, int]] = {}
         self.pending = [word]
         self.truncated = False
+        self.cap = cap
 
     def absorb(self, other: "_Closure", meet: str) -> None:
         """Join the closure of an equal word that reached ``meet``, the one
@@ -469,49 +461,54 @@ class EqualityClasses:
     """Three-valued equality of words against class representatives; the
     one word-equality search of the package.
 
-    Each representative keeps, per word cap, a rewrite closure grown only
-    as far as queries need; the closures are all an instance holds.
-    ``compare`` checks endpoints, homology and matching profile, then
-    looks the word up in the closure; on a miss it searches from the word
-    and grows the closure, the smaller frontier first, until they meet
-    (the word's search then joins the closure), one side is complete, or
-    the state budget is spent.  A complete closure that never hit the cap
-    is the whole class, so NotEqual is certain; cut-offs answer Unknown.
-    ``split`` and the pair search group their words by those invariants
-    first, so they skip the refutation and query the closures directly.
-    Every closure word keeps the word it was reached from, so ``witness``
-    reads a rewrite chain from the representative to any word found equal
-    to it.
+    Each representative keeps one rewrite closure, grown only as far as
+    queries need; the closures are all an instance holds.  A query's pair
+    cap (``bounds.word_cap`` of the two words) above the closure's cap
+    raises it if the closure has cut nothing and starts the closure afresh
+    if it has; a cap is never lowered, and only the word's side searches
+    under a lower pair cap.  ``compare`` checks endpoints, homology and
+    matching profile, then looks the word up in the closure; on a miss it
+    searches from the word and grows the closure, the smaller frontier
+    first, until they meet (the word's search then joins the closure), one
+    side is complete, or the state budget is spent.  A complete side that
+    never hit its cap is the whole class, so NotEqual is certain; cut-offs
+    answer Unknown.  ``split`` and the pair search group their words by
+    those invariants first, so they skip the refutation and query the
+    closures directly.  Every closure word keeps the word it was reached
+    from, so ``witness`` reads a rewrite chain, inside the closure's cap,
+    from the representative to any word found equal to it.
     """
 
     def __init__(self, rs: RewriteSystem, bounds: SearchBounds = DEFAULT_BOUNDS):
         self.rs = rs
         self.bounds = bounds
-        self.closures: dict[tuple[PathWord, int], _Closure] = {}
+        self.closures: dict[PathWord, _Closure] = {}
 
     def compare(self, rep: PathWord, word: PathWord, max_states: int | None = None) -> EqResult:
         """Is ``word`` in the class of ``rep``?  ``max_states`` overrides the
         state budget of this one query."""
-        if rep == word:
-            return EqResult(EQUAL)
         reason = _mismatch(_invariants(self.rs, rep), _invariants(self.rs, word))
         if reason is not None:
             return EqResult(NOT_EQUAL, reason=reason)
         return self._query(rep, word, _encode(word.arrows), max_states)
 
     def _query(
-        self, rep: PathWord, word: PathWord, text: str, max_states: int | None = None
+        self, rep: PathWord, word: PathWord, text: str, max_states: int | None = None,
+        cap: int | None = None,
     ) -> EqResult:
         """``compare`` past the refutation, for a word known to share the
-        invariants of ``rep``; ``text`` is the word as the search holds it."""
+        invariants of ``rep``; ``text`` is the word as the search holds it.
+        ``cap`` overrides the pair cap of this one query."""
         if rep == word:
             return EqResult(EQUAL)
         if not rep.arrows or not word.arrows:
             return EqResult(NOT_EQUAL, reason="trivial_path")
-        cap = self.bounds.word_cap(self.rs.quiver, rep, word)
-        closure = self.closures.get((rep, cap))
-        if closure is None:
-            closure = self.closures[(rep, cap)] = _Closure(_encode(rep.arrows))
+        if cap is None:
+            cap = self.bounds.word_cap(self.rs.quiver, rep, word)
+        closure = self.closures.get(rep)
+        if closure is None or closure.cap < cap and closure.truncated:
+            closure = self.closures[rep] = _Closure(_encode(rep.arrows), cap)
+        closure.cap = max(closure.cap, cap)
         limit = self.bounds.max_states if max_states is None else max_states
         return self._search(closure, text, cap, limit)
 
@@ -519,7 +516,7 @@ class EqualityClasses:
         if start in closure.words:
             return EqResult(EQUAL)
         successors = self.rs.successors
-        own = _Closure(start)
+        own = _Closure(start, cap)
         states = 0
         while closure.pending and own.pending:
             grow, other = closure, own
@@ -529,7 +526,9 @@ class EqualityClasses:
             words, made = grow.words, grow.made
             for k, w in enumerate(layer):
                 sites = []
-                succs, trunc = successors(w, cap, made.get(w), words, sites)
+                # records are exact only while nothing was cut (_Closure)
+                site = None if grow.truncated else made.get(w)
+                succs, trunc = successors(w, grow.cap, site, words, sites)
                 grow.truncated = grow.truncated or trunc
                 for nxt, site in zip(succs, sites):
                     if nxt in words:
@@ -552,11 +551,12 @@ class EqualityClasses:
 
     def witness(self, rep: PathWord, word: PathWord) -> tuple[RewriteStep, ...]:
         """Rewrite steps from ``rep`` to ``word``, which ``compare`` found
-        equal to it: the word's parent chain, each link read back as the
-        first rewrite in ``RewriteSystem.successors`` order that makes it."""
+        equal to it since the closure of ``rep`` was last started: the
+        word's parent chain, each link read back as the first rewrite in
+        ``RewriteSystem.successors`` order that makes it."""
         if rep == word:
             return ()
-        words = self.closures[(rep, self.bounds.word_cap(self.rs.quiver, rep, word))].words
+        words = self.closures[rep].words
         chain = [_encode(word.arrows)]
         while words[chain[-1]] is not None:
             chain.append(words[chain[-1]])
@@ -893,15 +893,14 @@ def _search_pairs(rs: RewriteSystem, images, bounds: SearchBounds) -> Noncancell
 
     # buckets[v][key] = list of equality-class representatives
     buckets: list[dict[tuple, list[PathWord]]] = [dict() for _ in range(q.num_vertices)]
+    # a closure outlives the rounds: a longer cycle raises its cap
+    classes = EqualityClasses(rs, bounds)
     for length in range(1, cycle_cap + 1):
         for v in range(q.num_vertices):
             budget -= walks[length][v]
             if budget <= 0:
                 report.exhausted = True
                 return report
-            # every comparison of this round has the cap of this length, so
-            # no later round could reuse these closures
-            classes = EqualityClasses(rs, bounds)
             for word in _cycles_at(q, v, length):
                 report.cycles_considered += 1
                 c = PathWord(v, word)
@@ -928,8 +927,8 @@ def _search_pairs(rs: RewriteSystem, images, bounds: SearchBounds) -> Noncancell
                         # invariants, and their core is (rep, c), just
                         # refuted, so its blocks cannot all be equal and
                         # no block search: the whole words only
-                        probe = _query_words(rs, pr, qr, SearchBounds(
-                            bounds.max_word_length, min(per_call, budget)))
+                        probe = _query_words(
+                            rs, pr, qr, bounds.word_cap(q, pr, qr), min(per_call, budget))
                         budget -= max(probe.states, 1)
                         if probe.is_equal:
                             report.pair = NoncancellativePair(

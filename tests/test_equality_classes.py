@@ -208,7 +208,7 @@ def test_grown_closure_is_the_breadth_first_closure(all_fixtures):
     for k, w in enumerate(members):
         # a small budget now and then cuts a search off mid-layer
         res = ec.compare(rep, PathWord(0, _decode(w)), max_states=5 if k % 2 else None)
-        closure = ec.closures[(rep, cap)]
+        closure = ec.closures[rep]
         met += res.is_equal and res.states > 0 and bool(closure.pending)
         cut += res.reason == "state_budget"
         res = ec.compare(rep, others[k % len(others)], max_states=50)
@@ -216,7 +216,8 @@ def test_grown_closure_is_the_breadth_first_closure(all_fixtures):
     assert met >= 3 and cut >= 3
 
     assert closure.pending and closure.words.keys() < class_words
-    words, truncated = bfs_closure(rs, closure.words, closure.pending, cap)
+    assert closure.cap == cap
+    words, truncated = bfs_closure(rs, closure.words, closure.pending, closure.cap)
     assert words == class_words
     assert (closure.truncated or truncated) == class_truncated
 
@@ -409,11 +410,12 @@ def test_read_back_link_is_first_successor(all_fixtures, iso_r_contraction):
         ec = EqualityClasses(rs)
         for v in range(q.num_vertices):
             ec.split(enumerate_cycles(q, v, 5).cycles)
-        for (_, cap), closure in ec.closures.items():
+        for closure in ec.closures.values():
             for w, parent in closure.words.items():
                 if parent is not None:
                     w, parent = _decode(w), _decode(parent)
-                    first = next(s for s in naive_successors(rs, parent, cap)[0] if s[0] == w)
+                    first = next(s for s in naive_successors(rs, parent, closure.cap)[0]
+                                 if s[0] == w)
                     assert rs.step_between(parent, w) == RewriteStep(*first[1:])
                     links += 1
     assert links > 1000
@@ -491,16 +493,13 @@ def random_word(rng, q, n):
 def test_skipped_windows_are_the_clear_earlier_ones(name):
     # given the site (arc length, position, replacement length) that made
     # the word, the scan leaves out exactly the windows clear of the site
-    # that come first in successors order, unless the cap guard refuses
+    # that come first in successors order, whatever the cap
     quivers = _covers() if name == "covers" else {name: differential_quivers()[name]}
     rng = random.Random(f"sites {name}")
-    skipped = refused = varied = 0
+    skipped = 0
     for q in quivers.values():
         rs = RewriteSystem(q)
-        pairs = [pair for left, right in rs.rules.values() for pair in ((left, right), (right, left))]
-        lengths = sorted({len(old) for old, _ in pairs})
-        gain = max(len(new) - len(old) for old, new in pairs)
-        varied += len(lengths) > 1  # else every rewrite keeps the length
+        lengths = sorted({len(arc) for sides in rs.rules.values() for arc in sides})
         for _ in range(40):
             word = random_word(rng, q, rng.randint(1, 20))
             for cap in (len(word) - 2, len(word), len(word) + 1, len(word) + q.max_face_length()):
@@ -508,12 +507,10 @@ def test_skipped_windows_are_the_clear_earlier_ones(name):
                 if grew > len(word):
                     continue
                 at = rng.randrange(len(word) - grew + 1)
-                guard = grew >= ell or len(word) - grew + ell + gain <= cap
-                refused += not guard
 
                 def skip(pos, ln):
                     clear = pos + ln <= at or pos >= at + grew
-                    return guard and clear and (ln < ell or ln == ell and pos + ln <= at)
+                    return clear and (ln < ell or ln == ell and pos + ln <= at)
 
                 ref, ref_truncated = naive_successors(rs, word, cap, skip)
                 full = naive_successors(rs, word, cap)[0]
@@ -529,7 +526,7 @@ def test_skipped_windows_are_the_clear_earlier_ones(name):
                 kept = [r for r in ref if _encode(r[0]) not in known]
                 assert succs == [_encode(r[0]) for r in kept]
                 assert sites == [(len(r[3]), r[1], len(r[4])) for r in kept]
-    assert skipped > 40 and refused >= bool(varied)
+    assert skipped > 40
 
 
 def without_skipping(monkeypatch):
@@ -620,7 +617,14 @@ def test_skipping_keeps_every_closure(name, monkeypatch):
 ISO_R_TIGHT = ((7, 10, 11, 7, 10, 11), (9, 10, 11, 7, 10, 12), 9)
 
 
+def iso_r_tight(q):
+    """ISO_R_TIGHT as paths of q, and its cap."""
+    p, r, cap = ISO_R_TIGHT
+    return PathWord(q.arrow(p[0]).tail, p), PathWord(q.arrow(r[0]).tail, r), cap
+
+
 def test_cap_guard_keeps_a_shortened_word_decided(all_fixtures, monkeypatch, capsys):
+    # the closure cuts a rewrite at cap 9, and from then on passes no records
     q = all_fixtures["fig_iso_R"].quiver
     rs = RewriteSystem(q)
     p_arrows, r_arrows, cap = ISO_R_TIGHT
@@ -637,6 +641,83 @@ def test_cap_guard_keeps_a_shortened_word_decided(all_fixtures, monkeypatch, cap
     assert results["verdict"] == EQUAL and replay_witness(rs, p, steps)[-1] == r
     without_skipping(monkeypatch)
     assert paths_equal(rs, p, r, SearchBounds(cap)) == res
+
+
+def test_cut_closure_expands_in_full(all_fixtures, monkeypatch):
+    # the representative's closure passes its records until it cuts a
+    # rewrite, and none after
+    q = all_fixtures["fig_iso_R"].quiver
+    rs = RewriteSystem(q)
+    p, r, cap = iso_r_tight(q)
+    ec = EqualityClasses(rs)
+    scan = RewriteSystem.successors
+    records, full_after_cut = 0, 0
+
+    def watched(self, word, cap, made=None, known=(), sites=None):
+        nonlocal records, full_after_cut
+        closure = ec.closures[p]
+        if known is closure.words:  # a scan of the representative's closure
+            if closure.truncated:
+                assert made is None, word
+                full_after_cut += 1
+            records += made is not None
+        return scan(self, word, cap, made, known, sites)
+
+    monkeypatch.setattr(RewriteSystem, "successors", watched)
+    res = ec._query(p, r, _encode(r.arrows), cap=cap)
+    assert res.verdict == EQUAL and len(ec.witness(p, r)) == 7
+    assert ec.closures[p].truncated and records > 0 and full_after_cut > 0
+
+
+def cycles_like(q, p):
+    """The cycles at p's base of p's length.  Those whose invariants differ
+    from p's are put to the search too: a saturated closure refutes them."""
+    return [c for c in enumerate_cycles(q, p.base, len(p.arrows)).cycles
+            if len(c.arrows) == len(p.arrows)]
+
+
+def asked(ec, rep, words, cap):
+    return [ec._query(rep, w, _encode(w.arrows), cap=cap) for w in words]
+
+
+def test_uncut_closure_is_kept_at_a_higher_cap(all_fixtures):
+    # at cap 14 the class of p is whole (204 words) and nothing is cut:
+    # asked at 18 the closure is kept with its cap raised, the words it
+    # has reached cost no states, and every verdict is a fresh closure's;
+    # asked again at 9 the cap stays at 18
+    q = all_fixtures["fig_iso_R"].quiver
+    rs = RewriteSystem(q)
+    p, r, _ = iso_r_tight(q)
+    ec = EqualityClasses(rs)
+    assert ec._query(p, r, _encode(r.arrows), cap=14).verdict == EQUAL
+    closure = ec.closures[p]
+    assert not closure.truncated and closure.cap == 14
+    reached = [PathWord(p.base, _decode(w)) for w in closure.words]
+    assert all(res == EqResult(EQUAL) for res in asked(ec, p, reached, 18))
+    assert ec.closures[p] is closure and closure.cap == 18
+    words = cycles_like(q, p)
+    verdicts = [res.verdict for res in asked(ec, p, words, 18)]
+    assert verdicts == [res.verdict for res in asked(EqualityClasses(rs), p, words, 18)]
+    assert EQUAL in verdicts and NOT_EQUAL in verdicts
+    asked(ec, p, words, 9)
+    assert ec.closures[p] is closure and closure.cap == 18
+
+
+def test_cut_closure_starts_afresh(all_fixtures):
+    # at cap 9 the closure of p cuts a rewrite; asked at 14 it is started
+    # again, and answers as a fresh closure does, states included
+    q = all_fixtures["fig_iso_R"].quiver
+    rs = RewriteSystem(q)
+    p, r, cap = iso_r_tight(q)
+    ec = EqualityClasses(rs)
+    assert ec._query(p, r, _encode(r.arrows), cap=cap).verdict == EQUAL
+    cut = ec.closures[p]
+    assert cut.truncated and cut.cap == cap
+    words = [r] + cycles_like(q, p)
+    results = asked(ec, p, words, 14)
+    assert ec.closures[p] is not cut and ec.closures[p].cap == 14
+    assert results == asked(EqualityClasses(rs), p, words, 14)
+    assert results[0].states > 0  # r is searched again
 
 
 # a swapped pair on the c3 cover: 2 arrows in front and 9 behind are

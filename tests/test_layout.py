@@ -1,8 +1,9 @@
 """The package layout: a private name is used only in the module that
 defines it, a private attribute is read only through ``self``/``cls`` or
 in the module that defines it, every import sits at module level, so no
-import cycle is hidden inside a function, and every name is imported from
-the module that defines it, never through a re-export."""
+import cycle is hidden inside a function, every name is imported from
+the module that defines it, never through a re-export, and ``rewriting``
+builds no ``SearchBounds`` but ``DEFAULT_BOUNDS``."""
 
 import ast
 from pathlib import Path
@@ -93,3 +94,15 @@ def test_names_are_imported_from_their_home(path):
         if a.name not in _defined_at_top_level(node.module.split(".")[-1])
     )
     assert not passed_through, f"{path.name} imports re-exported {passed_through}"
+
+
+def test_rewriting_builds_no_search_bounds():
+    # the searches inside rewriting take the word cap and the state budget
+    # as ints: the one SearchBounds it builds is DEFAULT_BOUNDS
+    tree = ast.parse((PACKAGE / "rewriting.py").read_text())
+    built = [node for node in ast.walk(tree)
+             if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+             and node.func.id == "SearchBounds"]
+    default = [node.value for node in tree.body if isinstance(node, ast.Assign)
+               and [ast.unparse(t) for t in node.targets] == ["DEFAULT_BOUNDS"]]
+    assert built == default, [f"{node.lineno}:{ast.unparse(node)}" for node in built]

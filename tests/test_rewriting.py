@@ -20,10 +20,14 @@ from dimeralg.quiver import (
 )
 from dimeralg.rewriting import (
     DEFAULT_BOUNDS,
+    EQUAL,
     NOT_EQUAL,
+    UNKNOWN,
     CycleFilter,
+    EqResult,
     NoncancellativePair,
     ResourceExhausted,
+    RewriteStep,
     RewriteSystem,
     SearchBounds,
     enumerate_cycles,
@@ -495,6 +499,41 @@ def test_pair_on_reduced_quiver_lifts_back(inserted):
         # the lifted witness passes through the 2-cycle: its links are
         # merged-face relations rejoined in q
         assert any(new_arrows & set(w.arrows) for w in trail)
+
+
+@pytest.mark.parametrize("link", [
+    EqResult(UNKNOWN, reason="state_budget"),
+    # a step that is no instance of its rule: the lifted witness does not replay
+    EqResult(EQUAL, steps=(RewriteStep(0, 0, (), ()),)),
+], ids=["unknown", "bogus"])
+def test_unlifted_pair_is_dropped(inserted, monkeypatch, link):
+    # a reduced witness link that is not rejoined on the quiver asked
+    # about, or a lifted witness that does not replay: no pair, cut off
+    calls = []
+
+    def rejoin(rs, p, q_, bounds=DEFAULT_BOUNDS):
+        calls.append((p, q_))
+        return link
+
+    monkeypatch.setattr(rewriting, "paths_equal", rejoin)
+    rep = find_noncancellative_pair(inserted)
+    assert calls and rep.removed_2cycles == 1
+    assert rep.pair is None and rep.exhausted and not rep.found
+
+
+def test_step_between_refuses_words_two_rewrites_apart(deformation):
+    # arc, arrow, arc: the two arcs rewrite one at a time, never at once
+    q = deformation.quiver
+    rs = RewriteSystem(q)
+    a = q.arrows[0]
+    left, right = rs.rules[a.id]
+    word = left + (a.id,) + left
+    mid = right + (a.id,) + left
+    far = right + (a.id,) + right
+    assert rs.step_between(word, mid).pos == 0
+    assert rs.step_between(mid, far).pos == len(right) + 1
+    with pytest.raises(DomainError, match="no single rewrite"):
+        rs.step_between(word, far)
 
 
 def test_reduced_search_agrees_with_search_as_given(inserted):
