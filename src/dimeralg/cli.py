@@ -406,7 +406,7 @@ def _global_options(parser, suppress=False):
 
     parser.add_argument("--max-word-length", type=_count,
                         default=default(DEFAULT_BOUNDS.max_word_length),
-                        help="word-length cap for rewriting (0 = derive from inputs)")
+                        help="word cap of every rewriting search (0 = its start word's bound)")
     parser.add_argument("--max-states", type=_count, default=default(DEFAULT_BOUNDS.max_states))
     parser.add_argument("--degree-bound", type=_count, default=default(DEFAULT_DEGREE_BOUND))
     parser.add_argument("--text", action="store_true", default=default(False),

@@ -32,9 +32,9 @@ def enumerate_perfect_matchings(q: DimerQuiver, cap: int = DEFAULT_MATCHING_CAP)
     return [frozenset(ids) for ids in sorted(map(_bit_ids, found))]
 
 
-def perfect_matching_masks(q: DimerQuiver):
+def perfect_matching_masks(q: DimerQuiver, seed: int | None = None):
     """Every perfect matching as a bit mask of arrow ids, in search order,
-    one at a time: ``rewriting.RewriteSystem`` takes only the first."""
+    one at a time; with ``seed``, only those holding that arrow."""
     face_arrows = [sum(1 << aid for aid in set(f.boundary)) for f in q.faces]
     arrow_faces = [0] * len(q.arrows)  # bit i: the arrow lies on face i
     # choosing an arrow blocks every arrow sharing a face with it, itself
@@ -45,7 +45,8 @@ def perfect_matching_masks(q: DimerQuiver):
             arrow_faces[aid] |= 1 << idx
             rivals[aid] |= face_arrows[idx]
     all_faces = (1 << len(face_arrows)) - 1
-    stack = [(0, 0, 0)] if face_arrows else []
+    start = (0, 0, 0) if seed is None else (arrow_faces[seed], rivals[seed], 1 << seed)
+    stack = [start] if face_arrows else []
     while stack:
         covered, blocked, chosen = stack.pop()
         if covered == all_faces:
@@ -112,12 +113,27 @@ def is_simple_matching(q: DimerQuiver, matching) -> bool:
     return _strongly_connected(q.num_vertices, edges)
 
 
+def matching_cover(q: DimerQuiver) -> tuple[list[int], list[int]]:
+    """(cover, uncovered arrow ids): D0, the first perfect matching, then
+    the first through each arrow still uncovered, as bit masks; and the
+    arrows in none, ascending.  Nothing is enumerated."""
+    d0 = next(perfect_matching_masks(q), None)
+    if d0 is None:
+        return [], [a.id for a in q.arrows]
+    cover, uncovered = [d0], []
+    for a in q.arrows:
+        if not any(d >> a.id & 1 for d in cover):
+            d = next(perfect_matching_masks(q, a.id), None)
+            if d is None:
+                uncovered.append(a.id)
+            else:
+                cover.append(d)
+    return cover, uncovered
+
+
 def is_nondegenerate(q: DimerQuiver):
     """(flag, uncovered arrow ids): flag iff every arrow is in a matching."""
-    covered: set[int] = set()
-    for d in enumerate_perfect_matchings(q):
-        covered |= d
-    uncovered = sorted(set(a.id for a in q.arrows) - covered)
+    uncovered = matching_cover(q)[1]
     return (not uncovered, uncovered)
 
 

@@ -1,20 +1,28 @@
 """Path equality modulo the face relations, as bounded string rewriting.
 
 Every arrow sits on two faces; rotating each face to start at the arrow
-and dropping it leaves two complementary arcs between the same endpoints,
-and the relations identify exactly those arcs.  Rewrites preserve
-endpoints, homology, and the matching profile, so many inequalities are
-certain without a search.  Otherwise ``EqualityClasses`` is the one
-search: the rewrite closure of a class representative, one per
-representative under the highest word cap asked of it, grows against
-the closure of the word asked about until they meet or one side is
-complete.  A complete side that never hit its cap is the whole class,
-so inequality is then certain; only a genuinely cut-off search answers
-Unknown.  ``paths_equal`` queries fresh classes, first on the differing
-blocks of the two words (the relations generate a two-sided ideal, so
-equal blocks make equal words), then, unless all are equal, on the
-whole words: a few short searches often settle Equal where the closures
-of the whole words would grow with every arrow outside the blocks.
+and dropping it leaves two complementary arcs between the same
+endpoints, and the relations identify exactly those arcs.  Rewrites
+preserve endpoints, homology, and the matching profile, so many
+inequalities are certain without a search.  Otherwise
+``EqualityClasses`` is the one search: the rewrite closure of a class
+representative grows against the closure of the word asked about until
+they meet or one side is complete.  A complete side that never hit its
+cap is the whole class, so inequality is then certain; only a cut-off
+search answers Unknown.  Under exact caps ``paths_equal`` first searches
+the differing blocks of the two words (the relations generate a
+two-sided ideal, so equal blocks make equal words): a few short searches
+often settle Equal where the closures of the whole words would grow with
+every arrow outside the blocks.
+
+Each search keeps one word cap, ``SearchBounds.word_cap`` of its start
+word w: by default sum_i chi_{D_i}(w) over the matchings D_i of
+``matchings.matching_cover``, chi_D the arrow count in D, which is
+constant on a class (a relation's arcs hold one arrow of D, or none).
+When the D_i hold every arrow, no word of the class is longer, so the
+cap never cuts it.  Otherwise a class can be infinite (in
+``bigon_inserted_c3``, 4 = 4.1.2.0 = 4.(1.2.0)^k), the cap is |w| plus
+twice the longest face, and it, like a user cap, can cut a search.
 
 The matching profile is a word's arrow count in D0, the first perfect
 matching the exact cover of ``matchings`` finds.  Sound on any quiver:
@@ -46,7 +54,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 
-from .matchings import perfect_matching_masks
+from .matchings import matching_cover
 from .quiver import (
     BigonReduction,
     DimerQuiver,
@@ -67,7 +75,7 @@ _TEXT_ARROWS = 0x110000  # arrow ids are characters inside the search
 
 @dataclass(frozen=True)
 class SearchBounds:
-    max_word_length: int = 0  # 0 = derive from inputs
+    max_word_length: int = 0  # 0 = read off each search's start word (word_cap)
     max_states: int = 200000
 
     def __post_init__(self):
@@ -76,11 +84,13 @@ class SearchBounds:
             if type(value) is not int or value < 0:
                 raise DomainError(f"{name} must be a non-negative int, not {value!r}")
 
-    def word_cap(self, q: DimerQuiver, *words) -> int:
+    def word_cap(self, rs: RewriteSystem, word: PathWord) -> int:
+        """The word cap of a search from ``word`` (module docstring)."""
         if self.max_word_length > 0:
             return self.max_word_length
-        longest = max((len(w) for w in words), default=0)
-        return longest + 2 * q.max_face_length()
+        if rs.cover_counts is None:
+            return len(word.arrows) + 2 * rs.quiver.max_face_length()
+        return sum(map(rs.cover_counts.__getitem__, word.arrows))
 
 
 DEFAULT_BOUNDS = SearchBounds()
@@ -151,7 +161,8 @@ class RewriteSystem:
     arrows.  ``successors`` and ``step_between`` both read it.
 
     The matching profile (module docstring) counts arrows in D0, the
-    first exact-cover solution, which also sets ``has_matching``."""
+    first exact-cover solution, which also sets ``has_matching``, and
+    ``cover_counts`` gives the word cap (``SearchBounds.word_cap``)."""
 
     def __init__(self, q: DimerQuiver):
         n = len(q.arrows)
@@ -168,9 +179,11 @@ class RewriteSystem:
         self._arcs = dict(sorted(arcs.items()))
         self._hx = [a.homology[0] for a in q.arrows]
         self._hy = [a.homology[1] for a in q.arrows]
-        d0 = next(perfect_matching_masks(q), None)
-        self.has_matching = d0 is not None
-        self._in_d0 = [(d0 or 0) >> aid & 1 for aid in range(n)]
+        cover, uncovered = matching_cover(q)
+        self.has_matching = bool(cover)
+        self._in_d0 = [(cover[0] if cover else 0) >> aid & 1 for aid in range(n)]
+        self.cover_counts = None if uncovered else [
+            sum(d >> aid & 1 for d in cover) for aid in range(n)]
 
     def profile(self, word: tuple[int, ...]):
         """The word's arrow count in the perfect matching D0, exact on valid
@@ -259,15 +272,16 @@ def paths_equal(
     saturated without meeting the other side.  Unknown means the bounded
     search was cut off before deciding.
 
-    Past the invariants, each differing block of the words (``_blocks``)
-    is searched in turn with what the earlier blocks left of the state
-    budget.  The relations generate a two-sided ideal, so equal blocks
-    make equal words, and the block witnesses, each shifted past the
-    blocks before it, replay on them inside the cap.  The converse fails
-    on a non-cancellative quiver (p.r = q.r with p != q), so an unequal
-    block decides nothing: the whole words are then searched with the
-    rest of the budget, and the states of all searches are reported.  A
-    block search that spent the budget answers Unknown.
+    Past the invariants, under exact caps only (no user cap, and a cover
+    of every arrow), each differing block (``_blocks``) is searched in
+    turn with what the earlier blocks left of the state budget.  The
+    relations generate a two-sided ideal, so equal blocks make equal
+    words, and the block witnesses, each shifted past the blocks before
+    it, replay on them.  The converse fails on a non-cancellative quiver
+    (p.r = q.r with p != q), so an unequal block decides nothing: the
+    whole words are then searched with the rest of the budget, and the
+    states of all searches are reported.  A block search that spent the
+    budget answers Unknown.
     """
     check_path(rs.quiver, p)
     check_path(rs.quiver, q_)
@@ -275,12 +289,12 @@ def paths_equal(
     if reason is not None:
         return EqResult(NOT_EQUAL, reason=reason)
     spent = 0
-    cap = bounds.word_cap(rs.quiver, p, q_)
-    blocks = _blocks(rs, p, q_, cap)
+    exact = bounds.max_word_length == 0 and rs.cover_counts is not None
+    blocks = _blocks(rs, p, q_) if exact else None
     if blocks:
         steps = []
-        for pos, u, v, room in blocks:
-            res = _query_words(rs, u, v, room, bounds.max_states - spent)
+        for pos, u, v in blocks:
+            res = _query_words(rs, u, v, bounds, bounds.max_states - spent)
             spent += res.states
             if res.reason == "state_budget":
                 res.states = spent
@@ -290,26 +304,23 @@ def paths_equal(
             steps += [replace(s, pos=s.pos + pos) for s in res.steps]
         else:
             return EqResult(EQUAL, steps=tuple(steps), states=spent)
-    res = _query_words(rs, p, q_, cap, bounds.max_states - spent)
+    res = _query_words(rs, p, q_, bounds, bounds.max_states - spent)
     res.states += spent
     return res
 
 
-def _blocks(rs: RewriteSystem, p: PathWord, q_: PathWord, cap: int):
+def _blocks(rs: RewriteSystem, p: PathWord, q_: PathWord):
     """The differing blocks of two words with the same invariants, as
-    (position, block of p, block of q, word cap of its search), or None
-    when the words are one block.
+    (position, block of p, block of q), or None when the words are one
+    block.
 
     The words are cut after their longest common prefix, before their
     longest common suffix, and between: at the increasing pairs of core
     positions, taken least first, where both have walked from the core's
     start to the same vertex with the same homology and profile, so each
     block pair shares these invariants.  Blocks are rewritten left to
-    right: block k sits at the length of q's blocks before it, and its
-    search may use the cap less everything outside it, q's blocks before
-    and p's after.  So every intermediate word fits the cap, provided the
-    words between two blocks' searches do; if one does not, or a block
-    has no room, None."""
+    right, so block k sits at the length of q's blocks before it; no
+    length is checked, since only exact caps search blocks."""
     a, b = p.arrows, q_.arrows
     n = min(len(a), len(b))
     lo = hi = 0
@@ -340,25 +351,20 @@ def _blocks(rs: RewriteSystem, p: PathWord, q_: PathWord, cap: int):
         return None
     cuts.append((len(a) - hi - lo, len(b) - hi - lo))
     blocks, at = [], base
-    for k, ((i0, j0), (i1, j1)) in enumerate(zip(cuts, cuts[1:])):
+    for (i0, j0), (i1, j1) in zip(cuts, cuts[1:]):
         u, v = a[lo + i0:lo + i1], b[lo + j0:lo + j1]
         start, at = at, path_head(quiver, PathWord(at, u))
-        room = cap - (lo + j0) - (len(a) - lo - i1)
-        if room <= 0 or (k and len(u) > room) or (k < len(cuts) - 2 and len(v) > room):
-            return None
         if u != v:
-            blocks.append((lo + j0, PathWord(start, u), PathWord(start, v), room))
+            blocks.append((lo + j0, PathWord(start, u), PathWord(start, v)))
     return blocks
 
 
 def _query_words(
-    rs: RewriteSystem, p: PathWord, q_: PathWord, cap: int, max_states: int
+    rs: RewriteSystem, p: PathWord, q_: PathWord, bounds: SearchBounds, max_states: int
 ) -> EqResult:
-    """One query on a fresh ``EqualityClasses`` for words known to share
-    their invariants, under the given word cap and state budget, with the
-    witness read back on Equal."""
-    classes = EqualityClasses(rs)
-    res = classes._query(p, q_, _encode(q_.arrows), max_states, cap)
+    """A query on fresh classes for words sharing their invariants, witness included."""
+    classes = EqualityClasses(rs, bounds)
+    res = classes._query(p, q_, _encode(q_.arrows), max_states)
     if res.is_equal:
         res.steps = classes.witness(p, q_)
     return res
@@ -391,7 +397,7 @@ def replay_witness(rs: RewriteSystem, p: PathWord, steps) -> list[PathWord]:
 
 
 class _Closure:
-    """Words reached from one start word under the word cap ``cap``; every
+    """Words reached from one start word under its word cap ``cap``; every
     word is text, as ``RewriteSystem.successors`` takes and returns it.
 
     ``words`` maps each reached word to the word it was reached from (the
@@ -426,9 +432,8 @@ class _Closure:
     ``truncated`` is False, which is exact: a sibling r(u), or b on r(u),
     that did not fit set the flag.  Without that rule fig_iso_R's
     7,10,11,7,10,11 and 9,10,11,7,10,12 at word cap 9 answer Unknown
-    (word_length) instead of Equal with a 7-step witness.  It is also what
-    lets ``cap`` rise: a closure that has cut nothing holds every successor
-    of its expanded words under any cap.
+    (word_length) instead of Equal with a 7-step witness.  An exact cap
+    cuts nothing, so the rule acts only under the other caps.
     """
 
     __slots__ = ("words", "pending", "truncated", "made", "cap")
@@ -461,22 +466,17 @@ class EqualityClasses:
     """Three-valued equality of words against class representatives; the
     one word-equality search of the package.
 
-    Each representative keeps one rewrite closure, grown only as far as
-    queries need; the closures are all an instance holds.  A query's pair
-    cap (``bounds.word_cap`` of the two words) above the closure's cap
-    raises it if the closure has cut nothing and starts the closure afresh
-    if it has; a cap is never lowered, and only the word's side searches
-    under a lower pair cap.  ``compare`` checks endpoints, homology and
-    matching profile, then looks the word up in the closure; on a miss it
-    searches from the word and grows the closure, the smaller frontier
-    first, until they meet (the word's search then joins the closure), one
-    side is complete, or the state budget is spent.  A complete side that
-    never hit its cap is the whole class, so NotEqual is certain; cut-offs
-    answer Unknown.  ``split`` and the pair search group their words by
-    those invariants first, so they skip the refutation and query the
-    closures directly.  Every closure word keeps the word it was reached
-    from, so ``witness`` reads a rewrite chain, inside the closure's cap,
-    from the representative to any word found equal to it.
+    Each representative keeps one rewrite closure under its word cap,
+    grown only as far as queries need; the closures are all an instance
+    holds.  A query, for a word sharing the endpoints, homology and
+    matching profile of the representative, looks the word up; on a miss
+    it searches from the word under the word's cap and grows the closure,
+    the smaller frontier first, until they meet (the word's search then
+    joins the closure), one side is complete, or the state budget is
+    spent.  A complete side that never hit its cap is the whole class, so
+    NotEqual is certain; cut-offs answer Unknown.  Every closure word
+    keeps the word it was reached from, so ``witness`` reads a rewrite
+    chain from the representative to any word found equal to it.
     """
 
     def __init__(self, rs: RewriteSystem, bounds: SearchBounds = DEFAULT_BOUNDS):
@@ -484,39 +484,26 @@ class EqualityClasses:
         self.bounds = bounds
         self.closures: dict[PathWord, _Closure] = {}
 
-    def compare(self, rep: PathWord, word: PathWord, max_states: int | None = None) -> EqResult:
-        """Is ``word`` in the class of ``rep``?  ``max_states`` overrides the
-        state budget of this one query."""
-        reason = _mismatch(_invariants(self.rs, rep), _invariants(self.rs, word))
-        if reason is not None:
-            return EqResult(NOT_EQUAL, reason=reason)
-        return self._query(rep, word, _encode(word.arrows), max_states)
-
     def _query(
-        self, rep: PathWord, word: PathWord, text: str, max_states: int | None = None,
-        cap: int | None = None,
+        self, rep: PathWord, word: PathWord, text: str, max_states: int | None = None
     ) -> EqResult:
-        """``compare`` past the refutation, for a word known to share the
-        invariants of ``rep``; ``text`` is the word as the search holds it.
-        ``cap`` overrides the pair cap of this one query."""
+        """Is ``word``, known to share the invariants of ``rep``, in its
+        class?  ``text`` is the word as the search holds it, and
+        ``max_states`` overrides the state budget of this one query."""
         if rep == word:
             return EqResult(EQUAL)
         if not rep.arrows or not word.arrows:
             return EqResult(NOT_EQUAL, reason="trivial_path")
-        if cap is None:
-            cap = self.bounds.word_cap(self.rs.quiver, rep, word)
-        closure = self.closures.get(rep)
-        if closure is None or closure.cap < cap and closure.truncated:
-            closure = self.closures[rep] = _Closure(_encode(rep.arrows), cap)
-        closure.cap = max(closure.cap, cap)
-        limit = self.bounds.max_states if max_states is None else max_states
-        return self._search(closure, text, cap, limit)
-
-    def _search(self, closure: _Closure, start: str, cap: int, limit: int) -> EqResult:
-        if start in closure.words:
+        if rep not in self.closures:
+            self.closures[rep] = _Closure(_encode(rep.arrows), self.bounds.word_cap(self.rs, rep))
+        closure = self.closures[rep]
+        if text in closure.words:
             return EqResult(EQUAL)
+        limit = self.bounds.max_states if max_states is None else max_states
+        return self._search(closure, _Closure(text, self.bounds.word_cap(self.rs, word)), limit)
+
+    def _search(self, closure: _Closure, own: _Closure, limit: int) -> EqResult:
         successors = self.rs.successors
-        own = _Closure(start, cap)
         states = 0
         while closure.pending and own.pending:
             grow, other = closure, own
@@ -550,10 +537,9 @@ class EqualityClasses:
         return EqResult(UNKNOWN, reason="word_length", states=states)
 
     def witness(self, rep: PathWord, word: PathWord) -> tuple[RewriteStep, ...]:
-        """Rewrite steps from ``rep`` to ``word``, which ``compare`` found
-        equal to it since the closure of ``rep`` was last started: the
-        word's parent chain, each link read back as the first rewrite in
-        ``RewriteSystem.successors`` order that makes it."""
+        """Rewrite steps from ``rep`` to ``word``, which a query found
+        equal to it: the word's parent chain, each link read back as the
+        first rewrite in ``RewriteSystem.successors`` order that makes it."""
         if rep == word:
             return ()
         words = self.closures[rep].words
@@ -570,10 +556,9 @@ class EqualityClasses:
         word goes on to the later classes.
 
         A word is compared only with the representatives that share its
-        invariants, in class order, and without the refutation that
-        ``compare`` runs first: any other comparison is a certain NotEqual,
-        so the classes and the undecided count are those of comparing with
-        every representative."""
+        invariants, in class order: any other comparison is a certain
+        NotEqual, so the classes and the undecided count are those of
+        comparing with every representative."""
         classes: list[list[int]] = []
         buckets: dict[tuple, list[list[int]]] = {}
         unknown = 0
@@ -808,7 +793,7 @@ def find_noncancellative_pair(
     ``exhausted`` with no pair and zero counts, before any search.
 
     Cycles are grown length by length across all vertices, up to twice
-    the longest face or half the word cap, and bucketed by homology,
+    the longest face or half the user's word cap, and bucketed by homology,
     matching profile, and (when a contraction is supplied) the contracted
     monomial image; within a bucket, equality classes are maintained and
     every certainly-distinct pair of class representatives is probed for
@@ -878,7 +863,7 @@ def _search_pairs(rs: RewriteSystem, images, bounds: SearchBounds) -> Noncancell
     """The pair search of ``find_noncancellative_pair`` on ``rs.quiver``
     as given; ``images`` are the per-arrow monomial images or None."""
     q = rs.quiver
-    cycle_cap = max(2 * q.max_face_length(), bounds.word_cap(q) // 2)
+    cycle_cap = max(2 * q.max_face_length(), bounds.max_word_length // 2)
     r_cap = q.max_face_length() + 2
     budget = bounds.max_states
     per_call = max(2000, bounds.max_states // 10)
@@ -893,7 +878,7 @@ def _search_pairs(rs: RewriteSystem, images, bounds: SearchBounds) -> Noncancell
 
     # buckets[v][key] = list of equality-class representatives
     buckets: list[dict[tuple, list[PathWord]]] = [dict() for _ in range(q.num_vertices)]
-    # a closure outlives the rounds: a longer cycle raises its cap
+    # a closure outlives the rounds, under the cap of its representative
     classes = EqualityClasses(rs, bounds)
     for length in range(1, cycle_cap + 1):
         for v in range(q.num_vertices):
@@ -927,8 +912,7 @@ def _search_pairs(rs: RewriteSystem, images, bounds: SearchBounds) -> Noncancell
                         # invariants, and their core is (rep, c), just
                         # refuted, so its blocks cannot all be equal and
                         # no block search: the whole words only
-                        probe = _query_words(
-                            rs, pr, qr, bounds.word_cap(q, pr, qr), min(per_call, budget))
+                        probe = _query_words(rs, pr, qr, bounds, min(per_call, budget))
                         budget -= max(probe.states, 1)
                         if probe.is_equal:
                             report.pair = NoncancellativePair(

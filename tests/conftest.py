@@ -1,4 +1,5 @@
 import importlib.util
+import sys
 from fractions import Fraction
 from pathlib import Path
 
@@ -7,7 +8,7 @@ import pytest
 from dimeralg import fixtures as fixtures_mod
 from dimeralg.contraction import contract
 from dimeralg.monomial_algebra import realizable_at_vertex
-from dimeralg.quiver import DomainError, concat
+from dimeralg.quiver import DomainError, concat, make_quiver
 from dimeralg.rewriting import EQUAL, NOT_EQUAL, UNKNOWN, RewriteSystem, paths_equal
 
 FIXTURES = [
@@ -23,12 +24,40 @@ FIXTURES = [
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
 
-def load_torus_cover():
-    """``torus_cover`` from ``perfbench/covers.py``, which is not a package."""
-    spec = importlib.util.spec_from_file_location("perfbench_covers", PERFBENCH / "covers.py")
-    module = importlib.util.module_from_spec(spec)
+def load_perfbench(name):
+    """``perfbench/<name>.py``, which is not a package, loaded without
+    changing it.  It is registered as ``perfbench_<name>``, which its
+    dataclasses need, and ``workloads`` imports ``covers`` by that name."""
+    if name == "workloads" and "covers" not in sys.modules:
+        sys.modules["covers"] = load_perfbench("covers")
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", PERFBENCH / f"{name}.py")
+    module = sys.modules[spec.name] = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
-    return module.torus_cover
+    return module
+
+
+def load_torus_cover():
+    """``torus_cover`` from ``perfbench/covers.py``."""
+    return load_perfbench("covers").torus_cover
+
+
+def insert_2cycle(q, face, k):
+    """The inverse of one 2-cycle removal: split the face after its k-th
+    arrow into arcs u -> x and x -> u, and close each arc into a face with
+    a new arrow; the new arrows x -> u and u -> x form the 2-cycle.  They
+    take ids 0 and 1, so every old arrow id moves up by 2."""
+    boundary = tuple(aid + 2 for aid in q.faces[face].boundary)
+    arc1, arc2 = boundary[:k], boundary[k:]
+    arrows = [(y.tail, y.head, y.homology) for y in q.arrows]
+
+    def closing(arc):
+        return tuple(-sum(arrows[a - 2][2][i] for a in arc) for i in (0, 1))
+
+    u, x = arrows[arc1[0] - 2][0], arrows[arc1[-1] - 2][1]
+    arrows = [(x, u, closing(arc1)), (u, x, closing(arc2))] + arrows
+    faces = [tuple(aid + 2 for aid in f.boundary) for f in q.faces if f.id != face]
+    faces += [(0,) + arc1, (1,) + arc2, (0, 1)]
+    return make_quiver(q.num_vertices, arrows, faces)
 
 
 def per_vertex_contains(c, g):

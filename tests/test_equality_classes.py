@@ -4,11 +4,12 @@ representative, and the invariant that keeps its closures exact."""
 import itertools
 import json
 import random
+from types import SimpleNamespace
 
 import pytest
 
+from dimeralg import center, contraction, monomial_algebra, quiver, rewriting
 from dimeralg import fixtures as fixtures_mod
-from dimeralg import rewriting
 from dimeralg.center import reduced_center_contains
 from dimeralg.cli import main
 from dimeralg.contraction import contract, is_cyclic, sigma, source_cycle_algebra_generators
@@ -41,29 +42,40 @@ from dimeralg.rewriting import (
     _encode,
 )
 
-from conftest import FIXTURES, load_torus_cover
+from conftest import FIXTURES, load_perfbench, load_torus_cover
+
+
+def compare(classes, rep, word, max_states=None):
+    """One query on ``classes``, after the refutation by endpoints, homology
+    and matching profile that ``paths_equal`` runs first."""
+    rs = classes.rs
+    reason = rewriting._mismatch(rewriting._invariants(rs, rep), rewriting._invariants(rs, word))
+    if reason is not None:
+        return EqResult(NOT_EQUAL, reason=reason)
+    return classes._query(rep, word, _encode(word.arrows), max_states)
 
 
 def pairwise_split(rs, words, bounds=DEFAULT_BOUNDS, classes=None):
     """The reference loop: each word against each class representative's
-    whole closure under the pair's word cap, grown breadth first.  A word
-    in it is equal; a closure that never hit the cap is the class, so a
-    word outside it is not equal; anything else is unknown.  With
-    ``classes``, every pair is also put to it: its decided verdicts must
-    agree with the decided reference ones, and every word it finds equal
-    must be reached by replaying its witness from the representative."""
+    whole closure under the representative's word cap, grown breadth
+    first.  A word in it is equal; a closure that never hit the cap is the
+    class, so a word outside it is not equal; anything else is unknown.
+    With ``classes``, every pair is also put to it: its decided verdicts
+    must agree with the decided reference ones, and every word it finds
+    equal must be reached by replaying its witness from the
+    representative."""
     closures, found = {}, []
     split, unknown = [], 0
     for k, w in enumerate(words):
         for cls in split:
             rep = words[cls[0]]
-            cap = bounds.word_cap(rs.quiver, rep, w)
-            if (rep, cap) not in closures:
-                closures[(rep, cap)] = bfs_closure(rs, (), [_encode(rep.arrows)], cap)
-            closure, truncated = closures[(rep, cap)]
+            if rep not in closures:
+                cap = bounds.word_cap(rs, rep)
+                closures[rep] = bfs_closure(rs, (), [_encode(rep.arrows)], cap)
+            closure, truncated = closures[rep]
             ref = EQUAL if _encode(w.arrows) in closure else UNKNOWN if truncated else NOT_EQUAL
             if classes is not None:
-                verdict = classes.compare(rep, w).verdict
+                verdict = compare(classes, rep, w).verdict
                 if UNKNOWN not in (verdict, ref):
                     assert verdict == ref, (rep, w)
                 if verdict == EQUAL:
@@ -195,7 +207,7 @@ def test_grown_closure_is_the_breadth_first_closure(all_fixtures):
     rs = RewriteSystem(q)
     u = unit_cycle(q, 0)
     rep = concat(q, concat(q, u, u), u)
-    cap = DEFAULT_BOUNDS.word_cap(q, rep)
+    cap = DEFAULT_BOUNDS.word_cap(rs, rep)
     class_words, class_truncated = bfs_closure(rs, (), [_encode(rep.arrows)], cap)
     members = sorted(w for w in class_words if len(w) == len(rep.arrows))[::-8]
     others = [
@@ -207,16 +219,16 @@ def test_grown_closure_is_the_breadth_first_closure(all_fixtures):
     met, cut = 0, 0
     for k, w in enumerate(members):
         # a small budget now and then cuts a search off mid-layer
-        res = ec.compare(rep, PathWord(0, _decode(w)), max_states=5 if k % 2 else None)
+        res = compare(ec, rep, PathWord(0, _decode(w)), max_states=5 if k % 2 else None)
         closure = ec.closures[rep]
         met += res.is_equal and res.states > 0 and bool(closure.pending)
         cut += res.reason == "state_budget"
-        res = ec.compare(rep, others[k % len(others)], max_states=50)
+        res = compare(ec, rep, others[k % len(others)], max_states=50)
         assert res.verdict != EQUAL
     assert met >= 3 and cut >= 3
 
     assert closure.pending and closure.words.keys() < class_words
-    assert closure.cap == cap
+    assert closure.cap == cap and not class_truncated  # the default cap is exact
     words, truncated = bfs_closure(rs, closure.words, closure.pending, closure.cap)
     assert words == class_words
     assert (closure.truncated or truncated) == class_truncated
@@ -305,7 +317,7 @@ def test_profile_on_a_cover_with_many_matchings():
         word.append(a.id)
         at = a.head
     p = PathWord(q.arrow(word[0]).tail, tuple(word))
-    res = EqualityClasses(rs).compare(p, concat(q, p, unit_cycle(q, at)))
+    res = paths_equal(rs, p, concat(q, p, unit_cycle(q, at)))
     assert (res.verdict, res.reason) == (NOT_EQUAL, "matching_profile")
     scrambled = p.arrows
     for _ in range(12):
@@ -325,7 +337,7 @@ def test_profile_off_the_torus():
     flat = make_quiver(1, [(a.tail, a.head, (0, 0)) for a in c3.arrows],
                        [f.boundary for f in c3.faces])
     assert not validate_dimer(flat).ok
-    res = EqualityClasses(RewriteSystem(flat)).compare(PathWord(0, (1,)), PathWord(0, (2,)))
+    res = paths_equal(RewriteSystem(flat), PathWord(0, (1,)), PathWord(0, (2,)))
     assert (res.verdict, res.reason) == (NOT_EQUAL, "saturated")
     rs, full = RewriteSystem(flat), full_profile(flat)
     assert rs.profile((1,)) == rs.profile((2,)) and full((1,)) != full((2,))
@@ -346,8 +358,8 @@ def test_trivial_path_without_a_profile():
     rs = RewriteSystem(fixtures_mod.bigon_inserted_c3())
     assert not rs.has_matching
     p, r = PathWord(0, ()), PathWord(0, (3, 4))
-    for res in (EqualityClasses(rs).compare(p, r), paths_equal(rs, p, r)):
-        assert (res.verdict, res.reason, res.states) == (NOT_EQUAL, "trivial_path", 0)
+    res = paths_equal(rs, p, r)
+    assert (res.verdict, res.reason, res.states) == (NOT_EQUAL, "trivial_path", 0)
 
 
 def test_profile_of_a_long_word():
@@ -362,10 +374,10 @@ def test_complete_closure_decides_not_equal(all_fixtures):
     fx = all_fixtures["fig_noncancellative_central"]
     rs = RewriteSystem(fx.quiver)
     ec = EqualityClasses(rs)
-    res = ec.compare(fx.paths["p"], fx.paths["q"])
+    res = compare(ec, fx.paths["p"], fx.paths["q"])
     assert (res.verdict, res.reason) == (NOT_EQUAL, "saturated")
     # the closures are kept: asking again costs no state
-    assert ec.compare(fx.paths["p"], fx.paths["q"]).states == 0
+    assert compare(ec, fx.paths["p"], fx.paths["q"]).states == 0
 
 
 def test_noncancellative_search_stops_when_budget_is_spent(iso_r_contraction, monkeypatch):
@@ -429,7 +441,7 @@ def unbucketed_split(classes, words):
     split, unknown = [], 0
     for k, w in enumerate(words):
         for cls in split:
-            verdict = classes.compare(words[cls[0]], w).verdict
+            verdict = compare(classes, words[cls[0]], w).verdict
             if verdict == EQUAL:
                 cls.append(k)
                 break
@@ -574,7 +586,7 @@ def budgeted_searches(rs, groups):
             for k, w in enumerate(group):
                 reps = buckets.setdefault(rewriting._invariants(rs, w), [])
                 for rep in reps:
-                    res = ec.compare(rep, w, max_states=2 if k % 3 == 1 else None)
+                    res = compare(ec, rep, w, max_states=2 if k % 3 == 1 else None)
                     log.append(res)
                     if res.is_equal:
                         break
@@ -649,7 +661,8 @@ def test_cut_closure_expands_in_full(all_fixtures, monkeypatch):
     q = all_fixtures["fig_iso_R"].quiver
     rs = RewriteSystem(q)
     p, r, cap = iso_r_tight(q)
-    ec = EqualityClasses(rs)
+    bounds = SearchBounds(cap)
+    ec = EqualityClasses(rs, bounds)
     scan = RewriteSystem.successors
     records, full_after_cut = 0, 0
 
@@ -664,60 +677,10 @@ def test_cut_closure_expands_in_full(all_fixtures, monkeypatch):
         return scan(self, word, cap, made, known, sites)
 
     monkeypatch.setattr(RewriteSystem, "successors", watched)
-    res = ec._query(p, r, _encode(r.arrows), cap=cap)
+    res = ec._query(p, r, _encode(r.arrows))
     assert res.verdict == EQUAL and len(ec.witness(p, r)) == 7
+    assert ec.closures[p].cap == bounds.word_cap(rs, p) == cap
     assert ec.closures[p].truncated and records > 0 and full_after_cut > 0
-
-
-def cycles_like(q, p):
-    """The cycles at p's base of p's length.  Those whose invariants differ
-    from p's are put to the search too: a saturated closure refutes them."""
-    return [c for c in enumerate_cycles(q, p.base, len(p.arrows)).cycles
-            if len(c.arrows) == len(p.arrows)]
-
-
-def asked(ec, rep, words, cap):
-    return [ec._query(rep, w, _encode(w.arrows), cap=cap) for w in words]
-
-
-def test_uncut_closure_is_kept_at_a_higher_cap(all_fixtures):
-    # at cap 14 the class of p is whole (204 words) and nothing is cut:
-    # asked at 18 the closure is kept with its cap raised, the words it
-    # has reached cost no states, and every verdict is a fresh closure's;
-    # asked again at 9 the cap stays at 18
-    q = all_fixtures["fig_iso_R"].quiver
-    rs = RewriteSystem(q)
-    p, r, _ = iso_r_tight(q)
-    ec = EqualityClasses(rs)
-    assert ec._query(p, r, _encode(r.arrows), cap=14).verdict == EQUAL
-    closure = ec.closures[p]
-    assert not closure.truncated and closure.cap == 14
-    reached = [PathWord(p.base, _decode(w)) for w in closure.words]
-    assert all(res == EqResult(EQUAL) for res in asked(ec, p, reached, 18))
-    assert ec.closures[p] is closure and closure.cap == 18
-    words = cycles_like(q, p)
-    verdicts = [res.verdict for res in asked(ec, p, words, 18)]
-    assert verdicts == [res.verdict for res in asked(EqualityClasses(rs), p, words, 18)]
-    assert EQUAL in verdicts and NOT_EQUAL in verdicts
-    asked(ec, p, words, 9)
-    assert ec.closures[p] is closure and closure.cap == 18
-
-
-def test_cut_closure_starts_afresh(all_fixtures):
-    # at cap 9 the closure of p cuts a rewrite; asked at 14 it is started
-    # again, and answers as a fresh closure does, states included
-    q = all_fixtures["fig_iso_R"].quiver
-    rs = RewriteSystem(q)
-    p, r, cap = iso_r_tight(q)
-    ec = EqualityClasses(rs)
-    assert ec._query(p, r, _encode(r.arrows), cap=cap).verdict == EQUAL
-    cut = ec.closures[p]
-    assert cut.truncated and cut.cap == cap
-    words = [r] + cycles_like(q, p)
-    results = asked(ec, p, words, 14)
-    assert ec.closures[p] is not cut and ec.closures[p].cap == 14
-    assert results == asked(EqualityClasses(rs), p, words, 14)
-    assert results[0].states > 0  # r is searched again
 
 
 # a swapped pair on the c3 cover: 2 arrows in front and 9 behind are
@@ -735,7 +698,8 @@ def c3_core_pair():
 def assert_replays_inside_cap(rs, p, r, res, bounds):
     trail = replay_witness(rs, p, res.steps)
     assert trail[-1] == r
-    assert max(len(w.arrows) for w in trail) <= bounds.word_cap(rs.quiver, p, r)
+    cap = max(bounds.word_cap(rs, p), bounds.word_cap(rs, r))
+    assert max(len(w.arrows) for w in trail) <= cap
 
 
 def test_block_search_settles_a_pair_the_whole_words_do_not():
@@ -746,16 +710,17 @@ def test_block_search_settles_a_pair_the_whole_words_do_not():
     # blocks before it, replay on them inside the cap
     rs, p, r = c3_core_pair()
     bounds = SearchBounds(0, 5000)
-    blocks = rewriting._blocks(rs, p, r, bounds.word_cap(rs.quiver, p, r))
-    assert [(at, u.arrows, v.arrows, room) for at, u, v, room in blocks] == [
-        (2, (19, 16, 17, 2, 38), (35, 14, 18, 19, 16), 11),
-        (8, (18, 35, 14), (2, 38, 17), 9),
+    blocks = rewriting._blocks(rs, p, r)
+    assert [(at, u.arrows, v.arrows) for at, u, v in blocks] == [
+        (2, (19, 16, 17, 2, 38), (35, 14, 18, 19, 16)),
+        (8, (18, 35, 14), (2, 38, 17)),
     ]
     res = paths_equal(rs, p, r, bounds)
     assert (res.verdict, res.states) == (EQUAL, 24)
     assert min(step.pos for step in res.steps) >= 2
     assert_replays_inside_cap(rs, p, r, res, bounds)
-    assert EqualityClasses(rs, bounds).compare(p, r) == EqResult(UNKNOWN, "state_budget", states=5001)
+    whole = EqualityClasses(rs, bounds)._query(p, r, _encode(r.arrows))
+    assert whole == EqResult(UNKNOWN, "state_budget", states=5001)
 
 
 def test_block_search_spends_the_state_budget():
@@ -786,8 +751,8 @@ def test_unequal_block_falls_back_past_an_equal_one(deformation):
     # searched, and the first block's witness is not part of the answer
     rs = RewriteSystem(deformation.quiver)
     p, r = PathWord(0, (0, 2, 4, 6, 6, 1, 2, 4)), PathWord(0, (6, 0, 3, 5, 6, 6, 0, 2, 4))
-    blocks = rewriting._blocks(rs, p, r, DEFAULT_BOUNDS.word_cap(rs.quiver, p, r))
-    assert [(at, u.arrows, v.arrows) for at, u, v, _ in blocks] == [
+    blocks = rewriting._blocks(rs, p, r)
+    assert [(at, u.arrows, v.arrows) for at, u, v in blocks] == [
         (0, (0, 2), (6, 0, 3)), (3, (4, 6, 6, 1), (5, 6, 6, 0))]
     first = paths_equal(rs, blocks[0][1], blocks[0][2])
     assert first.verdict == EQUAL
@@ -802,15 +767,20 @@ def test_unequal_block_falls_back_past_an_equal_one(deformation):
     # 0,6 | 9,12,1 against 4,7,13 | 8,5: 4,7,13,9,12,1 in between
     ("fig_hsb_ii", (0, 6, 9, 12, 1), (4, 7, 13, 8, 5)),
 ], ids=["fig_deformation", "fig_hsb_ii"])
-def test_words_between_blocks_stay_inside_the_cap(name, p, r):
+def test_user_cap_skips_the_block_stage(name, p, r, monkeypatch):
     # one rewrite makes each block of the other, but the word between the
-    # two block searches is an arrow longer than both words, so under a cap
-    # of their length the words are one block
+    # two block searches is an arrow longer than both words.  At the
+    # default cap every word of the class fits, so the blocks are
+    # searched; under a user cap the whole words are, and every witness
+    # word stays inside that cap
     rs = RewriteSystem(fixtures_mod.fixture(name).quiver)
     p, r = PathWord(0, p), PathWord(0, r)
     cap = max(len(p.arrows), len(r.arrows))
-    assert len(rewriting._blocks(rs, p, r, cap + 1)) == 2
-    assert rewriting._blocks(rs, p, r, cap) is None
+    assert len(rewriting._blocks(rs, p, r)) == 2
+    res = paths_equal(rs, p, r)
+    assert res.verdict == EQUAL and DEFAULT_BOUNDS.word_cap(rs, p) > cap
+    assert_replays_inside_cap(rs, p, r, res, DEFAULT_BOUNDS)
+    monkeypatch.setattr(rewriting, "_blocks", None)  # a call would raise
     for bounds in (SearchBounds(cap), SearchBounds(cap + 1)):
         res = paths_equal(rs, p, r, bounds)
         assert res.verdict == EQUAL
@@ -873,8 +843,8 @@ def random_walk_at(rng, q, at, n, into=False):
 
 @pytest.mark.parametrize("name", LEMMA_QUIVERS)
 def test_block_search_agrees_with_the_whole_word_search(name):
-    # paths_equal never contradicts a decided whole-word compare, its
-    # NotEqual is compare's, and its Equal witness replays inside the cap
+    # paths_equal never contradicts a decided whole-word query, its
+    # NotEqual is the query's, and its Equal witness replays inside the cap
     rng = random.Random(f"cores {name}")
     settled = cut = 0
     for q in lemma_quivers(name):
@@ -883,9 +853,9 @@ def test_block_search_agrees_with_the_whole_word_search(name):
             length = max(len(p.arrows), len(r.arrows))
             for cap in (0, length, length + 1, length + 2):
                 bounds = SearchBounds(cap, 300)
-                cut += len(rewriting._blocks(rs, p, r, bounds.word_cap(q, p, r)) or ()) > 1
+                cut += cap == 0 and len(rewriting._blocks(rs, p, r) or ()) > 1
                 res = paths_equal(rs, p, r, bounds)
-                ref = EqualityClasses(rs, bounds).compare(p, r)
+                ref = compare(EqualityClasses(rs, bounds), p, r)
                 if res.is_not_equal:
                     assert (ref.verdict, ref.reason) == (res.verdict, res.reason), (p, r, cap)
                 if res.is_equal:
@@ -893,3 +863,41 @@ def test_block_search_agrees_with_the_whole_word_search(name):
                     assert_replays_inside_cap(rs, p, r, res, bounds)
                     settled += ref.verdict == UNKNOWN or res.states < ref.states
     assert settled > 0 and cut > 0
+
+
+# -- the default cap: exact on nondegenerate quivers ---------------------------
+
+
+def test_default_caps_cut_nothing_on_the_benchmark_pools(monkeypatch):
+    # the full pairs pool and the classify pool of perfbench/workloads.py,
+    # run at default word caps: no successors call suppresses a rewrite
+    workloads = load_perfbench("workloads")
+    lib = SimpleNamespace(center=center, contraction=contraction, fixtures=fixtures_mod,
+                          monomial_algebra=monomial_algebra, quiver=quiver, rewriting=rewriting)
+    scan = RewriteSystem.successors
+    count = {"calls": 0, "cuts": 0}
+
+    def counted(self, word, cap, *args):
+        succs, truncated = scan(self, word, cap, *args)
+        count["calls"] += 1
+        count["cuts"] += truncated
+        return succs, truncated
+
+    monkeypatch.setattr(RewriteSystem, "successors", counted)
+    for build in (workloads.build_pairs, workloads.build_classify):
+        count["calls"] = 0
+        for job in build(lib, 1, None, full=True):
+            job.run()
+        assert count["calls"] > 0 and count["cuts"] == 0, (build.__name__, count)
+
+
+def test_degenerate_quiver_keeps_its_classes():
+    # bigon_inserted_c3 has no perfect matching, and a class can be
+    # infinite (4 = 4.1.2.0 = 4.(1.2.0)^k), so the default cap is the
+    # word's length plus twice the longest face, and it cuts
+    q = fixtures_mod.bigon_inserted_c3()
+    rs = RewriteSystem(q)
+    assert rs.cover_counts is None
+    assert DEFAULT_BOUNDS.word_cap(rs, PathWord(1, (4,))) == 1 + 2 * q.max_face_length()
+    enum = enumerate_cycles(q, 0, 3, rs=rs, dedup_mod_relations=True)
+    assert (len(enum.classes), enum.unknown_pairs) == (40, 6)

@@ -1,17 +1,20 @@
 """Path equality against ``oracles.oracle_class``, the plain closure of a
 word under single rewrites: ``paths_equal``, ``split`` with closures kept
-and raised across word caps, and the inequality of the pairs that
-``find_noncancellative_pair`` reports.
+across queries, the default word cap, and the inequality of the pairs
+that ``find_noncancellative_pair`` reports.
 
 At a word cap K the oracle gives the words reached from p through words
-of at most K arrows, and whether a rewrite passed K.  A search from the
-word under K against p's closure under C >= K, with states to spare,
-must answer Equal when the oracle reaches the word under K, and only
-when it does under C, with every word of its witness inside C; it may
-answer NotEqual (saturated) only when one side's oracle closure is the
-whole class, and Unknown (word_length) only when one side's is not: the
-search stops as soon as either side is complete.  ``paths_equal``
-searches both sides under the pair cap, so for it C = K."""
+of at most K arrows, and whether a rewrite passed K.  Each side of a
+search keeps the cap of its start word: p's closure searches under P,
+the word r's search under R.  With states to spare, the search must
+answer Equal when the oracle reaches r from p under min(P, R), and only
+when it does under max(P, R), with every word of its witness inside
+max(P, R); it may answer NotEqual (saturated) only when the oracle
+closure of p under P or of r under R is the whole class, and Unknown
+(word_length) only when one of them is not: the search stops as soon as
+either side is complete.  Every arrow of the quivers here lies in a
+perfect matching, so the default caps of two words with the same
+invariants are one exact bound, and a user cap is one cap for both."""
 
 import functools
 import random
@@ -63,12 +66,13 @@ def caps(p, r):
 
 def check_answer(name, res, p, r, p_cap, r_cap):
     """One answer on p and r against the oracle, p's side searched under
-    ``p_cap`` and r's under ``r_cap``, which is at most ``p_cap``."""
+    ``p_cap`` and r's under ``r_cap``."""
+    low, high = sorted((p_cap, r_cap))
     reached, p_cut = oracle(name, p.arrows, p_cap)
-    if r.arrows in oracle(name, p.arrows, r_cap)[0]:
-        assert res.verdict == EQUAL, (name, p, r, r_cap, res)
+    if r.arrows in oracle(name, p.arrows, low)[0]:
+        assert res.verdict == EQUAL, (name, p, r, low, res)
     if res.verdict == EQUAL:
-        assert r.arrows in reached
+        assert r.arrows in oracle(name, p.arrows, high)[0]
     elif res.verdict == NOT_EQUAL:
         assert r.arrows not in reached, (name, p, r, p_cap, res)
         if res.reason == "saturated":
@@ -88,11 +92,11 @@ def check_paths_equal(name, p, r):
     rs = rewrite_system(name)
     for cap in caps(p, r):
         bounds = SearchBounds(cap)
-        pair_cap = bounds.word_cap(rs.quiver, p, r)
+        p_cap, r_cap = bounds.word_cap(rs, p), bounds.word_cap(rs, r)
         res = paths_equal(rs, p, r, bounds)
-        check_answer(name, res, p, r, pair_cap, pair_cap)
+        check_answer(name, res, p, r, p_cap, r_cap)
         if res.verdict == EQUAL:
-            check_witness(rs, p, r, res.steps, pair_cap)
+            check_witness(rs, p, r, res.steps, max(p_cap, r_cap))
 
 
 def walk(rng, q, length):
@@ -137,7 +141,8 @@ def swapped(rng, q, p):
 
 def fits_oracle(name, p, r):
     """Whether the oracle closes both words at their largest cap."""
-    top = max(caps(p, r)[1:] + (DEFAULT_BOUNDS.word_cap(rewrite_system(name).quiver, p, r),))
+    rs = rewrite_system(name)
+    top = max(caps(p, r)[1:] + (DEFAULT_BOUNDS.word_cap(rs, p), DEFAULT_BOUNDS.word_cap(rs, r)))
     try:
         oracle(name, p.arrows, top)
         oracle(name, r.arrows, top)
@@ -157,6 +162,25 @@ def test_paths_equal_agrees_with_the_oracle(name, kind, length, seed):
     if r is None or r == p or not fits_oracle(name, p, r):
         return
     check_paths_equal(name, p, r)
+
+
+@settings(max_examples=30, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(name=st.sampled_from(ORACLE_QUIVERS), length=st.integers(1, 8),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_default_cap_holds_the_whole_class(name, length, seed):
+    # every arrow lies in a perfect matching, so the default cap B(w) is
+    # exact: given three arrows more, the oracle reaches no word longer
+    # than B(w) and cuts nothing, and B is the same on the whole class
+    rs = rewrite_system(name)
+    assert rs.cover_counts is not None
+    w = walk(random.Random(seed), rs.quiver, length)
+    bound = DEFAULT_BOUNDS.word_cap(rs, w)
+    try:
+        reached, cut = oracle(name, w.arrows, bound + 3)
+    except OracleSizeExceeded:
+        return
+    assert not cut and max(map(len, reached)) <= bound, (name, w)
+    assert {DEFAULT_BOUNDS.word_cap(rs, PathWord(w.base, u)) for u in reached} == {bound}
 
 
 NAMED_PAIRS = [
@@ -179,25 +203,21 @@ def test_named_pairs_agree_with_the_oracle(name, p, r):
 
 
 class RecordedClasses(EqualityClasses):
-    """Every query of ``split`` with the caps it ran under, its closure's
-    fate and its witness.  The fate is "new", "kept" (asked at its cap),
-    "lower" (kept, asked at a lower cap), "raised" or "restarted"."""
+    """Every query of ``split`` with the word caps of its two sides, read
+    off the representative and the word, whether it met a closure kept
+    from an earlier query, and its witness."""
 
     def __init__(self, rs, bounds):
         super().__init__(rs, bounds)
         self.log = []
 
-    def _query(self, rep, word, text, max_states=None, cap=None):
-        before = self.closures.get(rep)
-        old_cap = before and before.cap
-        res = super()._query(rep, word, text, max_states, cap)
-        closure = self.closures.get(rep)
-        pair_cap = self.bounds.word_cap(self.rs.quiver, rep, word)
-        fate = ("new" if before is None else "restarted" if closure is not before
-                else "raised" if closure.cap > old_cap
-                else "lower" if pair_cap < closure.cap else "kept")
+    def _query(self, rep, word, text, max_states=None):
+        kept = rep in self.closures
+        res = super()._query(rep, word, text, max_states)
+        rep_cap, word_cap = (self.bounds.word_cap(self.rs, w) for w in (rep, word))
+        assert rep not in self.closures or self.closures[rep].cap == rep_cap
         steps = self.witness(rep, word) if res.verdict == EQUAL else None
-        self.log.append((rep, word, res, closure and closure.cap, pair_cap, fate, steps))
+        self.log.append((rep, word, res, rep_cap, word_cap, kept, steps))
         return res
 
 
@@ -218,28 +238,28 @@ def split_groups(name, rng):
 
 
 def test_split_agrees_with_the_oracle():
-    fates = dict.fromkeys(("new", "kept", "lower", "raised", "restarted"), 0)
+    kept = [0, 0]  # queries that built the representative's closure, and that met it
     for name in ORACLE_QUIVERS:
         rs = rewrite_system(name)
         rng = random.Random(f"split {name}")
         for group in split_groups(name, rng):
             longest = max(group, key=lambda w: len(w.arrows))
-            # shortest first, the caps of a representative's queries rise;
-            # longest first, they stay; shuffled, they also fall
+            # shortest first, longest first and shuffled: each word meets
+            # representatives of other lengths
             for order in (group, group[::-1], rng.sample(group, len(group))):
                 for cap in caps(longest, longest):
                     classes = RecordedClasses(rs, SearchBounds(cap))
                     _, unknown = classes.split(order)
                     assert unknown == sum(r.verdict == UNKNOWN for _, _, r, *_ in classes.log)
-                    for rep, word, res, rep_cap, pair_cap, fate, steps in classes.log:
+                    for rep, word, res, rep_cap, word_cap, met, steps in classes.log:
                         try:
-                            check_answer(name, res, rep, word, rep_cap, pair_cap)
+                            check_answer(name, res, rep, word, rep_cap, word_cap)
                         except OracleSizeExceeded:
                             continue
                         if steps is not None:
-                            check_witness(rs, rep, word, steps, rep_cap)
-                        fates[fate] += 1
-    assert fates["kept"] and fates["lower"] and fates["raised"], fates
+                            check_witness(rs, rep, word, steps, max(rep_cap, word_cap))
+                        kept[met] += 1
+    assert all(kept), kept
 
 
 def test_noncancellative_pairs_are_unequal_by_the_oracle(all_fixtures, all_contractions):
@@ -249,15 +269,15 @@ def test_noncancellative_pairs_are_unequal_by_the_oracle(all_fixtures, all_contr
         rep = find_noncancellative_pair(q, all_contractions[name])
         if not rep.found:
             continue
+        rs = RewriteSystem(q)
         p, r = rep.pair.p, rep.pair.q
-        cap = DEFAULT_BOUNDS.word_cap(q, p, r)
-        reached, cut = oracle_class(q, p.arrows, cap)
+        reached, cut = oracle_class(q, p.arrows, DEFAULT_BOUNDS.word_cap(rs, p))
         assert r.arrows not in reached, name
-        assert not (cut and oracle_class(q, r.arrows, cap)[1]), name
+        assert not (cut and oracle_class(q, r.arrows, DEFAULT_BOUNDS.word_cap(rs, r))[1]), name
         found += 1
         if rep.pair.side == "after":
             pr, qr = concat(q, p, rep.pair.r), concat(q, r, rep.pair.r)
         else:
             pr, qr = concat(q, rep.pair.r, p), concat(q, rep.pair.r, r)
-        assert qr.arrows in oracle_class(q, pr.arrows, DEFAULT_BOUNDS.word_cap(q, pr, qr))[0]
+        assert qr.arrows in oracle_class(q, pr.arrows, DEFAULT_BOUNDS.word_cap(rs, pr))[0]
     assert found >= 5

@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -11,11 +12,13 @@ from dimeralg.matchings import (
     is_perfect_matching,
     is_simple_matching,
     matching_catalog,
+    matching_cover,
+    perfect_matching_masks,
 )
 from dimeralg.oracles import oracle_matchings
 from dimeralg.quiver import DomainError, quiver_from_json, quiver_to_json
 
-from conftest import load_torus_cover
+from conftest import insert_2cycle, load_torus_cover
 
 
 def _base(name):
@@ -166,6 +169,43 @@ def test_fixtures_are_nondegenerate(all_fixtures):
     for name, fx in all_fixtures.items():
         ok, uncovered = is_nondegenerate(fx.quiver)
         assert ok, (name, uncovered)
+
+
+def test_seeded_search_finds_the_matchings_through_the_seed(all_fixtures):
+    for fx in all_fixtures.values():
+        q = fx.quiver
+        full = list(perfect_matching_masks(q))
+        for a in q.arrows:
+            through = sorted(d for d in full if d >> a.id & 1)
+            assert sorted(perfect_matching_masks(q, a.id)) == through, a.id
+
+
+def test_nondegeneracy_is_the_enumerated_answer(all_fixtures, all_contractions, deformation):
+    quivers = [fixtures_mod.c3_quiver(), fixtures_mod.conifold_quiver(),
+               fixtures_mod.bigon_inserted_c3(), insert_2cycle(deformation.quiver, 1, 2),
+               contract(deformation.quiver, frozenset({2})).target]
+    for name, fx in all_fixtures.items():
+        quivers += [fx.quiver, all_contractions[name].target]
+    degenerate = 0
+    for q in quivers:
+        covered = set().union(*enumerate_perfect_matchings(q))
+        uncovered = sorted({a.id for a in q.arrows} - covered)
+        assert is_nondegenerate(q) == (not uncovered, uncovered)
+        cover, rest = matching_cover(q)
+        assert rest == uncovered
+        assert cover[:1] == list(itertools.islice(perfect_matching_masks(q), 1))  # D0 first
+        assert {a.id for a in q.arrows if any(d >> a.id & 1 for d in cover)} == covered
+        degenerate += bool(uncovered)
+    assert degenerate == 2
+
+
+def test_nondegeneracy_past_the_enumeration_cap():
+    # more perfect matchings than the enumeration allows; one seeded search
+    # per arrow left uncovered still answers
+    q = _cover("fig_deformation", 3, 4)
+    with pytest.raises(MatchingCapExceeded):
+        enumerate_perfect_matchings(q)
+    assert is_nondegenerate(q) == (True, [])
 
 
 def test_degenerate_quiver_lists_uncovered_arrows(deformation):

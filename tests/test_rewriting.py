@@ -41,6 +41,8 @@ from dimeralg.rewriting import (
     _search_pairs,
 )
 
+from conftest import insert_2cycle
+
 
 def test_rule_shapes(all_fixtures):
     for fx in all_fixtures.values():
@@ -448,25 +450,6 @@ def test_noncancellative_reports_are_pinned(all_fixtures, all_contractions):
         words = pr and (pr.p.arrows, pr.q.arrows, pr.r.arrows, pr.side)
         got = (rep.found, rep.exhausted, rep.cycles_considered, rep.pairs_tested, words)
         assert got == want, (name, side, bounds)
-
-
-def insert_2cycle(q, face, k):
-    """The inverse of one 2-cycle removal: split the face after its k-th
-    arrow into arcs u -> x and x -> u, and close each arc into a face with
-    a new arrow; the new arrows x -> u and u -> x form the 2-cycle.  They
-    take ids 0 and 1, so every old arrow id moves up by 2."""
-    boundary = tuple(aid + 2 for aid in q.faces[face].boundary)
-    arc1, arc2 = boundary[:k], boundary[k:]
-    arrows = [(y.tail, y.head, y.homology) for y in q.arrows]
-
-    def closing(arc):
-        return tuple(-sum(arrows[a - 2][2][i] for a in arc) for i in (0, 1))
-
-    u, x = arrows[arc1[0] - 2][0], arrows[arc1[-1] - 2][1]
-    arrows = [(x, u, closing(arc1)), (u, x, closing(arc2))] + arrows
-    faces = [tuple(aid + 2 for aid in f.boundary) for f in q.faces if f.id != face]
-    faces += [(0,) + arc1, (1,) + arc2, (0, 1)]
-    return make_quiver(q.num_vertices, arrows, faces)
 
 
 def completed(q, pair, cycle):
