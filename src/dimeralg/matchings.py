@@ -35,6 +35,12 @@ def enumerate_perfect_matchings(q: DimerQuiver, cap: int = DEFAULT_MATCHING_CAP)
 def perfect_matching_masks(q: DimerQuiver, seed: int | None = None):
     """Every perfect matching as a bit mask of arrow ids, in search order,
     one at a time; with ``seed``, only those holding that arrow."""
+    return _cover_search(_cover_tables(q), seed)
+
+
+def _cover_tables(q: DimerQuiver):
+    """The exact-cover tables: each face's arrows, each arrow's faces and
+    each arrow's rivals, as bit masks."""
     face_arrows = [sum(1 << aid for aid in set(f.boundary)) for f in q.faces]
     arrow_faces = [0] * len(q.arrows)  # bit i: the arrow lies on face i
     # choosing an arrow blocks every arrow sharing a face with it, itself
@@ -44,6 +50,12 @@ def perfect_matching_masks(q: DimerQuiver, seed: int | None = None):
         for aid in f.boundary:
             arrow_faces[aid] |= 1 << idx
             rivals[aid] |= face_arrows[idx]
+    return face_arrows, arrow_faces, rivals
+
+
+def _cover_search(tables, seed: int | None):
+    """``perfect_matching_masks`` on tables built once by ``_cover_tables``."""
+    face_arrows, arrow_faces, rivals = tables
     all_faces = (1 << len(face_arrows)) - 1
     start = (0, 0, 0) if seed is None else (arrow_faces[seed], rivals[seed], 1 << seed)
     stack = [start] if face_arrows else []
@@ -117,13 +129,14 @@ def matching_cover(q: DimerQuiver) -> tuple[list[int], list[int]]:
     """(cover, uncovered arrow ids): D0, the first perfect matching, then
     the first through each arrow still uncovered, as bit masks; and the
     arrows in none, ascending.  Nothing is enumerated."""
-    d0 = next(perfect_matching_masks(q), None)
+    tables = _cover_tables(q)
+    d0 = next(_cover_search(tables, None), None)
     if d0 is None:
         return [], [a.id for a in q.arrows]
     cover, uncovered = [d0], []
     for a in q.arrows:
         if not any(d >> a.id & 1 for d in cover):
-            d = next(perfect_matching_masks(q, a.id), None)
+            d = next(_cover_search(tables, a.id), None)
             if d is None:
                 uncovered.append(a.id)
             else:

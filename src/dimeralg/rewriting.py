@@ -4,16 +4,18 @@ Every arrow sits on two faces; rotating each face to start at the arrow
 and dropping it leaves two complementary arcs between the same
 endpoints, and the relations identify exactly those arcs.  Rewrites
 preserve endpoints, homology, and the matching profile, so many
-inequalities are certain without a search.  Otherwise
-``EqualityClasses`` is the one search: the rewrite closure of a class
-representative grows against the closure of the word asked about until
-they meet or one side is complete.  A complete side that never hit its
-cap is the whole class, so inequality is then certain; only a cut-off
-search answers Unknown.  Under exact caps ``paths_equal`` first searches
-the differing blocks of the two words (the relations generate a
-two-sided ideal, so equal blocks make equal words): a few short searches
-often settle Equal where the closures of the whole words would grow with
-every arrow outside the blocks.
+inequalities are certain without a search.  Otherwise there are two
+searches.  ``EqualityClasses`` grows the rewrite closure of a class
+representative against the closure of the word asked about, first in,
+first out, until they meet or one side is complete; it splits words
+into classes, and ``paths_equal`` uses it under caps that may cut.  A
+complete side that never hit its cap is the whole class, so inequality
+is then certain; only a cut-off search answers Unknown.  Under exact
+caps ``paths_equal`` searches best first from one word toward the other
+(``_best_first``), first on the differing blocks of the two words (the
+relations generate a two-sided ideal, so equal blocks make equal
+words): a few short searches often settle Equal where the closures of
+the whole words would grow with every arrow outside the blocks.
 
 Each search keeps one word cap, ``SearchBounds.word_cap`` of its start
 word w: by default sum_i chi_{D_i}(w) over the matchings D_i of
@@ -40,10 +42,11 @@ Inside the search a word is text, one character per arrow
 (``chr(arrow id)``): a str caches its hash and slices cheaply.  One rule
 table, keyed by arc text, finds the rewrite sites with one lookup per
 window, in order of arc length, then position, then rule.  A closure
-expands its words first in, first out, so expanding a word skips the
-windows whose rewrites an earlier word in the queue already applied
-(``_Closure`` says why the closure is unchanged).  Every word that
-leaves the search (``PathWord``, ``RewriteStep``) is a tuple again.
+of ``EqualityClasses`` expands its words first in, first out, so
+expanding a word skips the windows whose rewrites an earlier word in
+the queue already applied (``_Closure`` says why the closure is
+unchanged).  Every word that leaves the search (``PathWord``,
+``RewriteStep``) is a tuple again.
 
 ``find_noncancellative_pair`` searches the 2-cycle-free quiver of
 ``bigon_reduce``, which has the same algebra, and lifts any pair it finds
@@ -53,6 +56,7 @@ back to the quiver asked about, with a witness that replays there.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from heapq import heappop, heappush
 
 from .matchings import matching_cover
 from .quiver import (
@@ -272,16 +276,19 @@ def paths_equal(
     saturated without meeting the other side.  Unknown means the bounded
     search was cut off before deciding.
 
-    Past the invariants, under exact caps only (no user cap, and a cover
-    of every arrow), each differing block (``_blocks``) is searched in
-    turn with what the earlier blocks left of the state budget.  The
-    relations generate a two-sided ideal, so equal blocks make equal
-    words, and the block witnesses, each shifted past the blocks before
-    it, replay on them.  The converse fails on a non-cancellative quiver
-    (p.r = q.r with p != q), so an unequal block decides nothing: the
-    whole words are then searched with the rest of the budget, and the
-    states of all searches are reported.  A block search that spent the
-    budget answers Unknown.
+    Past the invariants, under exact caps (no user cap, and a cover of
+    every arrow), the search is ``_best_first`` from p toward q, and each
+    differing block (``_blocks``) is searched in turn with what the
+    earlier blocks left of the state budget.  The relations generate a
+    two-sided ideal, so equal blocks make equal words, and the block
+    witnesses, each shifted past the blocks before it, replay on them.
+    The converse fails on a non-cancellative quiver (p.r = q.r with
+    p != q), so an unequal block decides nothing: the whole words are
+    then searched with the rest of the budget, and the states of all
+    searches are reported.  A block search that spent the budget answers
+    Unknown.  Under other caps the whole words are searched from both
+    sides by ``EqualityClasses``, where one complete side decides
+    NotEqual, which a one-sided search could not.
     """
     check_path(rs.quiver, p)
     check_path(rs.quiver, q_)
@@ -290,11 +297,12 @@ def paths_equal(
         return EqResult(NOT_EQUAL, reason=reason)
     spent = 0
     exact = bounds.max_word_length == 0 and rs.cover_counts is not None
+    search = _best_first if exact else _query_words
     blocks = _blocks(rs, p, q_) if exact else None
     if blocks:
         steps = []
         for pos, u, v in blocks:
-            res = _query_words(rs, u, v, bounds, bounds.max_states - spent)
+            res = search(rs, u, v, bounds, bounds.max_states - spent)
             spent += res.states
             if res.reason == "state_budget":
                 res.states = spent
@@ -304,9 +312,21 @@ def paths_equal(
             steps += [replace(s, pos=s.pos + pos) for s in res.steps]
         else:
             return EqResult(EQUAL, steps=tuple(steps), states=spent)
-    res = _query_words(rs, p, q_, bounds, bounds.max_states - spent)
+    res = search(rs, p, q_, bounds, bounds.max_states - spent)
     res.states += spent
     return res
+
+
+def _common_ends(a, b) -> tuple[int, int]:
+    """The lengths of the longest common prefix of two words and of their
+    longest common suffix clear of it."""
+    n = min(len(a), len(b))
+    lo = hi = 0
+    while lo < n and a[lo] == b[lo]:
+        lo += 1
+    while lo + hi < n and a[-1 - hi] == b[-1 - hi]:
+        hi += 1
+    return lo, hi
 
 
 def _blocks(rs: RewriteSystem, p: PathWord, q_: PathWord):
@@ -322,13 +342,8 @@ def _blocks(rs: RewriteSystem, p: PathWord, q_: PathWord):
     right, so block k sits at the length of q's blocks before it; no
     length is checked, since only exact caps search blocks."""
     a, b = p.arrows, q_.arrows
-    n = min(len(a), len(b))
-    lo = hi = 0
-    while lo < n and a[lo] == b[lo]:
-        lo += 1
-    while lo + hi < n and a[-1 - hi] == b[-1 - hi]:
-        hi += 1
-    if lo + hi == n:
+    lo, hi = _common_ends(a, b)
+    if lo + hi == min(len(a), len(b)):
         return None  # one word is a prefix or suffix of the other
     quiver, hx, hy, in_d0 = rs.quiver, rs._hx, rs._hy, rs._in_d0
     base = path_head(quiver, PathWord(p.base, a[:lo]))
@@ -368,6 +383,66 @@ def _query_words(
     if res.is_equal:
         res.steps = classes.witness(p, q_)
     return res
+
+
+def _best_first(
+    rs: RewriteSystem, p: PathWord, q_: PathWord, bounds: SearchBounds, max_states: int
+) -> EqResult:
+    """A one-sided best-first search from p toward q, for words sharing
+    their invariants, witness included.
+
+    The word popped next is the one whose differing core with q (what is
+    left after their common prefix and suffix) is shortest, the earliest
+    reached among ties.  Each popped word gets a full ``successors`` scan:
+    the sleep-set records of ``_Closure`` are exact only in first-in,
+    first-out order.  Reaching q answers Equal.  NotEqual is certain when
+    the heap runs empty and the cap cut nothing: every word reached had all
+    its successors generated, so the words reached are p's whole class, in
+    whatever order they were found, and q is not among them.  Otherwise the
+    search answers Unknown."""
+    if p == q_:
+        return EqResult(EQUAL)
+    if not p.arrows or not q_.arrows:
+        return EqResult(NOT_EQUAL, reason="trivial_path")
+    start, goal = _encode(p.arrows), _encode(q_.arrows)
+    cap = bounds.word_cap(rs, p)
+
+    def core(w: str) -> int:
+        return len(w) + len(goal) - 2 * sum(_common_ends(w, goal))
+
+    parents: dict[str, str | None] = {start: None}
+    heap = [(core(start), 0, start)]
+    truncated = False
+    states = 0
+    while heap:
+        w = heappop(heap)[2]
+        succs, trunc = rs.successors(w, cap, None, parents)
+        truncated = truncated or trunc
+        for nxt in succs:
+            if nxt in parents:
+                continue  # reached twice in one scan
+            states += 1
+            if states > max_states:
+                return EqResult(UNKNOWN, reason="state_budget", states=states)
+            parents[nxt] = w
+            if nxt == goal:
+                return EqResult(EQUAL, steps=_witness(rs, parents, goal), states=states)
+            heappush(heap, (core(nxt), states, nxt))
+    if truncated:
+        return EqResult(UNKNOWN, reason="word_length", states=states)
+    return EqResult(NOT_EQUAL, reason="saturated", states=states)
+
+
+def _witness(rs: RewriteSystem, parents: dict, word: str) -> tuple[RewriteStep, ...]:
+    """Rewrite steps from the start of a search to ``word``: its chain in
+    the parent map (each word to the word it was reached from, the start
+    to None), each link read back as the first rewrite in
+    ``RewriteSystem.successors`` order that makes it."""
+    chain = [word]
+    while parents[chain[-1]] is not None:
+        chain.append(parents[chain[-1]])
+    chain = [_decode(w) for w in reversed(chain)]
+    return tuple(map(rs.step_between, chain, chain[1:]))
 
 
 def replay_witness(rs: RewriteSystem, p: PathWord, steps) -> list[PathWord]:
@@ -463,8 +538,7 @@ class _Closure:
 
 
 class EqualityClasses:
-    """Three-valued equality of words against class representatives; the
-    one word-equality search of the package.
+    """Three-valued equality of words against class representatives.
 
     Each representative keeps one rewrite closure under its word cap,
     grown only as far as queries need; the closures are all an instance
@@ -542,12 +616,7 @@ class EqualityClasses:
         first rewrite in ``RewriteSystem.successors`` order that makes it."""
         if rep == word:
             return ()
-        words = self.closures[rep].words
-        chain = [_encode(word.arrows)]
-        while words[chain[-1]] is not None:
-            chain.append(words[chain[-1]])
-        chain = [_decode(w) for w in reversed(chain)]
-        return tuple(map(self.rs.step_between, chain, chain[1:]))
+        return _witness(self.rs, self.closures[rep].words, _encode(word.arrows))
 
     def split(self, words) -> tuple[list[list[int]], int]:
         """Partition words in order: each joins the first class whose

@@ -42,7 +42,7 @@ from dimeralg.rewriting import (
     _encode,
 )
 
-from conftest import FIXTURES, load_perfbench, load_torus_cover
+from conftest import FIXTURES, PERFBENCH, load_perfbench, load_torus_cover
 
 
 def compare(classes, rep, word, max_states=None):
@@ -683,6 +683,21 @@ def test_cut_closure_expands_in_full(all_fixtures, monkeypatch):
     assert ec.closures[p].truncated and records > 0 and full_after_cut > 0
 
 
+def test_best_first_cut_by_its_cap_answers_unknown(all_fixtures):
+    # paths_equal searches best first only under exact caps, which cut
+    # nothing.  Under a cap that cuts, running out of words is not the
+    # whole class: the tight pair is Equal at its cap, and one arrow below
+    # it the search answers Unknown, not NotEqual
+    q = all_fixtures["fig_iso_R"].quiver
+    rs = RewriteSystem(q)
+    p, r, cap = iso_r_tight(q)
+    res = rewriting._best_first(rs, p, r, SearchBounds(cap - 1), 5000)
+    assert (res.verdict, res.reason) == (UNKNOWN, "word_length")
+    res = rewriting._best_first(rs, p, r, SearchBounds(cap), 5000)
+    assert res.is_equal
+    assert_replays_inside_cap(rs, p, r, res, SearchBounds(cap))
+
+
 # a swapped pair on the c3 cover: 2 arrows in front and 9 behind are
 # shared, and the cores meet at a vertex after 5 and after 6 arrows each
 C3_CORE = (11, (11, 15, 19, 16, 17, 2, 38, 17, 18, 35, 14, 18, 35, 30, 31, 28, 29, 46, 41, 4),
@@ -716,7 +731,7 @@ def test_block_search_settles_a_pair_the_whole_words_do_not():
         (8, (18, 35, 14), (2, 38, 17)),
     ]
     res = paths_equal(rs, p, r, bounds)
-    assert (res.verdict, res.states) == (EQUAL, 24)
+    assert (res.verdict, res.states) == (EQUAL, 16)
     assert min(step.pos for step in res.steps) >= 2
     assert_replays_inside_cap(rs, p, r, res, bounds)
     whole = EqualityClasses(rs, bounds)._query(p, r, _encode(r.arrows))
@@ -724,13 +739,38 @@ def test_block_search_settles_a_pair_the_whole_words_do_not():
 
 
 def test_block_search_spends_the_state_budget():
-    # the first block takes 19 states, the second 5: a budget of 19
+    # the first block takes 12 states, the second 4: a budget of 12
     # settles the first and leaves none for the second
     rs, p, r = c3_core_pair()
-    for k in (0, 10, 18, 19, 23):
+    for k in (0, 6, 11, 12, 15):
         res = paths_equal(rs, p, r, SearchBounds(0, k))
         assert (res.verdict, res.reason, res.states) == (UNKNOWN, "state_budget", k + 1), k
-    assert paths_equal(rs, p, r, SearchBounds(0, 24)).verdict == EQUAL
+    assert paths_equal(rs, p, r, SearchBounds(0, 16)).verdict == EQUAL
+
+
+# two swapped pairs of the pairs pool of perfbench/workloads.py (keys
+# fig_hsb_ii|20|swapped|3 and fig_iso_R|20|swapped|3): base, p, r
+POOL_SWAPPED = {
+    "fig_hsb_ii": (3, (8, 5, 4, 14, 10, 11, 14, 6, 9, 12, 1, 4, 5, 2, 3, 0, 10, 11, 5, 4),
+                   (8, 5, 0, 10, 11, 5, 4, 14, 10, 11, 14, 6, 9, 12, 1, 4, 5, 2, 3, 4)),
+    "fig_iso_R": (6, (8, 3, 1, 0, 15, 16, 3, 14, 12, 9, 8, 4, 5, 2, 1, 0, 2, 14, 11, 7),
+                  (8, 4, 5, 2, 1, 0, 2, 14, 11, 7, 8, 3, 1, 0, 15, 16, 3, 14, 12, 9)),
+}
+
+
+@pytest.mark.parametrize("name, states", [("fig_hsb_ii", 128), ("fig_iso_R", 270)])
+def test_best_first_settles_pool_pairs_breadth_first_does_not(name, states):
+    # the search heads toward the other word: Equal in a few hundred
+    # states, where the breadth-first whole-word query spends the budget
+    rs = RewriteSystem(fixtures_mod.fixture(name).quiver)
+    base, p, r = POOL_SWAPPED[name]
+    p, r = PathWord(base, p), PathWord(base, r)
+    bounds = SearchBounds(0, 5000)
+    res = paths_equal(rs, p, r, bounds)
+    assert (res.verdict, res.states) == (EQUAL, states)
+    assert_replays_inside_cap(rs, p, r, res, bounds)
+    whole = EqualityClasses(rs, bounds)._query(p, r, _encode(r.arrows))
+    assert (whole.verdict, whole.reason) == (UNKNOWN, "state_budget")
 
 
 def test_unequal_core_falls_back_to_the_whole_words(deformation):
@@ -889,6 +929,33 @@ def test_default_caps_cut_nothing_on_the_benchmark_pools(monkeypatch):
         for job in build(lib, 1, None, full=True):
             job.run()
         assert count["calls"] > 0 and count["cuts"] == 0, (build.__name__, count)
+
+
+def test_pairs_pool_keeps_its_recorded_verdicts(monkeypatch):
+    # the full pairs pool of perfbench/workloads.py, read-only: at most 3
+    # Unknowns, every verdict decided in perfbench/reference.json decided
+    # alike, and every Equal witness replays inside its cap
+    workloads = load_perfbench("workloads")
+    answers = json.loads((PERFBENCH / "reference.json").read_text())["answers"]
+    lib = SimpleNamespace(fixtures=fixtures_mod, quiver=quiver, rewriting=rewriting)
+    search, calls = paths_equal, []
+
+    def recorded(rs, p, r, bounds):
+        calls.append((rs, p, r, bounds))
+        return search(rs, p, r, bounds)
+
+    monkeypatch.setattr(rewriting, "paths_equal", recorded)
+    unknown = 0
+    for job in workloads.build_pairs(lib, 1, full=True):
+        res = job.run()
+        rs, p, r, bounds = calls[-1]
+        unknown += res.verdict == UNKNOWN
+        assert job.certify(res) is None, job.key
+        if answers[job.key] is not None:
+            assert res.verdict == answers[job.key], job.key
+        if res.is_equal:
+            assert_replays_inside_cap(rs, p, r, res, bounds)
+    assert len(calls) == 288 and unknown <= 3
 
 
 def test_degenerate_quiver_keeps_its_classes():
