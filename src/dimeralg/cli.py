@@ -407,8 +407,11 @@ def _global_options(parser, suppress=False):
     parser.add_argument("--max-word-length", type=_count,
                         default=default(DEFAULT_BOUNDS.max_word_length),
                         help="word cap of every rewriting search (0 = its start word's bound)")
-    parser.add_argument("--max-states", type=_count, default=default(DEFAULT_BOUNDS.max_states))
-    parser.add_argument("--degree-bound", type=_count, default=default(DEFAULT_DEGREE_BOUND))
+    parser.add_argument("--max-states", type=_count, default=default(DEFAULT_BOUNDS.max_states),
+                        help="state bound of the rewriting searches")
+    parser.add_argument("--degree-bound", type=_count, default=default(DEFAULT_DEGREE_BOUND),
+                        help="degree bound of the homotopy-center and normality"
+                             " monomial computations")
     parser.add_argument("--text", action="store_true", default=default(False),
                         help="indented text output instead of JSON")
 
@@ -445,7 +448,7 @@ def build_parser():
 
     p = add("eq", cmd_eq, "quiver", "p", "q")
     p.add_argument("--p", required=True, help="comma-separated arrow ids")
-    p.add_argument("--q", required=True)
+    p.add_argument("--q", required=True, help="comma-separated arrow ids")
 
     p = add("cycles", cmd_cycles, "quiver", "vertex")
     p.add_argument("--vertex", type=int, required=True)

@@ -55,7 +55,7 @@ back to the quiver asked about, with a witness that replays there.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from heapq import heappop, heappush
 
 from .matchings import matching_cover
@@ -162,7 +162,7 @@ class RewriteSystem:
 
     The relations are one rule table per arc length, ascending: each maps
     an arc's text to [(arrow, replacement text)], in the order of the
-    arrows.  ``successors`` and ``step_between`` both read it.
+    arrows.  ``successors`` and ``read_back`` both read it.
 
     The matching profile (module docstring) counts arrows in D0, the
     first exact-cover solution, which also sets ``has_matching``, and
@@ -234,21 +234,31 @@ class RewriteSystem:
 
     def step_between(self, word: tuple[int, ...], nxt: tuple[int, ...]) -> RewriteStep:
         """The first rewrite in ``successors`` order that turns ``word``
-        into ``nxt``.  Only windows covering the span between the first and
-        the last position where the two words differ are tried."""
-        n, m = len(word), len(nxt)
+        into ``nxt`` (``read_back`` on their text)."""
+        return self.read_back(_encode(word), _encode(nxt))
+
+    def read_back(self, text: str, target: str, shift: int = 0) -> RewriteStep:
+        """``step_between`` on text words, the position moved by ``shift``.
+
+        Only windows covering the span between the first and the last
+        position where the words differ are tried, the common prefix and
+        suffix measured independently, since a replacement may share an
+        end arrow with its arc (fig_iso_R, fig_hsb_ii).  Around those
+        windows the words agree, so a rewrite makes ``target`` iff its
+        replacement has the right length and stands in ``target`` there."""
+        n, m = len(text), len(target)
         lo = hi = 0
-        while lo < min(n, m) and word[lo] == nxt[lo]:
+        while lo < min(n, m) and text[lo] == target[lo]:
             lo += 1
-        while hi < min(n, m) and word[n - 1 - hi] == nxt[m - 1 - hi]:
+        while hi < min(n, m) and text[n - 1 - hi] == target[m - 1 - hi]:
             hi += 1
-        text, target = _encode(word), _encode(nxt)
         for ln, table in self._arcs.items():
+            grown = m - n + ln  # the replacement length that makes target
             for pos in range(max(0, n - hi - ln), min(lo, n - ln) + 1):
                 arc = text[pos:pos + ln]
                 for aid, repl in table.get(arc, ()):
-                    if text[:pos] + repl + text[pos + ln:] == target:
-                        return RewriteStep(pos, aid, _decode(arc), _decode(repl))
+                    if len(repl) == grown and target.startswith(repl, pos):
+                        return RewriteStep(pos + shift, aid, _decode(arc), _decode(repl))
         raise DomainError("no single rewrite joins the two words")
 
 
@@ -258,6 +268,29 @@ def _invariants(rs: RewriteSystem, w: PathWord) -> tuple:
     arrows = w.arrows
     hom = (sum(map(rs._hx.__getitem__, arrows)), sum(map(rs._hy.__getitem__, arrows)))
     return (w.base, path_head(rs.quiver, w)), hom, rs.profile(arrows)
+
+
+def _walk(rs: RewriteSystem, w: PathWord) -> tuple[tuple, list[tuple]]:
+    """One pass over a word from outside: the checks of ``check_path``, in
+    its order and with its messages; the word's ``_invariants``; and the
+    key (vertex, homology, D0 count) of each prefix, keys[k] after k
+    arrows, where ``_blocks`` may cut."""
+    quiver = rs.quiver
+    if not 0 <= w.base < quiver.num_vertices:
+        raise DomainError(f"path base {w.base} out of range")
+    arrows, hx, hy, in_d0 = quiver.arrows, rs._hx, rs._hy, rs._in_d0
+    n = len(arrows)
+    at, x, y, d = w.base, 0, 0, 0
+    keys = [(at, x, y, d)]
+    for aid in w.arrows:
+        if not 0 <= aid < n:
+            raise DomainError(f"unknown arrow id {aid}")
+        a = arrows[aid]
+        if a.tail != at:
+            raise DomainError(f"word not composable at arrow {aid}")
+        at, x, y, d = a.head, x + hx[aid], y + hy[aid], d + in_d0[aid]
+        keys.append((at, x, y, d))
+    return ((w.base, at), (x, y), d if rs.has_matching else None), keys
 
 
 def _mismatch(a: tuple, b: tuple) -> str | None:
@@ -276,12 +309,14 @@ def paths_equal(
     saturated without meeting the other side.  Unknown means the bounded
     search was cut off before deciding.
 
+    Each word is walked once (``_walk``): the checks of ``check_path``,
+    p first, then q, the invariants, and the prefix keys of ``_blocks``.
     Past the invariants, under exact caps (no user cap, and a cover of
     every arrow), the search is ``_best_first`` from p toward q, and each
     differing block (``_blocks``) is searched in turn with what the
     earlier blocks left of the state budget.  The relations generate a
     two-sided ideal, so equal blocks make equal words, and the block
-    witnesses, each shifted past the blocks before it, replay on them.
+    witnesses, read back at the block's position, replay on them.
     The converse fails on a non-cancellative quiver (p.r = q.r with
     p != q), so an unequal block decides nothing: the whole words are
     then searched with the rest of the budget, and the states of all
@@ -290,29 +325,29 @@ def paths_equal(
     sides by ``EqualityClasses``, where one complete side decides
     NotEqual, which a one-sided search could not.
     """
-    check_path(rs.quiver, p)
-    check_path(rs.quiver, q_)
-    reason = _mismatch(_invariants(rs, p), _invariants(rs, q_))
+    ends_p, keys_p = _walk(rs, p)
+    ends_q, keys_q = _walk(rs, q_)
+    reason = _mismatch(ends_p, ends_q)
     if reason is not None:
         return EqResult(NOT_EQUAL, reason=reason)
+    if bounds.max_word_length or rs.cover_counts is None:
+        return _query_words(rs, p, q_, bounds, bounds.max_states)
     spent = 0
-    exact = bounds.max_word_length == 0 and rs.cover_counts is not None
-    search = _best_first if exact else _query_words
-    blocks = _blocks(rs, p, q_) if exact else None
+    blocks = _blocks(rs, p, q_, (keys_p, keys_q))
     if blocks:
         steps = []
         for pos, u, v in blocks:
-            res = search(rs, u, v, bounds, bounds.max_states - spent)
+            res = _best_first(rs, u, v, bounds, bounds.max_states - spent, pos)
             spent += res.states
             if res.reason == "state_budget":
                 res.states = spent
                 return res
             if not res.is_equal:
                 break
-            steps += [replace(s, pos=s.pos + pos) for s in res.steps]
+            steps += res.steps
         else:
             return EqResult(EQUAL, steps=tuple(steps), states=spent)
-    res = search(rs, p, q_, bounds, bounds.max_states - spent)
+    res = _best_first(rs, p, q_, bounds, bounds.max_states - spent)
     res.states += spent
     return res
 
@@ -329,47 +364,43 @@ def _common_ends(a, b) -> tuple[int, int]:
     return lo, hi
 
 
-def _blocks(rs: RewriteSystem, p: PathWord, q_: PathWord):
+def _blocks(rs: RewriteSystem, p: PathWord, q_: PathWord, keys=None):
     """The differing blocks of two words with the same invariants, as
     (position, block of p, block of q), or None when the words are one
-    block.
+    block.  ``keys`` are the prefix keys of p and of q from ``_walk``,
+    which walks the words here when they are not given.
 
     The words are cut after their longest common prefix, before their
     longest common suffix, and between: at the increasing pairs of core
     positions, taken least first, where both have walked from the core's
     start to the same vertex with the same homology and profile, so each
-    block pair shares these invariants.  Blocks are rewritten left to
-    right, so block k sits at the length of q's blocks before it; no
-    length is checked, since only exact caps search blocks."""
+    block pair shares these invariants.  The words share the prefix before
+    the core, so equal keys from the words' start are equal keys from the
+    core's start.  Blocks are rewritten left to right, so block k sits at
+    the length of q's blocks before it; no length is checked, since only
+    exact caps search blocks."""
     a, b = p.arrows, q_.arrows
     lo, hi = _common_ends(a, b)
     if lo + hi == min(len(a), len(b)):
         return None  # one word is a prefix or suffix of the other
-    quiver, hx, hy, in_d0 = rs.quiver, rs._hx, rs._hy, rs._in_d0
-    base = path_head(quiver, PathWord(p.base, a[:lo]))
-
-    def walked(word):
-        """The invariants of each proper prefix of the word's core."""
-        at, x, y, d = base, 0, 0, 0
-        for aid in word[lo:len(word) - hi - 1]:
-            at, x, y, d = quiver.arrows[aid].head, x + hx[aid], y + hy[aid], d + in_d0[aid]
-            yield at, x, y, d
-
+    keys_p, keys_q = keys or (_walk(rs, p)[1], _walk(rs, q_)[1])
     first: dict[tuple, list[int]] = {}
-    for i, key in enumerate(walked(a), 1):
+    # the keys of the proper prefixes of each core
+    for i, key in enumerate(keys_p[lo + 1:len(a) - hi], 1):
         first.setdefault(key, []).append(i)
     cuts = [(0, 0)]
-    for i, j in sorted((i, j) for j, key in enumerate(walked(b), 1) for i in first.get(key, ())):
+    inner = enumerate(keys_q[lo + 1:len(b) - hi], 1)
+    for i, j in sorted((i, j) for j, key in inner for i in first.get(key, ())):
         if i > cuts[-1][0] and j > cuts[-1][1]:
             cuts.append((i, j))
     if lo + hi == 0 and len(cuts) == 1:
         return None
     cuts.append((len(a) - hi - lo, len(b) - hi - lo))
-    blocks, at = [], base
+    blocks = []
     for (i0, j0), (i1, j1) in zip(cuts, cuts[1:]):
         u, v = a[lo + i0:lo + i1], b[lo + j0:lo + j1]
-        start, at = at, path_head(quiver, PathWord(at, u))
         if u != v:
+            start = keys_p[lo + i0][0]
             blocks.append((lo + j0, PathWord(start, u), PathWord(start, v)))
     return blocks
 
@@ -386,10 +417,12 @@ def _query_words(
 
 
 def _best_first(
-    rs: RewriteSystem, p: PathWord, q_: PathWord, bounds: SearchBounds, max_states: int
+    rs: RewriteSystem, p: PathWord, q_: PathWord, bounds: SearchBounds, max_states: int,
+    shift: int = 0,
 ) -> EqResult:
     """A one-sided best-first search from p toward q, for words sharing
-    their invariants, witness included.
+    their invariants, witness included, its steps moved by ``shift`` (the
+    position of a block in the whole words).
 
     The word popped next is the one whose differing core with q (what is
     left after their common prefix and suffix) is shortest, the earliest
@@ -426,23 +459,25 @@ def _best_first(
                 return EqResult(UNKNOWN, reason="state_budget", states=states)
             parents[nxt] = w
             if nxt == goal:
-                return EqResult(EQUAL, steps=_witness(rs, parents, goal), states=states)
+                return EqResult(EQUAL, steps=_witness(rs, parents, goal, shift), states=states)
             heappush(heap, (core(nxt), states, nxt))
     if truncated:
         return EqResult(UNKNOWN, reason="word_length", states=states)
     return EqResult(NOT_EQUAL, reason="saturated", states=states)
 
 
-def _witness(rs: RewriteSystem, parents: dict, word: str) -> tuple[RewriteStep, ...]:
+def _witness(
+    rs: RewriteSystem, parents: dict, word: str, shift: int = 0
+) -> tuple[RewriteStep, ...]:
     """Rewrite steps from the start of a search to ``word``: its chain in
-    the parent map (each word to the word it was reached from, the start
-    to None), each link read back as the first rewrite in
-    ``RewriteSystem.successors`` order that makes it."""
+    the parent map (each text word to the word it was reached from, the
+    start to None), each link read back on the text by
+    ``RewriteSystem.read_back``, positions moved by ``shift``."""
     chain = [word]
-    while parents[chain[-1]] is not None:
-        chain.append(parents[chain[-1]])
-    chain = [_decode(w) for w in reversed(chain)]
-    return tuple(map(rs.step_between, chain, chain[1:]))
+    while (up := parents[chain[-1]]) is not None:
+        chain.append(up)
+    chain.reverse()
+    return tuple(rs.read_back(u, w, shift) for u, w in zip(chain, chain[1:]))
 
 
 def replay_witness(rs: RewriteSystem, p: PathWord, steps) -> list[PathWord]:

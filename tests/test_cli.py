@@ -54,6 +54,20 @@ def test_malformed_json_is_exit_3(tmp_path):
     assert res.stderr == f"error: {listed}: quiver document must be an object\n"
 
 
+@pytest.mark.parametrize("words, message", [
+    (["--p", "0,7", "--q", "0,2"], "unknown arrow id 7"),
+    (["--p", "0,2", "--q", "0,7"], "unknown arrow id 7"),
+    (["--p", "0,4", "--q", "0,2"], "word not composable at arrow 4"),
+    (["--p", "0,2", "--q", "0,4"], "word not composable at arrow 4"),
+    (["--p", "0,4", "--q", "0,7"], "word not composable at arrow 4"),
+])
+def test_eq_malformed_word_is_exit_3(words, message):
+    # a word starts where its first arrow does, so its base is in range;
+    # the later arrows are checked by paths_equal, p first, then q
+    res = run_cli(["eq", "fixture:fig_deformation", *words])
+    assert (res.returncode, res.stdout, res.stderr) == (3, "", f"error: {message}\n")
+
+
 def test_validate_repeated_arrow_is_exit_1(tmp_path):
     # arrow 0 twice in one face of c3's loops
     data = {"vertices": 1,

@@ -1,6 +1,7 @@
 """EqualityClasses against a naive one-sided closure of each class
 representative, and the invariant that keeps its closures exact."""
 
+import hashlib
 import itertools
 import json
 import random
@@ -412,7 +413,7 @@ def test_cut_off_target_search_is_undecided(iso_r_contraction, capsys):
     assert '"cyclic_up_to_bound": null' in capsys.readouterr().out
 
 
-def test_read_back_link_is_first_successor(all_fixtures, iso_r_contraction):
+def test_read_back_link_is_first_successor(all_fixtures, iso_r_contraction, monkeypatch):
     # the windowed read-back of each parent link picks the same rewrite as
     # the naive scan of every rule at every position, in successors order
     quivers = [all_fixtures["fig_hsb_ii"].quiver, iso_r_contraction.target]
@@ -423,14 +424,108 @@ def test_read_back_link_is_first_successor(all_fixtures, iso_r_contraction):
         for v in range(q.num_vertices):
             ec.split(enumerate_cycles(q, v, 5).cycles)
         for closure in ec.closures.values():
-            for w, parent in closure.words.items():
-                if parent is not None:
-                    w, parent = _decode(w), _decode(parent)
-                    first = next(s for s in naive_successors(rs, parent, closure.cap)[0]
-                                 if s[0] == w)
-                    assert rs.step_between(parent, w) == RewriteStep(*first[1:])
-                    links += 1
+            links += check_read_back(rs, closure.words, closure.cap)[0]
     assert links > 1000
+    # the parent maps of best-first searches, on the quivers with rules
+    # whose two arcs share their first or their last arrow
+    maps = []
+    witness = rewriting._witness
+
+    def recorded(rs, parents, word, shift=0):
+        maps.append(dict(parents))
+        return witness(rs, parents, word, shift)
+
+    monkeypatch.setattr(rewriting, "_witness", recorded)
+    rng = random.Random("read back")
+    total = 0
+    for q in shared_end_quivers():
+        rs = RewriteSystem(q)
+        links = shared = 0
+        for _ in range(30):
+            p = PathWord(0, random_walk_at(rng, q, 0, rng.randint(2, 8)))
+            r = PathWord(0, random_rewrites(rng, rs, p.arrows, 6))
+            cap = DEFAULT_BOUNDS.word_cap(rs, p)
+            maps.clear()
+            res = rewriting._best_first(rs, p, r, DEFAULT_BOUNDS, 2000)
+            assert res.verdict == EQUAL and len(maps) == (p != r), (p, r)
+            for parents in maps:
+                n, k = check_read_back(rs, parents, cap)
+                links, shared = links + n, shared + k
+        assert shared > 0, (q, links, shared)
+        total += links
+    assert total > 100
+
+
+def shared_end_quivers():
+    """The quivers with a rule whose two arcs share their first or their
+    last arrow, among the fixtures, their contraction targets and bigon
+    reductions, c3 and ``bigon_inserted_c3``: fig_hsb_ii and fig_iso_R,
+    which are valid, and the degenerate ``bigon_inserted_c3``."""
+    return [fixtures_mod.fixture("fig_hsb_ii").quiver, fixtures_mod.fixture("fig_iso_R").quiver,
+            fixtures_mod.bigon_inserted_c3()]
+
+
+def random_rewrites(rng, rs, word, n):
+    """The word after up to n rewrites, each drawn among its successors
+    at most two arrows longer than the word."""
+    for _ in range(n):
+        succs = naive_successors(rs, word, len(word) + 2)[0]
+        word = rng.choice(succs)[0] if succs else word
+    return word
+
+
+def check_read_back(rs, parents, cap):
+    """Each link of a parent map of text words read back, as ``read_back``
+    with a shift and as ``step_between``, like the first naive successor
+    under ``cap`` that makes it; the links, and how many of them apply a
+    rule whose arcs share an end arrow."""
+    links = shared = 0
+    for w, parent in parents.items():
+        if parent is None:
+            continue
+        first = next(s for s in naive_successors(rs, _decode(parent), cap)[0]
+                     if s[0] == _decode(w))
+        step = RewriteStep(*first[1:])
+        assert rs.step_between(_decode(parent), _decode(w)) == step
+        shifted = RewriteStep(step.pos + 3, step.arrow, step.old, step.new)
+        assert rs.read_back(parent, w, 3) == shifted
+        links += 1
+        shared += step.old[0] == step.new[0] or step.old[-1] == step.new[-1]
+    return links, shared
+
+
+def test_read_back_of_random_rewrites():
+    # one random rewrite of a random word reads back as the first naive
+    # successor that makes the same word; on bigon_inserted_c3, 4.1.2.0
+    # and 4 share their first arrow, so 4.1.2.0.1 -> 4.1 agrees with the
+    # other word past the replacement, and the suffix measured clear of
+    # the common prefix would leave its window out.  The word one arrow
+    # longer than the rewritten one reads back only if a rewrite makes it
+    rng = random.Random("random rewrites")
+    links = shared = refused = 0
+    for q in shared_end_quivers():
+        rs = RewriteSystem(q)
+        for _ in range(400):
+            at = rng.randrange(q.num_vertices)
+            word = random_walk_at(rng, q, at, rng.randint(1, 9))
+            cap = len(word) + 2 * q.max_face_length()
+            succs = naive_successors(rs, word, cap)[0]
+            if not succs:
+                continue
+            nxt = rng.choice(succs)[0]
+            n, k = check_read_back(rs, {_encode(word): None, _encode(nxt): _encode(word)}, cap)
+            links, shared = links + n, shared + k
+            longer = nxt + random_walk_at(rng, q, q.arrow(nxt[-1]).head, 1)
+            made = [RewriteStep(*s[1:]) for s in succs if s[0] == longer]
+            if made:
+                assert rs.step_between(word, longer) == made[0]
+            else:
+                with pytest.raises(quiver.DomainError, match="no single rewrite"):
+                    rs.step_between(word, longer)
+                refused += 1
+    assert links > 800 and shared > 300 and refused > 800
+    rs = RewriteSystem(fixtures_mod.bigon_inserted_c3())
+    assert rs.step_between((4, 1, 2, 0, 1), (4, 1)) == RewriteStep(0, 3, (4, 1, 2, 0), (4,))
 
 
 # -- split compares a word only with representatives sharing its invariants ---
@@ -834,11 +929,7 @@ def shared_end_pairs(q, rs, rng, count):
     first kind end to end, both changed, so that the cores can be cut
     between the two."""
     def rewritten(u):
-        v = u
-        for _ in range(rng.randint(1, 5)):
-            succs = naive_successors(rs, v, len(v) + 2)[0]
-            v = rng.choice(succs)[0] if succs else v
-        return v
+        return random_rewrites(rng, rs, u, rng.randint(1, 5))
 
     pairs = []
     while len(pairs) < count:
@@ -934,7 +1025,10 @@ def test_default_caps_cut_nothing_on_the_benchmark_pools(monkeypatch):
 def test_pairs_pool_keeps_its_recorded_verdicts(monkeypatch):
     # the full pairs pool of perfbench/workloads.py, read-only: at most 3
     # Unknowns, every verdict decided in perfbench/reference.json decided
-    # alike, and every Equal witness replays inside its cap
+    # alike, and every Equal witness replays inside its cap.  The pool is
+    # also pinned byte for byte: verdict, reason, states and every witness
+    # step of each job, as recorded before the one-pass walk and the
+    # read-back on text, which change no search
     workloads = load_perfbench("workloads")
     answers = json.loads((PERFBENCH / "reference.json").read_text())["answers"]
     lib = SimpleNamespace(fixtures=fixtures_mod, quiver=quiver, rewriting=rewriting)
@@ -946,6 +1040,7 @@ def test_pairs_pool_keeps_its_recorded_verdicts(monkeypatch):
 
     monkeypatch.setattr(rewriting, "paths_equal", recorded)
     unknown = 0
+    rows = []
     for job in workloads.build_pairs(lib, 1, full=True):
         res = job.run()
         rs, p, r, bounds = calls[-1]
@@ -955,7 +1050,14 @@ def test_pairs_pool_keeps_its_recorded_verdicts(monkeypatch):
             assert res.verdict == answers[job.key], job.key
         if res.is_equal:
             assert_replays_inside_cap(rs, p, r, res, bounds)
+        steps = [[s.pos, s.arrow, list(s.old), list(s.new)] for s in res.steps]
+        rows.append([job.key, res.verdict, res.reason, res.states, steps])
     assert len(calls) == 288 and unknown <= 3
+    rows.sort(key=lambda row: row[0])
+    digest = hashlib.sha1(json.dumps(rows).encode()).hexdigest()[:16]
+    states = sum(row[3] for row in rows)
+    steps = sum(len(row[4]) for row in rows)
+    assert (digest, states, steps, unknown) == ("975099bd2232a2ac", 27017, 1986, 3)
 
 
 def test_degenerate_quiver_keeps_its_classes():

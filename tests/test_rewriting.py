@@ -12,6 +12,7 @@ from dimeralg.quiver import (
     DomainError,
     PathWord,
     bigon_reduce,
+    check_path,
     concat,
     make_quiver,
     path_homology,
@@ -517,6 +518,35 @@ def test_step_between_refuses_words_two_rewrites_apart(deformation):
     assert rs.step_between(mid, far).pos == len(right) + 1
     with pytest.raises(DomainError, match="no single rewrite"):
         rs.step_between(word, far)
+
+
+# fig_deformation: arrows 0, 1 run 0 -> 2, arrows 2, 3 run 2 -> 1, arrows
+# 4, 5 run 1 -> 0, and arrow 6 is a loop at 0
+MALFORMED_PATHS = {
+    "path base 3 out of range": PathWord(3, (0, 2)),
+    "unknown arrow id 7": PathWord(0, (0, 7)),
+    "word not composable at arrow 4": PathWord(0, (0, 4)),
+}
+
+
+@pytest.mark.parametrize("message", sorted(MALFORMED_PATHS))
+def test_paths_equal_checks_words_as_check_path(deformation, message):
+    # paths_equal walks each word once, and that walk raises what
+    # check_path raises, p first, then q
+    q = deformation.quiver
+    rs = RewriteSystem(q)
+    bad, good = MALFORMED_PATHS[message], PathWord(0, (0, 2))
+    with pytest.raises(DomainError) as raised:
+        check_path(q, bad)
+    assert str(raised.value) == message
+    for p, r in ((bad, good), (good, bad)):
+        with pytest.raises(DomainError) as raised:
+            paths_equal(rs, p, r)
+        assert str(raised.value) == message, (p, r)
+    for other, words in MALFORMED_PATHS.items():
+        with pytest.raises(DomainError) as raised:
+            paths_equal(rs, bad, words)
+        assert str(raised.value) == message, other
 
 
 def test_reduced_search_agrees_with_search_as_given(inserted):
