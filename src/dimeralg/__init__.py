@@ -17,6 +17,8 @@ from .quiver import (
     quiver_to_json,
     unit_cycle,
     validate_dimer,
+    zigzag_consistent,
+    zigzag_paths,
 )
 from .matchings import (
     enumerate_perfect_matchings,
@@ -37,6 +39,7 @@ from .rewriting import (
 from .contraction import (
     Contraction,
     ContractionError,
+    certified_cancellative,
     contract,
     identity_contraction,
     is_cyclic,

@@ -243,6 +243,7 @@ def cmd_contract(args, q, fx):
         results["cycle_algebra_generators"] = [list(g) for g in rep.source_generators]
         results["target_generators"] = [list(g) for g in rep.target_generators]
         results["cancellative_target"] = rep.cancellative_target
+        results["cancellative_decided_by"] = rep.decided_by
         code = EXIT_UNKNOWN if rep.cancellative_target is None else EXIT_OK
     if args.reduce:
         red = bigon_reduce(c.target)

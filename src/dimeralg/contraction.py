@@ -16,15 +16,18 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 
-from .matchings import matching_catalog
+from .matchings import is_nondegenerate, matching_catalog
 from .monomial_algebra import Monomial, cycle_algebra_generators
 from .quiver import (
     DimerQuiver,
+    DomainError,
     PathWord,
+    bigon_reduce,
     check_path,
     make_quiver,
     tree_potentials,
     validate_dimer,
+    zigzag_consistent,
 )
 from .rewriting import DEFAULT_BOUNDS, SearchBounds, find_noncancellative_pair
 
@@ -210,9 +213,12 @@ def target_cycle_algebra_generators(c: Contraction) -> list[Monomial]:
 class CyclicReport:
     source_generators: list[Monomial]
     target_generators: list[Monomial]
-    # True / False / None = no pair found / pair found / search cut off
+    # True / False / None = cancellative / pair found / search cut off
     # before any conclusion
     cancellative_target: bool | None
+    # what gave cancellative_target: "zigzag" (certified consistent) or
+    # "pair_search"
+    decided_by: str
 
     @property
     def semigroups_match(self) -> bool:
@@ -224,14 +230,39 @@ class CyclicReport:
         return self.semigroups_match and self.cancellative_target
 
 
+def certified_cancellative(q: DimerQuiver) -> bool:
+    """Is q cancellative by theorem?  On the torus a nondegenerate dimer
+    algebra (every arrow in a perfect matching) is cancellative iff its
+    zig-zag paths are consistent (Bocklandt, *Consistency conditions for
+    dimer models*; Ishii–Ueda, *A note on consistency conditions on dimer
+    models*).  The test runs on ``bigon_reduce(q)``, which has q's
+    algebra.  False means not certified, not "not cancellative": a
+    2-cycle that cannot be removed, a reduced quiver with an arrow in no
+    perfect matching, or inconsistent zig-zag paths."""
+    try:
+        red = bigon_reduce(q).quiver
+        return zigzag_consistent(red) and is_nondegenerate(red)[0]
+    except DomainError:
+        return False
+
+
 def is_cyclic(c: Contraction, bounds: SearchBounds = DEFAULT_BOUNDS) -> CyclicReport:
     """Do source cycles and target cycles generate the same monomial
-    algebra, with no cancellation failure found in the target?  The
-    algebras are compared exactly: a submonoid of N^k has one minimal
-    generating set, its irreducible elements, and both generator lists
-    are that set in canonical order.  Undecided (None) when the algebras
-    match but the target search was cut off before finding a pair."""
+    algebra, and is the target cancellative?  The algebras are compared
+    exactly: a submonoid of N^k has one minimal generating set, its
+    irreducible elements, and both generator lists are that set in
+    canonical order.
+
+    A target that ``certified_cancellative`` accepts is cancellative by
+    theorem, with no search (``decided_by`` "zigzag").  Every other
+    target, outside the theorem's hypotheses or inconsistent, goes to
+    ``find_noncancellative_pair`` ("pair_search"): False when it finds a
+    pair, True when it completes without one, and undecided (None) when
+    it is cut off first."""
     src = source_cycle_algebra_generators(c)
     tgt = target_cycle_algebra_generators(c)
+    if certified_cancellative(c.target):
+        return CyclicReport(src, tgt, True, "zigzag")
     rep = find_noncancellative_pair(c.target, bounds=bounds)
-    return CyclicReport(src, tgt, False if rep.found else (None if rep.exhausted else True))
+    verdict = False if rep.found else (None if rep.exhausted else True)
+    return CyclicReport(src, tgt, verdict, "pair_search")

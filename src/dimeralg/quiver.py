@@ -153,14 +153,17 @@ def _hom_sub(a: Hom, b: Hom) -> Hom:
     return (a[0] - b[0], a[1] - b[1])
 
 
+def _cross(u: Hom, v: Hom) -> int:
+    return u[0] * v[1] - u[1] * v[0]
+
+
 def _spans_z2(vectors) -> bool:
     # Full span of Z^2 iff the gcd of all 2x2 minors is 1.
     vs = [v for v in vectors if v != (0, 0)]
     g = 0
     for i in range(len(vs)):
         for j in range(i + 1, len(vs)):
-            det = vs[i][0] * vs[j][1] - vs[i][1] * vs[j][0]
-            g = gcd(g, abs(det))
+            g = gcd(g, abs(_cross(vs[i], vs[j])))
             if g == 1:
                 return True
     return False
@@ -389,6 +392,112 @@ def quiver_from_json(data: dict) -> DimerQuiver:
     if not isinstance(faces, list) or not all(isinstance(f, list) for f in faces):
         raise StructuralError("faces must be an array of arrays")
     return make_quiver(data["vertices"], arrows, faces)
+
+
+# -- zig-zag paths ------------------------------------------------------------
+
+
+def face_colours(q: DimerQuiver) -> tuple[int, ...]:
+    """Colour 0 or 1 per face, the two faces on each arrow apart: a walk
+    through shared arrows from face 0, which gets colour 0.  On a valid
+    dimer quiver the colours are the two orientations of the faces on the
+    torus; a quiver with no such colouring raises ``DomainError``."""
+    faces_on: list[list[int]] = [[] for _ in q.arrows]
+    for f in q.faces:
+        for aid in f.boundary:
+            faces_on[aid].append(f.id)
+    for aid, on in enumerate(faces_on):
+        if len(on) != 2:
+            raise DomainError(f"arrow {aid} lies on {len(on)} faces, not two")
+    colour: list[int | None] = [None] * len(q.faces)
+    stack = []
+    if q.faces:
+        colour[0], stack = 0, [0]
+    while stack:
+        f = stack.pop()
+        for aid in q.faces[f].boundary:
+            other = faces_on[aid][faces_on[aid][0] == f]
+            if colour[other] is None:
+                colour[other] = 1 - colour[f]
+                stack.append(other)
+            elif colour[other] == colour[f]:
+                raise DomainError(f"faces {f} and {other} share arrow {aid} and a colour")
+    if None in colour:
+        raise DomainError("the faces are not connected through shared arrows")
+    return tuple(colour)
+
+
+def zigzag_paths(q: DimerQuiver) -> tuple[tuple[int, ...], ...]:
+    """The zig-zag paths of q as closed arrow words: each is
+    a, s0(a), s1(s0(a)), ... where s_c(x) is the arrow after x in x's face
+    of colour c (``face_colours``), once around an orbit of s1∘s0.  Each
+    starts at the lowest arrow of its orbit, lowest start first.  Every
+    arrow fills two slots: one even (its orbit's path) and one odd."""
+    colour = face_colours(q)
+    after: tuple[list[int], list[int]] = ([0] * len(q.arrows), [0] * len(q.arrows))
+    for f in q.faces:
+        b = f.boundary
+        for x, y in zip(b, b[1:] + b[:1]):
+            after[colour[f.id]][x] = y
+    paths, seen = [], [False] * len(q.arrows)
+    for start in range(len(q.arrows)):
+        word, a = [], start
+        while not seen[a]:
+            seen[a] = True
+            word += [a, after[0][a]]
+            a = after[1][after[0][a]]
+        if word:
+            paths.append(tuple(word))
+    return tuple(paths)
+
+
+def zigzag_consistent(q: DimerQuiver) -> bool:
+    """Are the zig-zag paths of q consistent (Ishii–Ueda, *A note on
+    consistency conditions on dimer models*)?  On the universal cover:
+    no zig-zag path is closed (zero homology), none meets itself, and no
+    two meet twice in the same direction, two lifts of one path counting
+    as two.  Paths meet at a shared arrow, one in an even slot and one in
+    an odd (``zigzag_paths``); the slots give the direction.
+
+    Exact, with no enumeration bound.  Lift each path Z from its first
+    arrow's tail at cell 0: the arrow in slot i sits at P_i, the homology
+    of the slots before it, and again at P_i + k·h_Z for every integer k.
+    Take an arrow a in an even slot of Z at P and an odd slot of W at P',
+    and d = h_Z × h_W.  Every path has an arrow in an even slot.
+    - d = 0 breaks a condition.  Either h_Z = 0 and the lifts of Z are
+      closed, or h_Z = α·g and h_W = β·g for one primitive g (Z = W among
+      them): the lifts of Z and W through a are one lift, which meets
+      itself, or two that meet again at a + β·h_Z = a + α·h_W, in the
+      same direction.
+    - Otherwise a second arrow b meets the same pair of lifts in the same
+      direction iff (P_a - P'_a) - (P_b - P'_b) = k·h_Z - m·h_W for
+      integers k, m.  By Cramer's rule that is iff d divides D × h_W and
+      h_Z × D, so the two residues mod |d| of D = P - P' key the lifts a
+      pair meets at; two arrows with one key meet one pair of lifts twice.
+    The homology data must be that of an embedding (``validate_dimer``),
+    so the lifts are the universal cover.  A quiver without a face
+    2-colouring raises ``DomainError``."""
+    zs = zigzag_paths(q)
+    homs, even, odd = [], {}, {}
+    for z, word in enumerate(zs):
+        at = (0, 0)
+        for k, aid in enumerate(word):
+            (odd if k % 2 else even)[aid] = (z, at)
+            at = _hom_add(at, q.arrow(aid).homology)
+        homs.append(at)
+    keys = set()
+    for aid, (z, p) in even.items():
+        w, p2 = odd[aid]
+        hz, hw = homs[z], homs[w]
+        d = abs(_cross(hz, hw))
+        if d == 0:
+            return False
+        diff = _hom_sub(p, p2)
+        key = (z, w, _cross(diff, hw) % d, _cross(hz, diff) % d)
+        if key in keys:
+            return False
+        keys.add(key)
+    return True
 
 
 # -- removal of 2-cycles ------------------------------------------------------

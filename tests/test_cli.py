@@ -511,7 +511,7 @@ PINNED = [
     (["tau", "fixture:fig_iso_R", "--path", "4,5,6,13,15,16"], 0,
      "62ea012e9d324cd3667d9595e1d73a388274dc87", EMPTY),
     (["contract", "fixture:fig_iso_R", "--check-cyclic", "--reduce"], 0,
-     "a489bae9cb28aa72b4ab31438e468e1304ad2cc8", EMPTY),
+     "15520bb798d83c037827d8e3b0c3b8d182304e2c", EMPTY),
     (["cycle-algebra", "fixture:fig_deformation"], 0,
      "502e90a6746b8cb30b70939cae661247e5c2a5f1", EMPTY),
     (["homotopy-center", "fixture:fig_deformation", "--degree-bound", "8"], 0,

@@ -403,12 +403,33 @@ def test_iso_r_target_is_decided_cancellative(iso_r_contraction):
     assert main(["contract", "fixture:fig_iso_R", "--check-cyclic"]) == 0
 
 
-def test_cut_off_target_search_is_undecided(iso_r_contraction, capsys):
-    rep = is_cyclic(iso_r_contraction, SearchBounds(0, 2000))
-    assert rep.semigroups_match
-    assert rep.cancellative_target is None
-    assert rep.cyclic_up_to_bound is None
+@pytest.mark.parametrize("budget", [0, 1, 2000])
+def test_certified_target_is_cancellative_at_any_budget(iso_r_contraction, budget):
+    # the zig-zag test certifies the fig_iso_R target before any search
+    rep = is_cyclic(iso_r_contraction, SearchBounds(0, budget))
+    assert (rep.cancellative_target, rep.decided_by) == (True, "zigzag")
+    assert rep.cyclic_up_to_bound is True
+
+
+def test_certified_target_exits_0_under_a_small_budget(capsys):
     code = main(["contract", "fixture:fig_iso_R", "--check-cyclic", "--max-states", "2000"])
+    assert code == 0
+    results = json.loads(capsys.readouterr().out)["results"]
+    assert results["cancellative_decided_by"] == "zigzag"
+
+
+def test_cut_off_target_search_is_undecided(iso_r, capsys):
+    # fig_iso_R contracted at arrow 0 has a non-cancellative pair in its
+    # target, so the target is not certified; 100 states stop the search
+    # before the pair
+    c = contract(iso_r.quiver, [0])
+    rep = is_cyclic(c, SearchBounds(0, 100))
+    assert rep.semigroups_match
+    assert (rep.cancellative_target, rep.decided_by) == (None, "pair_search")
+    assert rep.cyclic_up_to_bound is None
+    assert is_cyclic(c).cancellative_target is False
+    code = main(["contract", "fixture:fig_iso_R", "--arrows", "0", "--check-cyclic",
+                 "--max-states", "100"])
     assert code == 2
     assert '"cyclic_up_to_bound": null' in capsys.readouterr().out
 

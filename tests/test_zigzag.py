@@ -1,0 +1,265 @@
+"""Zig-zag paths, the exact consistency test, and the certificate that
+lets ``is_cyclic`` skip the pair search, checked against
+``find_noncancellative_pair`` on every quiver the search decides."""
+
+import itertools
+from functools import cmp_to_key
+
+import pytest
+
+from dimeralg import contraction
+from dimeralg import fixtures as fixtures_mod
+from dimeralg.contraction import (
+    ContractionError,
+    certified_cancellative,
+    contract,
+    identity_contraction,
+    is_cyclic,
+)
+from dimeralg.matchings import is_nondegenerate
+from dimeralg.quiver import (
+    DomainError,
+    bigon_reduce,
+    face_colours,
+    make_quiver,
+    zigzag_consistent,
+    zigzag_paths,
+)
+from dimeralg.rewriting import find_noncancellative_pair
+
+from conftest import FIXTURES, load_perfbench
+
+C3 = fixtures_mod.c3_quiver()
+CONIFOLD = fixtures_mod.conifold_quiver()
+COVERS = {
+    "c3 4x4": (C3, 4, 4),
+    "conifold 3x3": (CONIFOLD, 3, 3),
+    "fig_deformation 3x2": (fixtures_mod.fixture("fig_deformation").quiver, 3, 2),
+}
+CONTRACTED = ("fig_iso_R", "fig_hsb_ii", "fig_nested(1)", "fig_deformation")
+# no two of its zig-zag paths have dependent homology: it fails only by
+# two paths meeting twice in the same direction
+TWICE = "fig_iso_R target at 0,4,6,9"
+
+
+def _homology(q, word):
+    return tuple(sum(q.arrow(a).homology[i] for a in word) for i in (0, 1))
+
+
+def _quivers():
+    """(name, quiver): every fixture's source, target and bigon-reduced
+    target, c3, the conifold, ``bigon_inserted_c3`` and three covers."""
+    out = [("c3", C3), ("conifold", CONIFOLD),
+           ("bigon_inserted_c3", fixtures_mod.bigon_inserted_c3())]
+    for name in FIXTURES:
+        fx = fixtures_mod.fixture(name)
+        target = contract(fx.quiver, fx.contraction_arrows).target
+        out += [(f"{name} source", fx.quiver), (f"{name} target", target),
+                (f"{name} reduced target", bigon_reduce(target).quiver)]
+    torus_cover = load_perfbench("covers").torus_cover
+    out += [(name, torus_cover(*args)) for name, args in COVERS.items()]
+    out.append((TWICE, contract(fixtures_mod.fixture("fig_iso_R").quiver, (0, 4, 6, 9)).target))
+    return out
+
+
+QUIVERS = _quivers()
+CERTIFIED = [(name, q) for name, q in QUIVERS if certified_cancellative(q)]
+
+
+def _contraction_targets(name, size):
+    q = fixtures_mod.fixture(name).quiver
+    for arrows in itertools.combinations(range(len(q.arrows)), size):
+        try:
+            yield arrows, contract(q, arrows).target
+        except ContractionError:
+            continue
+
+
+def _agrees_with_search(q):
+    """The differential rule on one quiver; returns the certificate."""
+    certified = certified_cancellative(q)
+    rep = find_noncancellative_pair(q)
+    if certified:
+        assert not rep.found and not rep.exhausted
+    if rep.found:
+        try:
+            assert not zigzag_consistent(bigon_reduce(q).quiver)
+        except DomainError:
+            pass
+    return certified
+
+
+# -- structure ----------------------------------------------------------------
+
+
+def test_zigzag_counts():
+    assert len(zigzag_paths(C3)) == 3
+    assert len(zigzag_paths(CONIFOLD)) == 4
+
+
+def test_conifold_zigzags_pin_the_convention():
+    # face 0 = (0, 1, 2, 3) takes colour 0: a zig-zag steps through a face
+    # of colour 0, then one of colour 1
+    assert face_colours(CONIFOLD) == (0, 1)
+    assert zigzag_paths(CONIFOLD) == ((0, 1), (1, 2), (2, 3), (3, 0))
+
+
+@pytest.mark.parametrize("name, q", QUIVERS, ids=[n for n, _ in QUIVERS])
+def test_zigzag_structure(name, q):
+    colours = face_colours(q)
+    assert colours[0] == 0
+    for a in q.arrows:
+        assert sorted(colours[f.id] for f in q.faces if a.id in f.boundary) == [0, 1]
+    after = {}
+    for f in q.faces:
+        for x, y in zip(f.boundary, f.boundary[1:] + f.boundary[:1]):
+            after[colours[f.id], x] = y
+    zs = zigzag_paths(q)
+    for word in zs:
+        # a closed walk, each step the next arrow in a face of alternating colour
+        assert len(word) % 2 == 0
+        for k, a in enumerate(word):
+            assert word[(k + 1) % len(word)] == after[k % 2, a]
+    # every arrow fills exactly two slots, one even and one odd
+    even = sorted(a for w in zs for a in w[0::2])
+    odd = sorted(a for w in zs for a in w[1::2])
+    assert even == odd == list(range(len(q.arrows)))
+    total = [_homology(q, w) for w in zs]
+    assert tuple(map(sum, zip(*total))) == (0, 0)
+
+
+def _twice_area(vectors):
+    """Twice the area of the polygon whose edges are the vectors in
+    angular order (Gulotta's zig-zag polygon)."""
+    def half(v):
+        return 0 if v[1] > 0 or (v[1] == 0 and v[0] > 0) else 1
+
+    def order(u, v):
+        if half(u) != half(v):
+            return half(u) - half(v)
+        return -(u[0] * v[1] - u[1] * v[0])
+
+    edges = sorted(vectors, key=cmp_to_key(order))
+    corners = list(itertools.accumulate(edges, lambda p, e: (p[0] + e[0], p[1] + e[1])))
+    return abs(sum(p[0] * r[1] - p[1] * r[0]
+                   for p, r in zip(corners, corners[1:] + corners[:1])))
+
+
+@pytest.mark.parametrize("name, q", CERTIFIED, ids=[n for n, _ in CERTIFIED])
+def test_certified_quivers_have_v_equal_twice_the_zigzag_area(name, q):
+    red = bigon_reduce(q).quiver
+    assert red.num_vertices == _twice_area([_homology(red, w) for w in zigzag_paths(red)])
+
+
+def test_deformation_source_fails_the_area_equality():
+    q = fixtures_mod.fixture("fig_deformation").quiver
+    assert (q.num_vertices, _twice_area([_homology(q, w) for w in zigzag_paths(q)])) == (3, 2)
+    assert not zigzag_consistent(q)
+
+
+# -- the differential test ----------------------------------------------------
+
+
+@pytest.mark.parametrize("name, q", QUIVERS, ids=[n for n, _ in QUIVERS])
+def test_zigzag_test_agrees_with_the_pair_search(name, q):
+    _agrees_with_search(q)
+
+
+def test_certified_quivers_among_fixtures_and_covers():
+    certified = {name for name, _ in CERTIFIED}
+    reduced = {f"{name} reduced target" for name in FIXTURES}
+    targets = {f"{name} target" for name in FIXTURES}
+    assert certified == (
+        {"c3", "conifold", "c3 4x4", "conifold 3x3"} | reduced | targets)
+
+
+def test_paths_meeting_twice_in_one_direction_are_inconsistent():
+    red = bigon_reduce(dict(QUIVERS)[TWICE]).quiver
+    homs = [_homology(red, w) for w in zigzag_paths(red)]
+    assert all(u[0] * v[1] != u[1] * v[0] for u, v in itertools.combinations(homs, 2))
+    assert all(h != (0, 0) for h in homs)
+    assert is_nondegenerate(red)[0]
+    assert not zigzag_consistent(red)
+    assert find_noncancellative_pair(red).found
+
+
+def test_deformation_cover_is_inconsistent_with_a_pair():
+    q = dict(QUIVERS)["fig_deformation 3x2"]
+    assert not zigzag_consistent(q)
+    assert find_noncancellative_pair(q).found
+
+
+@pytest.mark.parametrize("name", CONTRACTED)
+@pytest.mark.parametrize("size", [1, 2])
+def test_contraction_targets_agree_with_the_pair_search(name, size):
+    certified = [arrows for arrows, target in _contraction_targets(name, size)
+                 if _agrees_with_search(target)]
+    assert len(certified) == CERTIFIED_TARGETS[name, size], certified
+
+
+# how many 1- and 2-arrow contraction targets the zig-zag test certifies
+CERTIFIED_TARGETS = {
+    ("fig_iso_R", 1): 0, ("fig_iso_R", 2): 0,
+    ("fig_hsb_ii", 1): 0, ("fig_hsb_ii", 2): 0,
+    ("fig_nested(1)", 1): 0, ("fig_nested(1)", 2): 0,
+    ("fig_deformation", 1): 1, ("fig_deformation", 2): 6,
+}
+
+
+# -- is_cyclic ----------------------------------------------------------------
+
+
+@pytest.mark.parametrize("name", FIXTURES)
+def test_fixture_targets_are_certified(name, all_contractions):
+    rep = is_cyclic(all_contractions[name])
+    assert (rep.cancellative_target, rep.decided_by) == (True, "zigzag")
+
+
+@pytest.mark.parametrize("name", CONTRACTED)
+def test_no_is_cyclic_verdict_flips(name):
+    q = fixtures_mod.fixture(name).quiver
+    for arrows, target in _contraction_targets(name, 1):
+        rep = is_cyclic(contract(q, arrows))
+        search = find_noncancellative_pair(target)
+        before = False if search.found else (None if search.exhausted else True)
+        if rep.decided_by == "zigzag":
+            assert rep.cancellative_target is True and before in (True, None)
+        else:
+            assert rep.cancellative_target == before
+
+
+# -- fallback to the search ---------------------------------------------------
+
+
+def test_bigon_inserted_c3_falls_back_to_the_search():
+    # its 2-cycle cannot be removed and it has no perfect matching: the
+    # search's answer, undecided, as before the certificate
+    q = fixtures_mod.bigon_inserted_c3()
+    with pytest.raises(DomainError):
+        bigon_reduce(q)
+    assert is_nondegenerate(q)[0] is False
+    assert not certified_cancellative(q)
+    rep = is_cyclic(identity_contraction(q))
+    assert (rep.cancellative_target, rep.decided_by) == (None, "pair_search")
+
+
+def test_quiver_without_a_face_colouring_is_not_certified():
+    # three faces pairwise sharing a loop: an odd cycle of faces
+    q = make_quiver(1, [(0, 0, (1, 0)), (0, 0, (0, 1)), (0, 0, (-1, -1))],
+                    [(0, 1), (1, 2), (2, 0)])
+    with pytest.raises(DomainError):
+        face_colours(q)
+    with pytest.raises(DomainError):
+        zigzag_consistent(q)
+    assert not certified_cancellative(q)
+
+
+@pytest.mark.parametrize("fails", ["zigzag_consistent", "bigon_reduce", "is_nondegenerate"])
+def test_every_failed_hypothesis_runs_the_search(fails, iso_r_contraction, monkeypatch):
+    def refuse(q):
+        raise DomainError("refused")
+
+    stub = (lambda q: (False, [0])) if fails == "is_nondegenerate" else refuse
+    monkeypatch.setattr(contraction, fails, stub)
+    rep = is_cyclic(iso_r_contraction)
+    assert (rep.cancellative_target, rep.decided_by) == (True, "pair_search")
