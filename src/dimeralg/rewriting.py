@@ -41,12 +41,9 @@ matchings; those pairs are searched instead.
 Inside the search a word is text, one character per arrow
 (``chr(arrow id)``): a str caches its hash and slices cheaply.  One rule
 table, keyed by arc text, finds the rewrite sites with one lookup per
-window, in order of arc length, then position, then rule.  A closure
-of ``EqualityClasses`` expands its words first in, first out, so
-expanding a word skips the windows whose rewrites an earlier word in
-the queue already applied (``_Closure`` says why the closure is
-unchanged).  Every word that leaves the search (``PathWord``,
-``RewriteStep``) is a tuple again.
+window, in order of arc length, then position, then rule, and every
+search scans each word it expands in full.  Every word that leaves the
+search (``PathWord``, ``RewriteStep``) is a tuple again.
 
 ``find_noncancellative_pair`` searches the 2-cycle-free quiver of
 ``bigon_reduce``, which has the same algebra, and lifts any pair it finds
@@ -194,51 +191,28 @@ class RewriteSystem:
         quivers (module docstring); None if there is no perfect matching."""
         return sum(map(self._in_d0.__getitem__, word)) if self.has_matching else None
 
-    def successors(self, word: str, cap: int, made=None, known=(), sites=None):
+    def successors(self, word: str, cap: int):
         """All one-step rewrites of the text word not exceeding cap, as text
         words in order of arc length, then position, then rule; also say
-        whether anything was suppressed by the cap.
-
-        ``made`` is the site (arc length, position, replacement length) of
-        the rewrite that first reached the word in a FIFO closure; the
-        windows clear of it and earlier in this order are then skipped
-        (``_Closure`` says why that is exact, and when no site is passed).
-        Words in ``known`` are left out, and ``sites`` gets the site of
-        each word returned."""
+        whether anything was suppressed by the cap."""
         out = []
         truncated = False
         n = len(word)
-        ell = 0  # arcs up to this length skip the windows clear of the site
-        if made is not None:
-            ell, at, grew = made
         for ln, table in self._arcs.items():
             room = cap - n + ln  # the longest replacement within the cap
-            start, stop = 0, n - ln + 1
-            if ln <= ell:
-                start = max(0, at - ln + 1)
-                if ln < ell:
-                    stop = min(stop, at + grew)
-            for pos in range(start, stop):
+            for pos in range(n - ln + 1):
                 entries = table.get(word[pos:pos + ln])
                 if entries:
                     for _, repl in entries:
                         if len(repl) > room:
                             truncated = True
                         else:
-                            nxt = word[:pos] + repl + word[pos + ln:]
-                            if nxt not in known:
-                                out.append(nxt)
-                                if sites is not None:
-                                    sites.append((ln, pos, len(repl)))
+                            out.append(word[:pos] + repl + word[pos + ln:])
         return out, truncated
 
-    def step_between(self, word: tuple[int, ...], nxt: tuple[int, ...]) -> RewriteStep:
-        """The first rewrite in ``successors`` order that turns ``word``
-        into ``nxt`` (``read_back`` on their text)."""
-        return self.read_back(_encode(word), _encode(nxt))
-
     def read_back(self, text: str, target: str, shift: int = 0) -> RewriteStep:
-        """``step_between`` on text words, the position moved by ``shift``.
+        """The first rewrite in ``successors`` order that turns the text
+        word ``text`` into ``target``, its position moved by ``shift``.
 
         Only windows covering the span between the first and the last
         position where the words differ are tried, the common prefix and
@@ -426,9 +400,7 @@ def _best_first(
 
     The word popped next is the one whose differing core with q (what is
     left after their common prefix and suffix) is shortest, the earliest
-    reached among ties.  Each popped word gets a full ``successors`` scan:
-    the sleep-set records of ``_Closure`` are exact only in first-in,
-    first-out order.  Reaching q answers Equal.  NotEqual is certain when
+    reached among ties.  Reaching q answers Equal.  NotEqual is certain when
     the heap runs empty and the cap cut nothing: every word reached had all
     its successors generated, so the words reached are p's whole class, in
     whatever order they were found, and q is not among them.  Otherwise the
@@ -449,11 +421,11 @@ def _best_first(
     states = 0
     while heap:
         w = heappop(heap)[2]
-        succs, trunc = rs.successors(w, cap, None, parents)
+        succs, trunc = rs.successors(w, cap)
         truncated = truncated or trunc
         for nxt in succs:
             if nxt in parents:
-                continue  # reached twice in one scan
+                continue
             states += 1
             if states > max_states:
                 return EqResult(UNKNOWN, reason="state_budget", states=states)
@@ -517,40 +489,12 @@ class _Closure:
     the cap in ``words``.  An empty ``pending`` makes the closure
     complete, and then it is the start word's whole class unless
     ``truncated`` says the cap suppressed a rewrite.
-
-    ``made`` maps each word this closure reached itself to the site (arc
-    length, position, replacement length) of the rewrite b that first
-    reached it from its parent u, and ``successors`` skips the windows of
-    the word clear of that site that come before b in successors order.
-    Such a rewrite r applies to u too, before b, so r(u) was in ``words``
-    before b(u) was; in first-in, first-out order r(u) was expanded first
-    (or came complete from ``absorb``), and b on r(u) built r(b(u)) or
-    flagged the cap.  By induction on expansion order, every skipped word
-    is already in ``words`` and every skipped cut-off already in
-    ``truncated``, so words, parents, pending order and verdicts are those
-    of the full scan.  The argument needs three facts:
-
-    - a search cut off mid-layer requeues ``layer[k:] + pending``, which
-      keeps the order;
-    - ``absorb`` appends the other closure's pending words at the back, in
-      their order, and carries no records: the absorbed words are scanned
-      in full, since their records refer to the other closure's queue;
-    - a start word has no record, so its scan is full.
-
-    And r(u) must fit the cap: when b shortened the word, r(u) is longer
-    than r(b(u)) and may not.  So a closure passes its records only while
-    ``truncated`` is False, which is exact: a sibling r(u), or b on r(u),
-    that did not fit set the flag.  Without that rule fig_iso_R's
-    7,10,11,7,10,11 and 9,10,11,7,10,12 at word cap 9 answer Unknown
-    (word_length) instead of Equal with a 7-step witness.  An exact cap
-    cuts nothing, so the rule acts only under the other caps.
     """
 
-    __slots__ = ("words", "pending", "truncated", "made", "cap")
+    __slots__ = ("words", "pending", "truncated", "cap")
 
     def __init__(self, word: str, cap: int):
         self.words: dict[str, str | None] = {word: None}
-        self.made: dict[str, tuple[int, int, int]] = {}
         self.pending = [word]
         self.truncated = False
         self.cap = cap
@@ -619,22 +563,18 @@ class EqualityClasses:
             if len(own.pending) < len(closure.pending):
                 grow, other = own, closure
             layer, grow.pending = grow.pending, []
-            words, made = grow.words, grow.made
+            words = grow.words
             for k, w in enumerate(layer):
-                sites = []
-                # records are exact only while nothing was cut (_Closure)
-                site = None if grow.truncated else made.get(w)
-                succs, trunc = successors(w, grow.cap, site, words, sites)
+                succs, trunc = successors(w, grow.cap)
                 grow.truncated = grow.truncated or trunc
-                for nxt, site in zip(succs, sites):
+                for nxt in succs:
                     if nxt in words:
-                        continue  # reached twice in one scan
+                        continue
                     states += 1
                     if states > limit:
                         grow.pending = layer[k:] + grow.pending
                         return EqResult(UNKNOWN, reason="state_budget", states=states)
                     words[nxt] = w
-                    made[nxt] = site
                     grow.pending.append(nxt)
                     if nxt in other.words:
                         # w is requeued: its later successors are not generated yet

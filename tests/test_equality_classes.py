@@ -145,17 +145,14 @@ def bfs_closure(rs, words, pending, cap):
     return words, truncated
 
 
-def naive_successors(rs, word, cap, skip=lambda pos, ln: False):
+def naive_successors(rs, word, cap):
     """The reference scan on tuple words: every rule, both ways, at every
     position, in order of arc length, then position, then rule; each
-    rewrite as (new word, pos, arrow, old arc, new arc).  Windows for
-    which ``skip(pos, ln)`` holds are left out."""
+    rewrite as (new word, pos, arrow, old arc, new arc)."""
     out, truncated = [], False
     lengths = sorted({len(arc) for sides in rs.rules.values() for arc in sides})
     for ln in lengths:
         for pos in range(len(word) - ln + 1):
-            if skip(pos, ln):
-                continue
             for aid, (left, right) in rs.rules.items():
                 for old, new in dict.fromkeys(((left, right), (right, left))):
                     if len(old) != ln or word[pos:pos + ln] != old:
@@ -496,10 +493,10 @@ def random_rewrites(rng, rs, word, n):
 
 
 def check_read_back(rs, parents, cap):
-    """Each link of a parent map of text words read back, as ``read_back``
-    with a shift and as ``step_between``, like the first naive successor
-    under ``cap`` that makes it; the links, and how many of them apply a
-    rule whose arcs share an end arrow."""
+    """Each link of a parent map of text words read back, by ``read_back``
+    with and without a shift, like the first naive successor under ``cap``
+    that makes it; the links, and how many of them apply a rule whose arcs
+    share an end arrow."""
     links = shared = 0
     for w, parent in parents.items():
         if parent is None:
@@ -507,7 +504,7 @@ def check_read_back(rs, parents, cap):
         first = next(s for s in naive_successors(rs, _decode(parent), cap)[0]
                      if s[0] == _decode(w))
         step = RewriteStep(*first[1:])
-        assert rs.step_between(_decode(parent), _decode(w)) == step
+        assert rs.read_back(parent, w) == step
         shifted = RewriteStep(step.pos + 3, step.arrow, step.old, step.new)
         assert rs.read_back(parent, w, 3) == shifted
         links += 1
@@ -539,14 +536,15 @@ def test_read_back_of_random_rewrites():
             longer = nxt + random_walk_at(rng, q, q.arrow(nxt[-1]).head, 1)
             made = [RewriteStep(*s[1:]) for s in succs if s[0] == longer]
             if made:
-                assert rs.step_between(word, longer) == made[0]
+                assert rs.read_back(_encode(word), _encode(longer)) == made[0]
             else:
                 with pytest.raises(quiver.DomainError, match="no single rewrite"):
-                    rs.step_between(word, longer)
+                    rs.read_back(_encode(word), _encode(longer))
                 refused += 1
     assert links > 800 and shared > 300 and refused > 800
     rs = RewriteSystem(fixtures_mod.bigon_inserted_c3())
-    assert rs.step_between((4, 1, 2, 0, 1), (4, 1)) == RewriteStep(0, 3, (4, 1, 2, 0), (4,))
+    step = rs.read_back(_encode((4, 1, 2, 0, 1)), _encode((4, 1)))
+    assert step == RewriteStep(0, 3, (4, 1, 2, 0), (4,))
 
 
 # -- split compares a word only with representatives sharing its invariants ---
@@ -604,7 +602,7 @@ def test_budgeted_split_is_the_unbucketed_loop(all_fixtures):
     assert all(len({owner[k] for k in cls}) == 1 for cls in split)
 
 
-# -- a FIFO closure skips the rewrites a sibling already applied ---------------
+# -- every closure, pinned ------------------------------------------------------
 
 
 def random_word(rng, q, n):
@@ -615,56 +613,6 @@ def random_word(rng, q, n):
         word.append(a.id)
         at = a.head
     return tuple(word)
-
-
-@pytest.mark.parametrize("name", sorted(differential_quivers()) + ["covers"])
-def test_skipped_windows_are_the_clear_earlier_ones(name):
-    # given the site (arc length, position, replacement length) that made
-    # the word, the scan leaves out exactly the windows clear of the site
-    # that come first in successors order, whatever the cap
-    quivers = _covers() if name == "covers" else {name: differential_quivers()[name]}
-    rng = random.Random(f"sites {name}")
-    skipped = 0
-    for q in quivers.values():
-        rs = RewriteSystem(q)
-        lengths = sorted({len(arc) for sides in rs.rules.values() for arc in sides})
-        for _ in range(40):
-            word = random_word(rng, q, rng.randint(1, 20))
-            for cap in (len(word) - 2, len(word), len(word) + 1, len(word) + q.max_face_length()):
-                ell, grew = rng.choice(lengths), rng.choice(lengths)
-                if grew > len(word):
-                    continue
-                at = rng.randrange(len(word) - grew + 1)
-
-                def skip(pos, ln):
-                    clear = pos + ln <= at or pos >= at + grew
-                    return clear and (ln < ell or ln == ell and pos + ln <= at)
-
-                ref, ref_truncated = naive_successors(rs, word, cap, skip)
-                full = naive_successors(rs, word, cap)[0]
-                skipped += len(full) - len(ref)
-                site = (ell, at, grew)
-                succs, truncated = rs.successors(_encode(word), cap, site)
-                assert [_decode(w) for w in succs] == [r[0] for r in ref], (word, cap, site)
-                assert truncated == ref_truncated, (word, cap, site)
-                # known words are left out, and each word returned gets its site
-                known = {_encode(r[0]) for r in ref[::2]}
-                sites = []
-                succs, _ = rs.successors(_encode(word), cap, site, known, sites)
-                kept = [r for r in ref if _encode(r[0]) not in known]
-                assert succs == [_encode(r[0]) for r in kept]
-                assert sites == [(len(r[3]), r[1], len(r[4])) for r in kept]
-    assert skipped > 40
-
-
-def without_skipping(monkeypatch):
-    """Make ``RewriteSystem.successors`` drop the recorded site: the full scan."""
-    full = RewriteSystem.successors
-
-    def scan(self, word, cap, made=None, known=(), sites=None):
-        return full(self, word, cap, None, known, sites)
-
-    monkeypatch.setattr(RewriteSystem, "successors", scan)
 
 
 def search_groups(q, rs, rng):
@@ -713,35 +661,29 @@ def budgeted_searches(rs, groups):
     return log
 
 
-@pytest.mark.parametrize("name", LEMMA_QUIVERS)
-def test_skipping_keeps_every_closure(name, monkeypatch):
-    # with and without skipping: the same words with the same parents in
-    # the same order, the same pending words and the same results; and the
-    # skipping scan builds fewer words
-    rng = random.Random(f"skipping {name}")
-    built, cut = [0, 0], 0
-    for q in lemma_quivers(name):
-        rs = RewriteSystem(q)
-        groups = search_groups(q, rs, rng)
-        logs = []
-        for k in (0, 1):
-            if k:
-                without_skipping(monkeypatch)
-            scan = RewriteSystem.successors
-
-            def counted(self, word, cap, made=None, known=(), sites=None):
-                built[k] += len(scan(self, word, cap, made)[0])
-                return scan(self, word, cap, made, known, sites)
-
-            monkeypatch.setattr(RewriteSystem, "successors", counted)
-            logs.append(budgeted_searches(rs, groups))
-            monkeypatch.undo()
-        assert logs[0] == logs[1]
-        cut += sum(isinstance(r, EqResult) and r.reason == "state_budget" for r in logs[0])
-    assert cut > 0 and built[0] < built[1]
+# the digest of every budgeted_searches log over LEMMA_QUIVERS, in order
+CLOSURE_DIGEST = "3fc64a0dd45fd7bd"
 
 
-# b shortens the word, so a sibling skipped at cap 9 never fitted the cap
+def test_closures_keep_their_recorded_digest():
+    # every closure's words with their parents in order, its pending words
+    # and its cut flag, and every result with its witness and states; the
+    # digest was recorded with the sleep-set scan, whose closures the full
+    # scan must keep
+    digest = hashlib.sha256()
+    cut = 0
+    for name in LEMMA_QUIVERS:
+        rng = random.Random(f"closures {name}")
+        for q in lemma_quivers(name):
+            rs = RewriteSystem(q)
+            log = budgeted_searches(rs, search_groups(q, rs, rng))
+            cut += sum(isinstance(r, EqResult) and r.reason == "state_budget" for r in log)
+            digest.update(repr(log).encode())
+    assert cut > 0
+    assert digest.hexdigest()[:16] == CLOSURE_DIGEST
+
+
+# at cap 9 both closures cut a rewrite before they meet
 ISO_R_TIGHT = ((7, 10, 11, 7, 10, 11), (9, 10, 11, 7, 10, 12), 9)
 
 
@@ -751,52 +693,20 @@ def iso_r_tight(q):
     return PathWord(q.arrow(p[0]).tail, p), PathWord(q.arrow(r[0]).tail, r), cap
 
 
-def test_cap_guard_keeps_a_shortened_word_decided(all_fixtures, monkeypatch, capsys):
-    # the closure cuts a rewrite at cap 9, and from then on passes no records
+def test_tight_cap_pair_is_equal_in_the_library_and_the_cli(all_fixtures, capsys):
     q = all_fixtures["fig_iso_R"].quiver
     rs = RewriteSystem(q)
-    p_arrows, r_arrows, cap = ISO_R_TIGHT
-    p, r = PathWord(q.arrow(p_arrows[0]).tail, p_arrows), PathWord(q.arrow(r_arrows[0]).tail, r_arrows)
+    p, r, cap = iso_r_tight(q)
     res = paths_equal(rs, p, r, SearchBounds(cap))
     assert (res.verdict, len(res.steps)) == (EQUAL, 7)
     assert replay_witness(rs, p, res.steps)[-1] == r
     args = ["--max-word-length", str(cap), "eq", "fixture:fig_iso_R",
-            "--p", ",".join(map(str, p_arrows)), "--q", ",".join(map(str, r_arrows))]
+            "--p", ",".join(map(str, p.arrows)), "--q", ",".join(map(str, r.arrows))]
     assert main(args) == 0
     results = json.loads(capsys.readouterr().out)["results"]
     steps = [RewriteStep(s["pos"], s["arrow"], tuple(s["old"]), tuple(s["new"]))
              for s in results["witness"]]
     assert results["verdict"] == EQUAL and replay_witness(rs, p, steps)[-1] == r
-    without_skipping(monkeypatch)
-    assert paths_equal(rs, p, r, SearchBounds(cap)) == res
-
-
-def test_cut_closure_expands_in_full(all_fixtures, monkeypatch):
-    # the representative's closure passes its records until it cuts a
-    # rewrite, and none after
-    q = all_fixtures["fig_iso_R"].quiver
-    rs = RewriteSystem(q)
-    p, r, cap = iso_r_tight(q)
-    bounds = SearchBounds(cap)
-    ec = EqualityClasses(rs, bounds)
-    scan = RewriteSystem.successors
-    records, full_after_cut = 0, 0
-
-    def watched(self, word, cap, made=None, known=(), sites=None):
-        nonlocal records, full_after_cut
-        closure = ec.closures[p]
-        if known is closure.words:  # a scan of the representative's closure
-            if closure.truncated:
-                assert made is None, word
-                full_after_cut += 1
-            records += made is not None
-        return scan(self, word, cap, made, known, sites)
-
-    monkeypatch.setattr(RewriteSystem, "successors", watched)
-    res = ec._query(p, r, _encode(r.arrows))
-    assert res.verdict == EQUAL and len(ec.witness(p, r)) == 7
-    assert ec.closures[p].cap == bounds.word_cap(rs, p) == cap
-    assert ec.closures[p].truncated and records > 0 and full_after_cut > 0
 
 
 def test_best_first_cut_by_its_cap_answers_unknown(all_fixtures):

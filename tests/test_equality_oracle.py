@@ -184,7 +184,7 @@ def test_default_cap_holds_the_whole_class(name, length, seed):
 
 
 NAMED_PAIRS = [
-    # b shortens the word, so a sibling skipped at cap 9 never fitted it
+    # at cap 9 both closures cut a rewrite before they meet
     ("fig_iso_R", (7, 10, 11, 7, 10, 11), (9, 10, 11, 7, 10, 12)),
     # at cap 5 the word between the two block searches would have 6 arrows
     ("fig_hsb_ii", (0, 6, 9, 12, 1), (4, 7, 13, 8, 5)),

@@ -38,6 +38,7 @@ from dimeralg.rewriting import (
     replay_witness,
     vertex_simple_cycles,
     _completed,
+    _encode,
     _probes,
     _search_pairs,
 )
@@ -505,19 +506,19 @@ def test_unlifted_pair_is_dropped(inserted, monkeypatch, link):
     assert rep.pair is None and rep.exhausted and not rep.found
 
 
-def test_step_between_refuses_words_two_rewrites_apart(deformation):
+def test_read_back_refuses_words_two_rewrites_apart(deformation):
     # arc, arrow, arc: the two arcs rewrite one at a time, never at once
     q = deformation.quiver
     rs = RewriteSystem(q)
     a = q.arrows[0]
     left, right = rs.rules[a.id]
-    word = left + (a.id,) + left
-    mid = right + (a.id,) + left
-    far = right + (a.id,) + right
-    assert rs.step_between(word, mid).pos == 0
-    assert rs.step_between(mid, far).pos == len(right) + 1
+    word = _encode(left + (a.id,) + left)
+    mid = _encode(right + (a.id,) + left)
+    far = _encode(right + (a.id,) + right)
+    assert rs.read_back(word, mid).pos == 0
+    assert rs.read_back(mid, far).pos == len(right) + 1
     with pytest.raises(DomainError, match="no single rewrite"):
-        rs.step_between(word, far)
+        rs.read_back(word, far)
 
 
 # fig_deformation: arrows 0, 1 run 0 -> 2, arrows 2, 3 run 2 -> 1, arrows
