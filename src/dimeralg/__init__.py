@@ -30,6 +30,7 @@ from .rewriting import (
     CycleFilter,
     RewriteSystem,
     SearchBounds,
+    certified_cancellative,
     enumerate_cycles,
     find_noncancellative_pair,
     paths_equal,
@@ -39,7 +40,6 @@ from .rewriting import (
 from .contraction import (
     Contraction,
     ContractionError,
-    certified_cancellative,
     contract,
     identity_contraction,
     is_cyclic,

@@ -362,6 +362,7 @@ def cmd_noncancellative(args, q, fx):
         "cycles_considered": rep.cycles_considered,
         "pairs_tested": rep.pairs_tested,
         "removed_2cycles": rep.removed_2cycles,
+        "decided_by": rep.decided_by,
     }
     if rep.found:
         pr = rep.pair

@@ -16,19 +16,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 
-from .matchings import is_nondegenerate, matching_catalog
+from .matchings import matching_catalog
 from .monomial_algebra import Monomial, cycle_algebra_generators
-from .quiver import (
-    DimerQuiver,
-    DomainError,
-    PathWord,
-    bigon_reduce,
-    check_path,
-    make_quiver,
-    tree_potentials,
-    validate_dimer,
-    zigzag_consistent,
-)
+from .quiver import DimerQuiver, PathWord, check_path, make_quiver, tree_potentials, validate_dimer
 from .rewriting import DEFAULT_BOUNDS, SearchBounds, find_noncancellative_pair
 
 
@@ -230,22 +220,6 @@ class CyclicReport:
         return self.semigroups_match and self.cancellative_target
 
 
-def certified_cancellative(q: DimerQuiver) -> bool:
-    """Is q cancellative by theorem?  On the torus a nondegenerate dimer
-    algebra (every arrow in a perfect matching) is cancellative iff its
-    zig-zag paths are consistent (Bocklandt, *Consistency conditions for
-    dimer models*; Ishii–Ueda, *A note on consistency conditions on dimer
-    models*).  The test runs on ``bigon_reduce(q)``, which has q's
-    algebra.  False means not certified, not "not cancellative": a
-    2-cycle that cannot be removed, a reduced quiver with an arrow in no
-    perfect matching, or inconsistent zig-zag paths."""
-    try:
-        red = bigon_reduce(q).quiver
-        return zigzag_consistent(red) and is_nondegenerate(red)[0]
-    except DomainError:
-        return False
-
-
 def is_cyclic(c: Contraction, bounds: SearchBounds = DEFAULT_BOUNDS) -> CyclicReport:
     """Do source cycles and target cycles generate the same monomial
     algebra, and is the target cancellative?  The algebras are compared
@@ -253,16 +227,15 @@ def is_cyclic(c: Contraction, bounds: SearchBounds = DEFAULT_BOUNDS) -> CyclicRe
     irreducible elements, and both generator lists are that set in
     canonical order.
 
-    A target that ``certified_cancellative`` accepts is cancellative by
-    theorem, with no search (``decided_by`` "zigzag").  Every other
-    target, outside the theorem's hypotheses or inconsistent, goes to
-    ``find_noncancellative_pair`` ("pair_search"): False when it finds a
-    pair, True when it completes without one, and undecided (None) when
-    it is cut off first."""
+    The target goes to ``find_noncancellative_pair``, once, and its
+    ``decided_by`` is copied.  The certificate comes first there: a
+    target that ``certified_cancellative`` accepts is cancellative by
+    theorem, with no search ("zigzag").  Every other target, outside the
+    theorem's hypotheses or inconsistent, is searched ("pair_search"):
+    False when a pair is found, True when the search completes without
+    one, and undecided (None) when it is cut off first."""
     src = source_cycle_algebra_generators(c)
     tgt = target_cycle_algebra_generators(c)
-    if certified_cancellative(c.target):
-        return CyclicReport(src, tgt, True, "zigzag")
     rep = find_noncancellative_pair(c.target, bounds=bounds)
     verdict = False if rep.found else (None if rep.exhausted else True)
-    return CyclicReport(src, tgt, verdict, "pair_search")
+    return CyclicReport(src, tgt, verdict, rep.decided_by)

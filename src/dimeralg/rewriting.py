@@ -45,9 +45,12 @@ window, in order of arc length, then position, then rule, and every
 search scans each word it expands in full.  Every word that leaves the
 search (``PathWord``, ``RewriteStep``) is a tuple again.
 
-``find_noncancellative_pair`` searches the 2-cycle-free quiver of
-``bigon_reduce``, which has the same algebra, and lifts any pair it finds
-back to the quiver asked about, with a witness that replays there.
+``find_noncancellative_pair`` works on the 2-cycle-free quiver of
+``bigon_reduce``, which has the same algebra.  It first tries the
+zig-zag certificate: a valid, nondegenerate, zig-zag consistent quiver
+is cancellative by theorem, so it has no pair and nothing is searched.
+Otherwise it searches, and lifts any pair it finds back to the quiver
+asked about, with a witness that replays there.
 """
 
 from __future__ import annotations
@@ -55,7 +58,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from heapq import heappop, heappush
 
-from .matchings import matching_cover
+from .matchings import is_nondegenerate, matching_cover
 from .quiver import (
     BigonReduction,
     DimerQuiver,
@@ -65,6 +68,8 @@ from .quiver import (
     check_path,
     path_head,
     path_homology,
+    validate_dimer,
+    zigzag_consistent,
 )
 
 EQUAL = "equal"
@@ -777,6 +782,7 @@ class NoncancellativeReport:
     cycles_considered: int
     pairs_tested: int
     removed_2cycles: int = 0  # 2-cycles removed from the quiver before the search
+    decided_by: str = "pair_search"  # or "zigzag": certified, nothing searched
 
     @property
     def found(self):
@@ -817,6 +823,33 @@ def _probes(q: DimerQuiver, v: int, p: PathWord, q_: PathWord, r_cap: int):
             yield "before", PathWord(at, w), PathWord(at, w + p.arrows), PathWord(at, w + q_.arrows)
 
 
+def _certified_reduction(q: DimerQuiver) -> tuple[BigonReduction, bool]:
+    """``bigon_reduce(q)`` (q as given when a 2-cycle cannot be removed) and
+    ``certified_cancellative(q)``, from one reduction."""
+    try:
+        red = bigon_reduce(q)
+    except DomainError:
+        return BigonReduction(q, tuple(range(len(q.arrows))), 0), False
+    r = red.quiver
+    try:
+        return red, validate_dimer(r).ok and zigzag_consistent(r) and is_nondegenerate(r)[0]
+    except DomainError:  # faces with no 2-colouring
+        return red, False
+
+
+def certified_cancellative(q: DimerQuiver) -> bool:
+    """Is q cancellative by theorem?  On the torus a nondegenerate dimer
+    algebra (every arrow in a perfect matching) is cancellative iff its
+    zig-zag paths are consistent (Bocklandt, *Consistency conditions for
+    dimer models*; Ishii–Ueda, *A note on consistency conditions on dimer
+    models*).  The test runs on ``bigon_reduce(q)``, which has q's
+    algebra, and ``find_noncancellative_pair`` makes it first.  False
+    means not certified, not "not cancellative": a 2-cycle that cannot be
+    removed, or a reduced quiver that is invalid, has an arrow in no
+    perfect matching, or has inconsistent zig-zag paths."""
+    return _certified_reduction(q)[1]
+
+
 def find_noncancellative_pair(
     q: DimerQuiver, contraction=None, bounds: SearchBounds = DEFAULT_BOUNDS
 ) -> NoncancellativeReport:
@@ -824,15 +857,20 @@ def find_noncancellative_pair(
     invariants and a path r such that appending or prepending r makes them
     equal.
 
-    The search always runs on ``bigon_reduce(q).quiver`` (q itself when q
-    has no 2-cycles or one cannot be removed): each arrow of a 2-cycle
-    equals a path, so the reduced quiver has the same algebra and far
-    smaller rewrite closures.  Its arrows are arrows of q, so the
-    contraction's per-arrow images carry over, and a pair found after a
-    removal is lifted back to q: each link of the reduced witness (one
-    merged-face relation) is rejoined by ``paths_equal`` on q, and the
-    pair is reported only if the whole lifted witness replays on q;
-    otherwise the report has no pair and is ``exhausted``.  A quiver with
+    The zig-zag certificate comes first (``_certified_reduction``): a
+    certified algebra is cancellative, so no bucket holds a pair, with or
+    without a contraction, and the report has no pair, is not
+    ``exhausted``, counts zero and is ``decided_by`` "zigzag", at any
+    bounds.  Otherwise it is "pair_search".  The search runs on
+    ``bigon_reduce(q).quiver`` (q itself when q has no 2-cycles or one
+    cannot be removed): each arrow of a 2-cycle equals a path, so the
+    reduced quiver has the same algebra and far smaller rewrite closures.
+    Its arrows are arrows of q, so the contraction's per-arrow images
+    carry over, and a pair found after a removal is lifted back to q: each
+    link of the reduced witness (one merged-face relation) is rejoined by
+    ``paths_equal`` on q, and the pair is reported only if the whole
+    lifted witness replays on q; otherwise the report has no pair and is
+    ``exhausted``.  A quiver with
     no perfect matching is outside the theorems: it is reported
     ``exhausted`` with no pair and zero counts, before any search.
 
@@ -848,10 +886,9 @@ def find_noncancellative_pair(
     says whether the search ran to completion or was cut off.
     ``cycles_considered`` and ``pairs_tested`` count the quiver searched,
     which lacks ``removed_2cycles`` of q's 2-cycles."""
-    try:
-        red = bigon_reduce(q)
-    except DomainError:
-        red = BigonReduction(q, tuple(range(len(q.arrows))), 0)  # q is searched as given
+    red, certified = _certified_reduction(q)
+    if certified:
+        return NoncancellativeReport(None, False, 0, 0, red.removed, "zigzag")
     rs = RewriteSystem(red.quiver)
     ids = red.original_ids
     images = None if contraction is None else tuple(contraction.source_images[a] for a in ids)

@@ -8,8 +8,16 @@ import pytest
 from dimeralg import fixtures as fixtures_mod
 from dimeralg.contraction import contract
 from dimeralg.monomial_algebra import realizable_at_vertex
-from dimeralg.quiver import DomainError, concat, make_quiver
-from dimeralg.rewriting import EQUAL, NOT_EQUAL, UNKNOWN, RewriteSystem, paths_equal
+from dimeralg.quiver import DomainError, bigon_reduce, concat, make_quiver
+from dimeralg.rewriting import (
+    DEFAULT_BOUNDS,
+    EQUAL,
+    NOT_EQUAL,
+    UNKNOWN,
+    RewriteSystem,
+    _search_pairs,
+    paths_equal,
+)
 
 FIXTURES = [
     "fig_deformation",
@@ -39,6 +47,17 @@ def load_perfbench(name):
 def load_torus_cover():
     """``torus_cover`` from ``perfbench/covers.py``."""
     return load_perfbench("covers").torus_cover
+
+
+def pair_search(q, contraction=None, bounds=DEFAULT_BOUNDS):
+    """The pair search of ``find_noncancellative_pair`` without the zig-zag
+    certificate in front of it: ``_search_pairs`` on ``bigon_reduce(q)``,
+    with the contraction's per-arrow images carried over.  A pair it finds
+    is one of the reduced quiver, not lifted back to q; a 2-cycle that
+    cannot be removed raises ``DomainError``."""
+    red = bigon_reduce(q)
+    images = contraction and tuple(contraction.source_images[a] for a in red.original_ids)
+    return _search_pairs(RewriteSystem(red.quiver), images, bounds)
 
 
 def insert_2cycle(q, face, k):

@@ -116,10 +116,13 @@ def test_criterion_2_cancellation():
     rep = find_noncancellative_pair(fx.quiver, c, bounds)
     assert rep.found
     assert rep.pair.inequality_reason in ("saturated", "matching_profile", "homology")
-    rep_target = find_noncancellative_pair(c.target, bounds=bounds)
-    assert not rep_target.found
-    print("\nACCEPTANCE 2: PASS certified pair on the source, none on the "
-          "target within bounds")
+    # the target is zig-zag consistent: cancellative by theorem, at any budget
+    for target_bounds in (bounds, SearchBounds(20, 0)):
+        rep_target = find_noncancellative_pair(c.target, bounds=target_bounds)
+        assert not rep_target.found and not rep_target.exhausted
+        assert rep_target.decided_by == "zigzag"
+    print("\nACCEPTANCE 2: PASS certified pair on the source; the target is "
+          "cancellative by the zig-zag certificate")
 
 
 def test_criterion_3_nil_central_element():

@@ -378,7 +378,9 @@ def test_complete_closure_decides_not_equal(all_fixtures):
     assert compare(ec, fx.paths["p"], fx.paths["q"]).states == 0
 
 
-def test_noncancellative_search_stops_when_budget_is_spent(iso_r_contraction, monkeypatch):
+def test_noncancellative_search_stops_when_budget_is_spent(iso_r, monkeypatch):
+    # fig_iso_R contracted at arrow 0 is not certified, so it is searched;
+    # 300 states run out before its pair
     budgets = []
     query = EqualityClasses._query
 
@@ -387,9 +389,10 @@ def test_noncancellative_search_stops_when_budget_is_spent(iso_r_contraction, mo
         return query(self, rep, word, text, max_states)
 
     monkeypatch.setattr(rewriting.EqualityClasses, "_query", counted)
-    rep = find_noncancellative_pair(iso_r_contraction.target, bounds=SearchBounds(0, 2000))
-    assert rep.exhausted and not rep.found
-    assert rep.pairs_tested == len(budgets)
+    target = contract(iso_r.quiver, [0]).target
+    rep = find_noncancellative_pair(target, bounds=SearchBounds(0, 300))
+    assert rep.exhausted and not rep.found and rep.decided_by == "pair_search"
+    assert rep.pairs_tested == len(budgets) == 8
     assert all(b > 0 for b in budgets)
 
 

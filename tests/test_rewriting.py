@@ -43,7 +43,7 @@ from dimeralg.rewriting import (
     _search_pairs,
 )
 
-from conftest import insert_2cycle
+from conftest import insert_2cycle, pair_search
 
 
 def test_rule_shapes(all_fixtures):
@@ -385,7 +385,12 @@ def test_probes_append_then_prepend(deformation):
 # tested, (p, q, r, side) of the pair): the search order, the budget
 # charges and the cut-off points, pinned on every fixture's source and
 # target and on c3 and the conifold; the fig_iso_R and fig_nested
-# targets have 2-cycles, so their counts are those of the reduced quiver
+# targets have 2-cycles, so their counts are those of the reduced quiver.
+# The targets, c3 and the conifold are zig-zag consistent, so
+# ``find_noncancellative_pair`` certifies them without a search: their
+# rows are the search itself (conftest's ``pair_search``), and the public
+# function's report on them is pinned too: no pair, not cut off, zero
+# counts, decided by "zigzag", at either bounds
 CUT = SearchBounds(0, 2000)
 DEFAULT = SearchBounds()
 NONCANCELLATIVE_REPORTS = {
@@ -448,6 +453,13 @@ def test_noncancellative_reports_are_pinned(all_fixtures, all_contractions):
     for (name, side, bounds), want in NONCANCELLATIVE_REPORTS.items():
         q, c = quivers[(name, side)]
         rep = find_noncancellative_pair(q, c, bounds)
+        if side == "source":
+            assert rep.decided_by == "pair_search", name
+        else:
+            got = (rep.found, rep.exhausted, rep.cycles_considered, rep.pairs_tested,
+                   rep.decided_by, rep.removed_2cycles)
+            assert got == (False, False, 0, 0, "zigzag", bigon_reduce(q).removed), name
+            rep = pair_search(q, c, bounds)
         pr = rep.pair
         words = pr and (pr.p.arrows, pr.q.arrows, pr.r.arrows, pr.side)
         got = (rep.found, rep.exhausted, rep.cycles_considered, rep.pairs_tested, words)

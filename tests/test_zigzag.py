@@ -1,33 +1,38 @@
-"""Zig-zag paths, the exact consistency test, and the certificate that
-lets ``is_cyclic`` skip the pair search, checked against
-``find_noncancellative_pair`` on every quiver the search decides."""
+"""Zig-zag paths, the exact consistency test, and the certificate with
+which ``find_noncancellative_pair`` (and so ``is_cyclic``) skips the pair
+search, checked against the search itself (conftest's ``pair_search``)
+on every quiver the search decides."""
 
 import itertools
 from functools import cmp_to_key
+from types import SimpleNamespace
 
 import pytest
 
-from dimeralg import contraction
 from dimeralg import fixtures as fixtures_mod
-from dimeralg.contraction import (
-    ContractionError,
-    certified_cancellative,
-    contract,
-    identity_contraction,
-    is_cyclic,
-)
+from dimeralg import rewriting
+from dimeralg.contraction import ContractionError, contract, identity_contraction, is_cyclic
 from dimeralg.matchings import is_nondegenerate
 from dimeralg.quiver import (
     DomainError,
     bigon_reduce,
     face_colours,
     make_quiver,
+    validate_dimer,
     zigzag_consistent,
     zigzag_paths,
 )
-from dimeralg.rewriting import find_noncancellative_pair
+from dimeralg.rewriting import (
+    DEFAULT_BOUNDS,
+    RewriteSystem,
+    SearchBounds,
+    _lift_pair,
+    _search_pairs,
+    certified_cancellative,
+    find_noncancellative_pair,
+)
 
-from conftest import FIXTURES, load_perfbench
+from conftest import FIXTURES, load_perfbench, pair_search
 
 C3 = fixtures_mod.c3_quiver()
 CONIFOLD = fixtures_mod.conifold_quiver()
@@ -78,7 +83,11 @@ def _contraction_targets(name, size):
 def _agrees_with_search(q):
     """The differential rule on one quiver; returns the certificate."""
     certified = certified_cancellative(q)
-    rep = find_noncancellative_pair(q)
+    try:
+        rep = pair_search(q)
+    except DomainError:  # a 2-cycle that cannot be removed
+        assert not certified
+        return certified
     if certified:
         assert not rep.found and not rep.exhausted
     if rep.found:
@@ -220,12 +229,74 @@ def test_no_is_cyclic_verdict_flips(name):
     q = fixtures_mod.fixture(name).quiver
     for arrows, target in _contraction_targets(name, 1):
         rep = is_cyclic(contract(q, arrows))
-        search = find_noncancellative_pair(target)
+        try:
+            search = pair_search(target)
+        except DomainError:  # a 2-cycle that cannot be removed
+            assert rep.decided_by == "pair_search"
+            continue
         before = False if search.found else (None if search.exhausted else True)
         if rep.decided_by == "zigzag":
             assert rep.cancellative_target is True and before in (True, None)
         else:
             assert rep.cancellative_target == before
+
+
+# -- the certificate inside find_noncancellative_pair -------------------------
+
+
+SHORTCUT_CORPUS = QUIVERS + [
+    (f"{name} target at {','.join(map(str, arrows))}", target)
+    for name in FIXTURES for arrows, target in _contraction_targets(name, 1)
+]
+
+
+def _searched(q, bounds):
+    """The report of the search alone, as ``find_noncancellative_pair``
+    makes it: on the reduced quiver (q as given when a 2-cycle cannot be
+    removed, and nothing searched without a perfect matching), with a
+    pair lifted back to q."""
+    try:
+        red = bigon_reduce(q)
+    except DomainError:
+        rs = RewriteSystem(q)
+        return _search_pairs(rs, None, bounds) if rs.has_matching else None
+    rep = pair_search(q, bounds=bounds)
+    if rep.found and red.removed:
+        reduced = RewriteSystem(red.quiver)
+        rep.pair = _lift_pair(reduced, RewriteSystem(q), red.original_ids, rep.pair, bounds)
+        rep.exhausted = rep.pair is None
+    return rep
+
+
+@pytest.mark.parametrize("name, q", SHORTCUT_CORPUS, ids=[n for n, _ in SHORTCUT_CORPUS])
+def test_shortcut_touches_only_certified_quivers(name, q):
+    if certified_cancellative(q):
+        # nothing searched at any bounds, and the search agrees
+        for bounds in (SearchBounds(0, 0), DEFAULT_BOUNDS):
+            rep = find_noncancellative_pair(q, bounds=bounds)
+            assert (rep.pair, rep.exhausted, rep.cycles_considered, rep.pairs_tested,
+                    rep.decided_by) == (None, False, 0, 0, "zigzag")
+        search = pair_search(q)
+        assert not search.found and not search.exhausted
+        return
+    for bounds in (SearchBounds(0, 2000), DEFAULT_BOUNDS):
+        rep = find_noncancellative_pair(q, bounds=bounds)
+        assert rep.decided_by == "pair_search"
+        want = _searched(q, bounds)
+        if want is None:  # no perfect matching
+            assert (rep.pair, rep.exhausted, rep.cycles_considered, rep.pairs_tested) == (
+                None, True, 0, 0)
+            continue
+        # the pair compares with its witness
+        assert (rep.pair, rep.exhausted, rep.cycles_considered, rep.pairs_tested) == (
+            want.pair, want.exhausted, want.cycles_considered, want.pairs_tested)
+
+
+def test_shortcut_corpus_holds_both_kinds():
+    # 20 of 156 certified; the fig_iso_R targets at 0 and at 0,4,6,9 have pairs
+    certified = [name for name, q in SHORTCUT_CORPUS if certified_cancellative(q)]
+    assert (len(SHORTCUT_CORPUS), len(certified)) == (156, 20)
+    assert TWICE not in certified and "fig_iso_R target at 0" not in certified
 
 
 # -- fallback to the search ---------------------------------------------------
@@ -254,12 +325,30 @@ def test_quiver_without_a_face_colouring_is_not_certified():
     assert not certified_cancellative(q)
 
 
-@pytest.mark.parametrize("fails", ["zigzag_consistent", "bigon_reduce", "is_nondegenerate"])
+def test_invalid_quiver_is_not_certified():
+    # c3 with one arrow's homology moved off the embedding: the faces no
+    # longer sum to zero, yet the zig-zag test and the matchings pass it
+    arrows = [(a.tail, a.head, a.homology) for a in C3.arrows]
+    arrows[2] = (0, 0, (-1, -4))
+    q = make_quiver(1, arrows, [f.boundary for f in C3.faces])
+    assert not validate_dimer(q).ok
+    assert zigzag_consistent(q) and is_nondegenerate(q)[0]
+    assert not certified_cancellative(q)
+    assert find_noncancellative_pair(q).decided_by == "pair_search"
+
+
+STUBS = {
+    "validate_dimer": lambda q: SimpleNamespace(ok=False),
+    "is_nondegenerate": lambda q: (False, [0]),
+}
+
+
+@pytest.mark.parametrize(
+    "fails", ["validate_dimer", "zigzag_consistent", "bigon_reduce", "is_nondegenerate"])
 def test_every_failed_hypothesis_runs_the_search(fails, iso_r_contraction, monkeypatch):
     def refuse(q):
         raise DomainError("refused")
 
-    stub = (lambda q: (False, [0])) if fails == "is_nondegenerate" else refuse
-    monkeypatch.setattr(contraction, fails, stub)
+    monkeypatch.setattr(rewriting, fails, STUBS.get(fails, refuse))
     rep = is_cyclic(iso_r_contraction)
     assert (rep.cancellative_target, rep.decided_by) == (True, "pair_search")
