@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import os
 import sys
@@ -418,7 +419,10 @@ def _global_options(parser, suppress=False):
                         help="indented text output instead of JSON")
 
 
+@functools.cache
 def build_parser():
+    """The parser of every subcommand, built once per process: parsing
+    leaves it unchanged, so every ``main`` call in a process shares it."""
     parser = argparse.ArgumentParser(
         prog="dimeralg",
         description="combinatorial invariants of dimer quivers on the torus",

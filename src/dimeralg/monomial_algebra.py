@@ -6,20 +6,26 @@ and every increment is nonnegative, "is this monomial the image of some
 cycle at vertex i" is plain reachability in the finite product graph of
 (vertex, partial exponent) states, so membership answers here are exact;
 the state budget ``rewriting.MAX_STATES`` only guards against oversized
-state spaces.  The search packs each state into one int (see
-``_Packing``) and caps it by per-exponent caps and a degree cap: g and
-deg g for one witness walk, D everywhere for the degree-D center table,
-and the componentwise max of the goals and their largest degree for
-``first_unrealized_goal``, the every-vertex test of several goals.
-This module keeps each contraction's layouts, per field width, until the
-contraction dies.  Membership in a monoid given by generators
-(``algebra_contains``, ``minimal_generators``) searches packed partial
-sums in the same layout, with one vertex.
+state spaces.  Each state is packed into one int (see ``_Packing``) and
+capped by per-exponent caps and a degree cap.  Two searches run on them:
+``_reach`` from one vertex, capped by g and deg g, keeps the arrow that
+entered each state and rebuilds a witness walk (``realizable_at_vertex``);
+``_reach_all`` sweeps from every vertex at once and marks each state with
+the start vertices that reach it, which answers the every-vertex
+questions in one pass: the degree-D center table, capped by D
+everywhere, and ``first_unrealized_goal``, capped by the componentwise
+max of its goals and their largest degree.  A sweep's budget counts its
+distinct (vertex, exponent) states.  This module keeps each
+contraction's layouts, per field width, until the contraction dies.
+Membership in a monoid given by generators (``algebra_contains``,
+``minimal_generators``) searches packed partial sums in the same layout,
+with one vertex.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from math import prod
 from operator import le, lshift
 from typing import TYPE_CHECKING
@@ -114,6 +120,32 @@ class _Packing:
     @classmethod
     def of_quiver(cls, q: DimerQuiver, images, dim: int, width: int) -> _Packing:
         return cls(width, dim, q.num_vertices, [(a.tail, a.head, images[a.id]) for a in q.arrows])
+
+    @cached_property
+    def sweep_steps(self) -> tuple[tuple[tuple[int, ...], ...], tuple[tuple[int, ...], ...]]:
+        """Per vertex u, the two kinds of step of ``_reach_all``: the other
+        vertices that walks of zero-image arrows lead to from u (u's
+        reflexive-transitive zero-image closure, u left out), and the
+        deltas of the arrows out of u whose image is nonzero.  An arrow's
+        image is zero exactly when its tail plus its delta is its head,
+        with every field above the vertex bits empty."""
+        heads = [
+            {u + delta for _aid, delta in out if u + delta <= self.vmask}
+            for u, out in enumerate(self.steps)
+        ]
+        zero = []
+        for u in range(len(heads)):
+            seen, stack = {u}, [u]
+            while stack:
+                for w in heads[stack.pop()] - seen:
+                    seen.add(w)
+                    stack.append(w)
+            zero.append(tuple(sorted(seen - {u})))
+        up = tuple(
+            tuple(delta for _aid, delta in out if u + delta > self.vmask)
+            for u, out in enumerate(self.steps)
+        )
+        return tuple(zero), up
 
     def pack(self, v: int, g: Monomial, deg: int) -> int:
         return v + sum(map(lshift, (*g, deg), self.shifts))
@@ -328,7 +360,7 @@ def _packing(c: Contraction, deg_cap: int) -> _Packing:
 
 
 def _reach(
-    packing: _Packing, i: int, caps: Monomial, deg_cap: int, max_states: int, targets=frozenset(),
+    packing: _Packing, i: int, caps: Monomial, deg_cap: int, max_states: int, target: int,
 ) -> dict[int, int | None]:
     """Breadth-first search over the states of ``packing``, the layout
     ``_packing`` gives for ``deg_cap``, from (i, 0), keeping each state
@@ -337,14 +369,14 @@ def _reach(
 
     Returns the map from each reached state to the arrow id that first
     entered it (None at the start); the previous state is the state minus
-    that arrow's delta.  With targets, a set of packed states, the search
-    stops after the layer that has reached all of them.  Past
-    ``max_states`` states it raises ResourceExhausted."""
+    that arrow's delta.  The search stops after the layer that reaches
+    the packed state ``target``.  Past ``max_states`` states it raises
+    ResourceExhausted."""
     vmask, guards, steps = packing.vmask, packing.guards, packing.steps
     limit = packing.pack(vmask, caps, deg_cap) | guards
     parent: dict[int, int | None] = {i: None}
     frontier = [i]
-    while frontier and not (targets and parent.keys() >= targets):
+    while frontier and target not in parent:
         nxt_frontier = []
         for node in frontier:
             for aid, step in steps[node & vmask]:
@@ -357,6 +389,50 @@ def _reach(
                 raise ResourceExhausted(f"realizability search exceeds budget {max_states}")
         frontier = nxt_frontier
     return parent
+
+
+def _reach_all(packing: _Packing, caps: Monomial, deg_cap: int, max_states: int) -> dict[int, int]:
+    """One sweep over the states of ``packing`` from every start (v, 0)
+    at once, inside the box of ``_reach``: the map from each reached state
+    to the bitmask of the start vertices v with a walk from (v, 0) to it.
+
+    A step with an image raises the degree and a zero-image step keeps
+    every exponent, so the sweep takes the degree layers in ascending
+    order, and each layer is complete once the layers below it have been
+    swept.  A walk to a state of the layer enters the layer at a seed
+    (a start, or a state an image step from below reached) and then takes
+    zero-image steps only, so the layer is closed by giving each seed's
+    mask to every state of its vertex's zero-image closure
+    (``_Packing.sweep_steps``); then the image steps from the closed layer
+    feed the layers above.  Each state is swept once, and every mask is
+    exact whatever cycles the zero-image arrows make.  Past
+    ``max_states`` distinct states it raises ResourceExhausted."""
+    vmask, guards, top = packing.vmask, packing.guards, packing.shifts[-1]
+    limit = packing.pack(vmask, caps, deg_cap) | guards
+    zero, up = packing.sweep_steps
+    masks = {v: 1 << v for v in range(len(zero))}
+    layers: list[list[int]] = [[] for _ in range(deg_cap + 1)]
+    layers[0].extend(masks)
+    for layer in layers:
+        # no mask is 0, so 0 marks a state not reached yet
+        for s in layer[:]:
+            if closure := zero[s & vmask]:
+                m, base = masks[s], s & ~vmask
+                for w in closure:
+                    if not (old := masks.get(base + w, 0)):
+                        layer.append(base + w)
+                    masks[base + w] = old | m
+        for s in layer:
+            m = masks[s]
+            for step in up[s & vmask]:
+                state = s + step
+                if (limit - state) & guards == guards:
+                    if not (old := masks.get(state, 0)):
+                        layers[state >> top].append(state)
+                    masks[state] = old | m
+            if len(masks) > max_states:
+                raise ResourceExhausted(f"realizability sweep exceeds budget {max_states}")
+    return masks
 
 
 def _check_query(c: Contraction, goals, i: int = 0) -> None:
@@ -384,7 +460,7 @@ def realizable_at_vertex(c: Contraction, i: int, g: Monomial) -> Realizability:
         raise ResourceExhausted(f"state space {space} exceeds budget {max_states}")
     packing = _packing(c, degree(g))
     node = packing.pack(i, g, degree(g))
-    parent = _reach(packing, i, g, degree(g), max_states, {node})
+    parent = _reach(packing, i, g, degree(g), max_states, node)
     if node not in parent:
         return Realizability(NO, None, len(parent), i)
     word: list[int] = []
@@ -440,56 +516,38 @@ def cycles_with_image(c: Contraction, i: int, g: Monomial) -> list[PathWord]:
     return out
 
 
-def first_unrealized_goal(c: Contraction, goals, passed=None) -> tuple[int, int] | None:
+def first_unrealized_goal(c: Contraction, goals) -> tuple[int, int] | None:
     """The first goal, in order, that is not a cycle image at every
     vertex, and the first vertex where it is not, as (index, vertex);
     None when every goal is a cycle image at every vertex.
 
-    One ``_reach`` per vertex answers every open goal, capped by their
-    componentwise max and largest degree.  Arrow images are nonnegative,
-    so a walk to a goal stays below it, inside the shared box, and the
-    verdict is exact.  Once a goal fails, later vertices search only the
-    goals before it.  ``passed[i]``, when given, holds the indices of
-    goals known to be cycle images at vertex i; they are skipped there,
-    and the search adds those it finds.
+    One ``_reach_all`` sweep answers every goal at every vertex, inside
+    the box of the goals' componentwise max and largest degree.  Arrow
+    images are nonnegative, so a walk to a goal stays below it, inside
+    the shared box, and the verdict is exact: goal g is a cycle image at
+    v exactly when bit v is set at the state (v, g).
 
     Guard: a goal whose own box times the vertex count exceeds
     ``rewriting.MAX_STATES`` raises ResourceExhausted unless an earlier
     goal fails, as one membership test per goal would; only the goals
-    before it are searched, and a shared search past the budget raises
-    too: an Unknown (exit 2), never a wrong verdict."""
+    before it are swept, and a sweep past the budget, counted in the
+    distinct (vertex, exponent) states it reaches, raises too: an Unknown
+    (exit 2), never a wrong verdict."""
     _check_query(c, goals)
     max_states = rewriting.MAX_STATES
     num_vertices = c.source.num_vertices
     spaces = [prod(e + 1 for e in goal) * num_vertices for goal in goals]
     over = next((k for k, space in enumerate(spaces) if space > max_states), len(goals))
-    live, vertex = over, None  # goals 0 .. live - 1 are still to check
-    searched = None
-    for i in range(num_vertices):
-        known = passed[i] if passed else set()
-        todo = [k for k in range(live) if k not in known]
-        if not todo:
-            continue
-        if todo != searched:
-            # the shared box and the goals packed at vertex 0, kept while
-            # the open goals stay the same
-            searched = todo
-            open_goals = [goals[k] for k in todo]
-            deg_cap = max(map(degree, open_goals))
-            packing = _packing(c, deg_cap)
-            caps = tuple(map(max, zip(*open_goals)))
-            base = [packing.pack(0, goal, degree(goal)) for goal in open_goals]
-        targets = [i + b for b in base]
-        reached = _reach(packing, i, caps, deg_cap, max_states, set(targets))
-        for k, target in zip(todo, targets):
-            if target not in reached:
-                live, vertex = k, i
-                break
-            known.add(k)
-        if not live:
-            break
-    if live < over:
-        return live, vertex
+    if over:
+        swept = goals[:over]
+        deg_cap = max(map(degree, swept))
+        packing = _packing(c, deg_cap)
+        masks = _reach_all(packing, tuple(map(max, zip(*swept))), deg_cap, max_states)
+        for k, goal in enumerate(swept):
+            base = packing.pack(0, goal, degree(goal))
+            for v in range(num_vertices):
+                if not masks.get(base + v, 0) >> v & 1:
+                    return k, v
     if over < len(goals):
         raise ResourceExhausted(f"state space {spaces[over]} exceeds budget {max_states}")
     return None
@@ -505,21 +563,19 @@ def homotopy_center_contains(c: Contraction, g: Monomial) -> Realizability:
 
 def homotopy_center_monomials(c: Contraction, degree_bound: int) -> frozenset[Monomial]:
     """The nonzero monomials of degree <= degree_bound that are cycle
-    images at every vertex: one degree-bounded search per vertex, the
-    images back at the start intersected.  The searches share one
-    state budget."""
+    images at every vertex: one ``_reach_all`` sweep of the
+    degree-bounded box, read as the exponents x with bit v set at (v, x)
+    for every vertex v.  The sweep's budget is ``rewriting.MAX_STATES``
+    distinct (vertex, exponent) states."""
     if degree_bound < 1:
         return frozenset()  # no nonzero image has degree below 1; packed caps are nonnegative
-    out: set[int] | None = None
-    budget = rewriting.MAX_STATES
-    caps = (degree_bound,) * len(c.catalog)
     packing = _packing(c, degree_bound)
-    for i in range(c.source.num_vertices):
-        reached = _reach(packing, i, caps, degree_bound, budget)
-        budget -= len(reached)
-        # back at i with a nonzero image; the vertex bits are cleared so the
-        # packed exponents intersect across vertices
-        back = {s - i for s in reached if s & packing.vmask == i and s != i}
-        out = back if out is None else out & back
-    return frozenset(packing.exponents(s) for s in out or ())
-
+    caps = (degree_bound,) * len(c.catalog)
+    masks = _reach_all(packing, caps, degree_bound, rewriting.MAX_STATES)
+    vertices = range(1, c.source.num_vertices)
+    # a state at vertex 0 is its packed exponents, with the vertex bits clear
+    return frozenset(
+        packing.exponents(s) for s, m in masks.items()
+        if s and m & 1 and s & packing.vmask == 0
+        and all(masks.get(s + v, 0) >> v & 1 for v in vertices)
+    )

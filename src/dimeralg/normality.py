@@ -35,23 +35,17 @@ DEFAULT_DEGREE_BOUND = 8  # degree up to which the monomial conditions compare s
 DEFAULT_N_MAX = 6  # largest power the minimal-power search tries
 
 
-def sigma_power_times_S_in_R(c: Contraction, n: int, passed=None) -> Monomial | None:
+def sigma_power_times_S_in_R(c: Contraction, n: int) -> Monomial | None:
     """Does sigma^n * S land in R?  Tested on the S-generators; the
     non-sigma-power products absorb the rest of S, and sigma^n itself is
     in R, the n-th power of the unit cycle at every vertex.  Returns the
     first generator g whose goal sigma^n * g is not a cycle image at some
-    vertex, as ``first_unrealized_goal`` decides it (exactly, or by
-    raising ResourceExhausted past its state budget), or None when
-    sigma^n * S lies in R.
-
-    ``passed[i]``, if given, holds the indices of the generators g with
-    sigma^m * g realizable at vertex i for some m <= n, and the round
-    adds those it finds.  A unit cycle at i has image sigma, so a cycle
-    at i with image sigma^m * g extends to one with image sigma^n * g;
-    only the goals still open at a vertex are searched there."""
+    vertex, as ``first_unrealized_goal`` decides it in one sweep from
+    every vertex (exactly, or by raising ResourceExhausted past its state
+    budget), or None when sigma^n * S lies in R."""
     sn = (n,) * len(c.catalog)
     gens = source_cycle_algebra_generators(c)
-    miss = first_unrealized_goal(c, [mon_add(sn, g) for g in gens], passed)
+    miss = first_unrealized_goal(c, [mon_add(sn, g) for g in gens])
     return None if miss is None else gens[miss[0]]
 
 
@@ -67,12 +61,10 @@ class MinimalSigmaPower:
 
 def _sigma_rounds(c: Contraction, n_max: int) -> list[Monomial | None]:
     """The witnesses of sigma^n * S in R for n = 1, 2, ... up to the first
-    None or n_max; each round skips what the earlier rounds found
-    realizable."""
-    passed: list[set[int]] = [set() for _ in range(c.source.num_vertices)]
+    None or n_max, one sweep per round."""
     witnesses: list[Monomial | None] = []
     for n in range(1, n_max + 1):
-        witnesses.append(sigma_power_times_S_in_R(c, n, passed))
+        witnesses.append(sigma_power_times_S_in_R(c, n))
         if witnesses[-1] is None:
             break
     return witnesses

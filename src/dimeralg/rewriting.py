@@ -825,14 +825,17 @@ def _probes(q: DimerQuiver, v: int, p: PathWord, q_: PathWord, r_cap: int):
 
 def _certified_reduction(q: DimerQuiver) -> tuple[BigonReduction, bool]:
     """``bigon_reduce(q)`` (q as given when a 2-cycle cannot be removed) and
-    ``certified_cancellative(q)``, from one reduction."""
+    ``certified_cancellative(q)``, from one reduction.  A quiver that
+    ``bigon_reduce`` changed was validated after its last removal, so only
+    the caller's own quiver is validated here."""
     try:
         red = bigon_reduce(q)
     except DomainError:
         return BigonReduction(q, tuple(range(len(q.arrows))), 0), False
     r = red.quiver
     try:
-        return red, validate_dimer(r).ok and zigzag_consistent(r) and is_nondegenerate(r)[0]
+        valid = red.removed or validate_dimer(r).ok
+        return red, valid and zigzag_consistent(r) and is_nondegenerate(r)[0]
     except DomainError:  # faces with no 2-colouring
         return red, False
 

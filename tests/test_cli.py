@@ -164,6 +164,20 @@ def test_in_process_entry_point(capsys):
     assert "fig_deformation" in out
 
 
+def test_shared_parser_keeps_no_state_between_calls(capsys):
+    # main reuses one parser per process; a refused argv and one with
+    # other option values before a run leave that run's output as a fresh
+    # process prints it
+    argv = ["normality", "fixture:fig_deformation"]
+    fresh = run_cli(argv)
+    assert main(["--max-states", "7", "normality", "fixture:fig_deformation",
+                 "--degree-bound", "x"]) == 3
+    assert main(["--text", "--degree-bound", "3", *argv, "--n-max", "2"]) == 0
+    capsys.readouterr()
+    assert main(argv) == fresh.returncode == 0
+    assert capsys.readouterr().out == fresh.stdout
+
+
 def test_closed_stdout_ends_quietly(tmp_path, monkeypatch, capsys):
     # a reader that stops early (``dimeralg ... | head -3``) closes the pipe;
     # raw text goes through the same output path as a report

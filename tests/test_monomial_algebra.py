@@ -3,6 +3,7 @@ import gc
 import itertools
 import random
 import weakref
+from math import prod
 from operator import sub
 
 import pytest
@@ -12,6 +13,7 @@ from hypothesis import strategies as st
 from dimeralg import fixtures as fixtures_mod
 from dimeralg import monomial_algebra, rewriting
 from dimeralg.acceptance import quadratic_pattern_indices
+from dimeralg.cli import main
 from dimeralg.contraction import (
     contract,
     identity_contraction,
@@ -23,6 +25,7 @@ from dimeralg.monomial_algebra import (
     algebra_contains,
     cycles_with_image,
     degree,
+    first_unrealized_goal,
     homotopy_center_contains,
     homotopy_center_monomials,
     ideal_monomials,
@@ -34,7 +37,7 @@ from dimeralg.monomial_algebra import (
     semigroup_monomials,
 )
 from dimeralg.oracles import oracle_membership, oracle_realizable
-from dimeralg.quiver import DomainError, PathWord, path_head
+from dimeralg.quiver import DomainError, PathWord, make_quiver, path_head
 from dimeralg.rewriting import ResourceExhausted
 
 from conftest import per_vertex_contains
@@ -274,7 +277,7 @@ def test_center_equals_cycle_algebra_without_contraction():
 
 def _per_vector_center(c, bound):
     """The homotopy center tested one exponent vector at a time: the
-    reference for the one-search-per-vertex table."""
+    reference for the one-sweep table."""
     return {
         g for g in itertools.product(range(bound + 1), repeat=len(c.catalog))
         if 0 < degree(g) <= bound and homotopy_center_contains(c, g).verdict == "yes"
@@ -485,19 +488,146 @@ def test_center_table_is_realizable_at_every_vertex(all_contractions):
 
 
 def test_center_table_searches_share_one_budget(deformation_contraction, monkeypatch):
+    # the budget counts the distinct (vertex, exponent) states of the one
+    # sweep: the union of what the searches from each vertex reach
     c = deformation_contraction
     bound = 6
-    sizes = [
-        len(naive_reach(c, i, lambda spent: degree(spent) <= bound))
-        for i in range(c.source.num_vertices)
-    ]
-    # each search fits alone, but the first two together do not
-    monkeypatch.setattr(rewriting, "MAX_STATES", sizes[0] + sizes[1] - 1)
-    assert max(sizes) <= rewriting.MAX_STATES
+    states = len(naive_masks(c, range(c.source.num_vertices), lambda spent: degree(spent) <= bound))
+    monkeypatch.setattr(rewriting, "MAX_STATES", states - 1)
     with pytest.raises(ResourceExhausted):
         homotopy_center_monomials(c, bound)
-    monkeypatch.setattr(rewriting, "MAX_STATES", sum(sizes))
+    monkeypatch.setattr(rewriting, "MAX_STATES", states)
     assert homotopy_center_monomials(c, bound)
+
+
+# -- the every-vertex sweep against the per-vertex tuple-state reference ------
+
+
+def naive_masks(c, starts, fits):
+    """(vertex, exponents) -> bitmask of the start vertices whose
+    ``naive_reach`` reaches it."""
+    masks = {}
+    for v in starts:
+        for state in naive_reach(c, v, fits):
+            masks[state] = masks.get(state, 0) | 1 << v
+    return masks
+
+
+def sweep_masks(c, caps, deg_cap):
+    """``_reach_all`` on the layout of ``deg_cap``, as tuple states."""
+    packing = monomial_algebra._packing(c, deg_cap)
+    masks = monomial_algebra._reach_all(packing, caps, deg_cap, rewriting.MAX_STATES)
+    return {(s & packing.vmask, packing.exponents(s)): m for s, m in masks.items()}
+
+
+def box(caps, deg_cap):
+    return lambda spent: mon_leq(spent, caps) and degree(spent) <= deg_cap
+
+
+def nn8():
+    """The smallest known non-normal case: 4 vertices, 8 arrows."""
+    arrows = [(0, 0, (-1, -1)), (0, 0, (1, 0)), (0, 1, (0, 0)), (1, 2, (0, 0)),
+              (2, 0, (0, 1)), (1, 2, (0, 0)), (2, 3, (0, 0)), (3, 1, (0, 0))]
+    return make_quiver(4, arrows, [(0, 1, 2, 3, 4), (5, 6, 7), (0, 2, 5, 4, 1), (3, 6, 7)])
+
+
+@pytest.fixture(scope="module")
+def sweep_contractions(all_contractions):
+    fx = fixtures_mod.fixture("fig_nested(5)")
+    return {**all_contractions, "fig_nested(5)": contract(fx.quiver, fx.contraction_arrows),
+            "nn8 at 2,4,6": contract(nn8(), [2, 4, 6])}
+
+
+def test_sweep_matches_per_vertex_reference(sweep_contractions):
+    # the degree-bounded boxes of the center table, and the box of the
+    # round of sigma * S, the componentwise max of its goals, whose caps
+    # differ from each other and from the degree cap
+    for name, c in sweep_contractions.items():
+        goals = [mon_add(sigma(c), g) for g in source_cycle_algebra_generators(c)]
+        boxes = [((bound,) * len(c.catalog), bound) for bound in range(7)]
+        boxes.append((tuple(map(max, zip(*goals))), max(map(degree, goals))))
+        for caps, deg_cap in boxes:
+            want = naive_masks(c, range(c.source.num_vertices), box(caps, deg_cap))
+            assert sweep_masks(c, caps, deg_cap) == want, (name, caps, deg_cap)
+
+
+def test_sweep_closes_zero_image_cycles():
+    # nn8 uncontracted has no simple matching, so every arrow has the
+    # empty image and the zero-image arrows carry directed cycles
+    c = identity_contraction(nn8())
+    assert c.catalog == () and set(c.source_images) == {()}
+    for bound in range(7):
+        want = naive_masks(c, range(4), lambda spent: True)
+        assert sweep_masks(c, (), bound) == want == {(v, ()): 0b1111 for v in range(4)}
+        assert homotopy_center_monomials(c, bound) == frozenset()
+
+
+@st.composite
+def sweep_cases(draw):
+    """(vertices, (tail, head, image) arrows, caps, degree cap): a random
+    multigraph with 0/1 images over up to 3 exponents, about half of them
+    zero, so zero-image cycles of every shape turn up."""
+    nv = draw(st.integers(1, 5))
+    dim = draw(st.integers(0, 3))
+    vertex = st.integers(0, nv - 1)
+    image = st.one_of(st.just((0,) * dim), st.tuples(*[st.integers(0, 1)] * dim))
+    arrows = draw(st.lists(st.tuples(vertex, vertex, image), max_size=10))
+    caps = draw(st.tuples(*[st.integers(0, 3)] * dim))
+    return nv, arrows, caps, draw(st.integers(0, 4))
+
+
+@CLOSURE
+@given(sweep_cases())
+def test_sweep_matches_reference_on_random_arrows(case):
+    nv, arrows, caps, deg_cap = case
+    packing = monomial_algebra._Packing((deg_cap + len(caps)).bit_length(), len(caps), nv, arrows)
+    masks = monomial_algebra._reach_all(packing, caps, deg_cap, rewriting.MAX_STATES)
+    got = {(s & packing.vmask, packing.exponents(s)): m for s, m in masks.items()}
+    fits, want = box(caps, deg_cap), {}
+    for v in range(nv):
+        seen = {(v, (0,) * len(caps))}
+        stack = list(seen)
+        while stack:
+            u, spent = stack.pop()
+            for tail, head, img in arrows:
+                state = (head, mon_add(spent, img))
+                if tail == u and state not in seen and fits(state[1]):
+                    seen.add(state)
+                    stack.append(state)
+        for state in seen:
+            want[state] = want.get(state, 0) | 1 << v
+    assert got == want
+
+
+def test_first_unrealized_goal_is_the_first_failing_pair(sweep_contractions):
+    # the least failing goal, at the first vertex where it fails: what one
+    # witness search per (goal, vertex), in that order, returns
+    for name, c in sweep_contractions.items():
+        gens = source_cycle_algebra_generators(c)
+        for n in range(4):
+            goals = [mon_add((n,) * len(c.catalog), g) for g in gens]
+            want = next((
+                (k, i) for k, g in enumerate(goals) for i in range(c.source.num_vertices)
+                if realizable_at_vertex(c, i, g).verdict != "yes"
+            ), None)
+            assert first_unrealized_goal(c, goals) == want, (name, n)
+
+
+def test_sweep_past_the_budget_is_undecided(deformation_contraction, monkeypatch, capsys):
+    # the round of sigma * S: every goal's own box fits the budget, the
+    # shared sweep does not, and the CLI reports an Unknown
+    c = deformation_contraction
+    goals = [mon_add(sigma(c), g) for g in source_cycle_algebra_generators(c)]
+    caps, deg_cap = tuple(map(max, zip(*goals))), max(map(degree, goals))
+    swept = len(naive_masks(c, range(c.source.num_vertices), box(caps, deg_cap)))
+    monkeypatch.setattr(rewriting, "MAX_STATES", swept - 1)
+    assert all(prod(e + 1 for e in g) * c.source.num_vertices < swept for g in goals)
+    with pytest.raises(ResourceExhausted, match="sweep exceeds budget"):
+        first_unrealized_goal(c, goals)
+    assert main(["normality", "fixture:fig_deformation"]) == 2
+    assert capsys.readouterr().err.startswith("undecided: realizability sweep exceeds budget")
+    monkeypatch.setattr(rewriting, "MAX_STATES", swept)
+    assert first_unrealized_goal(c, goals) is None
 
 
 # -- the packed cycle-image search against a tuple-state reference ------------

@@ -10,7 +10,6 @@ from dimeralg.monomial_algebra import (
     homotopy_center_monomials,
     is_sigma_power,
     mon_add,
-    realizable_at_vertex,
 )
 from dimeralg.normality import (
     minimal_sigma_power,
@@ -132,28 +131,31 @@ def test_bound_sweep_never_contradicts(all_contractions):
 
 
 def test_report_adds_no_realizability_calls(all_contractions, monkeypatch):
-    # the report's searches are the rounds of minimal_sigma_power plus one
-    # table search per vertex
-    calls = [0]
-    reach = monomial_algebra._reach
+    # the report's searches are one sweep per round of minimal_sigma_power
+    # plus one sweep for the table, and no per-vertex search
+    calls = {"_reach_all": 0, "_reach": 0}
 
-    def counted(*args, **kwargs):
-        calls[0] += 1
-        return reach(*args, **kwargs)
+    def counting(name):
+        search = getattr(monomial_algebra, name)
 
-    monkeypatch.setattr(monomial_algebra, "_reach", counted)
+        def counted(*args, **kwargs):
+            calls[name] += 1
+            return search(*args, **kwargs)
+        return counted
+
+    for name in calls:
+        monkeypatch.setattr(monomial_algebra, name, counting(name))
     for name, c in all_contractions.items():
-        vertices = c.source.num_vertices
-        calls[0] = 0
-        minimal_sigma_power(c)
-        alone = calls[0]
-        assert 0 < alone, name
-        calls[0] = 0
+        msp = minimal_sigma_power(c)
+        rounds = msp.n or normality.DEFAULT_N_MAX
+        assert calls == {"_reach_all": rounds, "_reach": 0}, name
+        calls["_reach_all"] = 0
         normality_report(c)
-        assert calls[0] == alone + vertices, name
-        calls[0] = 0
+        assert calls == {"_reach_all": rounds + 1, "_reach": 0}, name
+        calls["_reach_all"] = 0
         homotopy_center_monomials(c, 6)
-        assert calls[0] == vertices, name
+        assert calls == {"_reach_all": 1, "_reach": 0}, name
+        calls["_reach_all"] = 0
 
 
 def reference_round(c, n, gens):
@@ -168,23 +170,15 @@ def reference_round(c, n, gens):
 
 @pytest.mark.parametrize("order", [1, -1])
 def test_shared_round_matches_per_generator_tests(all_contractions, order, monkeypatch):
-    # both generator orders, so the witness order is tested too; the
-    # chained rounds of minimal_sigma_power skip the (vertex, generator)
-    # pairs earlier rounds found, and may only keep pairs that hold
+    # both generator orders, so the witness order is tested too; each round
+    # is one sweep from every vertex, read in (goal, vertex) order
     fx = fixtures_mod.fixture("fig_nested(5)")  # four rounds, the last one yes
     contractions = {**all_contractions, "fig_nested(5)": contract(fx.quiver, fx.contraction_arrows)}
     for name, c in contractions.items():
         gens = source_cycle_algebra_generators(c)[::order]
         monkeypatch.setattr(normality, "source_cycle_algebra_generators", lambda c: gens)
-        passed = [set() for _ in range(c.source.num_vertices)]
         for n in range(1, 7):
-            want = reference_round(c, n, gens)
-            assert sigma_power_times_S_in_R(c, n) == want, (name, n)
-            assert sigma_power_times_S_in_R(c, n, passed) == want, (name, n)
-            sn = (n,) * len(c.catalog)
-            for i, known in enumerate(passed):
-                for k in known:
-                    assert realizable_at_vertex(c, i, mon_add(sn, gens[k])).verdict == "yes"
+            assert sigma_power_times_S_in_R(c, n) == reference_round(c, n, gens), (name, n)
 
 
 def test_negative_sigma_power_is_refused():

@@ -10,6 +10,7 @@ from types import SimpleNamespace
 import pytest
 
 from dimeralg import fixtures as fixtures_mod
+from dimeralg import quiver as quiver_mod
 from dimeralg import rewriting
 from dimeralg.contraction import ContractionError, contract, identity_contraction, is_cyclic
 from dimeralg.matchings import is_nondegenerate
@@ -338,7 +339,7 @@ def test_invalid_quiver_is_not_certified():
 
 
 STUBS = {
-    "validate_dimer": lambda q: SimpleNamespace(ok=False),
+    "validate_dimer": lambda q: SimpleNamespace(ok=False, codes=lambda: {"stub"}),
     "is_nondegenerate": lambda q: (False, [0]),
 }
 
@@ -350,5 +351,22 @@ def test_every_failed_hypothesis_runs_the_search(fails, iso_r_contraction, monke
         raise DomainError("refused")
 
     monkeypatch.setattr(rewriting, fails, STUBS.get(fails, refuse))
+    if fails == "validate_dimer":
+        # the target loses 2-cycles, and bigon_reduce validates the quiver
+        # left after each removal
+        monkeypatch.setattr(quiver_mod, fails, STUBS[fails])
     rep = is_cyclic(iso_r_contraction)
     assert (rep.cancellative_target, rep.decided_by) == (True, "pair_search")
+
+
+def test_certificate_validates_only_an_unreduced_quiver(iso_r_contraction, monkeypatch):
+    # bigon_reduce validated what it returns after a removal; a quiver with
+    # nothing removed is the caller's, and is validated once
+    calls = []
+    validate = rewriting.validate_dimer
+    monkeypatch.setattr(rewriting, "validate_dimer", lambda q: calls.append(q) or validate(q))
+    target = iso_r_contraction.target
+    assert bigon_reduce(target).removed and certified_cancellative(target)
+    assert calls == []
+    assert bigon_reduce(C3).removed == 0 and certified_cancellative(C3)
+    assert calls == [C3]
