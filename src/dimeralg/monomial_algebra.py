@@ -411,9 +411,11 @@ def _reach_all(packing: _Packing, caps: Monomial, deg_cap: int, max_states: int)
     limit = packing.pack(vmask, caps, deg_cap) | guards
     zero, up = packing.sweep_steps
     masks = {v: 1 << v for v in range(len(zero))}
-    layers: list[list[int]] = [[] for _ in range(deg_cap + 1)]
-    layers[0].extend(masks)
-    for layer in layers:
+    # the pending layers by degree: the work follows the states reached,
+    # never the degree cap, so a huge cap ends at the budget
+    layers: dict[int, list[int]] = {0: list(masks)}
+    while layers:
+        layer = layers.pop(min(layers))
         # no mask is 0, so 0 marks a state not reached yet
         for s in layer[:]:
             if closure := zero[s & vmask]:
@@ -428,7 +430,7 @@ def _reach_all(packing: _Packing, caps: Monomial, deg_cap: int, max_states: int)
                 state = s + step
                 if (limit - state) & guards == guards:
                     if not (old := masks.get(state, 0)):
-                        layers[state >> top].append(state)
+                        layers.setdefault(state >> top, []).append(state)
                     masks[state] = old | m
             if len(masks) > max_states:
                 raise ResourceExhausted(f"realizability sweep exceeds budget {max_states}")
