@@ -158,8 +158,9 @@ def _render_text(payload, prefix=""):
 
 
 def _parse_ints(text: str, what: str) -> tuple[int, ...]:
+    """Comma-separated integers; "" is the empty list, an empty field is refused."""
     try:
-        return tuple(int(x) for x in text.split(",") if x != "")
+        return tuple(int(x) for x in text.split(",")) if text else ()
     except ValueError:
         raise CliError(f"{what}: expected comma-separated integers, got {text!r}") from None
 

@@ -10,13 +10,14 @@ state spaces.  Each state is packed into one int (see ``_Packing``) and
 capped by per-exponent caps and a degree cap.  Two searches run on them:
 ``_reach`` from one vertex, capped by g and deg g, keeps the arrow that
 entered each state and rebuilds a witness walk (``realizable_at_vertex``);
-``_reach_all`` sweeps from every vertex at once and marks each state with
-the start vertices that reach it, which answers the every-vertex
-questions in one pass: the degree-D center table, capped by D
-everywhere, and ``first_unrealized_goal``, capped by the componentwise
-max of its goals and their largest degree.  A sweep's budget counts its
-distinct (vertex, exponent) states.  This module keeps each
-contraction's layouts, per field width, until the contraction dies.
+``_reach_all`` sweeps from every vertex at once over exponent points,
+each with one start-vertex mask per end vertex, which answers the
+every-vertex questions in one pass: the degree-D ``CenterTable``, capped
+by D everywhere, and ``first_unrealized_goal``, capped by the
+componentwise max of its goals and their largest degree, or read from a
+table whose box holds them.  A sweep's budget counts its distinct
+(vertex, exponent) states.  This module keeps each contraction's
+layouts, per field width, until the contraction dies.
 Membership in a monoid given by generators (``algebra_contains``,
 ``minimal_generators``) searches packed partial sums in the same layout,
 with one vertex.
@@ -27,7 +28,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 from math import prod
-from operator import le, lshift
+from operator import and_, le, lshift
 from typing import TYPE_CHECKING
 from weakref import WeakKeyDictionary
 
@@ -122,17 +123,22 @@ class _Packing:
         return cls(width, dim, q.num_vertices, [(a.tail, a.head, images[a.id]) for a in q.arrows])
 
     @cached_property
-    def sweep_steps(self) -> tuple[tuple[tuple[int, ...], ...], tuple[tuple[int, ...], ...]]:
-        """Per vertex u, the two kinds of step of ``_reach_all``: the other
-        vertices that walks of zero-image arrows lead to from u (u's
-        reflexive-transitive zero-image closure, u left out), and the
-        deltas of the arrows out of u whose image is nonzero.  An arrow's
-        image is zero exactly when its tail plus its delta is its head,
-        with every field above the vertex bits empty."""
-        heads = [
-            {u + delta for _aid, delta in out if u + delta <= self.vmask}
-            for u, out in enumerate(self.steps)
-        ]
+    def points(self) -> tuple[_Packing, tuple, tuple]:
+        """What ``_reach_all`` sweeps with: the vertex-free layout of this
+        width, which packs its exponent points; (u, the other vertices
+        that walks of zero-image arrows reach from u) for each u with
+        any; and each nonzero arrow image in that layout, with the (tail,
+        head) of every arrow that carries it.  A step lands on tail +
+        delta, the head under the packed image."""
+        vbits = self.vmask.bit_length()
+        heads: list[set[int]] = [set() for _ in self.steps]
+        images: dict[int, list[tuple[int, int]]] = {}
+        for u, out in enumerate(self.steps):
+            for _aid, delta in out:
+                if image := (u + delta) >> vbits:
+                    images.setdefault(image, []).append((u, (u + delta) & self.vmask))
+                else:
+                    heads[u].add(u + delta)
         zero = []
         for u in range(len(heads)):
             seen, stack = {u}, [u]
@@ -140,12 +146,10 @@ class _Packing:
                 for w in heads[stack.pop()] - seen:
                     seen.add(w)
                     stack.append(w)
-            zero.append(tuple(sorted(seen - {u})))
-        up = tuple(
-            tuple(delta for _aid, delta in out if u + delta > self.vmask)
-            for u, out in enumerate(self.steps)
-        )
-        return tuple(zero), up
+            if closure := tuple(sorted(seen - {u})):
+                zero.append((u, closure))
+        layout = _Packing(self.mask.bit_length(), len(self.shifts) - 1, 1, ())
+        return layout, tuple(zero), tuple((image, tuple(arr)) for image, arr in images.items())
 
     def pack(self, v: int, g: Monomial, deg: int) -> int:
         return v + sum(map(lshift, (*g, deg), self.shifts))
@@ -391,50 +395,50 @@ def _reach(
     return parent
 
 
-def _reach_all(packing: _Packing, caps: Monomial, deg_cap: int, max_states: int) -> dict[int, int]:
-    """One sweep over the states of ``packing`` from every start (v, 0)
-    at once, inside the box of ``_reach``: the map from each reached state
-    to the bitmask of the start vertices v with a walk from (v, 0) to it.
+def _reach_all(packing: _Packing, caps: Monomial, deg_cap: int,
+               max_states: int) -> tuple[_Packing, dict[int, list[int]]]:
+    """One sweep from every start (v, 0) at once over the exponent points
+    of the box of ``_reach``: the layout of ``packing.points``, and the map
+    from each point reached to its row, whose entry w is the bitmask of
+    the starts v with a walk from (v, 0) to (w, point).
 
-    A step with an image raises the degree and a zero-image step keeps
-    every exponent, so the sweep takes the degree layers in ascending
-    order, and each layer is complete once the layers below it have been
-    swept.  A walk to a state of the layer enters the layer at a seed
-    (a start, or a state an image step from below reached) and then takes
-    zero-image steps only, so the layer is closed by giving each seed's
-    mask to every state of its vertex's zero-image closure
-    (``_Packing.sweep_steps``); then the image steps from the closed layer
-    feed the layers above.  Each state is swept once, and every mask is
-    exact whatever cycles the zero-image arrows make.  Past
-    ``max_states`` distinct states it raises ResourceExhausted."""
-    vmask, guards, top = packing.vmask, packing.guards, packing.shifts[-1]
-    limit = packing.pack(vmask, caps, deg_cap) | guards
-    zero, up = packing.sweep_steps
-    masks = {v: 1 << v for v in range(len(zero))}
-    # the pending layers by degree: the work follows the states reached,
+    Image steps raise the degree and zero-image steps keep the point, so
+    with the degree layers in ascending order a point's row is complete
+    when its layer comes; it is closed once, through each vertex's
+    zero-image closure, whatever cycles those arrows make.  Then each image feeds the point above, one
+    cap test and one dict read for every arrow that carries it.  Past
+    ``max_states`` states with a nonzero mask it raises ResourceExhausted."""
+    points, zero, images = packing.points
+    guards, top = points.guards, points.shifts[-1]
+    limit = points.pack(0, caps, deg_cap) | guards
+    nv = len(packing.steps)
+    rows = {0: [1 << v for v in range(nv)]}
+    # the pending layers by degree: the work follows the points reached,
     # never the degree cap, so a huge cap ends at the budget
-    layers: dict[int, list[int]] = {0: list(masks)}
+    layers: dict[int, list[int]] = {0: [0]}
+    states = 0
     while layers:
-        layer = layers.pop(min(layers))
-        # no mask is 0, so 0 marks a state not reached yet
-        for s in layer[:]:
-            if closure := zero[s & vmask]:
-                m, base = masks[s], s & ~vmask
-                for w in closure:
-                    if not (old := masks.get(base + w, 0)):
-                        layer.append(base + w)
-                    masks[base + w] = old | m
-        for s in layer:
-            m = masks[s]
-            for step in up[s & vmask]:
-                state = s + step
-                if (limit - state) & guards == guards:
-                    if not (old := masks.get(state, 0)):
-                        layers.setdefault(state >> top, []).append(state)
-                    masks[state] = old | m
-            if len(masks) > max_states:
+        for p in layers.pop(min(layers)):
+            row = rows[p]
+            for u, closure in zero:
+                if m := row[u]:
+                    for w in closure:
+                        row[w] |= m
+            states += nv - row.count(0)
+            if states > max_states:
                 raise ResourceExhausted(f"realizability sweep exceeds budget {max_states}")
-    return masks
+            for image, arrows in images:
+                q = p + image
+                if (limit - q) & guards == guards:
+                    nxt = rows.get(q)
+                    for tail, head in arrows:
+                        # a point enters the sweep with its first nonzero mask
+                        if m := row[tail]:
+                            if nxt is None:
+                                rows[q] = nxt = [0] * nv
+                                layers.setdefault(q >> top, []).append(q)
+                            nxt[head] |= m
+    return points, rows
 
 
 def _check_query(c: Contraction, goals, i: int = 0) -> None:
@@ -518,6 +522,31 @@ def cycles_with_image(c: Contraction, i: int, g: Monomial) -> list[PathWord]:
     return out
 
 
+def _first_unrealized(c: Contraction, goals, table: CenterTable | None) -> tuple[int, int] | None:
+    _check_query(c, goals)
+    max_states = rewriting.MAX_STATES
+    num_vertices = c.source.num_vertices
+    spaces = [prod(e + 1 for e in goal) * num_vertices for goal in goals]
+    over = next((k for k, space in enumerate(spaces) if space > max_states), len(goals))
+    if over:
+        swept = goals[:over]
+        deg_cap = max(map(degree, swept))
+        if table is not None and deg_cap <= table.degree_bound:
+            points, rows = table._points, table._rows
+        else:
+            caps = tuple(map(max, zip(*swept)))
+            points, rows = _reach_all(_packing(c, deg_cap), caps, deg_cap, max_states)
+        for k, goal in enumerate(swept):
+            # a point the sweep never reached fails at vertex 0
+            row = rows.get(points.pack(0, goal, degree(goal))) or [0]
+            for v, m in enumerate(row):
+                if not m >> v & 1:
+                    return k, v
+    if over < len(goals):
+        raise ResourceExhausted(f"state space {spaces[over]} exceeds budget {max_states}")
+    return None
+
+
 def first_unrealized_goal(c: Contraction, goals) -> tuple[int, int] | None:
     """The first goal, in order, that is not a cycle image at every
     vertex, and the first vertex where it is not, as (index, vertex);
@@ -527,7 +556,7 @@ def first_unrealized_goal(c: Contraction, goals) -> tuple[int, int] | None:
     the box of the goals' componentwise max and largest degree.  Arrow
     images are nonnegative, so a walk to a goal stays below it, inside
     the shared box, and the verdict is exact: goal g is a cycle image at
-    v exactly when bit v is set at the state (v, g).
+    v exactly when entry v of the row at the point g has bit v set.
 
     Guard: a goal whose own box times the vertex count exceeds
     ``rewriting.MAX_STATES`` raises ResourceExhausted unless an earlier
@@ -535,24 +564,7 @@ def first_unrealized_goal(c: Contraction, goals) -> tuple[int, int] | None:
     before it are swept, and a sweep past the budget, counted in the
     distinct (vertex, exponent) states it reaches, raises too: an Unknown
     (exit 2), never a wrong verdict."""
-    _check_query(c, goals)
-    max_states = rewriting.MAX_STATES
-    num_vertices = c.source.num_vertices
-    spaces = [prod(e + 1 for e in goal) * num_vertices for goal in goals]
-    over = next((k for k, space in enumerate(spaces) if space > max_states), len(goals))
-    if over:
-        swept = goals[:over]
-        deg_cap = max(map(degree, swept))
-        packing = _packing(c, deg_cap)
-        masks = _reach_all(packing, tuple(map(max, zip(*swept))), deg_cap, max_states)
-        for k, goal in enumerate(swept):
-            base = packing.pack(0, goal, degree(goal))
-            for v in range(num_vertices):
-                if not masks.get(base + v, 0) >> v & 1:
-                    return k, v
-    if over < len(goals):
-        raise ResourceExhausted(f"state space {spaces[over]} exceeds budget {max_states}")
-    return None
+    return _first_unrealized(c, goals, None)
 
 
 def homotopy_center_contains(c: Contraction, g: Monomial) -> Realizability:
@@ -563,21 +575,29 @@ def homotopy_center_contains(c: Contraction, g: Monomial) -> Realizability:
     return Realizability(YES) if miss is None else Realizability(NO, vertex=miss[1])
 
 
+class CenterTable:
+    """The homotopy center of c up to a degree bound: ``monomials``, the
+    points x != 0 whose row has bit v in entry v for every v, of one
+    ``_reach_all`` sweep of the degree-bounded box.  That box holds every
+    goal's box up to the bound, so ``first_unrealized_goal`` here reads
+    such goals from this sweep, with the module function's verdict."""
+
+    def __init__(self, c: Contraction, degree_bound: int):
+        self.contraction, self.degree_bound = c, degree_bound
+        bound = max(degree_bound, 0)  # packed caps are nonnegative
+        self._points, self._rows = _reach_all(
+            _packing(c, bound), (bound,) * len(c.catalog), bound, rewriting.MAX_STATES)
+        diagonal = [1 << v for v in range(c.source.num_vertices)]
+        self.monomials = frozenset(
+            self._points.exponents(p) for p, row in self._rows.items()
+            if p and all(map(and_, row, diagonal))
+        )
+
+    def first_unrealized_goal(self, goals) -> tuple[int, int] | None:
+        return _first_unrealized(self.contraction, goals, self)
+
+
 def homotopy_center_monomials(c: Contraction, degree_bound: int) -> frozenset[Monomial]:
     """The nonzero monomials of degree <= degree_bound that are cycle
-    images at every vertex: one ``_reach_all`` sweep of the
-    degree-bounded box, read as the exponents x with bit v set at (v, x)
-    for every vertex v.  The sweep's budget is ``rewriting.MAX_STATES``
-    distinct (vertex, exponent) states."""
-    if degree_bound < 1:
-        return frozenset()  # no nonzero image has degree below 1; packed caps are nonnegative
-    packing = _packing(c, degree_bound)
-    caps = (degree_bound,) * len(c.catalog)
-    masks = _reach_all(packing, caps, degree_bound, rewriting.MAX_STATES)
-    vertices = range(1, c.source.num_vertices)
-    # a state at vertex 0 is its packed exponents, with the vertex bits clear
-    return frozenset(
-        packing.exponents(s) for s, m in masks.items()
-        if s and m & 1 and s & packing.vmask == 0
-        and all(masks.get(s + v, 0) >> v & 1 for v in vertices)
-    )
+    images at every vertex, read from one sweep (``CenterTable``)."""
+    return CenterTable(c, degree_bound).monomials

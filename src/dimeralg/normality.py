@@ -6,22 +6,23 @@ the ideal m0 of all nonconstant R-monomials; the report evaluates the
 conditions separately and insists they agree.  Products of an
 R-monomial that is not a sigma power with anything in S stay in R, so
 testing sigma^n * g over the S-generators certifies the whole ideal.
-The monomial conditions are set arithmetic over one table of R, built
-once by ``homotopy_center_monomials``.
+The monomial conditions are set arithmetic over one ``CenterTable`` of
+R, whose sweep also decides the sigma-rounds inside its box.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 
 from .contraction import Contraction, sigma, source_cycle_algebra_generators
 from .monomial_algebra import (
     NO,
     YES,
+    CenterTable,
     Monomial,
     degree,
     first_unrealized_goal,
-    homotopy_center_monomials,
     ideal_monomials,
     is_sigma_power,
     minimal_generators,
@@ -43,9 +44,14 @@ def sigma_power_times_S_in_R(c: Contraction, n: int) -> Monomial | None:
     vertex, as ``first_unrealized_goal`` decides it in one sweep from
     every vertex (exactly, or by raising ResourceExhausted past its state
     budget), or None when sigma^n * S lies in R."""
+    return _sigma_round(c, n, partial(first_unrealized_goal, c))
+
+
+def _sigma_round(c: Contraction, n: int, unrealized) -> Monomial | None:
+    """``sigma_power_times_S_in_R`` with ``unrealized`` deciding the goals."""
     sn = (n,) * len(c.catalog)
     gens = source_cycle_algebra_generators(c)
-    miss = first_unrealized_goal(c, [mon_add(sn, g) for g in gens])
+    miss = unrealized([mon_add(sn, g) for g in gens])
     return None if miss is None else gens[miss[0]]
 
 
@@ -59,12 +65,13 @@ class MinimalSigmaPower:
         return UNKNOWN if self.n is None else YES
 
 
-def _sigma_rounds(c: Contraction, n_max: int) -> list[Monomial | None]:
+def _sigma_rounds(c: Contraction, n_max: int, unrealized) -> list[Monomial | None]:
     """The witnesses of sigma^n * S in R for n = 1, 2, ... up to the first
-    None or n_max, one sweep per round."""
+    None or n_max, each round decided by ``unrealized``: a
+    ``first_unrealized_goal`` of c or of a ``CenterTable`` of c."""
     witnesses: list[Monomial | None] = []
     for n in range(1, n_max + 1):
-        witnesses.append(sigma_power_times_S_in_R(c, n))
+        witnesses.append(_sigma_round(c, n, unrealized))
         if witnesses[-1] is None:
             break
     return witnesses
@@ -80,7 +87,7 @@ def _minimal_power(witnesses: list[Monomial | None]) -> MinimalSigmaPower:
 def minimal_sigma_power(c: Contraction, n_max: int = DEFAULT_N_MAX) -> MinimalSigmaPower:
     """Least n with sigma^n * S inside R; below it there is a witness
     product outside R."""
-    return _minimal_power(_sigma_rounds(c, n_max))
+    return _minimal_power(_sigma_rounds(c, n_max, partial(first_unrealized_goal, c)))
 
 
 @dataclass
@@ -143,17 +150,18 @@ def normality_report(
 
     The ideal conditions compare monomial sets truncated at
     ``degree_bound``: R, m0*S and the decomposition each up to that
-    degree, built by ``ideal_monomials`` and ``semigroup_monomials``."""
+    degree, built by ``ideal_monomials`` and ``semigroup_monomials``
+    from one ``CenterTable``, whose sweep also decides the sigma-rounds
+    inside its box; only the rounds above it are swept."""
     s = sigma(c)
-    rounds = _sigma_rounds(c, max(n_max, 1))  # round 1 is the sigma*S condition
-    witness = rounds[0]
+    s_gens = source_cycle_algebra_generators(c)
+    center = CenterTable(c, degree_bound + max(map(degree, s_gens), default=0))
+    table = center.monomials
+    rounds = _sigma_rounds(c, max(n_max, 1), center.first_unrealized_goal)
+    witness = rounds[0]  # round 1 is the sigma*S condition
     normal = YES if witness is None else NO
     msp = _minimal_power(rounds[:max(n_max, 0)])
 
-    # one table of R up to the degree bound plus the largest S-generator
-    # degree answers every membership question below
-    s_gens = source_cycle_algebra_generators(c)
-    table = homotopy_center_monomials(c, degree_bound + max(map(degree, s_gens), default=0))
     r_mons = frozenset(m for m in table if degree(m) <= degree_bound)
     r_gens = minimal_generators(sorted(r_mons))
 

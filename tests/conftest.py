@@ -124,6 +124,21 @@ def all_contractions(all_fixtures):
     }
 
 
+def nn8():
+    """The smallest known non-normal case: 4 vertices, 8 arrows."""
+    arrows = [(0, 0, (-1, -1)), (0, 0, (1, 0)), (0, 1, (0, 0)), (1, 2, (0, 0)),
+              (2, 0, (0, 1)), (1, 2, (0, 0)), (2, 3, (0, 0)), (3, 1, (0, 0))]
+    return make_quiver(4, arrows, [(0, 1, 2, 3, 4), (5, 6, 7), (0, 2, 5, 4, 1), (3, 6, 7)])
+
+
+@pytest.fixture(scope="session")
+def sweep_contractions(all_contractions):
+    """Every fixture contraction, fig_nested(5) and nn8 contracted at 2,4,6."""
+    fx = fixtures_mod.fixture("fig_nested(5)")
+    return {**all_contractions, "fig_nested(5)": contract(fx.quiver, fx.contraction_arrows),
+            "nn8 at 2,4,6": contract(nn8(), [2, 4, 6])}
+
+
 @pytest.fixture(scope="session")
 def deformation(all_fixtures):
     return all_fixtures["fig_deformation"]

@@ -432,11 +432,16 @@ def _bad_face(doc, value):
     (lambda d: _bad_face(d, [0, 2]), ["contract", "--arrows", "3"], 3),
     # a sphere pinched twice passes every check but the vertex links
     (PINCHED_C3, ["validate"], 1),
+    # an empty field inside an integer list is bad input, not a dropped field
+    (None, ["eq", "fixture:fig_deformation", "--p", "4,6,,6,1", "--q", "5,6,6,0"], 3),
+    (None, ["contract", "fixture:fig_deformation", "--arrows", ","], 3),
+    (None, ["center", "fixture:fig_deformation", "--image", "1,,1"], 3),
 ], ids=["tail-string", "tail-bool", "face-string", "vertex-range", "cycle-budget",
         "matching-cap", "normality-below-witness", "candidate-arrow-range",
         "candidate-zero-denominator", "candidate-not-object", "irremovable-2cycle",
         "check-unknown-name", "check-depth-zero", "dump-unknown-name",
-        "contract-nested-20", "contract-invalid-source", "pinched-vertex-link"])
+        "contract-nested-20", "contract-invalid-source", "pinched-vertex-link",
+        "empty-field-word", "empty-field-arrows", "empty-field-image"])
 def test_exit_code_contract(tmp_path, mutate, args, code):
     if mutate is not None:
         if callable(mutate):

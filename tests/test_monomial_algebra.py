@@ -37,10 +37,10 @@ from dimeralg.monomial_algebra import (
     semigroup_monomials,
 )
 from dimeralg.oracles import oracle_membership, oracle_realizable
-from dimeralg.quiver import DomainError, PathWord, make_quiver, path_head
+from dimeralg.quiver import DomainError, PathWord, path_head
 from dimeralg.rewriting import ResourceExhausted
 
-from conftest import per_vertex_contains
+from conftest import nn8, per_vertex_contains
 
 
 QUAD = MonomialAlgebra(((2, 0, 0), (0, 2, 0), (1, 1, 0), (0, 0, 1)))
@@ -381,6 +381,10 @@ def test_layouts_are_kept_per_contraction(deformation):
     homotopy_center_monomials(c, 4)
     layouts = monomial_algebra._packings[c]
     assert layouts
+    # each layout keeps the point layout and steps of its sweeps
+    points = monomial_algebra._packing(c, 4).points
+    homotopy_center_monomials(c, 4)
+    assert monomial_algebra._packing(c, 4).points is points
     # a copy is another contraction and starts with no layouts
     assert dataclasses.replace(c) not in monomial_algebra._packings
     # the map does not keep a contraction alive, and its entry goes with it
@@ -513,29 +517,20 @@ def naive_masks(c, starts, fits):
     return masks
 
 
+def state_masks(packing, caps, deg_cap):
+    """``_reach_all`` on ``packing``, as tuple states with a nonzero mask:
+    entry v of the row at point x is the mask of the state (v, x)."""
+    points, rows = monomial_algebra._reach_all(packing, caps, deg_cap, rewriting.MAX_STATES)
+    return {(v, points.exponents(p)): m for p, row in rows.items() for v, m in enumerate(row) if m}
+
+
 def sweep_masks(c, caps, deg_cap):
     """``_reach_all`` on the layout of ``deg_cap``, as tuple states."""
-    packing = monomial_algebra._packing(c, deg_cap)
-    masks = monomial_algebra._reach_all(packing, caps, deg_cap, rewriting.MAX_STATES)
-    return {(s & packing.vmask, packing.exponents(s)): m for s, m in masks.items()}
+    return state_masks(monomial_algebra._packing(c, deg_cap), caps, deg_cap)
 
 
 def box(caps, deg_cap):
     return lambda spent: mon_leq(spent, caps) and degree(spent) <= deg_cap
-
-
-def nn8():
-    """The smallest known non-normal case: 4 vertices, 8 arrows."""
-    arrows = [(0, 0, (-1, -1)), (0, 0, (1, 0)), (0, 1, (0, 0)), (1, 2, (0, 0)),
-              (2, 0, (0, 1)), (1, 2, (0, 0)), (2, 3, (0, 0)), (3, 1, (0, 0))]
-    return make_quiver(4, arrows, [(0, 1, 2, 3, 4), (5, 6, 7), (0, 2, 5, 4, 1), (3, 6, 7)])
-
-
-@pytest.fixture(scope="module")
-def sweep_contractions(all_contractions):
-    fx = fixtures_mod.fixture("fig_nested(5)")
-    return {**all_contractions, "fig_nested(5)": contract(fx.quiver, fx.contraction_arrows),
-            "nn8 at 2,4,6": contract(nn8(), [2, 4, 6])}
 
 
 def test_sweep_matches_per_vertex_reference(sweep_contractions):
@@ -581,8 +576,7 @@ def sweep_cases(draw):
 def test_sweep_matches_reference_on_random_arrows(case):
     nv, arrows, caps, deg_cap = case
     packing = monomial_algebra._Packing((deg_cap + len(caps)).bit_length(), len(caps), nv, arrows)
-    masks = monomial_algebra._reach_all(packing, caps, deg_cap, rewriting.MAX_STATES)
-    got = {(s & packing.vmask, packing.exponents(s)): m for s, m in masks.items()}
+    got = state_masks(packing, caps, deg_cap)
     fits, want = box(caps, deg_cap), {}
     for v in range(nv):
         seen = {(v, (0,) * len(caps))}

@@ -84,8 +84,9 @@ def test_normality_report_consistency_everywhere(all_contractions):
 
 def test_disagreeing_conditions_raise(deformation_contraction, monkeypatch):
     # a sigma-round search that fails every generator makes sigma*S in R
-    # say no on a normal fixture, where k + m0*S says yes
-    monkeypatch.setattr(normality, "first_unrealized_goal", lambda *args: (0, 0))
+    # say no on a normal fixture, where k + m0*S says yes; the report's
+    # rounds are decided by its center table
+    monkeypatch.setattr(monomial_algebra.CenterTable, "first_unrealized_goal", lambda *args: (0, 0))
     with pytest.raises(normality.EquivalenceViolation,
                        match=r"sigma\*S test says no but k\+m0S test says yes"):
         normality_report(deformation_contraction, 8)
@@ -131,8 +132,9 @@ def test_bound_sweep_never_contradicts(all_contractions):
 
 
 def test_report_adds_no_realizability_calls(all_contractions, monkeypatch):
-    # the report's searches are one sweep per round of minimal_sigma_power
-    # plus one sweep for the table, and no per-vertex search
+    # minimal_sigma_power sweeps once per round; the report sweeps its
+    # table once and reads from it every round whose goals lie inside the
+    # table's box, sweeping only the rounds above; no per-vertex search
     calls = {"_reach_all": 0, "_reach": 0}
 
     def counting(name):
@@ -151,11 +153,36 @@ def test_report_adds_no_realizability_calls(all_contractions, monkeypatch):
         assert calls == {"_reach_all": rounds, "_reach": 0}, name
         calls["_reach_all"] = 0
         normality_report(c)
-        assert calls == {"_reach_all": rounds + 1, "_reach": 0}, name
+        # round n's goals sigma^n * g reach degree n * |catalog| + max deg g
+        top = max(map(degree, source_cycle_algebra_generators(c)))
+        table_bound = normality.DEFAULT_DEGREE_BOUND + top
+        above = sum(n * len(c.catalog) + top > table_bound for n in range(1, rounds + 1))
+        assert calls == {"_reach_all": 1 + above, "_reach": 0}, name
         calls["_reach_all"] = 0
         homotopy_center_monomials(c, 6)
         assert calls == {"_reach_all": 1, "_reach": 0}, name
         calls["_reach_all"] = 0
+
+
+def test_report_agrees_with_the_rounds_swept_alone(sweep_contractions):
+    # the report reads each round its table covers from the table's sweep
+    # and sweeps the rounds above; at bounds 0-10 both kinds occur, and
+    # either way the report agrees with minimal_sigma_power and the
+    # sigma * S round swept on their own
+    covered = set()
+    for name, c in sweep_contractions.items():
+        msp = minimal_sigma_power(c)
+        witness = sigma_power_times_S_in_R(c, 1)
+        rounds = range(1, (msp.n or normality.DEFAULT_N_MAX) + 1)
+        for bound in range(11):
+            rep = normality_report(c, bound)
+            assert rep.minimal_power == msp.n, (name, bound)
+            assert rep.sigma_witness == witness, (name, bound)
+            assert rep.normal == ("yes" if witness is None else "no"), (name, bound)
+            # the table reaches bound + max deg g, round n's goals
+            # n * |catalog| + max deg g
+            covered |= {n * len(c.catalog) <= bound for n in rounds}
+    assert covered == {True, False}
 
 
 def reference_round(c, n, gens):
