@@ -505,63 +505,58 @@ def zigzag_consistent(q: DimerQuiver) -> bool:
 
 @dataclass(frozen=True)
 class BigonReduction:
-    """The 2-cycle-free quiver; its arrow a is arrow ``original_ids[a]`` of
-    the original quiver (same ends and homology), after ``removed`` removals."""
+    """A quiver q without its 2-cycles: arrow a of ``quiver`` is arrow
+    ``original_ids[a]`` of q (same ends and homology), and ``removed``
+    2-cycles were removed; with none removed, ``quiver`` is q itself."""
 
     quiver: DimerQuiver
     original_ids: tuple[int, ...]
     removed: int
 
 
-def _one_bigon_step(q: DimerQuiver) -> tuple[DimerQuiver, tuple[int, ...]] | None:
-    """q without its lowest-id 2-cycle and the old ids of its arrows, or None."""
-    bigon = next((f for f in q.faces if len(f.boundary) == 2), None)
-    if bigon is None:
-        return None
-    a_id, b_id = bigon.boundary
-
-    def second_face(aid):
-        others = [f for f in q.faces if f.id != bigon.id and aid in f.boundary]
-        if len(others) != 1 or others[0].boundary.count(aid) != 1:
-            raise DomainError(
-                f"2-cycle {bigon.id}: arrow {aid} does not lie once on one other face;"
-                " not removable"
-            )
-        return others[0]
-
-    fa, fb = second_face(a_id), second_face(b_id)
-    if fa.id == fb.id:
-        raise DomainError(
-            f"2-cycle {bigon.id}: both arrows share their second face {fa.id}; not removable"
-        )
-
-    def arc(face, aid):
-        k = face.boundary.index(aid)
-        return face.boundary[k + 1:] + face.boundary[:k]
-
-    # the arc of fa beside a equals b, and the arc of fb beside b equals a
-    merged = arc(fa, a_id) + arc(fb, b_id)
-    keep = [x for x in q.arrows if x.id not in (a_id, b_id)]
-    relabel = {x.id: k for k, x in enumerate(keep)}
-    new_arrows = [(x.tail, x.head, x.homology) for x in keep]
-    faces = [f.boundary for f in q.faces if f.id not in (bigon.id, fa.id, fb.id)] + [merged]
-    nq = make_quiver(q.num_vertices, new_arrows, [[relabel[x] for x in f] for f in faces])
+def bigon_reduce(q: DimerQuiver) -> BigonReduction:
+    """Remove every 2-cycle, the lowest-index one first: drop it and its
+    two neighbouring faces, and append their merged face (the arc of each
+    beside the 2-cycle).  Each arrow of a 2-cycle equals a path, so the
+    algebra does not change.  The merges run on boundary lists in q's arrow
+    ids, and the quiver left is built and validated once.  On a valid q one
+    check is enough, since a merge keeps V - E + F, closed face walks and
+    zero face sums, connectivity (the merged face's arc joins the 2-cycle's
+    ends), the homology span (a dropped arrow is minus its face arc) and one
+    link cycle per vertex (the corners x→a, b→a, b→y collapse to x→y).  Only
+    a merged face that repeats an arrow breaks validity, and no later merge
+    removes the repeat; it is refused at once.  A 2-cycle that cannot be
+    removed raises ``DomainError``, naming its arrows in q (and its face,
+    if it is one of q's)."""
+    faces = [(f.id, f.boundary) for f in q.faces]  # (q's face id or None, boundary)
+    names, gone = [], set()
+    while (k := next((k for k, (_, f) in enumerate(faces) if len(f) == 2), None)) is not None:
+        fid, pair = faces.pop(k)
+        names.append(f"2-cycle of arrows {pair[0]}, {pair[1]}"
+                     + ("" if fid is None else f" (face {fid})"))
+        sides, merged = [], ()
+        for aid in pair:
+            on = [j for j, (_, f) in enumerate(faces) if aid in f]
+            if len(on) != 1 or faces[on[0]][1].count(aid) != 1:
+                raise DomainError(f"{names[-1]}: arrow {aid} does not lie once on one other"
+                                  " face; not removable")
+            f = faces[on[0]][1]
+            i = f.index(aid)
+            sides += on
+            merged += f[i + 1:] + f[:i]
+        if sides[0] == sides[1] or len(set(merged)) < len(merged):
+            raise DomainError(f"{names[-1]}: its two neighbouring faces are one face or share"
+                              " an arrow; not removable")
+        faces = [x for j, x in enumerate(faces) if j not in sides] + [(None, merged)]
+        gone.update(pair)
+    if not names:
+        return BigonReduction(q, tuple(range(len(q.arrows))), 0)
+    ids = tuple(x for x in range(len(q.arrows)) if x not in gone)
+    new_id = {x: k for k, x in enumerate(ids)}
+    nq = make_quiver(q.num_vertices, [(q.arrows[x].tail, q.arrows[x].head, q.arrows[x].homology)
+                                      for x in ids], [[new_id[x] for x in f] for _, f in faces])
     rep = validate_dimer(nq)
     if not rep.ok:
-        raise DomainError(
-            f"2-cycle {bigon.id}: merged face is invalid ({', '.join(sorted(rep.codes()))})"
-        )
-    return nq, tuple(x.id for x in keep)
-
-
-def bigon_reduce(q: DimerQuiver) -> BigonReduction:
-    """Remove every 2-cycle, the lowest-id one first.  Each arrow of a
-    2-cycle equals a path, so the algebra does not change.  A 2-cycle that
-    cannot be removed raises ``DomainError``."""
-    ids = tuple(range(len(q.arrows)))
-    removed = 0
-    while (out := _one_bigon_step(q)) is not None:
-        q, kept = out
-        ids = tuple(ids[k] for k in kept)
-        removed += 1
-    return BigonReduction(q, ids, removed)
+        raise DomainError(f"{'; '.join(names)}: the quiver left is invalid"
+                          f" ({', '.join(sorted(rep.codes()))})")
+    return BigonReduction(nq, ids, len(names))

@@ -826,8 +826,8 @@ def _probes(q: DimerQuiver, v: int, p: PathWord, q_: PathWord, r_cap: int):
 def _certified_reduction(q: DimerQuiver) -> tuple[BigonReduction, bool]:
     """``bigon_reduce(q)`` (q as given when a 2-cycle cannot be removed) and
     ``certified_cancellative(q)``, from one reduction.  A quiver that
-    ``bigon_reduce`` changed was validated after its last removal, so only
-    the caller's own quiver is validated here."""
+    ``bigon_reduce`` changed was validated once, after all its removals, so
+    only the caller's own quiver is validated here."""
     try:
         red = bigon_reduce(q)
     except DomainError:

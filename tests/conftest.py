@@ -79,6 +79,45 @@ def insert_2cycle(q, face, k):
     return make_quiver(q.num_vertices, arrows, faces)
 
 
+def _irremovable_after_a_removable():
+    """``bigon_inserted_c3`` with a 2-cycle (arrows 0, 1) inserted into its
+    triangle and moved to face 0: it is removed first, and the 2-cycle of
+    arrows 5, 6, face 2 of the caller's quiver, cannot be removed."""
+    q = insert_2cycle(fixtures_mod.bigon_inserted_c3(), 1, 1)
+    faces = [f.boundary for f in q.faces]
+    return make_quiver(q.num_vertices, [(a.tail, a.head, a.homology) for a in q.arrows],
+                       faces[-1:] + faces[:-1])
+
+
+def _with_homology(q, aid, hom):
+    """q with arrow aid's homology replaced: its faces no longer sum to zero."""
+    arrows = [(a.tail, a.head, hom if a.id == aid else a.homology) for a in q.arrows]
+    return make_quiver(q.num_vertices, arrows, [f.boundary for f in q.faces])
+
+
+# (id, quiver, the DomainError's text): 2-cycles ``bigon_reduce`` cannot
+# remove, named by arrow ids and face id of the caller's quiver
+IRREMOVABLE_2CYCLES = [
+    ("shared-second-face", fixtures_mod.bigon_inserted_c3(),
+     r"2-cycle of arrows 3, 4 \(face 2\): its two neighbouring faces are one face"),
+    ("no-second-face", make_quiver(2, [(0, 1, (0, 0)), (1, 0, (1, 0))], [(0, 1)]),
+     r"2-cycle of arrows 0, 1 \(face 0\): arrow 0 does not lie once on one other face"),
+    ("third-face",
+     make_quiver(2, [(0, 1, (0, 0)), (1, 0, (0, 0)), (1, 0, (1, 0)), (0, 1, (0, 1))],
+                 [(0, 1), (0, 2), (1, 3), (0, 2)]),
+     r"2-cycle of arrows 0, 1 \(face 0\): arrow 0 does not lie once on one other face"),
+    ("invalid-merge",  # the merged face, arrows 2, 3, is a 2-cycle on no other face
+     make_quiver(2, [(0, 1, (0, 0)), (1, 0, (1, 0)), (1, 0, (0, 0)), (0, 1, (-1, 0))],
+                 [(0, 1), (0, 2), (1, 3)]),
+     r"2-cycle of arrows 2, 3: arrow 2 does not lie once on one other face"),
+    ("invalid-quiver-left", _with_homology(insert_2cycle(fixtures_mod.c3_quiver(), 0, 1),
+                                           3, (1, -4)),
+     r"2-cycle of arrows 0, 2 \(face 1\): the quiver left is invalid \(face_homology_sum\)"),
+    ("after-a-removable", _irremovable_after_a_removable(),
+     r"2-cycle of arrows 5, 6 \(face 2\): its two neighbouring faces are one face"),
+]
+
+
 def per_vertex_contains(c, g):
     """Homotopy-center membership by one witness search per vertex:
     (verdict, first vertex where g is not a cycle image, or None)."""

@@ -21,7 +21,7 @@ from dimeralg.quiver import (
 )
 from dimeralg.rewriting import EQUAL, NOT_EQUAL, RewriteSystem, paths_equal
 
-from conftest import load_torus_cover
+from conftest import IRREMOVABLE_2CYCLES, load_torus_cover
 
 
 def test_all_fixtures_validate(all_fixtures):
@@ -216,14 +216,8 @@ def test_json_roundtrip(all_fixtures):
         assert again == fx.quiver
 
 
-@pytest.mark.parametrize("q", [
-    fixtures_mod.bigon_inserted_c3(),  # both arrows share their second face
-    make_quiver(2, [(0, 1, (0, 0)), (1, 0, (1, 0))], [(0, 1)]),  # on no other face
-    make_quiver(2, [(0, 1, (0, 0)), (1, 0, (0, 0)), (1, 0, (1, 0)), (0, 1, (0, 1))],
-                [(0, 1), (0, 2), (1, 3), (0, 2)]),  # an arrow on a third face
-    make_quiver(2, [(0, 1, (0, 0)), (1, 0, (1, 0)), (1, 0, (0, 0)), (0, 1, (-1, 0))],
-                [(0, 1), (0, 2), (1, 3)]),  # the merged quiver fails validation
-], ids=["shared-second-face", "no-second-face", "third-face", "invalid-merge"])
-def test_irremovable_2cycle_is_domain_error(q):
-    with pytest.raises(DomainError):
+@pytest.mark.parametrize("q, message", [case[1:] for case in IRREMOVABLE_2CYCLES],
+                         ids=[case[0] for case in IRREMOVABLE_2CYCLES])
+def test_irremovable_2cycle_is_domain_error(q, message):
+    with pytest.raises(DomainError, match=message):
         bigon_reduce(q)

@@ -1,7 +1,8 @@
 """Zig-zag paths, the exact consistency test, and the certificate with
 which ``find_noncancellative_pair`` (and so ``is_cyclic``) skips the pair
 search, checked against the search itself (conftest's ``pair_search``)
-on every quiver the search decides."""
+on every quiver the search decides; and ``bigon_reduce``, which the
+certificate runs on, checked against the stepwise removal it replaced."""
 
 import itertools
 from functools import cmp_to_key
@@ -11,10 +12,12 @@ import pytest
 
 from dimeralg import fixtures as fixtures_mod
 from dimeralg import quiver as quiver_mod
+from dimeralg import contraction as contraction_mod
 from dimeralg import rewriting
 from dimeralg.contraction import ContractionError, contract, identity_contraction, is_cyclic
 from dimeralg.matchings import is_nondegenerate
 from dimeralg.quiver import (
+    BigonReduction,
     DomainError,
     bigon_reduce,
     face_colours,
@@ -33,7 +36,7 @@ from dimeralg.rewriting import (
     find_noncancellative_pair,
 )
 
-from conftest import FIXTURES, load_perfbench, pair_search
+from conftest import FIXTURES, IRREMOVABLE_2CYCLES, load_perfbench, pair_search
 
 C3 = fixtures_mod.c3_quiver()
 CONIFOLD = fixtures_mod.conifold_quiver()
@@ -353,15 +356,15 @@ def test_every_failed_hypothesis_runs_the_search(fails, iso_r_contraction, monke
     monkeypatch.setattr(rewriting, fails, STUBS.get(fails, refuse))
     if fails == "validate_dimer":
         # the target loses 2-cycles, and bigon_reduce validates the quiver
-        # left after each removal
+        # left once, after all removals
         monkeypatch.setattr(quiver_mod, fails, STUBS[fails])
     rep = is_cyclic(iso_r_contraction)
     assert (rep.cancellative_target, rep.decided_by) == (True, "pair_search")
 
 
 def test_certificate_validates_only_an_unreduced_quiver(iso_r_contraction, monkeypatch):
-    # bigon_reduce validated what it returns after a removal; a quiver with
-    # nothing removed is the caller's, and is validated once
+    # bigon_reduce validated what it returns, once after all removals; a
+    # quiver with nothing removed is the caller's, and is validated once
     calls = []
     validate = rewriting.validate_dimer
     monkeypatch.setattr(rewriting, "validate_dimer", lambda q: calls.append(q) or validate(q))
@@ -370,3 +373,116 @@ def test_certificate_validates_only_an_unreduced_quiver(iso_r_contraction, monke
     assert calls == []
     assert bigon_reduce(C3).removed == 0 and certified_cancellative(C3)
     assert calls == [C3]
+
+
+# -- removal of 2-cycles in one pass ------------------------------------------
+
+
+def naive_bigon_reduce(q):
+    """The stepwise removal that ``bigon_reduce`` replaced, kept as its
+    reference: remove the lowest-id 2-cycle, renumber arrows and faces,
+    build and validate the quiver left, and repeat."""
+    ids, removed = tuple(range(len(q.arrows))), 0
+    while (bigon := next((f for f in q.faces if len(f.boundary) == 2), None)) is not None:
+        a_id, b_id = bigon.boundary
+
+        def second_face(aid):
+            others = [f for f in q.faces if f.id != bigon.id and aid in f.boundary]
+            if len(others) != 1 or others[0].boundary.count(aid) != 1:
+                raise DomainError(f"arrow {aid} does not lie once on one other face")
+            return others[0]
+
+        def arc(face, aid):
+            k = face.boundary.index(aid)
+            return face.boundary[k + 1:] + face.boundary[:k]
+
+        fa, fb = second_face(a_id), second_face(b_id)
+        if fa.id == fb.id:
+            raise DomainError("both arrows share their second face")
+        keep = [x for x in q.arrows if x.id not in (a_id, b_id)]
+        relabel = {x.id: k for k, x in enumerate(keep)}
+        faces = [f.boundary for f in q.faces if f.id not in (bigon.id, fa.id, fb.id)]
+        faces.append(arc(fa, a_id) + arc(fb, b_id))
+        q = make_quiver(q.num_vertices, [(x.tail, x.head, x.homology) for x in keep],
+                        [[relabel[x] for x in f] for f in faces])
+        if not validate_dimer(q).ok:
+            raise DomainError("merged face is invalid")
+        ids = tuple(ids[x.id] for x in keep)
+        removed += 1
+    return BigonReduction(q, ids, removed)
+
+
+def _reduction(reduce, q):
+    try:
+        return reduce(q)
+    except DomainError:
+        return DomainError
+
+
+def _fixture_quivers(name):
+    fx = fixtures_mod.fixture(name)
+    return [(f"{name} source", fx.quiver),
+            (f"{name} target", contract(fx.quiver, fx.contraction_arrows).target)]
+
+
+REDUCTION_CORPUS = (
+    SHORTCUT_CORPUS
+    + [case for name in ("fig_nested(4)", "fig_nested(5)") for case in _fixture_quivers(name)]
+    + [(name, q) for name, q, _ in IRREMOVABLE_2CYCLES])
+
+
+@pytest.mark.parametrize("name, q", REDUCTION_CORPUS, ids=[n for n, _ in REDUCTION_CORPUS])
+def test_one_pass_matches_stepwise_removal(name, q):
+    # the same faces in the same order and rotation, the same original ids
+    # and count, or DomainError from both
+    assert _reduction(bigon_reduce, q) == _reduction(naive_bigon_reduce, q)
+
+
+# per fixture: contraction targets of 1-3 arrows, how many raise, and the
+# 2-cycles removed from the rest
+FOREST_TARGETS = {
+    "fig_deformation": (12, 1, 10),
+    "fig_iso_R": (649, 145, 602),
+    "fig_nested(1)": (318, 48, 798),
+    "fig_nested(2)": (2356, 168, 9146),
+    "fig_nested(3)": (7850, 272, 35666),
+    "fig_hsb_ii": (379, 15, 633),
+    "fig_noncancellative_central": (12, 1, 10),
+}
+
+
+@pytest.mark.parametrize("name", FIXTURES)
+def test_one_pass_matches_stepwise_removal_on_forest_targets(name, monkeypatch):
+    # the simple matchings of a target play no part in its reduction
+    monkeypatch.setattr(contraction_mod, "matching_catalog", lambda q: ())
+    targets = raised = removed = 0
+    for size in (1, 2, 3):
+        for arrows, target in _contraction_targets(name, size):
+            red = _reduction(bigon_reduce, target)
+            assert red == _reduction(naive_bigon_reduce, target), arrows
+            targets += 1
+            raised += red is DomainError
+            removed += 0 if red is DomainError else red.removed
+    assert (targets, raised, removed) == FOREST_TARGETS[name]
+
+
+def _count_calls(monkeypatch, names):
+    calls = dict.fromkeys(names, 0)
+    for name in names:
+        def counted(*args, name=name, real=getattr(quiver_mod, name)):
+            calls[name] += 1
+            return real(*args)
+        monkeypatch.setattr(quiver_mod, name, counted)
+    return calls
+
+
+ONE_PASS = [("fig_iso_R target", 2), *((f"fig_nested({n}) target", 4 * n) for n in range(1, 6)),
+            ("c3", 0), ("fig_iso_R reduced target", 0)]
+
+
+@pytest.mark.parametrize("name, removed", ONE_PASS, ids=[n for n, _ in ONE_PASS])
+def test_reduction_builds_and_validates_one_quiver(name, removed, monkeypatch):
+    q = dict(REDUCTION_CORPUS)[name]
+    calls = _count_calls(monkeypatch, ["make_quiver", "validate_dimer"])
+    assert bigon_reduce(q).removed == removed
+    assert calls == dict.fromkeys(calls, int(removed > 0))
