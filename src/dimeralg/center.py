@@ -6,8 +6,9 @@ bundle per base vertex.  Since the algebra is generated by arrows and
 vertex idempotents, centrality is exactly commutation with every arrow,
 and each commutator is decided by grouping the product words modulo the
 face relations and summing coefficients.  Everything is exact: rational
-coefficients, and a span solve eliminated over the integers; bounded
-rewriting is the only source of Unknown verdicts.
+coefficients, and a span solve eliminated over the integers one row at
+a time, which stops at the first infeasible row; bounded rewriting is
+the only source of Unknown verdicts.
 """
 
 from __future__ import annotations
@@ -167,45 +168,55 @@ def nilpotency_and_kernel_check(
 # -- monomial membership in the image of the center ---------------------------
 
 
-def _solve_rational(rows: list[list[int]], rhs: list[int]):
-    """Gauss-Jordan elimination of an integer system; returns one rational
-    solution or None when the system is infeasible.
+class _Elimination:
+    """An integer system eliminated one row at a time, Gauss-Jordan style
+    and fraction-free (cross-multiply, then divide by the gcd): a new row
+    reduced against the pivot rows is refused if it is 0 = nonzero, else
+    it becomes the pivot row of its leading column and is cleared from
+    the others.  Only the solution's quotients are Fractions."""
 
-    Elimination is fraction-free: a row is cleared by cross-multiplying
-    with the pivot row and then divided by the gcd of its entries, so
-    every row stays a nonzero integer multiple of the row that rational
-    elimination with the same pivots would give.  The zero pattern, the
-    pivots and the solution are therefore the same; only the final
-    quotients are Fractions."""
-    m = [row[:] + [b] for row, b in zip(rows, rhs)]
-    n_rows = len(m)
-    n_cols = len(rows[0]) if rows else 0
-    pivots = []
-    r = 0
-    for col in range(n_cols):
-        piv = next((k for k in range(r, n_rows) if m[k][col] != 0), None)
-        if piv is None:
-            continue
-        m[r], m[piv] = m[piv], m[r]
-        prow = m[r]
-        p = prow[col]
-        for k in range(n_rows):
-            if k != r and m[k][col] != 0:
-                f = m[k][col]
-                row = [p * a - f * b for a, b in zip(m[k], prow)]
-                d = gcd(*row)
-                m[k] = [x // d for x in row] if d > 1 else row
-        pivots.append(col)
-        r += 1
-        if r == n_rows:
-            break
-    for k in range(r, n_rows):
-        if m[k][n_cols] != 0:
-            return None
-    sol = [Fraction(0)] * n_cols
-    for row_idx, col in enumerate(pivots):
-        sol[col] = Fraction(m[row_idx][n_cols], m[row_idx][col])
-    return sol
+    def __init__(self, n: int):
+        self.n = n
+        self.pivots: dict[int, list[int]] = {}  # column -> row, right-hand side last
+        self.seen: set[tuple[int, ...]] = set()
+
+    def add(self, entries, b: int) -> bool:
+        """Take the row sum(coef * x[col] for coef, col in entries) = b;
+        False when it is refused.  A repeated row is skipped."""
+        r = [0] * self.n + [b]
+        for coef, col in entries:
+            r[col] += coef
+        if tuple(r) in self.seen:
+            return True
+        self.seen.add(tuple(r))
+        for col, prow in self.pivots.items():
+            if r[col]:
+                r = _cleared(r, prow, col)
+        for lead in range(self.n):
+            if r[lead]:
+                break
+        else:
+            return r[-1] == 0
+        for col, prow in self.pivots.items():
+            if prow[lead]:
+                self.pivots[col] = _cleared(prow, r, lead)
+        self.pivots[lead] = r
+        return True
+
+    def solution(self) -> list[Fraction]:
+        """The solution with every free unknown at zero."""
+        sol = [Fraction(0)] * self.n
+        for col, prow in self.pivots.items():
+            sol[col] = Fraction(prow[-1], prow[col])
+        return sol
+
+
+def _cleared(row: list[int], prow: list[int], col: int) -> list[int]:
+    """row with its entry at col cleared by the pivot row prow."""
+    p, f = prow[col], row[col]
+    out = [p * a - f * b for a, b in zip(row, prow)]
+    d = gcd(*out)
+    return [x // d for x in out] if d > 1 else out
 
 
 @dataclass
@@ -243,6 +254,15 @@ def reduced_center_contains(
     not 0) and visits no (vertex, image spent) state twice, so its
     zero-image steps never revisit a state, and ``cycles_with_image``
     lists it.
+
+    The rows are eliminated as they are made, the vertex rows first and
+    then each arrow's in turn, and the first row refused ends the call:
+    no later arrow is split.  Stopping is exact, since rows added to an
+    infeasible system leave it infeasible, and the verdict is unknown
+    when a split made so far was undecided.  A feasible call sees every
+    row, and its pivots are the leading columns of the row space, which
+    no row order changes; with the free unknowns at zero the witness is
+    the one a batch elimination of the same rows gives.
     """
     q = c.source
     hc = homotopy_center_contains(c, g)
@@ -272,35 +292,23 @@ def reduced_center_contains(
 
     # the coefficients at each vertex sum to 1, then every class of
     # commutator words cancels
-    rows: list[list[int]] = []
-    rhs: list[int] = []
-    for terms in unknowns.values():
-        row = [0] * n
-        for idx, _ in terms:
-            row[idx] = 1
-        rows.append(row)
-        rhs.append(1)
+    system = _Elimination(n)
+    feasible = all(system.add([(1, idx) for idx, _ in terms], 1) for terms in unknowns.values())
     for a in q.arrows:
+        if not feasible:
+            break
         products = _commutator_terms(a, unknowns)
         split, unknown = eq.split([word for _, _, word in products])
         undecided = undecided or unknown > 0
-        for cls in split:
-            row = [0] * n
-            for k in cls:
-                sign, idx, _ = products[k]
-                row[idx] += sign
-            if any(x != 0 for x in row):
-                rows.append(row)
-                rhs.append(0)
-
-    sol = _solve_rational(rows, rhs)
-    if sol is None:
+        feasible = all(system.add([products[k][:2] for k in cls], 0) for cls in split)
+    if not feasible:
         return ReducedCenterResult(
             UNKNOWN if undecided else NO,
             candidate_counts=counts,
             class_counts=ccounts,
             reason="commutation_infeasible",
         )
+    sol = system.solution()
     # CentralCandidate drops the zero coefficients
     witness = CentralCandidate({v: [(sol[idx], w) for idx, w in terms]
                                 for v, terms in unknowns.items()})
@@ -318,6 +326,8 @@ def power_in_reduced_center(
     """Smallest n <= n_max with g^n in the reduced-center image; returns
     (n, yes) on success, (None, no) when every power refuses, or
     (None, unknown) when some powers were undecided."""
+    if n_max < 1:
+        raise DomainError(f"n_max must be at least 1, not {n_max}")
     any_unknown = False
     for n in range(1, n_max + 1):
         res = reduced_center_contains(c, tuple(n * e for e in g), bounds)

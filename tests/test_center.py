@@ -8,7 +8,8 @@ from dimeralg import monomial_algebra
 from dimeralg.acceptance import distinguished_candidate, quadratic_pattern_indices
 from dimeralg.center import (
     CentralCandidate,
-    _solve_rational,
+    ReducedCenterResult,
+    _Elimination,
     nilpotency_and_kernel_check,
     power_in_reduced_center,
     reduced_center_contains,
@@ -16,9 +17,20 @@ from dimeralg.center import (
     verify_central,
 )
 from dimeralg.contraction import sigma, source_cycle_algebra_generators
-from dimeralg.monomial_algebra import homotopy_center_contains, mon_add
+from dimeralg.monomial_algebra import (
+    cycles_with_image,
+    homotopy_center_contains,
+    homotopy_center_monomials,
+    mon_add,
+)
 from dimeralg.quiver import DomainError, PathWord
-from dimeralg.rewriting import SearchBounds
+from dimeralg.rewriting import (
+    DEFAULT_BOUNDS,
+    EqualityClasses,
+    ResourceExhausted,
+    RewriteSystem,
+    SearchBounds,
+)
 
 from conftest import commutation_property_check
 
@@ -216,7 +228,7 @@ def test_loop_sigma_square_also_refused(iso_r_contraction):
     assert res.verdict == "no"
 
 
-# -- the integer span solve against rational Gauss-Jordan ---------------------
+# -- the incremental integer elimination against rational Gauss-Jordan --------
 
 
 def rational_solve(rows, rhs):
@@ -264,11 +276,132 @@ def integer_systems(draw):
 @example(([[0, 0], [0, 0]], [0, 0]))  # all zero
 @example(([[0, 0], [0, 0]], [0, 1]))  # all-zero rows, nonzero right-hand side
 @example(([[6, -4], [9, 3]], [2, -5]))  # a solution with denominators
+@example(([[1, 2, 0], [2, 4, 0], [0, 1, 1]], [1, 3, 5]))  # infeasible before the last row
+@example(([[1, 1], [1, 1], [1, -1], [1, 1]], [2, 2, 0, 2]))  # repeated rows
 def test_integer_solve_matches_rational_gauss_jordan(system):
+    # rows fed one at a time: the first row refused ends the first
+    # infeasible prefix, and a feasible system ends at the batch solution
     rows, rhs = system
-    got = _solve_rational([row[:] for row in rows], rhs[:])
+    elim = _Elimination(len(rows[0]) if rows else 0)
+    refused = next((k for k, (row, b) in enumerate(zip(rows, rhs))
+                    if not elim.add([(a, col) for col, a in enumerate(row)], b)), None)
+    first_infeasible = next((k for k in range(len(rows))
+                             if rational_solve(rows[:k + 1], rhs[:k + 1]) is None), None)
+    assert refused == first_infeasible
+    if refused is not None:
+        return
+    got = elim.solution()
     assert got == rational_solve(rows, rhs)
-    if got is not None:
-        assert all(isinstance(x, Fraction) for x in got)
-        for row, b in zip(rows, rhs):
-            assert sum(a * x for a, x in zip(row, got)) == b
+    assert all(isinstance(x, Fraction) for x in got)
+    for row, b in zip(rows, rhs):
+        assert sum(a * x for a, x in zip(row, got)) == b
+
+
+# -- the early stop against a reference that splits every arrow ---------------
+
+
+def reference_reduced_center(c, g, bounds=DEFAULT_BOUNDS):
+    """The membership test that splits every arrow and then solves the
+    whole system with ``rational_solve``: reduced_center_contains without
+    its stop at the first infeasible row."""
+    q = c.source
+    hc = homotopy_center_contains(c, g)
+    if hc.verdict != "yes":
+        return ReducedCenterResult("no", failing_vertex=hc.vertex, reason="not_in_homotopy_center")
+    if not any(g):
+        return ReducedCenterResult("yes", witness=sigma_sum_candidate(q, 0))
+    eq = EqualityClasses(RewriteSystem(q), bounds)
+    unknowns, counts, ccounts = {}, {}, {}
+    n, undecided = 0, False
+    for v in range(q.num_vertices):
+        try:
+            cycles = cycles_with_image(c, v, g)
+        except ResourceExhausted:
+            return ReducedCenterResult("unknown", reason="cycle_enumeration_budget")
+        split, unknown = eq.split(cycles)
+        undecided = undecided or unknown > 0
+        unknowns[v] = [(n + k, cycles[cls[0]]) for k, cls in enumerate(split)]
+        n += len(split)
+        counts[v], ccounts[v] = len(cycles), len(split)
+    rows, rhs = [], []
+    for terms in unknowns.values():
+        rows.append([int(any(idx == k for idx, _ in terms)) for k in range(n)])
+        rhs.append(1)
+    for a in q.arrows:
+        products = [(1, idx, PathWord(w.base, w.arrows + (a.id,)))
+                    for idx, w in unknowns.get(a.tail, ())]
+        products += [(-1, idx, PathWord(a.tail, (a.id,) + w.arrows))
+                     for idx, w in unknowns.get(a.head, ())]
+        split, unknown = eq.split([word for _, _, word in products])
+        undecided = undecided or unknown > 0
+        for cls in split:
+            row = [0] * n
+            for k in cls:
+                row[products[k][1]] += products[k][0]
+            rows.append(row)
+            rhs.append(0)
+    sol = rational_solve(rows, rhs)
+    if sol is None:
+        return ReducedCenterResult("unknown" if undecided else "no", candidate_counts=counts,
+                                   class_counts=ccounts, reason="commutation_infeasible")
+    witness = CentralCandidate({v: [(sol[idx], w) for idx, w in terms]
+                                for v, terms in unknowns.items()})
+    return ReducedCenterResult("yes", witness=witness, candidate_counts=counts,
+                               class_counts=ccounts)
+
+
+HSB_REFUSED = ((1, 1, 5), (1, 5, 1), (5, 1, 1))
+
+
+def count_splits(monkeypatch):
+    calls = []
+    split = EqualityClasses.split
+    monkeypatch.setattr(EqualityClasses, "split",
+                        lambda self, words: calls.append(1) or split(self, words))
+    return calls
+
+
+def test_refusal_stops_at_the_first_infeasible_arrow(iso_r_contraction, monkeypatch):
+    # x·y·z² is refused after the 9 vertex splits and 5 of the 17 arrows
+    q = iso_r_contraction.source
+    assert (q.num_vertices, len(q.arrows)) == (9, 17)
+    calls = count_splits(monkeypatch)
+    res = reduced_center_contains(iso_r_contraction, (1, 1, 2))
+    assert (res.verdict, res.reason) == ("no", "commutation_infeasible")
+    assert len(calls) == 14
+
+
+def test_early_stop_keeps_every_answer(all_contractions):
+    # verdict, reason, counts and witness, on every homotopy-center
+    # monomial of degree <= 4 and the three refusals of fig_hsb_ii
+    refused = set()
+    for name, c in all_contractions.items():
+        mons = sorted(homotopy_center_monomials(c, 4), key=lambda m: (sum(m), m))
+        if name == "fig_hsb_ii":
+            mons += HSB_REFUSED
+        for g in mons:
+            got, want = reduced_center_contains(c, g), reference_reduced_center(c, g)
+            assert got == want, (name, g)
+            if got.verdict == "no":
+                refused.add((name, g))
+    assert refused == {("fig_iso_R", (1, 1, 2))} | {("fig_hsb_ii", g) for g in HSB_REFUSED}
+
+
+@pytest.mark.parametrize("name,g", [("fig_iso_R", (1, 1, 2)), ("fig_hsb_ii", (1, 1, 5))])
+def test_early_stop_flips_no_verdict(all_contractions, name, g):
+    # under cut-off bounds a refusal may be decided before the undecided
+    # splits a full pass would make; no other verdict may move.  Both
+    # monomials turn from unknown to no between the bounds 30 and 31 and
+    # 135 and 136, respectively
+    c = all_contractions[name]
+    cut_off = [SearchBounds(0, m) for m in (1, 2, 4, 16, 30, 31, 64, 135, 136)]
+    for bounds in cut_off + [DEFAULT_BOUNDS]:
+        got = reduced_center_contains(c, g, bounds).verdict
+        want = reference_reduced_center(c, g, bounds).verdict
+        assert got == want or (want, got) == ("unknown", "no"), (bounds, want, got)
+
+
+def test_power_search_needs_a_power_to_try(deformation_contraction):
+    for n_max in (0, -1):
+        with pytest.raises(DomainError):
+            power_in_reduced_center(deformation_contraction, (1, 1, 0), n_max=n_max)
