@@ -353,19 +353,13 @@ def reference_reduced_center(c, g, bounds=DEFAULT_BOUNDS):
 HSB_REFUSED = ((1, 1, 5), (1, 5, 1), (5, 1, 1))
 
 
-def count_splits(monkeypatch):
-    calls = []
-    split = EqualityClasses.split
-    monkeypatch.setattr(EqualityClasses, "split",
-                        lambda self, words: calls.append(1) or split(self, words))
-    return calls
-
-
 def test_refusal_stops_at_the_first_infeasible_arrow(iso_r_contraction, monkeypatch):
     # x·y·z² is refused after the 9 vertex splits and 5 of the 17 arrows
     q = iso_r_contraction.source
     assert (q.num_vertices, len(q.arrows)) == (9, 17)
-    calls = count_splits(monkeypatch)
+    calls, split = [], EqualityClasses.split
+    monkeypatch.setattr(EqualityClasses, "split",
+                        lambda self, words: calls.append(1) or split(self, words))
     res = reduced_center_contains(iso_r_contraction, (1, 1, 2))
     assert (res.verdict, res.reason) == ("no", "commutation_infeasible")
     assert len(calls) == 14
