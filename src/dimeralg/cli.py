@@ -43,12 +43,7 @@ from .matchings import (
     enumerate_perfect_matchings,
     is_simple_matching,
 )
-from .monomial_algebra import (
-    homotopy_center_contains,
-    homotopy_center_monomials,
-    minimal_generators,
-    render_monomial,
-)
+from .monomial_algebra import NO, YES, CenterTable, minimal_generators, render_monomial
 from .normality import DEFAULT_DEGREE_BOUND, DEFAULT_N_MAX, normality_report
 from .quiver import (
     DomainError,
@@ -266,7 +261,8 @@ def cmd_cycle_algebra(args, q, fx):
 
 def cmd_homotopy_center(args, q, fx):
     c = _contraction(q, fx, args)
-    mons = homotopy_center_monomials(c, args.degree_bound)
+    table = CenterTable(c, args.degree_bound)
+    mons = table.monomials
     gens = sorted(minimal_generators(mons))
     results = {
         "degree_bound": args.degree_bound,
@@ -276,11 +272,12 @@ def cmd_homotopy_center(args, q, fx):
     }
     if args.contains:
         g = _parse_ints(args.contains, "monomial")
-        res = homotopy_center_contains(c, g)
+        # the table's sweep answers g inside its box; a larger g is swept
+        miss = table.first_unrealized_goal([g])
         results["contains"] = {
             "monomial": list(g),
-            "verdict": res.verdict,
-            "failing_vertex": res.vertex,
+            "verdict": YES if miss is None else NO,
+            "failing_vertex": None if miss is None else miss[1],
         }
     return results, EXIT_OK
 

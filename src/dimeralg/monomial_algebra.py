@@ -21,12 +21,17 @@ layouts, per field width, until the contraction dies.
 Membership in a monoid given by generators (``algebra_contains``,
 ``minimal_generators``) searches packed partial sums in the same layout,
 with one vertex.
+
+Input rule (``_check_monomials``, at each public entry): the monomials of
+one call lie in one N^k, k the contraction's catalog width if any, else
+DomainError; so tuples never truncate and degree 0 means the zero monomial.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import chain
 from math import prod
 from operator import and_, le, lshift
 from typing import TYPE_CHECKING
@@ -57,11 +62,12 @@ def mon_leq(a: Monomial, b: Monomial) -> bool:
     return all(map(le, a, b))
 
 
-def _check_catalog(monomials) -> None:
-    """The arithmetic above stops at the shorter tuple, so monomials of
-    different lengths are refused before they meet."""
-    if len(set(map(len, monomials))) > 1:
+def _check_monomials(monomials, *widths: int) -> None:
+    """The module's input rule on a collection of monomials of ``widths``."""
+    if len({*widths, *map(len, monomials)}) > 1:
         raise DomainError("monomial indexed by a different catalog")
+    if min(chain((0,), *monomials)) < 0:
+        raise DomainError("monomial with a negative exponent")
 
 
 def is_sigma_power(g: Monomial) -> bool:
@@ -70,15 +76,13 @@ def is_sigma_power(g: Monomial) -> bool:
 
 def render_monomial(g: Monomial) -> str:
     names = "xyzwvu"
-    if degree(g) == 0:
-        return "1"
     parts = []
     for k, e in enumerate(g):
         if e == 0:
             continue
         name = names[k] if k < len(names) else f"m{k}"
         parts.append(name if e == 1 else f"{name}^{e}")
-    return "*".join(parts)
+    return "*".join(parts) or "1"
 
 
 # -- packed states -----------------------------------------------------------
@@ -170,7 +174,7 @@ class MonomialAlgebra:
 
     def __post_init__(self):
         gens = tuple(sorted(set(self.generators)))
-        _check_catalog(gens)
+        _check_monomials(gens)
         object.__setattr__(self, "generators", gens)
 
 
@@ -178,7 +182,7 @@ def algebra_contains(a: MonomialAlgebra, g: Monomial) -> str:
     """YES iff g is a nonnegative integer combination of the generators.
     The search over the packed partial sums below g is complete, so the
     verdict is exact."""
-    _check_catalog((g, *a.generators))
+    _check_monomials((g, *a.generators))
     packing = _sum_packing(len(g), degree(g))
     # a summand must fit below g before it is packed: a larger exponent
     # would overflow its field
@@ -237,10 +241,9 @@ def ideal_monomials(generators, multiplier_gens, degree_bound: int) -> frozenset
     nonnegative, so every partial sum g + x_1 + ... + x_j of an element
     g + x_1 + ... + x_k of the set has degree at most that of the whole
     sum, and the closure reaches it through those partial sums; a
-    multiplier of degree 0 is the zero monomial and adds nothing.
-    Generators and multipliers must be indexed by one catalog."""
+    multiplier of degree 0 is the zero monomial and adds nothing."""
     generators, multiplier_gens = tuple(generators), tuple(multiplier_gens)
-    _check_catalog(generators + multiplier_gens)
+    _check_monomials(generators + multiplier_gens)
     steps = [(v, degree(v)) for v in multiplier_gens if 0 < degree(v) <= degree_bound]
     frontier = [(g, degree(g)) for g in set(generators) if degree(g) <= degree_bound]
     reached = {g for g, _ in frontier}
@@ -265,7 +268,9 @@ def minimal_generators(monomials) -> list[Monomial]:
     monomial m is therefore dropped at once when m - k is itself one of
     the monomials for some kept k <= m; the rest go through the packed
     membership search ``_packed_sum`` over the kept generators."""
-    mons = sorted(set(m for m in monomials if degree(m) > 0), key=lambda m: (degree(m), m))
+    mons = set(monomials)
+    _check_monomials(mons)
+    mons = sorted((m for m in mons if degree(m) > 0), key=lambda m: (degree(m), m))
     if not mons:
         return []
     packing = _sum_packing(len(mons[0]), degree(mons[-1]))
@@ -363,21 +368,21 @@ def _packing(c: Contraction, deg_cap: int) -> _Packing:
     return layouts[width]
 
 
-def _reach(
-    packing: _Packing, i: int, caps: Monomial, deg_cap: int, max_states: int, target: int,
-) -> dict[int, int | None]:
-    """Breadth-first search over the states of ``packing``, the layout
-    ``_packing`` gives for ``deg_cap``, from (i, 0), keeping each state
-    whose exponents are at most ``caps`` and whose degree is at most
-    ``deg_cap`` (caps nonnegative and at most the degree cap).
+def _reach(packing: _Packing, i: int, g: Monomial) -> dict[int, int | None]:
+    """Breadth-first search from (i, 0) over the states under g and deg g
+    in ``packing``, the layout ``_packing`` gives for deg g.
 
     Returns the map from each reached state to the arrow id that first
     entered it (None at the start); the previous state is the state minus
     that arrow's delta.  The search stops after the layer that reaches
-    the packed state ``target``.  Past ``max_states`` states it raises
-    ResourceExhausted."""
+    the state (i, g).  A box under g of more than ``rewriting.MAX_STATES``
+    states, or a search past that many, raises ResourceExhausted."""
+    max_states = rewriting.MAX_STATES
+    if (space := prod(e + 1 for e in g) * len(packing.steps)) > max_states:
+        raise ResourceExhausted(f"state space {space} exceeds budget {max_states}")
     vmask, guards, steps = packing.vmask, packing.guards, packing.steps
-    limit = packing.pack(vmask, caps, deg_cap) | guards
+    top = packing.pack(0, g, degree(g))
+    target, limit = top + i, (top + vmask) | guards
     parent: dict[int, int | None] = {i: None}
     frontier = [i]
     while frontier and target not in parent:
@@ -395,19 +400,22 @@ def _reach(
     return parent
 
 
-def _reach_all(packing: _Packing, caps: Monomial, deg_cap: int,
-               max_states: int) -> tuple[_Packing, dict[int, list[int]]]:
+def _reach_all(packing: _Packing, caps: Monomial,
+               deg_cap: int) -> tuple[_Packing, dict[int, list[int]]]:
     """One sweep from every start (v, 0) at once over the exponent points
-    of the box of ``_reach``: the layout of ``packing.points``, and the map
-    from each point reached to its row, whose entry w is the bitmask of
-    the starts v with a walk from (v, 0) to (w, point).
+    under ``caps`` and ``deg_cap``, in ``packing``, the layout of ``_packing``
+    for ``deg_cap``: the layout of ``packing.points``, and the map from
+    each point reached to its row, whose entry w is the bitmask of the
+    starts v with a walk from (v, 0) to (w, point).
 
     Image steps raise the degree and zero-image steps keep the point, so
     with the degree layers in ascending order a point's row is complete
     when its layer comes; it is closed once, through each vertex's
-    zero-image closure, whatever cycles those arrows make.  Then each image feeds the point above, one
-    cap test and one dict read for every arrow that carries it.  Past
-    ``max_states`` states with a nonzero mask it raises ResourceExhausted."""
+    zero-image closure, whatever cycles those arrows make.  Then each
+    image feeds the point above, one cap test and one dict read for each
+    arrow that carries it.  Past ``rewriting.MAX_STATES`` states with a
+    nonzero mask it raises ResourceExhausted."""
+    max_states = rewriting.MAX_STATES
     points, zero, images = packing.points
     guards, top = points.guards, points.shifts[-1]
     limit = points.pack(0, caps, deg_cap) | guards
@@ -444,11 +452,7 @@ def _reach_all(packing: _Packing, caps: Monomial, deg_cap: int,
 def _check_query(c: Contraction, goals, i: int = 0) -> None:
     if not 0 <= i < c.source.num_vertices:
         raise DomainError(f"vertex {i} out of range")
-    for g in goals:
-        if len(g) != len(c.catalog):
-            raise DomainError("monomial indexed by a different catalog")
-        if min(g, default=0) < 0:
-            raise DomainError("monomial with a negative exponent")
+    _check_monomials(goals, len(c.catalog))
 
 
 def realizable_at_vertex(c: Contraction, i: int, g: Monomial) -> Realizability:
@@ -461,12 +465,9 @@ def realizable_at_vertex(c: Contraction, i: int, g: Monomial) -> Realizability:
     entered each state.
     """
     _check_query(c, [g], i)
-    max_states = rewriting.MAX_STATES
-    if (space := prod(e + 1 for e in g) * c.source.num_vertices) > max_states:
-        raise ResourceExhausted(f"state space {space} exceeds budget {max_states}")
     packing = _packing(c, degree(g))
+    parent = _reach(packing, i, g)
     node = packing.pack(i, g, degree(g))
-    parent = _reach(packing, i, g, degree(g), max_states, node)
     if node not in parent:
         return Realizability(NO, None, len(parent), i)
     word: list[int] = []
@@ -535,7 +536,7 @@ def _first_unrealized(c: Contraction, goals, table: CenterTable | None) -> tuple
             points, rows = table._points, table._rows
         else:
             caps = tuple(map(max, zip(*swept)))
-            points, rows = _reach_all(_packing(c, deg_cap), caps, deg_cap, max_states)
+            points, rows = _reach_all(_packing(c, deg_cap), caps, deg_cap)
         for k, goal in enumerate(swept):
             # a point the sweep never reached fails at vertex 0
             row = rows.get(points.pack(0, goal, degree(goal))) or [0]
@@ -585,8 +586,7 @@ class CenterTable:
     def __init__(self, c: Contraction, degree_bound: int):
         self.contraction, self.degree_bound = c, degree_bound
         bound = max(degree_bound, 0)  # packed caps are nonnegative
-        self._points, self._rows = _reach_all(
-            _packing(c, bound), (bound,) * len(c.catalog), bound, rewriting.MAX_STATES)
+        self._points, self._rows = _reach_all(_packing(c, bound), (bound,) * len(c.catalog), bound)
         diagonal = [1 << v for v in range(c.source.num_vertices)]
         self.monomials = frozenset(
             self._points.exponents(p) for p, row in self._rows.items()

@@ -7,7 +7,9 @@ conditions separately and insists they agree.  Products of an
 R-monomial that is not a sigma power with anything in S stay in R, so
 testing sigma^n * g over the S-generators certifies the whole ideal.
 The monomial conditions are set arithmetic over one ``CenterTable`` of
-R, whose sweep also decides the sigma-rounds inside its box.
+R, whose sweep also decides the sigma-rounds inside its box.  sigma is
+the product of the target's simple matchings, so a target with none has
+no sigma, and nothing here is decided for it.
 """
 
 from __future__ import annotations
@@ -29,6 +31,7 @@ from .monomial_algebra import (
     mon_add,
     semigroup_monomials,
 )
+from .quiver import DomainError
 from .rewriting import UNKNOWN
 
 
@@ -43,7 +46,10 @@ def sigma_power_times_S_in_R(c: Contraction, n: int) -> Monomial | None:
     first generator g whose goal sigma^n * g is not a cycle image at some
     vertex, as ``first_unrealized_goal`` decides it in one sweep from
     every vertex (exactly, or by raising ResourceExhausted past its state
-    budget), or None when sigma^n * S lies in R."""
+    budget), or None when sigma^n * S lies in R.  DomainError when the
+    target has no simple matching, hence no sigma."""
+    if not c.catalog:
+        raise DomainError("the contraction target has no simple matching, so no sigma")
     return _sigma_round(c, n, partial(first_unrealized_goal, c))
 
 
@@ -86,7 +92,9 @@ def _minimal_power(witnesses: list[Monomial | None]) -> MinimalSigmaPower:
 
 def minimal_sigma_power(c: Contraction, n_max: int = DEFAULT_N_MAX) -> MinimalSigmaPower:
     """Least n with sigma^n * S inside R; below it there is a witness
-    product outside R."""
+    product outside R.  None when the target has no simple matching."""
+    if not c.catalog:
+        return MinimalSigmaPower(None)
     return _minimal_power(_sigma_rounds(c, n_max, partial(first_unrealized_goal, c)))
 
 
@@ -152,7 +160,14 @@ def normality_report(
     ``degree_bound``: R, m0*S and the decomposition each up to that
     degree, built by ``ideal_monomials`` and ``semigroup_monomials``
     from one ``CenterTable``, whose sweep also decides the sigma-rounds
-    inside its box; only the rounds above it are swept."""
+    inside its box; only the rounds above it are swept.
+
+    A target with no simple matching has no sigma: every condition is
+    unknown and there is no minimal power."""
+    if not c.catalog:
+        return NormalityReport(cond_k_plus_m0S=UNKNOWN, normal=UNKNOWN, sigma_witness=None,
+                               minimal_power=None, decomposition_holds=UNKNOWN,
+                               ideal_property_holds=UNKNOWN, degree_bound=degree_bound)
     s = sigma(c)
     s_gens = source_cycle_algebra_generators(c)
     center = CenterTable(c, degree_bound + max(map(degree, s_gens), default=0))

@@ -140,14 +140,14 @@ def face_rules(q: DimerQuiver) -> dict[int, tuple[tuple[int, ...], tuple[int, ..
     """Arrow id -> the two arcs its faces leave when each is rotated to
     start at the arrow and the arrow is dropped; the relations identify
     the two arcs."""
-    rules = {}
-    for a in q.arrows:
-        arcs = [f.boundary[k + 1:] + f.boundary[:k]
-                for f in q.faces for k, aid in enumerate(f.boundary) if aid == a.id]
-        if len(arcs) != 2:
-            raise DomainError(f"arrow {a.id} lies on {len(arcs)} faces")
-        rules[a.id] = (arcs[0], arcs[1])
-    return rules
+    arcs: dict[int, list[tuple[int, ...]]] = {a.id: [] for a in q.arrows}
+    for f in q.faces:
+        for k, aid in enumerate(f.boundary):
+            arcs[aid].append(f.boundary[k + 1:] + f.boundary[:k])
+    for aid, found in arcs.items():
+        if len(found) != 2:
+            raise DomainError(f"arrow {aid} lies on {len(found)} faces")
+    return {aid: tuple(found) for aid, found in arcs.items()}
 
 
 def _encode(arrows: tuple[int, ...]) -> str:

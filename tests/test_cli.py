@@ -16,7 +16,7 @@ from dimeralg.normality import DEFAULT_DEGREE_BOUND, DEFAULT_N_MAX
 from dimeralg.quiver import PathWord, quiver_to_json
 from dimeralg.rewriting import DEFAULT_BOUNDS, RewriteStep, RewriteSystem, replay_witness
 
-from conftest import FIXTURES
+from conftest import FIXTURES, nn8
 
 RUN = [sys.executable, "-m", "dimeralg.cli"]
 
@@ -355,6 +355,28 @@ def test_homotopy_center_contains_flag():
     assert payload["results"]["contains"]["verdict"] == "yes"
 
 
+def test_homotopy_center_contains_reads_the_table(monkeypatch, capsys):
+    # one sweep serves the table and a --contains goal inside its box; a
+    # goal above the degree bound is swept on its own, with the same verdict
+    from dimeralg import monomial_algebra
+
+    fx = fixture("fig_deformation")
+    c = contract(fx.quiver, fx.contraction_arrows)
+    sweep, calls = monomial_algebra._reach_all, []
+    monkeypatch.setattr(monomial_algebra, "_reach_all",
+                        lambda *args: calls.append(args) or sweep(*args))
+    # (0, 0, 3) fails at vertex 1, not at the vertex 0 of an unreached point
+    for g in ((2, 2, 2), (0, 0, 3)):
+        res = monomial_algebra.homotopy_center_contains(c, g)
+        want = {"monomial": list(g), "verdict": res.verdict, "failing_vertex": res.vertex}
+        for bound, sweeps in (("6", 1), ("2", 2)):
+            calls.clear()
+            argv = ["homotopy-center", "fixture:fig_deformation", "--degree-bound", bound]
+            assert main(argv + ["--contains", ",".join(map(str, g))]) == 0
+            assert len(calls) == sweeps, (g, bound)
+            assert json.loads(capsys.readouterr().out)["results"]["contains"] == want
+
+
 def test_bad_filter_and_bad_ints_are_exit_3():
     bad = [
         ["cycles", "fixture:fig_deformation", "--vertex", "0", "--max-len", "3",
@@ -498,6 +520,20 @@ def test_nested_check_cyclic_is_decided(n, capsys):
     results = json.loads(capsys.readouterr().out)["results"]
     assert results["cyclic_up_to_bound"] is True
     assert results["cancellative_target"] is True
+
+
+def test_normality_without_simple_matching_is_exit_2(tmp_path, capsys):
+    # nn8 uncontracted has no simple matching, hence no sigma: no verdict
+    # and exit 2; contracted at 2,4,6 its target has one, and R is not normal
+    path = tmp_path / "nn8.json"
+    path.write_text(json.dumps(quiver_to_json(nn8())))
+    assert main(["normality", str(path)]) == 2
+    results = json.loads(capsys.readouterr().out)["results"]
+    assert results["normal"] == results["decomposition_holds"] == "unknown"
+    assert results["minimal_sigma_power"] is None
+    assert main(["normality", str(path), "--arrows", "2,4,6"]) == 0
+    results = json.loads(capsys.readouterr().out)["results"]
+    assert (results["normal"], results["minimal_sigma_power"]) == ("no", 2)
 
 
 def test_noncancellative_reports_removed_2cycles(tmp_path, capsys):

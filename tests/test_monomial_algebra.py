@@ -367,6 +367,11 @@ def test_monomials_of_another_length_are_refused():
         semigroup_monomials([(1, 0), (0, 1, 0)], 2)
     with pytest.raises(DomainError, match="different catalog"):
         ideal_monomials([(1, 0)], [(0, 1, 0)], 2)
+    with pytest.raises(DomainError, match="different catalog"):
+        ideal_monomials([(1, 0), (0, 1, 0)], [], 2)
+    # the list itself once came back, as if it were its own generators
+    with pytest.raises(DomainError, match="different catalog"):
+        minimal_generators([(1, 0), (0, 1, 0), (1, 1)])
     # with no generators there is nothing to disagree with
     assert algebra_contains(MonomialAlgebra(()), (0, 0, 0)) == "yes"
 
@@ -397,12 +402,34 @@ def test_layouts_are_kept_per_contraction(deformation):
 
 def test_negative_exponent_is_a_domain_error(deformation_contraction):
     # (1, -1, 0) has degree 0 but is no monomial; it is not the trivial path
-    with pytest.raises(DomainError):
+    with pytest.raises(DomainError, match="negative exponent"):
         realizable_at_vertex(deformation_contraction, 0, (1, -1, 0))
-    with pytest.raises(DomainError):
+    with pytest.raises(DomainError, match="negative exponent"):
         cycles_with_image(deformation_contraction, 0, (1, -1, 0))
-    with pytest.raises(DomainError):
+    with pytest.raises(DomainError, match="negative exponent"):
         homotopy_center_contains(deformation_contraction, (1, -1, 0))
+    with pytest.raises(DomainError, match="negative exponent"):
+        first_unrealized_goal(deformation_contraction, [(1, 1, 1), (0, 2, -1)])
+
+
+def test_negative_exponent_is_refused_without_a_contraction():
+    # each once answered as if (1, -1) were zero: the sums {(0, 1), (0, 2)},
+    # and "no" for (1, 0) = (1, -1) + (0, 1)
+    with pytest.raises(DomainError, match="negative exponent"):
+        semigroup_monomials([(1, -1), (0, 1)], 2)
+    with pytest.raises(DomainError, match="negative exponent"):
+        algebra_contains(MonomialAlgebra(((1, -1), (0, 1))), (1, 0))
+    with pytest.raises(DomainError, match="negative exponent"):
+        MonomialAlgebra(((0, -1),))
+    with pytest.raises(DomainError, match="negative exponent"):
+        algebra_contains(QUAD, (1, -1, 0))
+    with pytest.raises(DomainError, match="negative exponent"):
+        ideal_monomials([(1, 0)], [(2, -1)], 3)
+    with pytest.raises(DomainError, match="negative exponent"):
+        minimal_generators([(1, 0), (2, -1)])
+    # width 0 is N^0, whose one monomial is the zero one
+    assert minimal_generators([()]) == []
+    assert semigroup_monomials([()], 3) == frozenset()
 
 
 # -- the packed realizability search against a tuple-state reference ----------
@@ -520,7 +547,7 @@ def naive_masks(c, starts, fits):
 def state_masks(packing, caps, deg_cap):
     """``_reach_all`` on ``packing``, as tuple states with a nonzero mask:
     entry v of the row at point x is the mask of the state (v, x)."""
-    points, rows = monomial_algebra._reach_all(packing, caps, deg_cap, rewriting.MAX_STATES)
+    points, rows = monomial_algebra._reach_all(packing, caps, deg_cap)
     return {(v, points.exponents(p)): m for p, row in rows.items() for v, m in enumerate(row) if m}
 
 

@@ -19,7 +19,7 @@ from dimeralg.normality import (
 from dimeralg.quiver import DomainError
 from dimeralg.rewriting import ResourceExhausted
 
-from conftest import per_vertex_contains
+from conftest import nn8, per_vertex_contains
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])
@@ -62,6 +62,21 @@ def test_identity_contraction_is_normal():
     assert minimal_sigma_power(c).n == 1
     rep = normality_report(c, degree_bound=6)
     assert rep.normal == "yes"
+
+
+def test_target_without_simple_matching_decides_nothing():
+    # nn8 uncontracted has 9 perfect matchings and no simple one, so it
+    # has no sigma; the report once read normal: yes, power 1
+    c = identity_contraction(nn8())
+    assert not c.catalog
+    assert minimal_sigma_power(c).n is None
+    with pytest.raises(DomainError, match="no simple matching"):
+        sigma_power_times_S_in_R(c, 1)
+    rep = normality_report(c)
+    assert rep.minimal_power is None and rep.sigma_witness is None
+    conditions = (rep.normal, rep.cond_k_plus_m0S, rep.decomposition_holds,
+                  rep.ideal_property_holds)
+    assert conditions == ("unknown",) * 4
 
 
 def test_sigma_witness_on_nested_two():

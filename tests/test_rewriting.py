@@ -4,6 +4,7 @@ from types import SimpleNamespace
 
 import pytest
 
+import dimeralg
 from dimeralg import fixtures as fixtures_mod
 from dimeralg import rewriting
 from dimeralg.cli import main
@@ -32,6 +33,7 @@ from dimeralg.rewriting import (
     RewriteSystem,
     SearchBounds,
     enumerate_cycles,
+    face_rules,
     find_noncancellative_pair,
     lift_is_simple,
     paths_equal,
@@ -43,7 +45,7 @@ from dimeralg.rewriting import (
     _search_pairs,
 )
 
-from conftest import insert_2cycle, pair_search
+from conftest import insert_2cycle, load_perfbench, pair_search
 
 
 def test_rule_shapes(all_fixtures):
@@ -61,6 +63,41 @@ def test_rule_shapes(all_fixtures):
                 assert path_homology(q, w) == (-a.homology[0], -a.homology[1])
                 assert q.arrow(side[0]).tail == a.head
                 assert q.arrow(side[-1]).head == a.tail
+
+
+def _quadratic_face_rules(q):
+    """The reference for ``face_rules``: every face scanned once per arrow."""
+    rules = {}
+    for a in q.arrows:
+        arcs = [f.boundary[k + 1:] + f.boundary[:k]
+                for f in q.faces for k, aid in enumerate(f.boundary) if aid == a.id]
+        if len(arcs) != 2:
+            raise DomainError(f"arrow {a.id} lies on {len(arcs)} faces")
+        rules[a.id] = (arcs[0], arcs[1])
+    return rules
+
+
+def test_face_rules_match_the_quadratic_scan(all_fixtures):
+    workloads = load_perfbench("workloads")
+    quivers = [fx.quiver for fx in all_fixtures.values()]
+    quivers += [fixtures_mod.c3_quiver(), fixtures_mod.conifold_quiver(),
+                fixtures_mod.bigon_inserted_c3()]
+    quivers += [workloads.pair_quiver(dimeralg, base, index)
+                for _name, base, index in workloads.PAIR_QUIVERS if index]
+    for q in quivers:
+        rules = face_rules(q)
+        assert rules == _quadratic_face_rules(q)
+        assert list(rules) == [a.id for a in q.arrows]
+    # an arrow on one face, or on three: the same error, at the lowest id
+    q = all_fixtures["fig_deformation"].quiver
+    edges = [(a.tail, a.head, a.homology) for a in q.arrows]
+    boundaries = [f.boundary for f in q.faces]
+    for faces in (boundaries[1:], boundaries + [boundaries[-1]], boundaries[:-1]):
+        broken = make_quiver(q.num_vertices, edges, faces)
+        with pytest.raises(DomainError) as want:
+            _quadratic_face_rules(broken)
+        with pytest.raises(DomainError, match=f"^{want.value}$"):
+            face_rules(broken)
 
 
 def test_summed_homology_is_path_homology(all_fixtures):
